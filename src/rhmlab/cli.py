@@ -84,6 +84,22 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
+def _config_value(cfg: dict, key: str, convert, default):
+    """``convert(cfg.get(key, default))``; a value of the wrong type or form
+    is a :class:`ConfigError`."""
+    try:
+        return convert(cfg.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid config value for '{key}': {exc}") from exc
+
+
+def _float_list(value) -> list[float]:
+    """A number or a list of numbers, as a list of floats."""
+    if isinstance(value, (int, float)):
+        return [float(value)]
+    return [float(x) for x in value]
+
+
 def _grammar_params(cfg: dict, seed: int) -> GrammarParams:
     g = cfg.get("grammar")
     if not isinstance(g, dict):
@@ -98,7 +114,7 @@ def _grammar_params(cfg: dict, seed: int) -> GrammarParams:
         )
     except KeyError as exc:
         raise ConfigError(f"grammar config missing key {exc}") from exc
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid grammar parameters: {exc}") from exc
 
 
@@ -176,7 +192,7 @@ def _run_gen_grammar(args, cfg, out_dir, seed):
 
 def _run_sample(args, cfg, out_dir, seed):
     rs = _require_grammar(args, cfg, seed)
-    n = int(cfg.get("n_samples", 0))
+    n = _config_value(cfg, "n_samples", int, 0)
     if n <= 0:
         raise ConfigError("config needs a positive 'n_samples'")
     distinct = cfg.get("distinct", "auto")
@@ -245,7 +261,9 @@ def _run_stats(args, cfg, out_dir, seed):
             for d, v, k in zip(rep.distances, rep.values, rep.n_pairs)
         ],
     )
-    level = args.level if args.level is not None else int(cfg.get("level", 2))
+    level = args.level
+    if level is None:
+        level = _config_value(cfg, "level", int, 2)
     max_levels, latents, choices = parse_batch(rs, seqs)
     rows = []
     if np.all(max_levels == p.depth):
@@ -268,10 +286,12 @@ def _run_learn(args, cfg, out_dir, seed):
     rs = _require_grammar(args, cfg, seed)
     p = rs.params
     lcfg = cfg.get("learn", {})
+    if not isinstance(lcfg, dict):
+        raise ConfigError("config 'learn' must be a JSON object")
     if args.data:
         seqs, _ = _require_data(args)
     else:
-        n = int(cfg.get("n_samples", 0))
+        n = _config_value(cfg, "n_samples", int, 0)
         if n <= 0:
             raise ConfigError("config needs 'n_samples' or --data")
         rng = np.random.default_rng(derive_seed(seed, 0, "learn-data"))
@@ -295,7 +315,7 @@ def _run_learn(args, cfg, out_dir, seed):
             for i, lv in enumerate(model.levels)
         ],
     )
-    n_eval = int(lcfg.get("n_eval", 1024))
+    n_eval = _config_value(lcfg, "n_eval", int, 1024)
     gen = generate_from_learned(
         model, n_eval, np.random.default_rng(derive_seed(seed, 0, "learn-eval"))
     )
@@ -313,18 +333,16 @@ def _run_onestep(args, cfg, out_dir, seed):
     if args.data:
         seqs, _ = _require_data(args)
     else:
-        n = int(cfg.get("n_samples", 0))
+        n = _config_value(cfg, "n_samples", int, 0)
         if n <= 0:
             raise ConfigError("config needs 'n_samples' or --data")
         rng = np.random.default_rng(derive_seed(seed, 0, "onestep-data"))
         seqs = sample_dataset(rs, n, rng, with_latents=False).sequences
-    etas = cfg.get("eta", [0.1, 1.0, 10.0])
-    if isinstance(etas, (int, float)):
-        etas = [etas]
+    etas = _config_value(cfg, "eta", _float_list, [0.1, 1.0, 10.0])
     codes, labels = tuple_next_token_pairs(seqs, p.branching, p.vocab_size)
     rows = []
     for eta in etas:
-        model = one_step_gd(codes, labels, p.vocab_size, float(eta))
+        model = one_step_gd(codes, labels, p.vocab_size, eta)
         dev = float(np.abs(model.delta - eta * model.empirical_corr).max())
         classes = true_tuple_classes(rs, 1, model.tuple_codes)
         rows.append((float(eta), dev, synonym_column_cosine(model, classes)))
@@ -484,12 +502,17 @@ def run(argv: list[str] | None = None) -> int:
     t0 = time.time()
     try:
         cfg = _load_config(args.config)
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+        seed = args.seed
+        if seed is None:
+            seed = _config_value(cfg, "seed", int, 0)
         if not 0 <= seed < 2**64:
             raise ConfigError("seed must fit in 64 bits")
         if args.threads is None:
             args.threads = _default_threads()
-        out_dir = Path(args.out if args.out != "." else cfg.get("out", "."))
+        out = args.out if args.out != "." else cfg.get("out", ".")
+        if not isinstance(out, str):
+            raise ConfigError("config 'out' must be a path string")
+        out_dir = Path(out)
         out_dir.mkdir(parents=True, exist_ok=True)
         grammar_hash, seeds = _RUNNERS[args.experiment](args, cfg, out_dir, seed)
         _write_manifest(out_dir, cfg, seed, seeds, grammar_hash, t0)

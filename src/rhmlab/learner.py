@@ -173,6 +173,8 @@ class Partition:
     partial: bool  # fewer observed codes than requested clusters
     inertia: float
     centers: np.ndarray | None = None
+    n_iter: int | None = None  # Lloyd iterations of the winning k-means restart
+    restart: int | None = None  # index of the winning k-means restart
 
 
 def cluster_tuples(
@@ -210,6 +212,8 @@ def cluster_tuples(
         partial=False,
         inertia=fit.inertia,
         centers=fit.centers,
+        n_iter=fit.n_iter,
+        restart=fit.restart,
     )
 
 
@@ -272,18 +276,18 @@ class ClusterModel:
 
 
 def _majority_true_classes(
-    observed: np.ndarray,
-    block_codes: np.ndarray,
+    block_idx: np.ndarray,
+    n_observed: int,
     true_parents: np.ndarray,
     vocab_size: int,
 ) -> np.ndarray:
     """Per observed code, the most frequent true parent symbol over its data
-    occurrences (ties to the smallest symbol)."""
-    idx = np.searchsorted(observed, block_codes.ravel())
+    occurrences (ties to the smallest symbol); ``block_idx`` holds each
+    block's position in the observed-code list."""
     counts = np.bincount(
-        idx * vocab_size + true_parents.ravel(),
-        minlength=observed.size * vocab_size,
-    ).reshape(observed.size, vocab_size)
+        block_idx.ravel() * vocab_size + true_parents.ravel(),
+        minlength=n_observed * vocab_size,
+    ).reshape(n_observed, vocab_size)
     return counts.argmax(axis=1)
 
 
@@ -352,7 +356,15 @@ def learn_grammar(
         block_codes = encode_tuples(
             labels.reshape(n, n_blocks, branching), vocab_size
         )
-        observed = np.unique(block_codes)
+        # Codes live in the bounded space vocab_size**branching, so a dense
+        # table replaces sorting: observed codes ascend, index_of inverts them.
+        code_counts = np.bincount(
+            block_codes.ravel(), minlength=vocab_size**branching
+        )
+        observed = np.flatnonzero(code_counts)
+        index_of = np.zeros(code_counts.size, dtype=np.int64)
+        index_of[observed] = np.arange(observed.size)
+        block_idx = index_of[block_codes]
         if partition_fn is not None:
             part_labels = np.asarray(partition_fn(stage, observed))
             part = Partition(
@@ -380,7 +392,7 @@ def learn_grammar(
         n_fallback_total += n_fallback
         if recovery is not None:
             classes = _majority_true_classes(
-                observed, block_codes, true_latents[stage - 1], vocab_size
+                block_idx, observed.size, true_latents[stage - 1], vocab_size
             )
             recovery.append(pair_agreement_score(label_of, classes))
         members = decode_codes(observed, vocab_size, branching)
@@ -398,8 +410,12 @@ def learn_grammar(
                 n_fallback=n_fallback,
             )
         )
-        labels = label_of[np.searchsorted(observed, block_codes)]
-    top_tuples = np.unique(labels, axis=0)
+        labels = label_of[block_idx]
+    # Distinct top-level rows in lexicographic order, via their big-endian
+    # codes in a base wide enough for every label (partition_fn may exceed v).
+    base = max(int(labels.max()) + 1, vocab_size)
+    top_codes = np.flatnonzero(np.bincount(encode_tuples(labels, base)))
+    top_tuples = decode_codes(top_codes, base, labels.shape[1])
     return ClusterModel(
         depth=depth,
         branching=branching,

@@ -1,8 +1,10 @@
-"""Independent brute-force oracles for the exact-inference and statistics tests.
+"""Independent brute-force oracles for the exact-inference, statistics and
+k-means tests.
 
-Nothing here goes through the message-passing or correlation-report code
-paths: conditionals come from literal weighted enumeration over all
-derivations, and pair joints from transfer-matrix products along the tree.
+Nothing here goes through the message-passing, correlation-report or k-means
+code paths: conditionals come from literal weighted enumeration over all
+derivations, pair joints from transfer-matrix products along the tree, and
+k-means from a literal per-cluster Lloyd loop that runs every restart.
 """
 
 from __future__ import annotations
@@ -88,3 +90,65 @@ def pair_joint_dp(rs: RuleSet, i: int, j: int) -> np.ndarray:
     mi = down_from(i, lca - 1)
     mj = down_from(j, lca - 1)
     return np.einsum("g,gcd,ca,db->ab", dist, pair, mi, mj)
+
+
+def lloyd_kmeans_oracle(
+    points: np.ndarray,
+    k: int,
+    seed: int,
+    n_restarts: int = 16,
+    max_iter: int = 200,
+    rel_tol: float = 1e-8,
+) -> dict:
+    """Best-of-restarts k-means with the same seeding, init, tie and re-seat
+    rules as ``rhmlab.kmeans_fit``, written as plain per-cluster loops. Every
+    restart runs, repeated first points included. Returns the winning fit's
+    labels, centers, inertia, n_iter and restart, plus the number of
+    empty-cluster re-seats over all restarts."""
+    points = np.asarray(points, dtype=np.float64)
+    n = points.shape[0]
+
+    def sq_dists(centers):
+        diff = points[:, None, :] - centers[None, :, :]
+        return np.einsum("nkd,nkd->nk", diff, diff)
+
+    firsts = np.random.default_rng(seed).integers(0, n, size=n_restarts)
+    best = None
+    reseats = 0
+    for r in range(n_restarts):
+        idx = [int(firsts[r])]
+        d2 = ((points - points[idx[0]]) ** 2).sum(axis=1)
+        for _ in range(k - 1):
+            idx.append(int(np.argmax(d2)))
+            d2 = np.minimum(d2, ((points - points[idx[-1]]) ** 2).sum(axis=1))
+        centers = points[idx].copy()
+        prev = np.inf
+        it = 0
+        for it in range(1, max_iter + 1):
+            d2 = sq_dists(centers)
+            labels = d2.argmin(axis=1)
+            own = d2[np.arange(n), labels]
+            for c in range(k):
+                if not np.any(labels == c):
+                    sizes = np.bincount(labels, minlength=k)
+                    order = np.argsort(-own, kind="stable")
+                    pick = next(int(i) for i in order if sizes[labels[i]] > 1)
+                    labels[pick] = c
+                    own[pick] = 0.0
+                    reseats += 1
+            inertia = float(own.sum())
+            for c in range(k):
+                mask = labels == c
+                if np.any(mask):
+                    centers[c] = points[mask].mean(axis=0)
+            if prev - inertia <= rel_tol * max(inertia, 1e-300):
+                break
+            prev = inertia
+        d2 = sq_dists(centers)
+        labels = d2.argmin(axis=1)
+        inertia = float(d2[np.arange(n), labels].sum())
+        if best is None or inertia < best["inertia"]:
+            best = {"labels": labels, "centers": centers, "inertia": inertia,
+                    "n_iter": it, "restart": r}
+    best["reseats"] = reseats
+    return best

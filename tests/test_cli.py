@@ -221,6 +221,29 @@ class TestErrorsAndDeterminism:
         parsed = json.loads(err)
         assert parsed["error"] == "ConfigError"
 
+    @pytest.mark.parametrize("experiment, cfg", [
+        ("sample", {"n_samples": [1]}),
+        ("sample", {"n_samples": 5, "seed": [1]}),
+        ("sample", {"n_samples": 5, "out": ["o"]}),
+        ("learn", {"n_samples": 50, "learn": "x"}),
+        ("learn", {"n_samples": 50, "learn": {"n_eval": {"n": 1}}}),
+        ("onestep", {"n_samples": 50, "eta": [[0.1]]}),
+        ("gen-grammar", {"grammar": {"depth": [2], "branching": 2,
+                                     "vocab_size": 8, "n_synonyms": 2}}),
+    ])
+    def test_wrong_value_type_exits_two_with_json_line(
+        self, tmp_path, grammar_file, capsys, experiment, cfg
+    ):
+        _, gpath = grammar_file
+        path = _write(tmp_path / "c.json", cfg)
+        argv = [experiment, "--config", path, "--grammar", str(gpath)]
+        if "out" not in cfg:
+            argv += ["--out", str(tmp_path / "o")]
+        assert run(argv) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ConfigError"
+
     def test_missing_data_flag(self, tmp_path, grammar_file, capsys):
         _, gpath = grammar_file
         code = run(["stats", "--grammar", str(gpath), "--out", str(tmp_path / "o")])

@@ -7,6 +7,7 @@ from rhmlab import (
     accuracy,
     build_context_stats,
     cluster_tuples,
+    derive_seed,
     encode_tuples,
     enumerate_all,
     fit_loglog_slope,
@@ -16,6 +17,7 @@ from rhmlab import (
     learn_grammar,
     measure_sample_complexity,
     pair_agreement_score,
+    parse_batch,
     population_context_collision,
     recovery_score,
     sample_dataset,
@@ -137,6 +139,15 @@ class TestClusterTuples:
         assert part.partial
         assert part.n_clusters == 2
         assert len(set(part.labels.tolist())) == 2
+        assert part.n_iter is None and part.restart is None
+
+    def test_partition_records_winning_kmeans_run(self, rs_medium):
+        enum = enumerate_all(rs_medium)
+        stats = build_context_stats(enum.sequences, enum.sequences, 16, 2)
+        part = cluster_tuples(stats, seed=3, n_restarts=8)
+        fit = kmeans_fit(stats.vectors, 16, seed=3, n_restarts=8)
+        assert (part.n_iter, part.restart) == (fit.n_iter, fit.restart)
+        assert part.n_iter >= 1 and 0 <= part.restart < 8
 
     def test_minimal_inventory_recovers_only_at_chance(self, rs_medium):
         # one observation per tuple type on average: vectors exist, but the
@@ -323,6 +334,88 @@ class TestLearnGrammar:
         assert np.array_equal(a.top_tuples, b.top_tuples)
         for la, lb in zip(a.levels, b.levels):
             assert np.array_equal(la.labels, lb.labels)
+
+
+def _reference_learn(seqs, depth, branching, vocab_size, seed, truth,
+                     partition_fn=None):
+    """The staged collapse with sorted code lists: np.unique for the observed
+    codes and top tuples, searchsorted for every code lookup. Pooled
+    single-token contexts, so the clustering stats see every observed code."""
+    _, latents, _ = parse_batch(truth, seqs)
+    labels = seqs.astype(np.int64)
+    stages = []
+    for stage in range(1, depth):
+        n, width = labels.shape
+        block_codes = encode_tuples(
+            labels.reshape(n, width // branching, branching), vocab_size
+        )
+        observed = np.unique(block_codes)
+        if partition_fn is not None:
+            label_of = np.asarray(partition_fn(stage, observed))
+        else:
+            stats = build_context_stats(labels, seqs, vocab_size, branching,
+                                        level=stage)
+            assert np.array_equal(stats.codes, observed)
+            label_of = cluster_tuples(
+                stats, k=vocab_size, seed=derive_seed(seed, stage, "kmeans")
+            ).labels
+        idx = np.searchsorted(observed, block_codes.ravel())
+        counts = np.zeros((observed.size, vocab_size), dtype=np.int64)
+        np.add.at(counts, (idx, latents[stage - 1].ravel()), 1)
+        recovery = pair_agreement_score(label_of, counts.argmax(axis=1))
+        stages.append((observed, label_of, recovery))
+        labels = label_of[np.searchsorted(observed, block_codes)]
+    return stages, np.unique(labels, axis=0)
+
+
+class TestLearnGrammarCodeTables:
+    """learn_grammar's dense code tables against a sorted-list reference."""
+
+    def _check(self, seqs, rs, seed, partition_fn=None):
+        p = rs.params
+        model = learn_grammar(seqs, p.depth, p.branching, p.vocab_size,
+                              seed=seed, truth=rs, partition_fn=partition_fn)
+        stages, top = _reference_learn(seqs, p.depth, p.branching,
+                                       p.vocab_size, seed, rs, partition_fn)
+        assert len(model.levels) == len(stages)
+        for level, (codes, labels, recovery), score in zip(
+            model.levels, stages, model.recovery
+        ):
+            assert np.array_equal(level.codes, codes)
+            assert level.codes.dtype == codes.dtype
+            assert np.array_equal(level.labels, labels)
+            assert score == recovery
+        assert np.array_equal(model.top_tuples, top)
+        return model
+
+    @pytest.mark.parametrize("n_rows", [200, 3000])
+    def test_kmeans_path(self, rs_medium, n_rows):
+        ds = sample_dataset(rs_medium, n_rows, np.random.default_rng(n_rows),
+                            with_latents=False)
+        self._check(ds.sequences, rs_medium, seed=11)
+
+    @pytest.mark.parametrize("n_rows", [1, 3, 50, 2000])
+    def test_depth_three_with_partial_partitions(self, n_rows):
+        rs = generate_rules(GrammarParams(depth=3, branching=2, vocab_size=8,
+                                          n_synonyms=2, seed=4))
+        ds = sample_dataset(rs, n_rows, np.random.default_rng(n_rows),
+                            with_latents=False)
+        model = self._check(ds.sequences, rs, seed=12)
+        if n_rows == 1:
+            assert model.levels[0].partial and model.levels[1].partial
+
+    def test_partition_labels_beyond_vocab_size(self):
+        rs = generate_rules(GrammarParams(depth=3, branching=2, vocab_size=8,
+                                          n_synonyms=2, seed=4))
+        ds = sample_dataset(rs, 500, np.random.default_rng(5), with_latents=False)
+
+        def labels_past_v(stage, codes):
+            if stage == 1:
+                return true_tuple_classes(rs, 1, codes)
+            return codes + 8  # one label per code, all >= vocab_size
+
+        model = self._check(ds.sequences, rs, seed=13, partition_fn=labels_past_v)
+        assert model.top_tuples.min() >= 8
 
 
 class TestGenerateFromLearned:
