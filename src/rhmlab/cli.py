@@ -147,12 +147,27 @@ def _require_grammar(args, cfg: dict, seed: int) -> RuleSet:
     return generate_rules(_grammar_params(cfg, seed))
 
 
-def _require_data(args) -> tuple[np.ndarray, dict]:
+def _require_data(args, rs: RuleSet) -> np.ndarray:
+    """Rows of ``--data``, whose header must match the grammar's shape and
+    carry its content hash or ``-`` (no recorded provenance)."""
     if not args.data:
         raise ConfigError("this experiment needs --data")
     if not Path(args.data).exists():
         raise ConfigError(f"data file not found: {args.data}")
-    return load_dataset(args.data)
+    seqs, header = load_dataset(args.data)
+    p = rs.params
+    if (header["seq_len"], header["vocab_size"]) != (p.seq_len, p.vocab_size):
+        raise ConfigError(
+            f"data file {args.data} has seq_len {header['seq_len']} and "
+            f"vocab_size {header['vocab_size']}; the grammar needs "
+            f"{p.seq_len} and {p.vocab_size}"
+        )
+    if header["grammar_hash"] not in ("-", rs.content_hash()):
+        raise ConfigError(
+            f"data file {args.data} was sampled under grammar "
+            f"{header['grammar_hash']}, not this one ({rs.content_hash()})"
+        )
+    return seqs
 
 
 def _write_manifest(
@@ -208,7 +223,7 @@ def _run_sample(args, cfg, out_dir, seed):
 
 def _run_corrupt(args, cfg, out_dir, seed):
     rs = _require_grammar(args, cfg, seed)
-    seqs, _ = _require_data(args)
+    seqs = _require_data(args, rs)
     spec = _noise_spec(cfg)
     rng = np.random.default_rng(derive_seed(seed, 0, "corrupt"))
     noisy, hits = corrupt(seqs, spec, rs.params.vocab_size, rng)
@@ -250,7 +265,7 @@ def _run_bp(args, cfg, out_dir, seed):
 
 def _run_stats(args, cfg, out_dir, seed):
     rs = _require_grammar(args, cfg, seed)
-    seqs, _ = _require_data(args)
+    seqs = _require_data(args, rs)
     p = rs.params
     rep = token_token_correlation(seqs, p.branching, p.depth, p.vocab_size)
     write_csv(
@@ -289,7 +304,7 @@ def _run_learn(args, cfg, out_dir, seed):
     if not isinstance(lcfg, dict):
         raise ConfigError("config 'learn' must be a JSON object")
     if args.data:
-        seqs, _ = _require_data(args)
+        seqs = _require_data(args, rs)
     else:
         n = _config_value(cfg, "n_samples", int, 0)
         if n <= 0:
@@ -331,7 +346,7 @@ def _run_onestep(args, cfg, out_dir, seed):
     rs = _require_grammar(args, cfg, seed)
     p = rs.params
     if args.data:
-        seqs, _ = _require_data(args)
+        seqs = _require_data(args, rs)
     else:
         n = _config_value(cfg, "n_samples", int, 0)
         if n <= 0:

@@ -93,9 +93,18 @@ class TokenCovarianceAccumulator:
         v = self.vocab_size
         if seqs.min() < 0 or seqs.max() >= v:
             raise ValueError("tokens must lie in [0, vocab_size)")
+        # One contiguous row per token position, in the narrowest unsigned
+        # type holding a pair code a*v + b <= v*v - 1, so each pair's bincount
+        # reads two contiguous rows.
+        code_type = next(
+            (t for t in (np.uint8, np.uint16, np.uint32) if v * v - 1 <= np.iinfo(t).max),
+            np.intp,
+        )
+        cols = np.ascontiguousarray(seqs.T, dtype=code_type)
+        high = cols * code_type(v)
         for idx, (i, j, _) in enumerate(self.pairs):
             self.counts[idx] += np.bincount(
-                seqs[:, i] * v + seqs[:, j], minlength=v * v
+                high[i] + cols[j], minlength=v * v
             ).reshape(v, v)
         self.n_rows += seqs.shape[0]
         return self

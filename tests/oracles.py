@@ -1,10 +1,12 @@
-"""Independent brute-force oracles for the exact-inference, statistics and
-k-means tests.
+"""Independent brute-force oracles for the exact-inference, statistics,
+k-means and file-format tests.
 
 Nothing here goes through the message-passing, correlation-report or k-means
 code paths: conditionals come from literal weighted enumeration over all
-derivations, pair joints from transfer-matrix products along the tree, and
-k-means from a literal per-cluster Lloyd loop that runs every restart.
+derivations, pair joints from transfer-matrix products along the tree,
+k-means from a literal per-cluster Lloyd loop that runs every restart, token
+pair counts from one strided bincount per position pair, and dataset text
+files from ``np.savetxt`` and a per-token Python parse.
 """
 
 from __future__ import annotations
@@ -152,3 +154,44 @@ def lloyd_kmeans_oracle(
                     "n_iter": it, "restart": r}
     best["reseats"] = reseats
     return best
+
+
+def token_pair_counts_oracle(
+    seqs: np.ndarray, branching: int, depth: int, vocab_size: int
+) -> np.ndarray:
+    """Joint counts of every position pair i < j, in the pair order of
+    ``TokenCovarianceAccumulator``, as one bincount over two strided columns
+    per pair."""
+    v = vocab_size
+    d = branching**depth
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    counts = np.zeros((len(pairs), v, v), dtype=np.int64)
+    for idx, (i, j) in enumerate(pairs):
+        counts[idx] = np.bincount(
+            seqs[:, i] * v + seqs[:, j], minlength=v * v
+        ).reshape(v, v)
+    return counts
+
+
+def save_dataset_text_oracle(
+    seqs: np.ndarray, vocab_size: int, grammar_hash: str, path
+) -> None:
+    """A dataset text file written with ``np.savetxt(fmt="%d")``."""
+    with open(path, "w") as fh:
+        fh.write(f"{seqs.shape[1]} {vocab_size} {seqs.shape[0]} {grammar_hash}\n")
+        np.savetxt(fh, seqs, fmt="%d")
+
+
+def load_dataset_text_oracle(path) -> tuple[np.ndarray, dict]:
+    """A dataset text file parsed one token at a time in Python."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    d, vocab, n, grammar_hash = lines[0].split()
+    seqs = np.array(
+        [[int(t) for t in line.split()] for line in lines[1 : int(n) + 1]],
+        dtype=np.int32,
+    ).reshape(int(n), int(d))
+    header = dict(
+        seq_len=int(d), vocab_size=int(vocab), n_rows=int(n), grammar_hash=grammar_hash
+    )
+    return seqs, header

@@ -244,6 +244,64 @@ class TestErrorsAndDeterminism:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "ConfigError"
 
+    @pytest.mark.parametrize("experiment", ["stats", "learn", "onestep", "corrupt"])
+    @pytest.mark.parametrize("case, expected", [
+        ("empty", "ValueError"),
+        ("short-header", "ValueError"),
+        ("too-few-rows", "ValueError"),
+        ("ragged", "ValueError"),
+        ("non-integer-token", "ValueError"),
+        ("width-mismatch", "ConfigError"),
+        ("vocab-mismatch", "ConfigError"),
+        ("foreign-hash", "ConfigError"),
+    ])
+    def test_bad_data_file_exits_two_with_json_line(
+        self, tmp_path, grammar_file, capsys, experiment, case, expected
+    ):
+        rs, gpath = grammar_file
+        h = rs.content_hash()
+        text = {
+            "empty": "",
+            "short-header": "4 8 2\n0 1 2 3\n4 5 6 7\n",
+            "too-few-rows": f"4 8 3 {h}\n0 1 2 3\n4 5 6 7\n",
+            "ragged": f"4 8 2 {h}\n0 1 2 3\n4 5 6\n",
+            "non-integer-token": f"4 8 2 {h}\n0 1 2.5 3\n4 5 6 7\n",
+            "width-mismatch": f"3 8 2 {h}\n0 1 2\n4 5 6\n",
+            "vocab-mismatch": f"4 9 2 {h}\n0 1 2 3\n4 5 6 7\n",
+            "foreign-hash": "4 8 2 " + "0" * 64 + "\n0 1 2 3\n4 5 6 7\n",
+        }[case]
+        data = tmp_path / "d.txt"
+        data.write_text(text)
+        cfg = _write(tmp_path / "c.json",
+                     {"noise": {"kind": "masking", "beta_bar": 0.4}})
+        assert run([experiment, "--config", cfg, "--grammar", str(gpath),
+                    "--data", str(data), "--out", str(tmp_path / "o")]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == expected
+
+    def test_data_without_provenance_and_masked_data_are_accepted(
+        self, tmp_path, grammar_file, data_file
+    ):
+        from argparse import Namespace
+
+        from rhmlab.cli import _require_data
+
+        rs, gpath = grammar_file
+        lines = data_file.read_text().splitlines()
+        lines[0] = " ".join(lines[0].split()[:3] + ["-"])
+        anonymous = tmp_path / "anon.txt"
+        anonymous.write_text("\n".join(lines) + "\n")
+        assert run(["stats", "--grammar", str(gpath), "--data", str(anonymous),
+                    "--out", str(tmp_path / "s")]) == 0
+        cfg = _write(tmp_path / "c.json",
+                     {"noise": {"kind": "masking", "beta_bar": 0.4}})
+        out = tmp_path / "o"
+        assert run(["corrupt", "--config", cfg, "--grammar", str(gpath),
+                    "--data", str(anonymous), "--out", str(out)]) == 0
+        noisy = _require_data(Namespace(data=str(out / "corrupted.txt")), rs)
+        assert (noisy == rs.params.vocab_size).any()
+
     def test_missing_data_flag(self, tmp_path, grammar_file, capsys):
         _, gpath = grammar_file
         code = run(["stats", "--grammar", str(gpath), "--out", str(tmp_path / "o")])

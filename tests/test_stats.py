@@ -19,7 +19,7 @@ from rhmlab import (
     token_tuple_correlation,
     true_tuple_classes,
 )
-from oracles import pair_joint_dp
+from oracles import pair_joint_dp, token_pair_counts_oracle
 
 
 class TestTokenTokenCorrelation:
@@ -91,6 +91,43 @@ class TestTokenTokenCorrelation:
         rep = token_token_correlation(ds.sequences, 2, 3, 8)
         assert list(rep.distances) == [2, 4, 8]
         assert rep.values[0] > rep.values[1] > rep.values[2] > rep.noise_floor
+
+
+class TestTokenCovarianceCounts:
+    """Exact pair counts against one strided bincount per position pair, for
+    vocabularies on both sides of the uint8/uint16/uint32 code-type limits."""
+
+    @staticmethod
+    def _rows(v, n=301, seed=0):
+        return np.random.default_rng([seed, v]).integers(0, v, size=(n, 8))
+
+    @pytest.mark.parametrize("v", [2, 16, 17, 256, 257])
+    @pytest.mark.parametrize("layout", ["c", "every-other-row", "fortran", "int32"])
+    def test_counts_equal_strided_oracle(self, v, layout):
+        seqs = self._rows(v)
+        seqs = {"c": seqs, "every-other-row": seqs[::2],
+                "fortran": np.asfortranarray(seqs),
+                "int32": seqs.astype(np.int32)}[layout]
+        acc = TokenCovarianceAccumulator(2, 3, v).update(seqs)
+        assert acc.counts.dtype == np.int64
+        assert np.array_equal(acc.counts, token_pair_counts_oracle(seqs, 2, 3, v))
+        assert acc.n_rows == seqs.shape[0]
+
+    @pytest.mark.parametrize("v", [16, 257])
+    def test_merged_shards_equal_one_update(self, v):
+        seqs = self._rows(v, seed=1)
+        whole = TokenCovarianceAccumulator(2, 3, v).update(seqs)
+        merged = (TokenCovarianceAccumulator(2, 3, v).update(seqs[:100])
+                  .merge(TokenCovarianceAccumulator(2, 3, v).update(seqs[100:])))
+        assert np.array_equal(merged.counts, whole.counts)
+        assert merged.n_rows == whole.n_rows
+
+    @pytest.mark.parametrize("bad", [-1, 16])
+    def test_out_of_range_tokens_raise(self, bad):
+        seqs = self._rows(16)
+        seqs[5, 3] = bad
+        with pytest.raises(ValueError):
+            TokenCovarianceAccumulator(2, 3, 16).update(seqs)
 
 
 class TestTokenTupleCorrelation:
