@@ -2,10 +2,8 @@
 denoising, correlation statistics, and hierarchical synonym learning."""
 
 from .bp import (
-    BeliefState,
     ImpossibleEvidenceError,
     bp_marginals,
-    bp_posterior_sample,
     bp_posterior_sample_batch,
     denoise_expectation,
 )
@@ -15,14 +13,12 @@ from .grammar import (
     Derivation,
     EnumerationCapError,
     GrammarParams,
-    ParseResult,
     RuleSet,
     accuracy,
     decode_codes,
     encode_tuples,
     enumerate_all,
     generate_rules,
-    parse,
     parse_batch,
     resample_below,
     sample_dataset,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corruption import NoiseSpec, leaf_likelihoods
-from .grammar import Derivation, RuleSet
+from .grammar import RuleSet
 
 
 class ImpossibleEvidenceError(ValueError):
@@ -27,14 +27,12 @@ class ImpossibleEvidenceError(ValueError):
 
 @dataclass
 class BeliefState:
-    """Per-level messages and posteriors; index 0 = leaves, depth = root.
+    """Per-level posterior marginals; index 0 = leaves, depth = root.
 
     Every row of every array is normalized to sum 1; ``log_evidence`` is the
     log of the summed likelihood of the evidence under the grammar.
     """
 
-    upward: list[np.ndarray]
-    downward: list[np.ndarray]
     marginals: list[np.ndarray]
     log_evidence: float
 
@@ -50,24 +48,29 @@ def _check_evidence(rs: RuleSet, lik: np.ndarray) -> np.ndarray:
 
 
 def _upward_pass(rs: RuleSet, lik: np.ndarray):
-    """Returns (normalized upward messages per level, per-production products
-    per level, accumulated log normalizer)."""
+    """The one upward sweep that marginals and sampling share.
+
+    Returns ``(upward, gathered, prods, log_z)``: ``upward[lvl]`` holds the
+    normalized upward message of every level-``lvl`` node, shape
+    ``(width, v)``; ``gathered[lvl - 1][n, a, k, i]`` is the upward message of
+    child ``i`` of node ``n`` at value ``rules_at(lvl)[a, k, i]``, shape
+    ``(width, v, m, s)``; ``prods[lvl - 1]`` is its product over the children,
+    shape ``(width, v, m)``; ``log_z`` is the accumulated log normalizer.
+    """
     p = rs.params
     norms = lik.sum(axis=1)
     if np.any(norms <= 0):
         raise ImpossibleEvidenceError("a leaf has an all-zero likelihood")
     log_z = float(np.log(norms).sum())
     upward = [lik / norms[:, None]]
-    prods_by_level = []
+    gathered, prods = [], []
     s, m = p.branching, p.n_synonyms
     for lvl in range(1, p.depth + 1):
         width = p.level_width(lvl)
         child = upward[-1].reshape(width, s, p.vocab_size)
-        table = rs.rules_at(lvl)  # (v, m, s)
-        # gathered[n, mu, k, i] = message of child i at value table[mu, k, i]
-        gathered = child[:, np.arange(s)[None, None, :], table]
-        prods = gathered.prod(axis=3)  # (width, v, m)
-        up = prods.sum(axis=2) / m
+        g = child[:, np.arange(s)[None, None, :], rs.rules_at(lvl)]
+        prod = g.prod(axis=3)
+        up = prod.sum(axis=2) / m
         z = up.sum(axis=1)
         if np.any(z <= 0):
             raise ImpossibleEvidenceError(
@@ -75,43 +78,44 @@ def _upward_pass(rs: RuleSet, lik: np.ndarray):
             )
         log_z += float(np.log(z).sum())
         upward.append(up / z[:, None])
-        prods_by_level.append(prods)
-    return upward, prods_by_level, log_z
+        gathered.append(g)
+        prods.append(prod)
+    return upward, gathered, prods, log_z
 
 
 def bp_marginals(rs: RuleSet, evidence: np.ndarray) -> BeliefState:
     """Exact conditional marginals of every node given leaf likelihoods."""
     p = rs.params
     lik = _check_evidence(rs, evidence)
-    upward, _, log_z = _upward_pass(rs, lik)
+    upward, gathered, _, log_z = _upward_pass(rs, lik)
     v, m, s = p.vocab_size, p.n_synonyms, p.branching
 
     # Root prior is uniform, so it cancels after normalization; its mass is
     # still part of the evidence.
     log_z += float(np.log(upward[p.depth][0].sum() / v))  # = -log v
-    downward: list[np.ndarray | None] = [None] * (p.depth + 1)
-    downward[p.depth] = np.full((1, v), 1.0 / v)
+    downward = [np.full((1, v), 1.0 / v)]  # root first
     for lvl in range(p.depth, 0, -1):
-        width = p.level_width(lvl)
-        child = upward[lvl - 1].reshape(width, s, v)
-        table = rs.rules_at(lvl)
-        gathered = child[:, np.arange(s)[None, None, :], table]
-        down_msg = np.empty((width * s, v))
-        node_idx = np.arange(width)[:, None, None]
-        for i in range(s):
-            excl = np.ones((width, v, m))
-            for j in range(s):
-                if j != i:
-                    excl *= gathered[..., j]
-            contrib = downward[lvl][:, :, None] * excl / m
-            msg = np.zeros((width, v))
-            tgt = np.broadcast_to(table[None, :, :, i], contrib.shape)
-            np.add.at(msg, (np.broadcast_to(node_idx, contrib.shape), tgt), contrib)
-            z = msg.sum(axis=1)
-            if np.any(z <= 0):
-                raise ImpossibleEvidenceError("zero downward message")
-            down_msg[i::s] = msg / z[:, None]
-        downward[lvl - 1] = down_msg
+        g = gathered[lvl - 1]  # (width, v, m, s)
+        # Product over every child but i: an exclusive prefix times an
+        # exclusive suffix product along the slot axis.
+        ones = np.ones(g.shape[:3] + (1,))
+        before = np.cumprod(np.concatenate([ones, g[..., :-1]], axis=3), axis=3)
+        after = np.cumprod(np.concatenate([ones, g[..., :0:-1]], axis=3), axis=3)
+        contrib = downward[-1][:, :, None, None] * (before * after[..., ::-1]) / m
+        # Scatter each (node, parent value, production, slot) onto the value
+        # the rule table gives that child: O(v) per node, where a product
+        # with a one-hot rule table would cost O(v**2). Each bin sums its
+        # terms in (parent value, production) order.
+        width = g.shape[0]
+        child = np.arange(width)[:, None, None, None] * s + np.arange(s)
+        bins = (child * v + rs.rules_at(lvl)).ravel()
+        msg = np.bincount(bins, contrib.ravel(), minlength=width * s * v)
+        msg = msg.reshape(-1, v)
+        z = msg.sum(axis=1)
+        if np.any(z <= 0):
+            raise ImpossibleEvidenceError("zero downward message")
+        downward.append(msg / z[:, None])
+    downward.reverse()
     marginals = []
     for lvl in range(p.depth + 1):
         post = upward[lvl] * downward[lvl]
@@ -119,12 +123,7 @@ def bp_marginals(rs: RuleSet, evidence: np.ndarray) -> BeliefState:
         if np.any(z <= 0):
             raise ImpossibleEvidenceError("zero posterior mass")
         marginals.append(post / z[:, None])
-    return BeliefState(
-        upward=upward,
-        downward=[d for d in downward],
-        marginals=marginals,
-        log_evidence=log_z,
-    )
+    return BeliefState(marginals=marginals, log_evidence=log_z)
 
 
 def _categorical_rows(prob_rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -141,19 +140,19 @@ def bp_posterior_sample_batch(
     """``n`` i.i.d. exact posterior draws of the visible string (one upward
     pass shared, then batched top-down ancestral sampling).
 
-    Returns the (n, seq_len) leaf strings; use :func:`bp_posterior_sample` when
-    the full derivation is needed.
+    Returns the (n, seq_len) leaf strings. The grammar is unambiguous, so
+    :func:`~rhmlab.grammar.parse_batch` recovers each draw's latent symbols
+    and rule choices.
     """
     p = rs.params
     lik = _check_evidence(rs, evidence)
-    upward, prods_by_level, _ = _upward_pass(rs, lik)
+    upward, _, prods, _ = _upward_pass(rs, lik)
     root_post = upward[p.depth][0] / upward[p.depth][0].sum()
     symbols = _categorical_rows(np.tile(root_post, (n, 1)), rng).reshape(n, 1)
     for lvl in range(p.depth, 0, -1):
         width = p.level_width(lvl)
-        prods = prods_by_level[lvl - 1]  # (width, v, m)
         node_idx = np.broadcast_to(np.arange(width)[None, :], symbols.shape)
-        weights = prods[node_idx, symbols]  # (n, width, m)
+        weights = prods[lvl - 1][node_idx, symbols]  # (n, width, m)
         flat = weights.reshape(-1, p.n_synonyms)
         bad = flat.sum(axis=1) <= 0
         if np.any(bad):
@@ -161,29 +160,6 @@ def bp_posterior_sample_batch(
         ks = _categorical_rows(flat, rng).reshape(symbols.shape)
         symbols = rs.rules_at(lvl)[symbols, ks].reshape(n, width * p.branching)
     return symbols
-
-
-def bp_posterior_sample(
-    rs: RuleSet, evidence: np.ndarray, rng: np.random.Generator
-) -> Derivation:
-    """One exact draw from the posterior over derivations given the evidence."""
-    p = rs.params
-    lik = _check_evidence(rs, evidence)
-    upward, prods_by_level, _ = _upward_pass(rs, lik)
-    root_post = upward[p.depth][0] / upward[p.depth][0].sum()
-    levels: list[np.ndarray] = [None] * (p.depth + 1)  # type: ignore[list-item]
-    choices: list[np.ndarray] = [None] * p.depth  # type: ignore[list-item]
-    levels[p.depth] = np.array([rng.choice(p.vocab_size, p=root_post)], dtype=np.int32)
-    for lvl in range(p.depth, 0, -1):
-        parents = levels[lvl]
-        prods = prods_by_level[lvl - 1]
-        weights = prods[np.arange(parents.shape[0]), parents]
-        if np.any(weights.sum(axis=1) <= 0):
-            raise ImpossibleEvidenceError("conditioned node has no valid production")
-        ks = _categorical_rows(weights, rng)
-        choices[lvl - 1] = ks
-        levels[lvl - 1] = rs.rules_at(lvl)[parents, ks].reshape(-1)
-    return Derivation(levels=levels, choices=choices)
 
 
 def denoise_expectation(

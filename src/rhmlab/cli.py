@@ -147,9 +147,10 @@ def _require_grammar(args, cfg: dict, seed: int) -> RuleSet:
     return generate_rules(_grammar_params(cfg, seed))
 
 
-def _require_data(args, rs: RuleSet) -> np.ndarray:
+def _require_data(args, rs: RuleSet, allow_masked: bool = False) -> np.ndarray:
     """Rows of ``--data``, whose header must match the grammar's shape and
-    carry its content hash or ``-`` (no recorded provenance)."""
+    carry its content hash or ``-`` (no recorded provenance). Masked tokens
+    (``vocab_size``) are refused unless ``allow_masked``."""
     if not args.data:
         raise ConfigError("this experiment needs --data")
     if not Path(args.data).exists():
@@ -166,6 +167,11 @@ def _require_data(args, rs: RuleSet) -> np.ndarray:
         raise ConfigError(
             f"data file {args.data} was sampled under grammar "
             f"{header['grammar_hash']}, not this one ({rs.content_hash()})"
+        )
+    if not allow_masked and (seqs == p.vocab_size).any():
+        raise ConfigError(
+            f"data file {args.data} holds masked tokens ({p.vocab_size}); "
+            f"only 'corrupt' with masking noise reads masked rows"
         )
     return seqs
 
@@ -223,8 +229,8 @@ def _run_sample(args, cfg, out_dir, seed):
 
 def _run_corrupt(args, cfg, out_dir, seed):
     rs = _require_grammar(args, cfg, seed)
-    seqs = _require_data(args, rs)
     spec = _noise_spec(cfg)
+    seqs = _require_data(args, rs, allow_masked=spec.kind == "masking")
     rng = np.random.default_rng(derive_seed(seed, 0, "corrupt"))
     noisy, hits = corrupt(seqs, spec, rs.params.vocab_size, rng)
     ds = Dataset(sequences=noisy, params=rs.params,
@@ -457,8 +463,14 @@ def _run_sweep(args, cfg, out_dir, seed):
         ],
         srows,
     )
+    # One entry per (m, trial) cell: its grammar seed, how often the grammar
+    # was redrawn after a context collision, and whether that check ran.
     seeds = {
-        f"m={r.m},trial={r.trial}": r.grammar_seed
+        f"m={r.m},trial={r.trial}": {
+            "grammar_seed": r.grammar_seed,
+            "grammar_redraws": r.collisions_resampled,
+            "collision_check": "ran" if r.collision_checked else "skipped above cap",
+        }
         for r in res.records
     }
     return None, seeds
@@ -531,10 +543,10 @@ def run(argv: list[str] | None = None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         grammar_hash, seeds = _RUNNERS[args.experiment](args, cfg, out_dir, seed)
         _write_manifest(out_dir, cfg, seed, seeds, grammar_hash, t0)
-    except (ConfigError, ValueError, OSError) as exc:
-        sys.stderr.write(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"
-        )
+    except (ConfigError, ValueError, OSError, MemoryError) as exc:
+        # numpy raises a MemoryError subclass; report the builtin name
+        name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        sys.stderr.write(json.dumps({"error": name, "message": str(exc)}) + "\n")
         return 2
     return 0
 

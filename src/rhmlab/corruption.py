@@ -74,10 +74,15 @@ def corrupt(
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Corrupt tokens i.i.d.; returns ``(noisy, hits)`` where ``hits`` marks the
-    positions the kernel acted on (a uniform resample may keep the value)."""
+    positions the kernel acted on (a uniform resample may keep the value).
+
+    Masking noise also takes masked input: the mask is absorbing, so a masked
+    token stays masked and corrupting in two steps composes like one step.
+    """
     seqs = np.asarray(seqs)
-    if seqs.size and (seqs.min() < 0 or seqs.max() >= vocab_size):
-        raise ValueError("tokens must lie in [0, vocab_size)")
+    top = vocab_size if spec.kind == "masking" else vocab_size - 1
+    if seqs.size and (seqs.min() < 0 or seqs.max() > top):
+        raise ValueError(f"tokens must lie in [0, {top}] for {spec.kind} noise")
     keep = cumulative_keep_prob(spec)
     hits = rng.random(seqs.shape) < (1.0 - keep)
     if spec.kind == "uniform":

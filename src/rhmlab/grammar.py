@@ -448,18 +448,8 @@ def enumerate_all(rs: RuleSet, cap: int = DEFAULT_ENUMERATION_CAP) -> Dataset:
     return ds
 
 
-@dataclass
-class ParseResult:
-    """Bottom-up parse: levels/choices are valid up to ``max_valid_level``;
-    entries above the first failure are -1."""
-
-    max_valid_level: int
-    levels: list[np.ndarray]
-    choices: list[np.ndarray]
-
-
 def parse_batch(rs: RuleSet, seqs: np.ndarray):
-    """Vectorized bottom-up parse of many rows.
+    """Vectorized bottom-up parse of many rows (a 1-D row is one row).
 
     Returns ``(max_levels, latents, choices)`` where ``max_levels[r]`` is the
     largest level through which every tuple of row ``r`` is grammatical
@@ -492,16 +482,6 @@ def parse_batch(rs: RuleSet, seqs: np.ndarray):
         choices.append(choice)
         cur = parents
     return max_levels, latents, choices
-
-
-def parse(rs: RuleSet, seq: np.ndarray) -> ParseResult:
-    """Parse one sequence; see :func:`parse_batch`."""
-    max_levels, latents, choices = parse_batch(rs, np.asarray(seq)[None, :])
-    return ParseResult(
-        max_valid_level=int(max_levels[0]),
-        levels=[np.asarray(seq)] + [lat[0] for lat in latents],
-        choices=[ch[0] for ch in choices],
-    )
 
 
 def accuracy(rs: RuleSet, data, level: int) -> float:

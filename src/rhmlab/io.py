@@ -40,7 +40,15 @@ def save_dataset(ds: Dataset, path, binary: bool = False) -> None:
     grammar_hash = ds.meta.get("grammar_hash", "-")
     seqs = ds.sequences
     n, d = seqs.shape
-    vocab = ds.params.vocab_size if ds.params is not None else int(seqs.max()) + 1
+    if ds.params is not None:
+        vocab = ds.params.vocab_size
+    elif seqs.size:
+        vocab = int(seqs.max()) + 1
+    else:
+        raise ValueError(
+            f"dataset file {path}: vocab_size cannot be inferred from an empty "
+            f"dataset without params"
+        )
     _check_tokens(seqs, vocab, path)
     if binary:
         with open(path, "wb") as fh:

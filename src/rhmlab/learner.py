@@ -534,6 +534,7 @@ class TrialRecord:
     accuracy: tuple[float, ...]  # per level 1..depth of generated samples
     grammar_seed: int
     collisions_resampled: int
+    collision_checked: bool  # False: derivations exceed the enumeration cap
 
 
 @dataclass
@@ -571,9 +572,14 @@ def fit_loglog_slope(xs, ys) -> tuple[float, float | None]:
 
 def _draw_sweep_grammar(
     cfg: SweepConfig, m: int, trial: int
-) -> tuple[RuleSet, int, int]:
+) -> tuple[RuleSet, int, int, bool]:
     """Grammar for one (m, trial) cell, redrawing on exact context collisions
-    whenever the instance is small enough to check."""
+    whenever the instance is small enough to check.
+
+    Returns the rules, their seed, the number of redraws and whether the
+    collision check ran (False when the derivations exceed
+    ``cfg.collision_cap``, so the first draw is kept unchecked).
+    """
     attempt = 0
     while True:
         gseed = derive_seed(cfg.seed, trial, f"grammar m={m} attempt={attempt}")
@@ -590,9 +596,9 @@ def _draw_sweep_grammar(
                 rs, cfg.variant, cap=cfg.collision_cap
             )
         except EnumerationCapError:
-            collision = False
+            return rs, gseed, attempt, False
         if not collision:
-            return rs, gseed, attempt
+            return rs, gseed, attempt, True
         attempt += 1
         if attempt > 20:
             raise RuntimeError("could not draw a collision-free grammar")
@@ -601,7 +607,7 @@ def _draw_sweep_grammar(
 def _sweep_cell(args: tuple) -> list[TrialRecord]:
     """Every grid point of one (m, trial) cell: one grammar, one learning curve."""
     cfg, m, trial = args
-    rs, gseed, n_redraw = _draw_sweep_grammar(cfg, m, trial)
+    rs, gseed, n_redraw, checked = _draw_sweep_grammar(cfg, m, trial)
     out = []
     for p in cfg.grid_for(m):
         rng = np.random.default_rng(
@@ -636,6 +642,7 @@ def _sweep_cell(args: tuple) -> list[TrialRecord]:
                 accuracy=acc,
                 grammar_seed=gseed,
                 collisions_resampled=n_redraw,
+                collision_checked=checked,
             )
         )
     return out

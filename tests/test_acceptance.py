@@ -260,7 +260,7 @@ def test_criterion_9_structural_properties(rs_deep):
             out = rl.resample_below(rs_deep, deriv, level, rng)
             for lvl in range(level, p.depth + 1):
                 resample_ok &= bool(np.array_equal(out.levels[lvl], deriv.levels[lvl]))
-            resample_ok &= rl.parse(rs_deep, out.tokens).max_valid_level == p.depth
+            resample_ok &= bool(rl.parse_batch(rs_deep, out.tokens)[0][0] == p.depth)
 
     ok = count_ok and roundtrip_ok and monotone_ok and resample_ok
     _report(9, ok,

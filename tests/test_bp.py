@@ -3,19 +3,32 @@ import pytest
 from scipy import stats as sps
 
 from rhmlab import (
+    Derivation,
+    GrammarParams,
     ImpossibleEvidenceError,
     NoiseSpec,
     bp_marginals,
-    bp_posterior_sample,
     bp_posterior_sample_batch,
     corrupt,
     denoise_expectation,
+    generate_rules,
     leaf_likelihoods,
-    parse,
     parse_batch,
     sample_dataset,
 )
 from oracles import enumeration_conditionals
+
+# (depth, branching, vocab_size, n_synonyms) with branching above 2, where the
+# product over a node's other children has more than one factor.
+WIDE_SHAPES = [(2, 3, 3, 2), (2, 4, 2, 2), (3, 3, 2, 2)]
+
+
+@pytest.fixture(
+    scope="module", params=WIDE_SHAPES, ids=lambda t: "L{}-s{}-v{}-m{}".format(*t)
+)
+def rs_wide(request):
+    depth, s, v, m = request.param
+    return generate_rules(GrammarParams(depth, s, v, m, seed=5))
 
 
 def _assert_matches_oracle(rs, lik, tol=1e-9):
@@ -62,6 +75,26 @@ class TestMarginals:
         for _ in range(25):
             lik = rng.random((8, 3)) + 1e-4
             _assert_matches_oracle(rs_deep, lik)
+
+    def test_uninformative_leaves_give_prior_wide(self, rs_wide):
+        p = rs_wide.params
+        _assert_matches_oracle(rs_wide, np.ones((p.seq_len, p.vocab_size)))
+
+    def test_random_likelihoods_wide(self, rs_wide):
+        p = rs_wide.params
+        rng = np.random.default_rng(13)
+        for _ in range(10):
+            lik = rng.random((p.seq_len, p.vocab_size)) + 1e-4
+            _assert_matches_oracle(rs_wide, lik)
+
+    def test_masked_samples_wide(self, rs_wide):
+        p = rs_wide.params
+        rng = np.random.default_rng(14)
+        ds = sample_dataset(rs_wide, 6, rng)
+        for row in range(6):
+            lik = np.eye(p.vocab_size)[ds.sequences[row]]
+            lik[rng.random(p.seq_len) < row / 6] = 1.0  # row 0 stays clean
+            _assert_matches_oracle(rs_wide, lik)
 
     def test_normalization(self, rs_deep):
         rng = np.random.default_rng(4)
@@ -120,11 +153,14 @@ class TestPosteriorSampling:
         ds = sample_dataset(rs_small, 4, np.random.default_rng(7))
         for row in range(4):
             lik = np.eye(4)[ds.sequences[row]]
-            deriv = bp_posterior_sample(rs_small, lik, np.random.default_rng(row))
-            assert np.array_equal(deriv.tokens, ds.sequences[row])
-            want = parse(rs_small, ds.sequences[row])
-            for lvl in range(3):
-                assert np.array_equal(deriv.levels[lvl], want.levels[lvl])
+            draws = bp_posterior_sample_batch(
+                rs_small, lik, 1, np.random.default_rng(row)
+            )
+            assert np.array_equal(draws[0], ds.sequences[row])
+            max_levels, latents, _ = parse_batch(rs_small, draws)
+            assert max_levels[0] == 2
+            for lvl in range(1, 3):
+                assert np.array_equal(latents[lvl - 1][0], ds.level_symbols(lvl)[row])
 
     def test_sample_marginals_match_bp_at_every_node(self, rs_small):
         rng = np.random.default_rng(8)
@@ -142,13 +178,35 @@ class TestPosteriorSampling:
                 se = np.sqrt(p * (1 - p) / n) + 1e-9
                 assert np.all(np.abs(freq - p) < 4 * se)
 
+    def test_sample_marginals_match_bp_branching_three(self):
+        rs = generate_rules(GrammarParams(2, 3, 3, 2, seed=5))
+        rng = np.random.default_rng(15)
+        lik = rng.random((9, 3)) + 0.05
+        state = bp_marginals(rs, lik)
+        n = 60_000
+        draws = bp_posterior_sample_batch(rs, lik, n, rng)
+        max_levels, latents, _ = parse_batch(rs, draws)
+        assert np.all(max_levels == 2)
+        per_level = [draws] + latents
+        for lvl in range(3):
+            for pos in range(per_level[lvl].shape[1]):
+                freq = np.bincount(per_level[lvl][:, pos], minlength=3) / n
+                p = state.marginals[lvl][pos]
+                se = np.sqrt(p * (1 - p) / n) + 1e-9
+                assert np.all(np.abs(freq - p) < 4 * se)
+
     def test_sampled_derivations_are_grammatical(self, rs_deep):
         rng = np.random.default_rng(9)
         lik = rng.random((8, 3)) + 0.05
-        for _ in range(20):
-            deriv = bp_posterior_sample(rs_deep, lik, rng)
+        draws = bp_posterior_sample_batch(rs_deep, lik, 20, rng)
+        max_levels, latents, choices = parse_batch(rs_deep, draws)
+        for r in range(20):
+            deriv = Derivation(
+                levels=[draws[r]] + [lat[r] for lat in latents],
+                choices=[ch[r] for ch in choices],
+            )
             assert deriv.is_consistent(rs_deep)
-            assert parse(rs_deep, deriv.tokens).max_valid_level == 3
+            assert max_levels[r] == 3
 
 
 class TestDenoiseExpectation:

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rhmlab import GrammarParams, derive_seed, generate_rules, sample_dataset
+from rhmlab import Dataset, GrammarParams, derive_seed, generate_rules, sample_dataset
 from rhmlab.cli import run
 from rhmlab.io import load_dataset, load_grammar, save_dataset, save_grammar
 
@@ -188,6 +188,40 @@ class TestSubcommands:
         assert summary[0].startswith("m,p_star_cluster,p_star_accuracy,slope_cluster")
 
 
+    def test_sweep_manifest_records_collision_checks(self, tmp_path, monkeypatch):
+        import dataclasses
+
+        from rhmlab import cli, learner
+
+        cfg = _write(
+            tmp_path / "c.json",
+            {"sweep": {"depth": 2, "vocab_size": 8, "m_list": [2],
+                       "trials": 2, "p_grid": {"2": [64, 256]},
+                       "n_eval": 128, "seed": 6}},
+        )
+        n_derivations = GrammarParams(2, 2, 8, 2).n_derivations
+        outs = {}
+        for check, cap in (("ran", n_derivations), ("skipped above cap", n_derivations - 1)):
+            monkeypatch.setattr(
+                cli, "measure_sample_complexity",
+                lambda sc, n_workers, cap=cap: learner.measure_sample_complexity(
+                    dataclasses.replace(sc, collision_cap=cap), n_workers),
+            )
+            out = outs[check] = tmp_path / check.split()[0]
+            assert run(["sweep", "--config", cfg, "--out", str(out),
+                        "--threads", "1"]) == 0
+            cells = json.loads((out / "manifest.json").read_text())["seeds"]
+            assert sorted(cells) == ["m=2,trial=0", "m=2,trial=1"]
+            for cell in cells.values():
+                assert cell["collision_check"] == check
+                assert cell["grammar_redraws"] == 0
+                assert isinstance(cell["grammar_seed"], int)
+        # no redraw either way, so the skipped check leaves the CSVs as they were
+        for fname in ("sweep_trials.csv", "sweep_summary.csv"):
+            assert ((outs["ran"] / fname).read_bytes()
+                    == (outs["skipped above cap"] / fname).read_bytes())
+
+
 class TestThreads:
     def test_env_var_fallback(self, monkeypatch):
         from rhmlab.cli import _default_threads
@@ -299,8 +333,67 @@ class TestErrorsAndDeterminism:
         out = tmp_path / "o"
         assert run(["corrupt", "--config", cfg, "--grammar", str(gpath),
                     "--data", str(anonymous), "--out", str(out)]) == 0
-        noisy = _require_data(Namespace(data=str(out / "corrupted.txt")), rs)
+        noisy = _require_data(Namespace(data=str(out / "corrupted.txt")), rs,
+                              allow_masked=True)
         assert (noisy == rs.params.vocab_size).any()
+
+    @pytest.fixture()
+    def masked_file(self, tmp_path, grammar_file, data_file):
+        """The sampled rows with only the first tuple of row 0 masked."""
+        rs, _ = grammar_file
+        seqs, _ = load_dataset(data_file)
+        seqs[0, :2] = rs.params.vocab_size
+        path = tmp_path / "masked.txt"
+        save_dataset(Dataset(sequences=seqs, params=rs.params,
+                             meta={"grammar_hash": rs.content_hash()}), path)
+        return path
+
+    @pytest.mark.parametrize("experiment", ["stats", "learn", "onestep"])
+    def test_masked_data_exits_two_with_json_line(
+        self, tmp_path, grammar_file, masked_file, capsys, experiment
+    ):
+        _, gpath = grammar_file
+        assert run([experiment, "--grammar", str(gpath), "--data", str(masked_file),
+                    "--out", str(tmp_path / "o")]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ConfigError"
+        assert "masked tokens" in err["message"]
+
+    def test_corrupt_keeps_masked_input_masked(
+        self, tmp_path, grammar_file, masked_file, capsys
+    ):
+        rs, gpath = grammar_file
+        before, _ = load_dataset(masked_file)
+        masking = _write(tmp_path / "m.json",
+                         {"noise": {"kind": "masking", "beta_bar": 0.4}})
+        out = tmp_path / "o"
+        assert run(["corrupt", "--config", masking, "--grammar", str(gpath),
+                    "--data", str(masked_file), "--out", str(out)]) == 0
+        after, _ = load_dataset(out / "corrupted.txt")
+        mask = before == rs.params.vocab_size
+        assert np.all(after[mask] == rs.params.vocab_size)
+        assert np.all((after == before) | (after == rs.params.vocab_size))
+        uniform = _write(tmp_path / "u.json",
+                         {"noise": {"kind": "uniform", "beta_bar": 0.4}})
+        assert run(["corrupt", "--config", uniform, "--grammar", str(gpath),
+                    "--data", str(masked_file), "--out", str(tmp_path / "u")]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert "masked tokens" in json.loads(lines[0])["message"]
+
+    def test_unallocatable_sample_count_exits_two_with_json_line(
+        self, tmp_path, grammar_file, capsys
+    ):
+        # 1e13 rows: far beyond any machine, so the allocator refuses at once
+        _, gpath = grammar_file
+        cfg = _write(tmp_path / "c.json", {"n_samples": 10**13})
+        assert run(["sample", "--config", cfg, "--grammar", str(gpath),
+                    "--out", str(tmp_path / "o")]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "MemoryError"
 
     def test_missing_data_flag(self, tmp_path, grammar_file, capsys):
         _, gpath = grammar_file

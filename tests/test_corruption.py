@@ -79,6 +79,18 @@ class TestCorrupt:
             corrupt(np.array([[0, 7]]), NoiseSpec(kind="uniform", beta_bar=0.1),
                     4, np.random.default_rng(0))
 
+    def test_mask_is_absorbing(self):
+        rng = np.random.default_rng(4)
+        x = rng.integers(0, 5, size=(200, 8))  # 4 is the mask for v = 4
+        noisy, _ = corrupt(x, NoiseSpec(kind="masking", beta_bar=0.3), 4, rng)
+        assert np.all(noisy[x == 4] == 4)
+        assert np.all((noisy == x) | (noisy == 4))
+        with pytest.raises(ValueError):
+            corrupt(x, NoiseSpec(kind="uniform", beta_bar=0.3), 4, rng)
+        with pytest.raises(ValueError):
+            corrupt(np.array([[0, 5]]), NoiseSpec(kind="masking", beta_bar=0.3),
+                    4, rng)
+
     def test_uniform_composition(self):
         # two-stage corruption == one shot with the product keep probability
         rng_a = np.random.default_rng(4)

@@ -10,7 +10,6 @@ from rhmlab import (
     accuracy,
     enumerate_all,
     generate_rules,
-    parse,
     parse_batch,
     resample_below,
     sample_dataset,
@@ -162,8 +161,8 @@ class TestParse:
                 break
         else:
             pytest.skip("grammar has a full first-symbol row")
-        res = parse(rs_small, seq)
-        assert res.max_valid_level == 0
+        max_levels, _, _ = parse_batch(rs_small, seq)
+        assert max_levels[0] == 0
 
     def test_spliced_halves_parse_to_depth_minus_one(self, rs_small):
         # find two samples whose spliced top-level tuple is invalid
@@ -178,13 +177,13 @@ class TestParse:
                     spliced = np.concatenate(
                         [ds.sequences[a, :2], ds.sequences[b, 2:]]
                     )
-                    assert parse(rs_small, spliced).max_valid_level == 1
+                    assert parse_batch(rs_small, spliced)[0][0] == 1
                     return
         pytest.fail("no invalid splice found (density f should be < 1)")
 
     def test_wrong_length_rejected(self, rs_small):
         with pytest.raises(ValueError):
-            parse(rs_small, np.zeros(3, dtype=int))
+            parse_batch(rs_small, np.zeros(3, dtype=int))
 
 
 class TestAccuracy:
@@ -255,9 +254,9 @@ class TestResampleBelow:
         out = resample_below(rs_small, deriv, 1, np.random.default_rng(15))
         assert np.array_equal(out.levels[1], deriv.levels[1])
         assert np.array_equal(out.levels[2], deriv.levels[2])
-        res = parse(rs_small, out.tokens)
-        assert res.max_valid_level == 2
-        assert np.array_equal(res.levels[1], deriv.levels[1])
+        max_levels, latents, _ = parse_batch(rs_small, out.tokens)
+        assert max_levels[0] == 2
+        assert np.array_equal(latents[0][0], deriv.levels[1])
 
     def test_preserves_levels_at_or_above(self, rs_deep):
         rng = np.random.default_rng(16)
@@ -266,7 +265,7 @@ class TestResampleBelow:
             out = resample_below(rs_deep, deriv, level, rng)
             for lvl in range(level, 4):
                 assert np.array_equal(out.levels[lvl], deriv.levels[lvl])
-            assert parse(rs_deep, out.tokens).max_valid_level == 3
+            assert parse_batch(rs_deep, out.tokens)[0][0] == 3
 
     def test_level_range_checked(self, rs_small):
         deriv = sample_dataset(rs_small, 1, np.random.default_rng(17)).row_derivation(0)

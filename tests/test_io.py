@@ -69,6 +69,13 @@ class TestTextFormatOracle:
             save_dataset(ds, tmp_path / "d.txt")
         assert not (tmp_path / "d.txt").exists()
 
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_writer_without_params_needs_rows(self, tmp_path, binary):
+        ds = Dataset(sequences=np.zeros((0, 4), dtype=np.int64))
+        with pytest.raises(ValueError, match="vocab_size cannot be inferred"):
+            save_dataset(ds, tmp_path / "d.txt", binary=binary)
+        assert not (tmp_path / "d.txt").exists()
+
 
 class TestBinaryFormat:
     @pytest.mark.parametrize("n_rows", [0, 1, 300])

@@ -471,6 +471,17 @@ class TestSweep:
         assert res.summaries[0].p_star_cluster in (64, 256, 1024, None)
         assert res.slope_cluster is None  # one m value cannot fix a slope
 
+    def test_collision_check_recorded_per_cell(self):
+        base = dict(depth=2, vocab_size=8, m_list=(2,), trials=2,
+                    p_grid={2: (64, 256)}, n_eval=64, seed=31)
+        n_derivations = GrammarParams(2, 2, 8, 2).n_derivations
+        ran = measure_sample_complexity(SweepConfig(**base))
+        skipped = measure_sample_complexity(
+            SweepConfig(**base, collision_cap=n_derivations - 1))
+        assert all(r.collision_checked for r in ran.records)
+        assert not any(r.collision_checked for r in skipped.records)
+        assert all(r.collisions_resampled == 0 for r in skipped.records)
+
     def test_censored_cells_excluded(self):
         cfg = SweepConfig(depth=2, vocab_size=16, m_list=(4,), trials=2,
                           p_grid={4: (16, 32)}, n_eval=128, seed=32)
