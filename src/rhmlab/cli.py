@@ -3,14 +3,15 @@
 Every experiment is a pure function of (config, master seed): outputs are
 byte-identical across re-runs, trial seeds are derived statelessly, and each
 run writes a manifest recording the config hash, artifact versions, per-trial
-seeds, and a SHA-256 of every output file. Invalid configs exit 2 with one
-machine-readable JSON error line on stderr. See ``config_schema.json`` next to
-this module for the config keys.
+seeds, and a SHA-256 of every output file. Every config is checked against
+``config_schema.json`` next to this module before any work starts; invalid
+configs exit 2 with one machine-readable JSON error line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -69,74 +70,121 @@ def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+# JSON type name -> the Python types ``json.loads`` gives for it. ``bool`` is
+# its own type, so true and false are neither integers nor numbers.
+_JSON_TYPES = {"object": (dict,), "array": (list,), "string": (str,),
+               "boolean": (bool,), "integer": (int,), "number": (int, float)}
+# The JSON Schema keywords the validator implements; the schema may use no other.
+_SCHEMA_KEYWORDS = frozenset({
+    "type", "enum", "minimum", "maximum", "exclusiveMinimum", "items",
+    "minItems", "uniqueItems", "properties", "required",
+    "additionalProperties", "oneOf", "description", "$comment",
+})
+
+
+def _check_schema(schema: dict, where: str = "#") -> None:
+    """Raise ``ValueError`` if ``schema`` uses a keyword or type name the
+    validator does not implement."""
+    unknown = sorted(set(schema) - _SCHEMA_KEYWORDS)
+    if unknown or schema.get("type") not in (None, *_JSON_TYPES):
+        raise ValueError(f"config schema at {where} uses unsupported "
+                         f"{unknown or schema['type']}")
+    subschemas = {f"properties/{k}": v for k, v in schema.get("properties", {}).items()}
+    subschemas.update((f"oneOf/{i}", v) for i, v in enumerate(schema.get("oneOf", ())))
+    subschemas.update((k, schema[k]) for k in ("items", "additionalProperties")
+                      if isinstance(schema.get(k), dict))
+    for key, sub in subschemas.items():
+        _check_schema(sub, f"{where}/{key}")
+
+
+@functools.cache
+def _config_schema() -> dict:
+    """``config_schema.json``, checked to use only supported keywords."""
+    schema = json.loads(Path(__file__).with_name("config_schema.json").read_text())
+    _check_schema(schema)
+    return schema
+
+
+def _schema_errors(value, schema: dict, path: str = ""):
+    """Yield one message per way ``value`` breaks ``schema``; each names the
+    key path (``sweep.m_list[1]``) of the offending value."""
+    at = f"config key '{path}'" if path else "the config"
+    kind = schema.get("type")
+    if kind is not None and type(value) not in _JSON_TYPES[kind]:
+        yield f"{at} must be of type {kind}, not {json.dumps(value)}"
+        return
+    if "enum" in schema and _canonical_json(value) not in map(_canonical_json, schema["enum"]):
+        yield f"{at} is {json.dumps(value)}; it must be one of {json.dumps(schema['enum'])}"
+    if type(value) in (int, float):
+        if "minimum" in schema and value < schema["minimum"]:
+            yield f"{at} is {value}, below its minimum {schema['minimum']}"
+        if "maximum" in schema and value > schema["maximum"]:
+            yield f"{at} is {value}, above its maximum {schema['maximum']}"
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            yield f"{at} is {value}; it must be above {schema['exclusiveMinimum']}"
+    elif type(value) is list:
+        if len(value) < schema.get("minItems", 0):
+            yield f"{at} has {len(value)} items; it needs at least {schema['minItems']}"
+        if schema.get("uniqueItems") and len(set(map(_canonical_json, value))) < len(value):
+            yield f"{at} repeats an item; its items must be unique"
+        for i, item in enumerate(value):
+            yield from _schema_errors(item, schema.get("items", {}), f"{path}[{i}]")
+    elif type(value) is dict:
+        prefix = f"{path}." if path else ""
+        properties = schema.get("properties", {})
+        for key, item in value.items():
+            sub = properties.get(key, schema.get("additionalProperties", {}))
+            if sub is False:
+                yield (f"config key '{prefix}{key}' is unknown; {at} takes "
+                       f"{', '.join(sorted(properties))}")
+            else:
+                yield from _schema_errors(item, sub, prefix + key)
+        for key in schema.get("required", ()):
+            if key not in value:
+                yield f"config key '{prefix}{key}' is required"
+    if "oneOf" in schema:
+        failed = [next(_schema_errors(value, alt, path), None) for alt in schema["oneOf"]]
+        n_fit = failed.count(None)
+        if n_fit != 1:
+            detail = "; ".join(failed) if n_fit == 0 else schema.get("description", "")
+            yield f"{at} fits {n_fit} of its forms but must fit exactly one: {detail}"
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        cfg = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
+    """The config at ``path`` (``{}`` when none), checked against
+    ``config_schema.json`` before any work starts."""
+    cfg = {}
+    if path is not None:
+        p = Path(path)
+        if not p.exists():
+            raise ConfigError(f"config file not found: {path}")
+        try:
+            cfg = json.loads(p.read_text(), parse_constant=_reject_constant)
+        except (ValueError, RecursionError) as exc:
+            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    error = next(_schema_errors(cfg, _config_schema()), None)
+    if error is not None:
+        raise ConfigError(error)
     return cfg
 
 
-def _config_value(cfg: dict, key: str, convert, default):
-    """``convert(cfg.get(key, default))``; a value of the wrong type or form
-    is a :class:`ConfigError`."""
-    try:
-        return convert(cfg.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid config value for '{key}': {exc}") from exc
-
-
-def _float_list(value) -> list[float]:
-    """A number or a list of numbers, as a list of floats."""
-    if isinstance(value, (int, float)):
-        return [float(value)]
-    return [float(x) for x in value]
+def _required(cfg: dict, key: str):
+    """``cfg[key]`` for a key this experiment cannot run without."""
+    if key not in cfg:
+        raise ConfigError(f"this experiment needs the config key '{key}'")
+    return cfg[key]
 
 
 def _grammar_params(cfg: dict, seed: int) -> GrammarParams:
-    g = cfg.get("grammar")
-    if not isinstance(g, dict):
-        raise ConfigError("config needs a 'grammar' object")
+    grammar = {"seed": seed, **_required(cfg, "grammar")}
     try:
-        return GrammarParams(
-            depth=int(g["depth"]),
-            branching=int(g["branching"]),
-            vocab_size=int(g["vocab_size"]),
-            n_synonyms=int(g["n_synonyms"]),
-            seed=int(g.get("seed", seed)),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"grammar config missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid grammar parameters: {exc}") from exc
-
-
-def _noise_spec(cfg: dict) -> NoiseSpec:
-    n = cfg.get("noise")
-    if not isinstance(n, dict):
-        raise ConfigError("config needs a 'noise' object")
-    kind = n.get("kind")
-    try:
-        if "schedule" in n:
-            sched = n["schedule"]
-            if isinstance(sched, dict):
-                if sched.get("type") != "linear":
-                    raise ConfigError("only the 'linear' named schedule exists")
-                steps = sched.get("n_steps", sched.get("T"))
-                if steps is None:
-                    raise ConfigError("linear schedule needs 'n_steps' (alias 'T')")
-                return NoiseSpec.linear_schedule(kind, int(steps))
-            return NoiseSpec(kind=kind, schedule=tuple(float(b) for b in sched))
-        return NoiseSpec(kind=kind, beta_bar=float(n["beta_bar"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid noise spec: {exc}") from exc
+        return GrammarParams(**grammar)
+    except ValueError as exc:
+        raise ConfigError(f"config key 'grammar' is invalid: {exc}") from exc
 
 
 def _require_grammar(args, cfg: dict, seed: int) -> RuleSet:
@@ -213,9 +261,7 @@ def _run_gen_grammar(args, cfg, out_dir, seed):
 
 def _run_sample(args, cfg, out_dir, seed):
     rs = _require_grammar(args, cfg, seed)
-    n = _config_value(cfg, "n_samples", int, 0)
-    if n <= 0:
-        raise ConfigError("config needs a positive 'n_samples'")
+    n = _required(cfg, "n_samples")
     distinct = cfg.get("distinct", "auto")
     if distinct == "auto":
         # Distinct rows when feasible without long rejection runs.
@@ -223,13 +269,19 @@ def _run_sample(args, cfg, out_dir, seed):
     rng = np.random.default_rng(derive_seed(seed, 0, "sample"))
     sampler = sample_distinct_dataset if distinct else sample_dataset
     ds = sampler(rs, n, rng, with_latents=False)
-    save_dataset(ds, out_dir / "dataset.txt", binary=bool(cfg.get("binary", False)))
-    return rs.content_hash(), {"distinct": bool(distinct)}
+    save_dataset(ds, out_dir / "dataset.txt", binary=cfg.get("binary", False))
+    return rs.content_hash(), {"distinct": distinct}
 
 
 def _run_corrupt(args, cfg, out_dir, seed):
     rs = _require_grammar(args, cfg, seed)
-    spec = _noise_spec(cfg)
+    noise = _required(cfg, "noise")
+    schedule = noise.get("schedule")
+    if isinstance(schedule, dict):
+        spec = NoiseSpec.linear_schedule(noise["kind"], schedule["n_steps"])
+    else:
+        spec = NoiseSpec(kind=noise["kind"], beta_bar=noise.get("beta_bar"),
+                         schedule=schedule)
     seqs = _require_data(args, rs, allow_masked=spec.kind == "masking")
     rng = np.random.default_rng(derive_seed(seed, 0, "corrupt"))
     noisy, hits = corrupt(seqs, spec, rs.params.vocab_size, rng)
@@ -244,22 +296,18 @@ def _run_corrupt(args, cfg, out_dir, seed):
 
 def _run_bp(args, cfg, out_dir, seed):
     rs = _require_grammar(args, cfg, seed)
-    raw = cfg.get("sequence")
-    if not isinstance(raw, str):
-        raise ConfigError("config needs a 'sequence' string ('?' masks a token)")
-    tokens = raw.split()
+    tokens = _required(cfg, "sequence").split()
     p = rs.params
     if len(tokens) != p.seq_len:
-        raise ConfigError(f"sequence must have {p.seq_len} tokens")
-    lik = np.zeros((p.seq_len, p.vocab_size))
+        raise ConfigError(f"config key 'sequence' must have {p.seq_len} tokens")
+    symbols = {str(sym): sym for sym in range(p.vocab_size)}
+    lik = np.ones((p.seq_len, p.vocab_size))  # '?' leaves its row uniform
     for i, tok in enumerate(tokens):
-        if tok == "?":
-            lik[i] = 1.0
-        else:
-            val = int(tok)
-            if not 0 <= val < p.vocab_size:
-                raise ConfigError(f"token {val} out of range at position {i}")
-            lik[i, val] = 1.0
+        if tok != "?":
+            if tok not in symbols:
+                raise ConfigError(f"config key 'sequence': token {tok!r} at position "
+                                  f"{i} is neither '?' nor a symbol 0..{p.vocab_size - 1}")
+            lik[i] = np.arange(p.vocab_size) == symbols[tok]
     state = bp_marginals(rs, lik)
     rows = []
     for pos in range(p.seq_len):
@@ -282,9 +330,7 @@ def _run_stats(args, cfg, out_dir, seed):
             for d, v, k in zip(rep.distances, rep.values, rep.n_pairs)
         ],
     )
-    level = args.level
-    if level is None:
-        level = _config_value(cfg, "level", int, 2)
+    level = args.level if args.level is not None else cfg.get("level", 2)
     max_levels, latents, choices = parse_batch(rs, seqs)
     rows = []
     if np.all(max_levels == p.depth):
@@ -303,30 +349,25 @@ def _run_stats(args, cfg, out_dir, seed):
     return rs.content_hash(), {"level": level}
 
 
+def _training_rows(args, cfg: dict, rs: RuleSet, seed: int) -> np.ndarray:
+    """Rows of ``--data``, else ``n_samples`` rows drawn under the
+    experiment's own seed tag."""
+    if args.data:
+        return _require_data(args, rs)
+    if "n_samples" not in cfg:
+        raise ConfigError("this experiment needs --data or the config key 'n_samples'")
+    rng = np.random.default_rng(derive_seed(seed, 0, f"{args.experiment}-data"))
+    return sample_dataset(rs, cfg["n_samples"], rng, with_latents=False).sequences
+
+
 def _run_learn(args, cfg, out_dir, seed):
     rs = _require_grammar(args, cfg, seed)
     p = rs.params
-    lcfg = cfg.get("learn", {})
-    if not isinstance(lcfg, dict):
-        raise ConfigError("config 'learn' must be a JSON object")
-    if args.data:
-        seqs = _require_data(args, rs)
-    else:
-        n = _config_value(cfg, "n_samples", int, 0)
-        if n <= 0:
-            raise ConfigError("config needs 'n_samples' or --data")
-        rng = np.random.default_rng(derive_seed(seed, 0, "learn-data"))
-        seqs = sample_dataset(rs, n, rng, with_latents=False).sequences
-    model = learn_grammar(
-        seqs,
-        p.depth,
-        p.branching,
-        p.vocab_size,
-        variant=lcfg.get("variant", "single_token"),
-        pooled=bool(lcfg.get("pooled", True)),
-        seed=derive_seed(seed, 0, "learn"),
-        truth=rs,
-    )
+    options = dict(cfg.get("learn", {}))
+    n_eval = options.pop("n_eval", 1024)
+    seqs = _training_rows(args, cfg, rs, seed)
+    model = learn_grammar(seqs, p.depth, p.branching, p.vocab_size,
+                          seed=derive_seed(seed, 0, "learn"), truth=rs, **options)
     write_csv(
         out_dir / "learn_summary.csv",
         ["stage", "recovery", "n_codes", "partial", "n_fallback"],
@@ -336,7 +377,6 @@ def _run_learn(args, cfg, out_dir, seed):
             for i, lv in enumerate(model.levels)
         ],
     )
-    n_eval = _config_value(lcfg, "n_eval", int, 1024)
     gen = generate_from_learned(
         model, n_eval, np.random.default_rng(derive_seed(seed, 0, "learn-eval"))
     )
@@ -351,22 +391,15 @@ def _run_learn(args, cfg, out_dir, seed):
 def _run_onestep(args, cfg, out_dir, seed):
     rs = _require_grammar(args, cfg, seed)
     p = rs.params
-    if args.data:
-        seqs = _require_data(args, rs)
-    else:
-        n = _config_value(cfg, "n_samples", int, 0)
-        if n <= 0:
-            raise ConfigError("config needs 'n_samples' or --data")
-        rng = np.random.default_rng(derive_seed(seed, 0, "onestep-data"))
-        seqs = sample_dataset(rs, n, rng, with_latents=False).sequences
-    etas = _config_value(cfg, "eta", _float_list, [0.1, 1.0, 10.0])
+    seqs = _training_rows(args, cfg, rs, seed)
+    etas = cfg.get("eta", [0.1, 1.0, 10.0])
     codes, labels = tuple_next_token_pairs(seqs, p.branching, p.vocab_size)
     rows = []
-    for eta in etas:
+    for eta in etas if isinstance(etas, list) else [etas]:
         model = one_step_gd(codes, labels, p.vocab_size, eta)
-        dev = float(np.abs(model.delta - eta * model.empirical_corr).max())
+        dev = float(np.abs(model.delta - model.eta * model.empirical_corr).max())
         classes = true_tuple_classes(rs, 1, model.tuple_codes)
-        rows.append((float(eta), dev, synonym_column_cosine(model, classes)))
+        rows.append((model.eta, dev, synonym_column_cosine(model, classes)))
     write_csv(
         out_dir / "onestep.csv",
         ["eta", "max_identity_dev", "mean_synonym_cosine"],
@@ -375,55 +408,22 @@ def _run_onestep(args, cfg, out_dir, seed):
     return rs.content_hash(), {"n_rows": int(seqs.shape[0])}
 
 
-def _sweep_config(cfg: dict, seed: int) -> SweepConfig:
-    s = cfg.get("sweep")
-    if not isinstance(s, dict):
-        raise ConfigError("config needs a 'sweep' object")
-
-    def pick(*names, default=None):
-        for name in names:
-            if name in s:
-                return s[name]
-        return default
-
-    try:
-        m_list = tuple(int(m) for m in s["m_list"])
-        grid = pick("p_grid", "P_grid")
-        sc = SweepConfig(
-            depth=int(pick("depth", "L")),
-            branching=int(pick("branching", "s", default=2)),
-            vocab_size=int(pick("vocab_size", "v", default=16)),
-            m_list=m_list,
-            trials=int(s.get("trials", 5)),
-            variant=s.get("variant", "single_token"),
-            pooled=bool(s.get("pooled", True)),
-            cluster_threshold=float(pick("cluster_threshold", "threshold",
-                                         default=0.95)),
-            accuracy_threshold=float(s.get("accuracy_threshold", 0.5)),
-            p_grid=(
-                {int(k): tuple(int(p) for p in v) for k, v in grid.items()}
-                if grid is not None
-                else None
-            ),
-            grid_span=float(s.get("grid_span", 8.0)),
-            n_eval=int(s.get("n_eval", 1024)),
-            seed=int(s.get("seed", seed)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid sweep config: {exc}") from exc
-    if not m_list:
-        raise ConfigError("sweep m_list must be non-empty")
-    for m in m_list:
+def _run_sweep(args, cfg, out_dir, seed):
+    sweep = {"seed": seed, **_required(cfg, "sweep")}
+    grids = sweep.get("p_grid")
+    if grids is not None:
+        # JSON object keys are strings: look each m's grid up by its decimal name.
+        names = {str(m): m for m in sweep["m_list"]}
+        for name in grids:
+            if name not in names:
+                raise ConfigError(f"config key 'sweep.p_grid.{name}' names no m in sweep.m_list")
+        sweep["p_grid"] = {names[name]: grid for name, grid in grids.items()}
+    sc = SweepConfig(**sweep)
+    for m in sc.m_list:
         # Reject infeasible cells up front: f >= 1 has no finite threshold.
         if m >= sc.vocab_size ** (sc.branching - 1):
-            raise ConfigError(
-                f"sweep m={m} gives rule density >= 1; thresholds diverge"
-            )
-    return sc
-
-
-def _run_sweep(args, cfg, out_dir, seed):
-    sc = _sweep_config(cfg, seed)
+            raise ConfigError(f"config key 'sweep.m_list': m={m} gives rule "
+                              "density >= 1; thresholds diverge")
     res = measure_sample_complexity(sc, n_workers=args.threads)
     rows = []
     for r in res.records:
@@ -490,12 +490,11 @@ _RUNNERS = {
 
 def _default_threads() -> int:
     env = os.environ.get("RHMLAB_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            return 1
-    return os.cpu_count() or 1
+    if env is None:
+        return os.cpu_count() or 1
+    if not env.strip().isdecimal() or int(env) < 1:
+        raise ConfigError(f"RHMLAB_THREADS must be a positive integer, not {env!r}")
+    return int(env)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -529,21 +528,18 @@ def run(argv: list[str] | None = None) -> int:
     t0 = time.time()
     try:
         cfg = _load_config(args.config)
-        seed = args.seed
-        if seed is None:
-            seed = _config_value(cfg, "seed", int, 0)
+        seed = args.seed if args.seed is not None else cfg.get("seed", 0)
         if not 0 <= seed < 2**64:
-            raise ConfigError("seed must fit in 64 bits")
+            raise ConfigError("--seed must fit in 64 bits")
         if args.threads is None:
             args.threads = _default_threads()
-        out = args.out if args.out != "." else cfg.get("out", ".")
-        if not isinstance(out, str):
-            raise ConfigError("config 'out' must be a path string")
-        out_dir = Path(out)
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be at least 1, not {args.threads}")
+        out_dir = Path(args.out if args.out != "." else cfg.get("out", "."))
         out_dir.mkdir(parents=True, exist_ok=True)
         grammar_hash, seeds = _RUNNERS[args.experiment](args, cfg, out_dir, seed)
         _write_manifest(out_dir, cfg, seed, seeds, grammar_hash, t0)
-    except (ConfigError, ValueError, OSError, MemoryError) as exc:
+    except (ConfigError, ValueError, OSError, MemoryError, OverflowError) as exc:
         # numpy raises a MemoryError subclass; report the builtin name
         name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
         sys.stderr.write(json.dumps({"error": name, "message": str(exc)}) + "\n")

@@ -106,6 +106,8 @@ def kmeans_fit(
         raise ValueError("points must be a non-empty 2-D array")
     if not 1 <= k <= points.shape[0]:
         raise ValueError("need 1 <= k <= number of points")
+    if n_restarts < 1:
+        raise ValueError("n_restarts must be >= 1")
     rng = np.random.default_rng(seed)
     firsts = rng.integers(0, points.shape[0], size=n_restarts)
     best: KMeansResult | None = None

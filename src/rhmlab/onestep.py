@@ -87,7 +87,7 @@ def one_step_gd(
         weights=w0 + delta,
         delta=delta,
         empirical_corr=corr,
-        eta=eta,
+        eta=float(eta),
     )
 
 

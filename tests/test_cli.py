@@ -1,9 +1,19 @@
+import contextlib
+import copy
+import dataclasses
+import functools
+import inspect
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import rhmlab
 from rhmlab import Dataset, GrammarParams, derive_seed, generate_rules, sample_dataset
 from rhmlab.cli import run
 from rhmlab.io import load_dataset, load_grammar, save_dataset, save_grammar
@@ -32,6 +42,15 @@ class TestDeriveSeed:
 def _write(path: Path, obj) -> str:
     path.write_text(json.dumps(obj))
     return str(path)
+
+
+def _config_error(capsys) -> str:
+    """The message of the one ``ConfigError`` JSON line on stderr."""
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ConfigError"
+    return err["message"]
 
 
 GRAMMAR_CFG = {"grammar": {"depth": 2, "branching": 2, "vocab_size": 8,
@@ -223,15 +242,36 @@ class TestSubcommands:
 
 
 class TestThreads:
-    def test_env_var_fallback(self, monkeypatch):
+    def test_env_var_fallback(self, monkeypatch, tmp_path, capsys):
         from rhmlab.cli import _default_threads
 
         monkeypatch.setenv("RHMLAB_THREADS", "3")
         assert _default_threads() == 3
         monkeypatch.setenv("RHMLAB_THREADS", "junk")
-        assert _default_threads() == 1
+        cfg = _write(tmp_path / "c.json", GRAMMAR_CFG)
+        assert run(["gen-grammar", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "RHMLAB_THREADS" in _config_error(capsys)
         monkeypatch.delenv("RHMLAB_THREADS")
         assert _default_threads() >= 1
+
+    @pytest.mark.parametrize("env, flag", [
+        ("0", None), ("-3", None), ("2.5", None), ("", None),
+        (None, "0"), (None, "-3"),
+    ])
+    def test_bad_thread_count_exits_two_with_json_line(
+        self, monkeypatch, tmp_path, capsys, env, flag
+    ):
+        if env is None:
+            monkeypatch.delenv("RHMLAB_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("RHMLAB_THREADS", env)
+        argv = ["gen-grammar", "--config", _write(tmp_path / "c.json", GRAMMAR_CFG),
+                "--out", str(tmp_path / "o")]
+        if flag is not None:
+            argv += ["--threads", flag]
+        assert run(argv) == 2
+        assert ("--threads" if flag else "RHMLAB_THREADS") in _config_error(capsys)
+        assert not (tmp_path / "o").exists()
 
     def test_sweep_worker_count_does_not_change_results(self):
         from rhmlab import SweepConfig, measure_sample_complexity
@@ -242,6 +282,55 @@ class TestThreads:
         par = measure_sample_complexity(cfg, n_workers=2)
         assert seq.records == par.records
         assert seq.summaries == par.summaries
+
+
+# (experiment, config, key path the error must name)
+BAD_VALUES = [
+    ("sample", {"n_samples": [1]}, "n_samples"),
+    ("sample", {"n_samples": 5, "seed": [1]}, "seed"),
+    ("sample", {"n_samples": 5, "out": ["o"]}, "out"),
+    ("learn", {"n_samples": 50, "learn": "x"}, "learn"),
+    ("learn", {"n_samples": 50, "learn": {"n_eval": {"n": 1}}}, "learn.n_eval"),
+    ("onestep", {"n_samples": 50, "eta": [[0.1]]}, "eta[0]"),
+    ("gen-grammar", {"grammar": {"depth": [2], "branching": 2,
+                                 "vocab_size": 8, "n_synonyms": 2}}, "grammar.depth"),
+    # values the hand parsing used to accept or silently reinterpret
+    ("sweep", {"sweep": {"depth": 2, "vocab_size": 8, "m_list": [2],
+                         "trials": 0}}, "sweep.trials"),
+    ("sample", {"n_samples": 5, "binary": "false"}, "binary"),
+    ("sample", {"n_samples": 5, "distinct": "no"}, "distinct"),
+    ("corrupt", {"noise": {"kind": "masking", "beta_bar": 0.4,
+                           "schedule": [0.1]}}, "noise"),
+    ("sweep", {"sweep": {"depth": 2, "vocab_size": 8, "m_list": [2, 2]}},
+     "sweep.m_list"),
+    ("learn", {"n_samples": 50, "learn": {"n_evals": 5}}, "learn.n_evals"),
+    ("sweep", {"sweep": {"depth": 2, "vocab_size": 8, "m_list": [2], "sed": 1}},
+     "sweep.sed"),
+    # the removed alias spellings
+    ("sweep", {"sweep": {"L": 2, "vocab_size": 8, "m_list": [2]}}, "sweep.L"),
+    ("sweep", {"sweep": {"depth": 2, "v": 8, "m_list": [2]}}, "sweep.v"),
+    ("sweep", {"sweep": {"depth": 2, "vocab_size": 8, "m_list": [2],
+                         "threshold": 0.9}}, "sweep.threshold"),
+    ("corrupt", {"noise": {"kind": "masking",
+                           "schedule": {"type": "linear", "T": 4}}},
+     "noise.schedule.T"),
+    # booleans and integral floats are not integers; ranges the code needs
+    ("sample", {"n_samples": True}, "n_samples"),
+    ("sample", {"n_samples": 5, "distinct": 1}, "distinct"),
+    ("onestep", {"n_samples": 50, "eta": True}, "eta"),
+    ("sample", {"n_samples": 5.0}, "n_samples"),
+    ("sample", {"n_samples": 5, "seed": 2**64}, "seed"),
+    ("stats", {"level": 1}, "level"),
+    ("onestep", {"n_samples": 50, "eta": 0}, "eta"),
+    ("onestep", {"n_samples": 50, "eta": []}, "eta"),
+    ("corrupt", {"noise": {"kind": "masking",
+                           "schedule": {"type": "linear"}}}, "noise.schedule.n_steps"),
+    ("sweep", {"sweep": {"depth": 2, "vocab_size": 8, "m_list": [2],
+                         "grid_span": 0}}, "sweep.grid_span"),
+    ("sweep", {"sweep": {"depth": 2, "vocab_size": 8, "m_list": [2],
+                         "p_grid": {"3": [64]}}}, "sweep.p_grid.3"),
+    ("bp", {"sequence": "1 2 x 3"}, "sequence"),
+]
 
 
 class TestErrorsAndDeterminism:
@@ -255,18 +344,10 @@ class TestErrorsAndDeterminism:
         parsed = json.loads(err)
         assert parsed["error"] == "ConfigError"
 
-    @pytest.mark.parametrize("experiment, cfg", [
-        ("sample", {"n_samples": [1]}),
-        ("sample", {"n_samples": 5, "seed": [1]}),
-        ("sample", {"n_samples": 5, "out": ["o"]}),
-        ("learn", {"n_samples": 50, "learn": "x"}),
-        ("learn", {"n_samples": 50, "learn": {"n_eval": {"n": 1}}}),
-        ("onestep", {"n_samples": 50, "eta": [[0.1]]}),
-        ("gen-grammar", {"grammar": {"depth": [2], "branching": 2,
-                                     "vocab_size": 8, "n_synonyms": 2}}),
-    ])
+    @pytest.mark.parametrize("experiment, cfg, key", BAD_VALUES, ids=[
+        f"{experiment}-cfg{i}" for i, (experiment, _, _) in enumerate(BAD_VALUES)])
     def test_wrong_value_type_exits_two_with_json_line(
-        self, tmp_path, grammar_file, capsys, experiment, cfg
+        self, tmp_path, grammar_file, capsys, experiment, cfg, key
     ):
         _, gpath = grammar_file
         path = _write(tmp_path / "c.json", cfg)
@@ -274,9 +355,13 @@ class TestErrorsAndDeterminism:
         if "out" not in cfg:
             argv += ["--out", str(tmp_path / "o")]
         assert run(argv) == 2
-        lines = capsys.readouterr().err.strip().splitlines()
-        assert len(lines) == 1
-        assert json.loads(lines[0])["error"] == "ConfigError"
+        assert f"'{key}'" in _config_error(capsys)
+
+    def test_non_finite_number_exits_two_with_json_line(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text('{"noise": {"kind": "masking", "beta_bar": NaN}}')
+        assert run(["corrupt", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "NaN" in _config_error(capsys)
 
     @pytest.mark.parametrize("experiment", ["stats", "learn", "onestep", "corrupt"])
     @pytest.mark.parametrize("case, expected", [
@@ -395,6 +480,17 @@ class TestErrorsAndDeterminism:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "MemoryError"
 
+    def test_overflowing_grid_span_exits_two_with_json_line(self, tmp_path, capsys):
+        # a 1e308 span is in range but overflows the geometric grid
+        cfg = _write(tmp_path / "c.json",
+                     {"sweep": {"depth": 2, "vocab_size": 8, "m_list": [2],
+                                "grid_span": 1e308}})
+        assert run(["sweep", "--config", cfg, "--out", str(tmp_path / "o"),
+                    "--threads", "1"]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "OverflowError"
+
     def test_missing_data_flag(self, tmp_path, grammar_file, capsys):
         _, gpath = grammar_file
         code = run(["stats", "--grammar", str(gpath), "--out", str(tmp_path / "o")])
@@ -416,3 +512,187 @@ class TestErrorsAndDeterminism:
         ma, mb = (json.loads((o / "manifest.json").read_text()) for o in outs)
         assert ma["outputs"] == mb["outputs"]
         assert ma["config_hash"] == mb["config_hash"]
+
+
+SCHEMA = json.loads((Path(rhmlab.__file__).parent / "config_schema.json").read_text())
+
+# One valid config per form an experiment takes, each with a top-level seed so
+# every config has a ranged number. Every value the schema checks is present
+# somewhere; the test below runs each config to exit 0.
+VALID_CONFIGS = [
+    ("gen-grammar", {"seed": 5, "grammar": {"depth": 2, "branching": 2, "vocab_size": 8,
+                                            "n_synonyms": 2, "seed": 3}}),
+    ("sample", {"seed": 1, "n_samples": 30, "distinct": "auto", "binary": False}),
+    ("corrupt", {"seed": 1, "noise": {"kind": "masking", "beta_bar": 0.4}}),
+    ("corrupt", {"seed": 1, "noise": {"kind": "uniform",
+                                      "schedule": {"type": "linear", "n_steps": 3}}}),
+    ("corrupt", {"seed": 1, "noise": {"kind": "uniform", "schedule": [0.1, 0.2]}}),
+    ("bp", {"seed": 1, "sequence": "? ? ? ?"}),
+    ("stats", {"seed": 1, "level": 2}),
+    ("learn", {"seed": 1, "n_samples": 300,
+               "learn": {"variant": "full_tuple", "pooled": True, "n_eval": 16}}),
+    ("onestep", {"seed": 1, "n_samples": 300, "eta": [0.1, 1.0]}),
+    ("sweep", {"seed": 1, "sweep": {
+        "depth": 2, "branching": 2, "vocab_size": 8, "m_list": [2], "trials": 1,
+        "variant": "single_token", "pooled": True, "cluster_threshold": 0.9,
+        "accuracy_threshold": 0.5, "p_grid": {"2": [64]}, "grid_span": 2.0,
+        "n_eval": 16, "seed": 1}}),
+]
+# Top-level keys without which an experiment cannot run (given the flags below).
+NEEDED = {"gen-grammar": ("grammar",), "sample": ("n_samples",), "corrupt": ("noise",),
+          "bp": ("sequence",), "learn": ("n_samples",), "onestep": ("n_samples",),
+          "sweep": ("sweep",)}
+# Values of a JSON type that no key holding the original's type accepts.
+WRONG_TYPES = {dict: [None, True, "x", 1.5], list: [None, True, "x", {"k": 1}],
+               bool: [None, 1, 0, "true", [True]], int: [None, True, 1.5, "3", [1]],
+               float: [None, True, "0.5", [0.5]], str: [None, 1, ["x"], {"k": "x"}]}
+
+
+def _argv(experiment, files, config_path, out):
+    argv = [experiment, "--config", str(config_path), "--out", str(out)]
+    if experiment not in ("gen-grammar", "sweep"):
+        argv += ["--grammar", str(files["grammar"])]
+    if experiment in ("corrupt", "stats"):
+        argv += ["--data", str(files["data"])]
+    return argv + ["--threads", "1"]
+
+
+def _paths(value, path=()):
+    """Every key path in a config, containers included."""
+    yield path
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield from _paths(item, path + (key,))
+
+
+def _get(cfg, path):
+    for key in path:
+        cfg = cfg[key]
+    return cfg
+
+
+def _schema_at(cfg, path):
+    """The schema of the value at ``path``, the ``oneOf`` form its type picks."""
+    schema, value = SCHEMA, cfg
+    for key in (*path, None):
+        if "oneOf" in schema and "type" not in schema:
+            schema = next(alt for alt in schema["oneOf"]
+                          if alt["type"] == {dict: "object", list: "array"}.get(
+                              type(value), "number"))
+        if key is None:
+            return schema
+        schema = (schema["items"] if isinstance(value, list)
+                  else schema.get("properties", {}).get(key, schema.get("additionalProperties")))
+        value = value[key]
+
+
+@st.composite
+def invalid_configs(draw):
+    """One mutation of a valid config: wrong type, unknown key, dropped needed
+    key or out-of-range number."""
+    experiment, cfg = draw(st.sampled_from(VALID_CONFIGS))
+    cfg = copy.deepcopy(cfg)
+    paths = list(_paths(cfg))
+    dicts = [p for p in paths if isinstance(_get(cfg, p), dict)]
+    dropped = [(k,) for k in NEEDED.get(experiment, ())]
+    for p in dicts:
+        schema = _schema_at(cfg, p)
+        alts = [alt.get("required", []) for alt in schema.get("oneOf", ())]
+        dropped += [p + (k,) for k in (*schema.get("required", ()), *sum(alts, []))
+                    if k in _get(cfg, p)]
+    ranged = [p for p in paths if p and type(_get(cfg, p)) in (int, float)
+              and {"minimum", "maximum", "exclusiveMinimum"} & set(_schema_at(cfg, p))]
+    kinds = ["wrong type", "unknown key", "out of range"] + ["dropped key"] * bool(dropped)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "dropped key":
+        path = draw(st.sampled_from(dropped))
+        del _get(cfg, path[:-1])[path[-1]]
+    elif kind == "unknown key":
+        path = draw(st.sampled_from(dicts))
+        _get(cfg, path)["x_" + draw(st.text(max_size=5))] = draw(
+            st.sampled_from([1, "x", [64]]))
+    elif kind == "wrong type":
+        path = draw(st.sampled_from([p for p in paths if p]))
+        _get(cfg, path[:-1])[path[-1]] = draw(
+            st.sampled_from(WRONG_TYPES[type(_get(cfg, path))]))
+    else:
+        path = draw(st.sampled_from(ranged))
+        schema = _schema_at(cfg, path)
+        numbers = st.integers if schema["type"] == "integer" else functools.partial(
+            st.floats, allow_nan=False, allow_infinity=False)
+        bounds = []
+        if "minimum" in schema:
+            bounds.append(numbers(max_value=schema["minimum"] - 1)
+                          if schema["type"] == "integer" else
+                          numbers(max_value=schema["minimum"], exclude_max=True))
+        if "exclusiveMinimum" in schema:
+            bounds.append(numbers(max_value=schema["exclusiveMinimum"]))
+        if "maximum" in schema:
+            bounds.append(numbers(min_value=schema["maximum"] + 1)
+                          if schema["type"] == "integer" else
+                          numbers(min_value=schema["maximum"], exclude_min=True))
+        _get(cfg, path[:-1])[path[-1]] = draw(st.one_of(bounds))
+    return experiment, cfg, kind, path
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    work = tmp_path_factory.mktemp("cli-files")
+    rs = generate_rules(GrammarParams(depth=2, branching=2, vocab_size=8,
+                                      n_synonyms=2, seed=2))
+    save_grammar(rs, work / "grammar.json")
+    save_dataset(sample_dataset(rs, 400, np.random.default_rng(1), with_latents=False),
+                 work / "data.txt")
+    return {"grammar": work / "grammar.json", "data": work / "data.txt", "work": work}
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize("experiment, cfg", VALID_CONFIGS)
+    def test_valid_configs_run(self, tmp_path, cli_files, experiment, cfg):
+        path = _write(tmp_path / "c.json", cfg)
+        assert run(_argv(experiment, cli_files, path, tmp_path / "o")) == 0
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(case=invalid_configs())
+    def test_every_mutated_config_exits_two_with_one_json_line(self, cli_files, case):
+        experiment, cfg, kind, path = case
+        work = Path(tempfile.mkdtemp(dir=cli_files["work"]))
+        config_path = _write(work / "c.json", cfg)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(_argv(experiment, cli_files, config_path, work / "o"))
+        assert code == 2, (kind, path, cfg)
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1, lines
+        assert json.loads(lines[0])["error"] == "ConfigError", lines[0]
+
+    def test_schema_sections_match_the_code(self):
+        from rhmlab import corruption, learner
+
+        props = SCHEMA["properties"]
+        fields = {f.name for f in dataclasses.fields(GrammarParams)}
+        assert set(props["grammar"]["properties"]) <= fields
+        fields = {f.name for f in dataclasses.fields(learner.SweepConfig)}
+        assert set(props["sweep"]["properties"]) <= fields
+        # The CLI passes the rows, the grammar shape, seed and truth itself.
+        params = inspect.signature(learner.learn_grammar).parameters
+        free = {name for name, p in params.items()
+                if p.default is not inspect.Parameter.empty} - {"seed", "truth"}
+        assert set(props["learn"]["properties"]) - {"n_eval"} <= free
+        assert props["noise"]["properties"]["kind"]["enum"] == list(corruption.KINDS)
+        for section in ("learn", "sweep"):
+            variants = props[section]["properties"]["variant"]["enum"]
+            assert variants == list(learner.VARIANTS)
+
+    def test_unsupported_schema_keyword_raises(self):
+        from rhmlab.cli import _check_schema, _config_schema
+
+        assert _config_schema() == SCHEMA
+        with pytest.raises(ValueError, match="pattern"):
+            _check_schema({"type": "object",
+                           "properties": {"a": {"type": "string", "pattern": "x"}}})
+        with pytest.raises(ValueError, match="format"):
+            _check_schema({"oneOf": [{"type": "array", "items": {"format": "date"}}]})
+        with pytest.raises(ValueError, match="null"):
+            _check_schema({"type": "null"})
