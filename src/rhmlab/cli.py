@@ -385,7 +385,14 @@ def _run_learn(args, cfg, out_dir, seed):
         ["level", "accuracy"],
         [(lvl, accuracy(rs, gen, lvl)) for lvl in range(1, p.depth + 1)],
     )
-    return rs.content_hash(), {"n_rows": int(seqs.shape[0]), "n_eval": n_eval}
+    # What the learner decided at each stage: the winning k-means restart,
+    # its Lloyd iterations and inertia, and how many distinct restarts ran.
+    stages = {
+        f"stage={lv.stage}": {**lv.kmeans, "partial": lv.partial} for lv in model.levels
+    }
+    return rs.content_hash(), {
+        "n_rows": int(seqs.shape[0]), "n_eval": n_eval, "stages": stages,
+    }
 
 
 def _run_onestep(args, cfg, out_dir, seed):
@@ -418,7 +425,10 @@ def _run_sweep(args, cfg, out_dir, seed):
             if name not in names:
                 raise ConfigError(f"config key 'sweep.p_grid.{name}' names no m in sweep.m_list")
         sweep["p_grid"] = {names[name]: grid for name, grid in grids.items()}
-    sc = SweepConfig(**sweep)
+    try:
+        sc = SweepConfig(**sweep)
+    except ValueError as exc:
+        raise ConfigError(f"config key 'sweep' is invalid: {exc}") from exc
     for m in sc.m_list:
         # Reject infeasible cells up front: f >= 1 has no finite threshold.
         if m >= sc.vocab_size ** (sc.branching - 1):

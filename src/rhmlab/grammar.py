@@ -23,6 +23,17 @@ class EnumerationCapError(RuntimeError):
     """Raised when a grammar has more derivations than the requested cap."""
 
 
+def _power_at_most(base: int, exp: int, bound: int) -> bool:
+    """``base**exp <= bound`` for ``base >= 2``, without forming a power above
+    ``bound * base``: at most ``log2(bound) + 1`` multiplications."""
+    value = 1
+    for _ in range(exp):
+        value *= base
+        if value > bound:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class GrammarParams:
     """Shape parameters of a random hierarchical grammar.
@@ -49,9 +60,13 @@ class GrammarParams:
             raise ValueError("vocab_size must be >= 2")
         if self.n_synonyms < 1:
             raise ValueError("n_synonyms must be >= 1")
+        # Positions are int64 throughout; a huge depth fails here at once
+        # instead of hanging in the per-level loops.
+        if not _power_at_most(self.branching, self.depth, np.iinfo(np.int64).max):
+            raise ValueError("branching**depth (the string length) must fit in int64")
         # Unambiguity needs n_synonyms * vocab_size distinct tuples split into
         # vocab_size groups, which is only possible when m <= v**(s-1).
-        if self.n_synonyms > self.vocab_size ** (self.branching - 1):
+        if _power_at_most(self.vocab_size, self.branching - 1, self.n_synonyms - 1):
             raise ValueError(
                 "n_synonyms must be <= vocab_size**(branching-1) "
                 "for unambiguous rules"

@@ -175,6 +175,7 @@ class Partition:
     centers: np.ndarray | None = None
     n_iter: int | None = None  # Lloyd iterations of the winning k-means restart
     restart: int | None = None  # index of the winning k-means restart
+    restarts_run: int = 0  # distinct k-means first points fitted
 
 
 def cluster_tuples(
@@ -214,6 +215,7 @@ def cluster_tuples(
         centers=fit.centers,
         n_iter=fit.n_iter,
         restart=fit.restart,
+        restarts_run=fit.restarts_run,
     )
 
 
@@ -257,6 +259,7 @@ class LearnedLevel:
     productions: list[np.ndarray]  # per label: (members, branching) lower-label tuples
     partial: bool
     n_fallback: int = 0  # codes labelled by nearest-centroid fallback
+    kmeans: dict = field(default_factory=dict)  # winning restart, n_iter, inertia, restarts_run
 
 
 @dataclass
@@ -408,6 +411,12 @@ def learn_grammar(
                 productions=productions,
                 partial=part.partial,
                 n_fallback=n_fallback,
+                kmeans={
+                    "restart": part.restart,
+                    "n_iter": part.n_iter,
+                    "inertia": part.inertia,
+                    "restarts_run": part.restarts_run,
+                },
             )
         )
         labels = label_of[block_idx]
@@ -504,6 +513,11 @@ class SweepConfig:
     n_eval: int = 1024
     seed: int = 0
     collision_cap: int = 1_000_000
+
+    def __post_init__(self) -> None:
+        # Check the grammar shape once, before any cell or worker starts.
+        GrammarParams(depth=self.depth, branching=self.branching,
+                      vocab_size=self.vocab_size, n_synonyms=1)
 
     def grid_for(self, m: int) -> list[int]:
         if self.p_grid is not None and m in self.p_grid:

@@ -6,6 +6,7 @@ import inspect
 import io
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -172,6 +173,35 @@ class TestSubcommands:
         acc = (out / "accuracy.csv").read_text().splitlines()
         assert acc[0] == "level,accuracy"
         assert len(acc) == 3
+
+    def test_learn_manifest_records_each_stage_fit(self, tmp_path):
+        rs = generate_rules(GrammarParams(depth=3, branching=2, vocab_size=8,
+                                          n_synonyms=2, seed=3))
+        gpath = tmp_path / "g3.json"
+        save_grammar(rs, gpath)
+        cfg = _write(tmp_path / "c.json",
+                     {"n_samples": 3000, "learn": {"n_eval": 256}})
+        out = tmp_path / "out"
+        assert run(["learn", "--config", cfg, "--grammar", str(gpath),
+                    "--out", str(out), "--seed", "4"]) == 0
+        stages = json.loads((out / "manifest.json").read_text())["seeds"]["stages"]
+        assert sorted(stages) == ["stage=1", "stage=2"]
+        for entry in stages.values():
+            assert set(entry) == {"restart", "n_iter", "inertia", "restarts_run",
+                                  "partial"}
+            assert entry["partial"] is False
+            assert 1 <= entry["restarts_run"] <= 16
+            assert 0 <= entry["restart"] < 16
+            assert 1 <= entry["n_iter"] <= 200
+            assert entry["inertia"] >= 0.0
+        # the record is the learner's own: same seed, same stage fits
+        model = rhmlab.learn_grammar(
+            sample_dataset(rs, 3000, np.random.default_rng(derive_seed(4, 0, "learn-data")),
+                           with_latents=False).sequences,
+            3, 2, 8, seed=derive_seed(4, 0, "learn"), truth=rs,
+        )
+        for lv in model.levels:
+            assert stages[f"stage={lv.stage}"] == {**lv.kmeans, "partial": lv.partial}
 
     def test_onestep(self, tmp_path):
         # grammar seed 2 puts every symbol in the next-token support, so the
@@ -490,6 +520,20 @@ class TestErrorsAndDeterminism:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "OverflowError"
+
+    @pytest.mark.parametrize("experiment", ["gen-grammar", "sweep"])
+    def test_huge_depth_exits_two_at_once(self, tmp_path, capsys, experiment):
+        # branching**depth far beyond int64: refused before any level loop
+        section = ({"grammar": {"depth": 10**20, "branching": 2, "vocab_size": 8,
+                                "n_synonyms": 2}}
+                   if experiment == "gen-grammar"
+                   else {"sweep": {"depth": 10**20, "m_list": [2]}})
+        cfg = _write(tmp_path / "c.json", section)
+        t0 = time.monotonic()
+        assert run([experiment, "--config", cfg, "--out", str(tmp_path / "o"),
+                    "--threads", "2"]) == 2
+        assert time.monotonic() - t0 < 1.0
+        assert "int64" in _config_error(capsys)
 
     def test_missing_data_flag(self, tmp_path, grammar_file, capsys):
         _, gpath = grammar_file

@@ -66,6 +66,26 @@ class TestGenerateRules:
         with pytest.raises(ValueError):
             GrammarParams(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(depth=10**20, branching=2),
+            dict(depth=63, branching=2),  # 2**63 is one past the int64 range
+            dict(depth=1, branching=2**63),
+            dict(depth=2, branching=10**20),
+        ],
+    )
+    def test_rejects_string_length_beyond_int64(self, kwargs):
+        with pytest.raises(ValueError, match="int64"):
+            GrammarParams(vocab_size=2, n_synonyms=1, **kwargs)
+
+    def test_largest_int64_string_length_is_accepted(self):
+        assert GrammarParams(depth=62, branching=2, vocab_size=2,
+                             n_synonyms=1).seq_len == 2**62
+        # the density check m <= v**(s-1) never forms the power either
+        p = GrammarParams(depth=1, branching=2**62, vocab_size=2, n_synonyms=5)
+        assert p.seq_len == 2**62
+
     def test_rule_tables_are_frozen(self, rs_small):
         with pytest.raises(ValueError):
             rs_small.rules_at(1)[0, 0, 0] = 3

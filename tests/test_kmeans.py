@@ -3,6 +3,8 @@ bit for bit, because a last-bit change can flip a learner decision."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import lloyd_kmeans_oracle
 from rhmlab import (
@@ -15,15 +17,57 @@ from rhmlab import (
 )
 
 
-def _assert_same_fit(points, k, seed, n_restarts=16):
-    fit = kmeans_fit(points, k, seed=seed, n_restarts=n_restarts)
-    ref = lloyd_kmeans_oracle(points, k, seed, n_restarts=n_restarts)
+def _assert_same_fit(points, k, seed, n_restarts=16, max_iter=200):
+    fit = kmeans_fit(points, k, seed=seed, n_restarts=n_restarts, max_iter=max_iter)
+    ref = lloyd_kmeans_oracle(points, k, seed, n_restarts=n_restarts, max_iter=max_iter)
     assert np.array_equal(fit.labels, ref["labels"])
     assert np.array_equal(fit.centers, ref["centers"])
     assert fit.inertia == ref["inertia"]
     assert fit.n_iter == ref["n_iter"]
     assert fit.restart == ref["restart"]
+    firsts = np.random.default_rng(seed).integers(0, len(points), size=n_restarts)
+    assert fit.restarts_run == np.unique(firsts).size
     return ref
+
+
+@st.composite
+def grid_fits(draw):
+    """Integer-grid points drawn from a few distinct rows, so ties, duplicate
+    points and empty-cluster re-seats are common; up to 40 restarts on at
+    most 32 points repeat first points, and ``max_iter`` up to 6 makes
+    restarts stop at different iterations, some at the cap."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 32))
+    n_distinct = draw(st.integers(1, n))
+    coords = st.integers(0, 9).map(float)
+    distinct = draw(st.lists(st.lists(coords, min_size=dim, max_size=dim),
+                             min_size=n_distinct, max_size=n_distinct))
+    rows = draw(st.lists(st.integers(0, n_distinct - 1), min_size=n, max_size=n))
+    points = np.array([distinct[i] for i in rows])
+    return dict(
+        points=points,
+        k=draw(st.integers(1, n)),
+        seed=draw(st.integers(0, 2**32)),
+        n_restarts=draw(st.integers(1, 40)),
+        max_iter=draw(st.integers(1, 6)),
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=grid_fits())
+def test_grid_points_match_oracle(case):
+    _assert_same_fit(**case)
+
+
+@pytest.mark.parametrize("m", [2, 8])
+def test_sweep_shape_matches_oracle(m):
+    # the sweep's clustering input: v = 16, k = 16, up to 128 observed codes
+    rs = generate_rules(GrammarParams(depth=2, branching=2, vocab_size=16,
+                                      n_synonyms=m, seed=m))
+    ds = sample_dataset(rs, 4000, np.random.default_rng(m), with_latents=False)
+    stats = build_context_stats(ds.sequences, ds.sequences, 16, 2)
+    assert 16 <= stats.vectors.shape[0] <= 16 * m
+    _assert_same_fit(stats.vectors, 16, m)
 
 
 @pytest.mark.parametrize("seed", range(6))
