@@ -10,7 +10,6 @@ from .bp import (
 from .corruption import NoiseSpec, corrupt, cumulative_keep_prob, leaf_likelihoods
 from .grammar import (
     Dataset,
-    Derivation,
     EnumerationCapError,
     GrammarParams,
     RuleSet,

@@ -368,12 +368,14 @@ def _run_learn(args, cfg, out_dir, seed):
     seqs = _training_rows(args, cfg, rs, seed)
     model = learn_grammar(seqs, p.depth, p.branching, p.vocab_size,
                           seed=derive_seed(seed, 0, "learn"), truth=rs, **options)
+    # Every observed code is clustered, so n_fallback is always 0; the column
+    # stays so that the file format does not change.
     write_csv(
         out_dir / "learn_summary.csv",
         ["stage", "recovery", "n_codes", "partial", "n_fallback"],
         [
             (lv.stage, model.recovery[i], int(lv.codes.size),
-             int(lv.partial), lv.n_fallback)
+             int(lv.partial), 0)
             for i, lv in enumerate(model.levels)
         ],
     )

@@ -167,10 +167,6 @@ class RuleSet:
         self._check_level(level)
         return self._inverse[level - 1]
 
-    def productions(self, level: int, symbol: int) -> np.ndarray:
-        """The ``(n_synonyms, branching)`` productions of ``symbol`` at ``level``."""
-        return self.rules_at(level)[symbol]
-
     def lookup(self, level: int, tup) -> tuple[int, int] | None:
         """(parent symbol, rule index) producing ``tup``, or None if invalid."""
         tup = np.asarray(tup)
@@ -251,43 +247,13 @@ def generate_rules(params: GrammarParams) -> RuleSet:
 
 
 @dataclass
-class Derivation:
-    """One full tree assignment.
-
-    levels[lvl] holds the symbols at ``lvl`` (levels[0] = visible tokens,
-    levels[depth] = the root singleton). choices[lvl - 1] holds the production
-    index picked by each node at level ``lvl``, for lvl = 1..depth.
-    """
-
-    levels: list[np.ndarray]
-    choices: list[np.ndarray]
-
-    @property
-    def tokens(self) -> np.ndarray:
-        return self.levels[0]
-
-    @property
-    def root(self) -> int:
-        return int(self.levels[-1][0])
-
-    def is_consistent(self, rs: RuleSet) -> bool:
-        """True when every parent/choice pair reproduces its children."""
-        for lvl in range(1, len(self.levels)):
-            parents = self.levels[lvl]
-            expand = rs.rules_at(lvl)[parents, self.choices[lvl - 1]]
-            if not np.array_equal(expand.reshape(-1), self.levels[lvl - 1]):
-                return False
-        return True
-
-
-@dataclass
 class Dataset:
     """Rows of visible strings, with optionally retained latent levels.
 
     latents[lvl - 1] has shape ``(n, branching**(depth-lvl))`` and stores the
-    level-``lvl`` symbols of every row; choices aligns like
-    :class:`Derivation.choices` but batched. ``meta`` carries provenance
-    (grammar hash, seed, sampling mode).
+    level-``lvl`` symbols of every row; choices[lvl - 1] aligns with it and
+    holds the production index each level-``lvl`` node picked. ``meta``
+    carries provenance (grammar hash, seed, sampling mode).
     """
 
     sequences: np.ndarray
@@ -317,13 +283,6 @@ class Dataset:
         if self.latents is None or level > len(self.latents):
             raise ValueError(f"level-{level} latents not retained")
         return self.latents[level - 1]
-
-    def row_derivation(self, row: int) -> Derivation:
-        if self.latents is None or self.choices is None:
-            raise ValueError("dataset does not retain derivations")
-        levels = [self.sequences[row]] + [lat[row] for lat in self.latents]
-        choices = [ch[row] for ch in self.choices]
-        return Derivation(levels=levels, choices=choices)
 
 
 def _expand_levels(
@@ -370,9 +329,9 @@ def sample_distinct_dataset(
     n: int,
     rng: np.random.Generator,
     with_latents: bool = True,
-    max_batches: int = 1000,
 ) -> Dataset:
-    """Rejection-sample until ``n`` distinct visible strings are collected.
+    """Rejection-sample until ``n`` distinct visible strings are collected,
+    in at most 1000 batches.
 
     Rows keep their first-draw derivations and order of first appearance.
     """
@@ -384,7 +343,7 @@ def sample_distinct_dataset(
     seen: set[bytes] = set()
     kept: list[Dataset] = []
     n_kept = 0
-    for _ in range(max_batches):
+    for _ in range(1000):
         batch = sample_dataset(rs, max(n - n_kept, 64), rng, with_latents=True)
         keys = [row.tobytes() for row in np.ascontiguousarray(batch.sequences)]
         fresh = []
@@ -424,17 +383,19 @@ def sample_distinct_dataset(
     )
 
 
-def enumerate_all(rs: RuleSet, cap: int = DEFAULT_ENUMERATION_CAP) -> Dataset:
+def enumerate_all(rs: RuleSet) -> Dataset:
     """Every derivation exactly once, as a Dataset with all latents retained.
 
     All derivations are equiprobable (weight 1 / n_derivations each), so the
     result doubles as the exact population distribution. Raises
-    :class:`EnumerationCapError` above ``cap`` rows.
+    :class:`EnumerationCapError` above ``DEFAULT_ENUMERATION_CAP`` rows (read
+    at call time).
     """
     p = rs.params
     n = p.n_derivations
-    if n > cap:
-        raise EnumerationCapError(f"{n} derivations exceed cap {cap}")
+    if n > DEFAULT_ENUMERATION_CAP:
+        raise EnumerationCapError(
+            f"{n} derivations exceed cap {DEFAULT_ENUMERATION_CAP}")
     m = p.n_synonyms
     idx = np.arange(n, dtype=np.int64)
     root = (idx // m**p.n_internal_nodes).astype(np.int32)
@@ -528,18 +489,21 @@ def tree_distance(i: int, j: int, branching: int, depth: int) -> tuple[int, int]
 
 
 def resample_below(
-    rs: RuleSet, deriv: Derivation, level: int, rng: np.random.Generator
-) -> Derivation:
-    """Redraw all rule choices emanating from ``level`` downward, keeping every
-    symbol at levels >= ``level`` fixed (the synonym-exchange transformation)."""
+    rs: RuleSet, seqs: np.ndarray, level: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Redraw, in every row, all rule choices from ``level`` downward, keeping
+    every symbol at levels >= ``level`` fixed (the synonym-exchange
+    transformation). Rows must parse fully; returns the new ``(n, seq_len)``
+    rows. ``rng`` draws one ``(n, width)`` choice array per level, from
+    ``level`` down to 1."""
     p = rs.params
     if not 1 <= level <= p.depth:
         raise ValueError(f"level must be in 1..{p.depth}")
-    levels = [lv.copy() for lv in deriv.levels]
-    choices = [ch.copy() for ch in deriv.choices]
+    max_levels, latents, _ = parse_batch(rs, seqs)
+    if not np.all(max_levels == p.depth):
+        raise ValueError("rows must parse fully under the grammar")
+    parents = latents[level - 1]
     for lvl in range(level, 0, -1):
-        parents = levels[lvl]
         fresh = rng.integers(0, p.n_synonyms, size=parents.shape, dtype=np.int32)
-        choices[lvl - 1] = fresh
-        levels[lvl - 1] = rs.rules_at(lvl)[parents, fresh].reshape(-1)
-    return Derivation(levels=levels, choices=choices)
+        parents = rs.rules_at(lvl)[parents, fresh].reshape(parents.shape[0], -1)
+    return parents

@@ -26,8 +26,9 @@ distance can flip an argmin tie and with it a learner decision:
 * a centre is the sum of its member rows added one by one in point order,
   starting from 0.0, divided by the member count. One flat ``np.bincount``
   over the ``(restart, cluster, coordinate)`` keys of every live restart adds
-  in exactly that order, as ``np.add.at`` and ``points[mask].mean(axis=0)``
-  do. ``np.add.reduceat`` is forbidden: its sums differ in the last bits on
+  in exactly that order, as ``np.add.at`` does, and as
+  ``points[mask].mean(axis=0)`` does for two or more coordinates (numpy sums
+  a single column pairwise). ``np.add.reduceat`` is forbidden: its sums differ in the last bits on
   most sweep inputs. So is a one-hot matrix product, which leaves the order
   to the BLAS library.
 """

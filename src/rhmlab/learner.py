@@ -60,7 +60,6 @@ class ContextStats:
     counts: np.ndarray
     vocab_size: int
     branching: int
-    pooled: bool
 
     def merge(self, other: "ContextStats") -> "ContextStats":
         """Count-weighted recombination of two shards (associative up to
@@ -88,23 +87,7 @@ class ContextStats:
             counts=counts,
             vocab_size=self.vocab_size,
             branching=self.branching,
-            pooled=self.pooled and other.pooled,
         )
-
-
-def _context_blocks(n_blocks: int, branching: int, pooled: bool) -> list[tuple[int, int]]:
-    """(target block, context block) pairs; the context is the adjacent
-    sibling inside the same parent group of ``branching`` blocks."""
-    if pooled:
-        targets = range(n_blocks)
-    else:
-        targets = [1]
-    out = []
-    for b in targets:
-        c = b - 1 if b % branching != 0 else b + 1
-        if 0 <= c < n_blocks:
-            out.append((b, c))
-    return out
 
 
 def build_context_stats(
@@ -113,15 +96,16 @@ def build_context_stats(
     vocab_size: int,
     branching: int,
     variant: str = "single_token",
-    pooled: bool = True,
     level: int = 1,
 ) -> ContextStats:
     """Accumulate mean context vectors for every s-block of ``labels``.
 
     ``labels`` is the current working sequence (visible tokens at stage 1,
     cluster labels afterwards); ``visible`` is the original string, used to
-    read contexts: the first visible token under the sibling block, or its
-    first visible s-tuple for the ``full_tuple`` variant.
+    read contexts: the first visible token under the adjacent sibling block
+    (the next block for a group's first block, else the previous one), or
+    its first visible s-tuple for the ``full_tuple`` variant. Every block
+    with a sibling in range adds to its code's vector.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
@@ -140,7 +124,10 @@ def build_context_stats(
     code_space = vocab_size**s
     counts_flat = np.zeros(code_space, dtype=np.int64)
     sums = np.zeros((code_space, n_ctx, vocab_size), dtype=np.int64)
-    for b, c in _context_blocks(n_blocks, s, pooled):
+    for b in range(n_blocks):
+        c = b - 1 if b % s != 0 else b + 1
+        if c >= n_blocks:
+            continue
         codes = block_codes[:, b]
         start = c * s * span
         counts_flat += np.bincount(codes, minlength=code_space)
@@ -159,7 +146,6 @@ def build_context_stats(
         counts=counts_flat[observed],
         vocab_size=vocab_size,
         branching=branching,
-        pooled=pooled,
     )
 
 
@@ -172,7 +158,6 @@ class Partition:
     n_clusters: int
     partial: bool  # fewer observed codes than requested clusters
     inertia: float
-    centers: np.ndarray | None = None
     n_iter: int | None = None  # Lloyd iterations of the winning k-means restart
     restart: int | None = None  # index of the winning k-means restart
     restarts_run: int = 0  # distinct k-means first points fitted
@@ -212,7 +197,6 @@ def cluster_tuples(
         n_clusters=k,
         partial=False,
         inertia=fit.inertia,
-        centers=fit.centers,
         n_iter=fit.n_iter,
         restart=fit.restart,
         restarts_run=fit.restarts_run,
@@ -258,7 +242,6 @@ class LearnedLevel:
     labels: np.ndarray
     productions: list[np.ndarray]  # per label: (members, branching) lower-label tuples
     partial: bool
-    n_fallback: int = 0  # codes labelled by nearest-centroid fallback
     kmeans: dict = field(default_factory=dict)  # winning restart, n_iter, inertia, restarts_run
 
 
@@ -271,7 +254,6 @@ class ClusterModel:
     branching: int
     vocab_size: int
     variant: str
-    pooled: bool
     levels: list[LearnedLevel]
     top_tuples: np.ndarray
     recovery: list[float] | None = None
@@ -294,36 +276,12 @@ def _majority_true_classes(
     return counts.argmax(axis=1)
 
 
-def _partition_to_production_map(
-    part_codes: np.ndarray,
-    part_labels: np.ndarray,
-    observed: np.ndarray,
-    pooled_stats: ContextStats | None,
-    centers: np.ndarray | None,
-) -> tuple[np.ndarray, int]:
-    """Label every observed code; codes unseen by the clustering stats get the
-    nearest cluster center of their pooled context vector."""
-    label_of = np.full(observed.size, -1, dtype=np.int64)
-    pos = np.searchsorted(observed, part_codes)
-    label_of[pos] = part_labels
-    missing = np.flatnonzero(label_of < 0)
-    if missing.size:
-        if centers is None or pooled_stats is None:
-            raise ValueError("cannot label codes unseen by the clustering stats")
-        lookup = np.searchsorted(pooled_stats.codes, observed[missing])
-        vecs = pooled_stats.vectors[lookup]
-        d2 = ((vecs[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        label_of[missing] = d2.argmin(axis=1)
-    return label_of, int(missing.size)
-
-
 def learn_grammar(
     seqs: np.ndarray,
     depth: int,
     branching: int,
     vocab_size: int,
     variant: str = "single_token",
-    pooled: bool = True,
     seed: int = 0,
     truth: RuleSet | None = None,
     partition_fn: Callable[[int, np.ndarray], np.ndarray] | None = None,
@@ -349,27 +307,26 @@ def learn_grammar(
         recovery = []
     labels = seqs.astype(np.int64)
     levels: list[LearnedLevel] = []
-    n_fallback_total = 0
     for stage in range(1, depth):
+        # Every block of a power-of-s width has a sibling, so the context
+        # statistics see every observed code, in ascending order.
         stats = build_context_stats(
-            labels, seqs, vocab_size, branching, variant, pooled, level=stage
+            labels, seqs, vocab_size, branching, variant, level=stage
         )
+        observed = stats.codes
         n, width = labels.shape
-        n_blocks = width // branching
         block_codes = encode_tuples(
-            labels.reshape(n, n_blocks, branching), vocab_size
+            labels.reshape(n, width // branching, branching), vocab_size
         )
         # Codes live in the bounded space vocab_size**branching, so a dense
-        # table replaces sorting: observed codes ascend, index_of inverts them.
-        code_counts = np.bincount(
-            block_codes.ravel(), minlength=vocab_size**branching
-        )
-        observed = np.flatnonzero(code_counts)
-        index_of = np.zeros(code_counts.size, dtype=np.int64)
+        # table replaces sorting: index_of inverts the observed codes.
+        index_of = np.zeros(vocab_size**branching, dtype=np.int64)
         index_of[observed] = np.arange(observed.size)
         block_idx = index_of[block_codes]
         if partition_fn is not None:
-            part_labels = np.asarray(partition_fn(stage, observed))
+            part_labels = np.asarray(partition_fn(stage, observed), dtype=np.int64)
+            if part_labels.shape != observed.shape:
+                raise ValueError("partition_fn must label every observed code")
             part = Partition(
                 codes=observed,
                 labels=part_labels,
@@ -384,15 +341,7 @@ def learn_grammar(
                 seed=derive_seed(seed, stage, "kmeans"),
                 n_restarts=n_restarts,
             )
-        pooled_stats = stats
-        if not pooled and part.centers is not None:
-            pooled_stats = build_context_stats(
-                labels, seqs, vocab_size, branching, variant, True, level=stage
-            )
-        label_of, n_fallback = _partition_to_production_map(
-            part.codes, part.labels, observed, pooled_stats, part.centers
-        )
-        n_fallback_total += n_fallback
+        label_of = part.labels
         if recovery is not None:
             classes = _majority_true_classes(
                 block_idx, observed.size, true_latents[stage - 1], vocab_size
@@ -410,7 +359,6 @@ def learn_grammar(
                 labels=label_of,
                 productions=productions,
                 partial=part.partial,
-                n_fallback=n_fallback,
                 kmeans={
                     "restart": part.restart,
                     "n_iter": part.n_iter,
@@ -430,11 +378,10 @@ def learn_grammar(
         branching=branching,
         vocab_size=vocab_size,
         variant=variant,
-        pooled=pooled,
         levels=levels,
         top_tuples=top_tuples.astype(np.int32),
         recovery=recovery,
-        meta={"n_rows": int(seqs.shape[0]), "n_fallback": n_fallback_total},
+        meta={"n_rows": int(seqs.shape[0])},
     )
 
 
@@ -462,19 +409,15 @@ def generate_from_learned(
     return cur.astype(np.int32)
 
 
-def population_context_collision(
-    rs: RuleSet,
-    variant: str = "single_token",
-    cap: int = 1_000_000,
-    tol: float = 1e-12,
-) -> bool:
+def population_context_collision(rs: RuleSet, variant: str = "single_token") -> bool:
     """Whether any two non-synonymous tuples share an exact population context
     vector at some stage (which would make them unclusterable in principle).
 
-    Exact check via full enumeration; raises :class:`EnumerationCapError` when
-    the instance is too large to enumerate.
+    Exact check via full enumeration (vectors within 1e-12 in every entry
+    count as shared); raises :class:`EnumerationCapError` when the instance is
+    too large to enumerate.
     """
-    ds = enumerate_all(rs, cap=cap)
+    ds = enumerate_all(rs)
     for stage in range(1, rs.params.depth):
         stats = build_context_stats(
             ds.level_symbols(stage - 1),
@@ -482,14 +425,13 @@ def population_context_collision(
             rs.params.vocab_size,
             rs.params.branching,
             variant,
-            pooled=True,
             level=stage,
         )
         classes = true_tuple_classes(rs, stage, stats.codes)
         vecs = stats.vectors
         gap = np.abs(vecs[:, None, :] - vecs[None, :, :]).max(axis=2)
         distinct_class = classes[:, None] != classes[None, :]
-        if np.any(distinct_class & (gap <= tol)):
+        if np.any(distinct_class & (gap <= 1e-12)):
             return True
     return False
 
@@ -504,7 +446,6 @@ class SweepConfig:
     m_list: tuple[int, ...] = (2, 3, 4, 6, 8)
     trials: int = 5
     variant: str = "single_token"
-    pooled: bool = True
     cluster_threshold: float = 0.95
     accuracy_threshold: float = 0.5
     p_grid: dict[int, tuple[int, ...]] | None = None
@@ -512,7 +453,6 @@ class SweepConfig:
     grid_ratio: float = 2.0**0.5
     n_eval: int = 1024
     seed: int = 0
-    collision_cap: int = 1_000_000
 
     def __post_init__(self) -> None:
         # Check the grammar shape once, before any cell or worker starts.
@@ -548,7 +488,7 @@ class TrialRecord:
     accuracy: tuple[float, ...]  # per level 1..depth of generated samples
     grammar_seed: int
     collisions_resampled: int
-    collision_checked: bool  # False: derivations exceed the enumeration cap
+    collision_checked: bool  # False: derivations exceed DEFAULT_ENUMERATION_CAP
 
 
 @dataclass
@@ -592,7 +532,7 @@ def _draw_sweep_grammar(
 
     Returns the rules, their seed, the number of redraws and whether the
     collision check ran (False when the derivations exceed
-    ``cfg.collision_cap``, so the first draw is kept unchecked).
+    ``DEFAULT_ENUMERATION_CAP``, so the first draw is kept unchecked).
     """
     attempt = 0
     while True:
@@ -606,9 +546,7 @@ def _draw_sweep_grammar(
         )
         rs = generate_rules(params)
         try:
-            collision = population_context_collision(
-                rs, cfg.variant, cap=cfg.collision_cap
-            )
+            collision = population_context_collision(rs, cfg.variant)
         except EnumerationCapError:
             return rs, gseed, attempt, False
         if not collision:
@@ -634,7 +572,6 @@ def _sweep_cell(args: tuple) -> list[TrialRecord]:
             cfg.branching,
             cfg.vocab_size,
             variant=cfg.variant,
-            pooled=cfg.pooled,
             seed=derive_seed(cfg.seed, trial, f"learn m={m} P={p}"),
             truth=rs,
         )

@@ -195,17 +195,15 @@ def token_tuple_correlation(ds: Dataset, level: int) -> TokenTupleCorrelation:
     return TokenTupleCorrelation(level=level, codes=observed, matrix=matrix)
 
 
-def population_token_tuple_correlation(
-    rs: RuleSet, level: int, cap: int = 1_000_000
-) -> TokenTupleCorrelation:
+def population_token_tuple_correlation(rs: RuleSet, level: int) -> TokenTupleCorrelation:
     """Exact population token-tuple correlation of a grammar instance.
 
     Columns span all vocab_size**branching tuple codes; columns of
     ungrammatical tuples are exactly zero. Requires the instance to be
-    enumerable under ``cap``.
+    enumerable (see :func:`enumerate_all`).
     """
     p = rs.params
-    ds = enumerate_all(rs, cap=cap)
+    ds = enumerate_all(rs)
     block = _tuple_block(ds, level)
     codes = encode_tuples(block, p.vocab_size)
     n_cols = p.vocab_size**p.branching
@@ -282,7 +280,6 @@ def correlation_recursion_check(
     level: int = 2,
     n_grammars: int = 500,
     seed: int = 0,
-    cap: int = 1_000_000,
 ) -> RecursionCheck:
     """Monte Carlo over grammar draws of Var(C^(level+1)) / Var(C^(level)).
 
@@ -309,10 +306,8 @@ def correlation_recursion_check(
             seed=derive_seed(seed, g, "recursion-grammar"),
         )
         rs = generate_rules(params)
-        hi = population_token_tuple_correlation(rs, level + 1, cap=cap).matrix
-        lo = population_token_tuple_correlation(
-            rs.drop_bottom_level(), level, cap=cap
-        ).matrix
+        hi = population_token_tuple_correlation(rs, level + 1).matrix
+        lo = population_token_tuple_correlation(rs.drop_bottom_level(), level).matrix
         sq_high += float((hi**2).sum())
         n_high += hi.size
         sq_low += float((lo**2).sum())
@@ -336,7 +331,6 @@ def ensemble_correlation_std(
     level: int = 2,
     n_grammars: int = 200,
     seed: int = 0,
-    cap: int = 1_000_000,
 ) -> float:
     """Pooled std of population token-tuple correlation entries over grammar
     draws (per-draw means vanish identically), the quantity predicted by
@@ -359,7 +353,7 @@ def ensemble_correlation_std(
             seed=derive_seed(seed, g, "ensemble-grammar"),
         )
         rs = generate_rules(params)
-        mat = population_token_tuple_correlation(rs, level, cap=cap).matrix
+        mat = population_token_tuple_correlation(rs, level).matrix
         valid = rs.inverse_at(level - 1) >= 0
         total += float((mat[:, valid] ** 2).sum())
         count += int(valid.sum()) * mat.shape[0]

@@ -106,7 +106,8 @@ def lloyd_kmeans_oracle(
     rules as ``rhmlab.kmeans_fit``, written as plain per-cluster loops. Every
     restart runs, repeated first points included. Returns the winning fit's
     labels, centers, inertia, n_iter and restart, plus the number of
-    empty-cluster re-seats over all restarts."""
+    empty-cluster re-seats over all restarts and the served distance each
+    re-seated point had before it moved."""
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
 
@@ -117,6 +118,7 @@ def lloyd_kmeans_oracle(
     firsts = np.random.default_rng(seed).integers(0, n, size=n_restarts)
     best = None
     reseats = 0
+    served = []
     for r in range(n_restarts):
         idx = [int(firsts[r])]
         d2 = ((points - points[idx[0]]) ** 2).sum(axis=1)
@@ -136,6 +138,7 @@ def lloyd_kmeans_oracle(
                     order = np.argsort(-own, kind="stable")
                     pick = next(int(i) for i in order if sizes[labels[i]] > 1)
                     labels[pick] = c
+                    served.append(float(own[pick]))
                     own[pick] = 0.0
                     reseats += 1
             inertia = float(own.sum())
@@ -153,6 +156,7 @@ def lloyd_kmeans_oracle(
             best = {"labels": labels, "centers": centers, "inertia": inertia,
                     "n_iter": it, "restart": r}
     best["reseats"] = reseats
+    best["reseat_served"] = served
     return best
 
 

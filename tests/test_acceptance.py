@@ -254,13 +254,13 @@ def test_criterion_9_structural_properties(rs_deep):
             monotone_ok &= all(a >= b for a, b in zip(accs, accs[1:]))
 
     resample_ok = True
-    for row in range(200):
-        deriv = ds.row_derivation(row)
-        for level in range(1, p.depth + 1):
-            out = rl.resample_below(rs_deep, deriv, level, rng)
-            for lvl in range(level, p.depth + 1):
-                resample_ok &= bool(np.array_equal(out.levels[lvl], deriv.levels[lvl]))
-            resample_ok &= bool(rl.parse_batch(rs_deep, out.tokens)[0][0] == p.depth)
+    for level in range(1, p.depth + 1):
+        out = rl.resample_below(rs_deep, ds.sequences[:200], level, rng)
+        levels, latents, _ = rl.parse_batch(rs_deep, out)
+        for lvl in range(level, p.depth + 1):
+            resample_ok &= bool(np.array_equal(latents[lvl - 1],
+                                               ds.latents[lvl - 1][:200]))
+        resample_ok &= bool(np.all(levels == p.depth))
 
     ok = count_ok and roundtrip_ok and monotone_ok and resample_ok
     _report(9, ok,

@@ -1,0 +1,86 @@
+"""The rhmlab names the benchmark under ``perfbench/`` relies on.
+
+The benchmark reaches into the package from outside: ``perfbench/tracer.py``
+wraps the public functions it lists, and ``perfbench/workloads.py`` calls
+module attributes with keyword arguments. Both files are only read here
+(never imported through the import system, so no bytecode is written next to
+them), and deleting or renaming a name they use fails this test.
+"""
+
+import ast
+import importlib
+import inspect
+import types
+from pathlib import Path
+
+import rhmlab.cli  # noqa: F401  (the tracer wraps names cli imported too)
+from rhmlab import grammar
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load_tracer() -> types.ModuleType:
+    path = PERFBENCH / "tracer.py"
+    module = types.ModuleType("perfbench_tracer")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+def test_tracer_wraps_every_span_and_restores_every_attribute():
+    tracer = _load_tracer()
+    before = tracer.snapshot()
+    tr = tracer.Tracer()
+    missing = []
+    try:
+        tr.install()
+        for name in tracer.SPAN_NAMES:
+            layer, qual = name.split(".", 1)
+            owner = importlib.import_module(f"rhmlab.{layer}")
+            owner_name, _, attr = qual.rpartition(".")
+            if owner_name:
+                owner = getattr(owner, owner_name)
+            if not hasattr(vars(owner).get(attr), tracer._MARK):
+                missing.append(name)
+    finally:
+        tr.uninstall()
+    assert missing == []
+    assert tracer.installed_wrappers() == []
+    assert tracer.changed_since(before) == []
+
+
+def test_names_the_workloads_use_exist():
+    assert "with_latents" in inspect.signature(grammar.sample_dataset).parameters
+    assert isinstance(grammar.DEFAULT_ENUMERATION_CAP, int)
+    assert issubclass(grammar.EnumerationCapError, Exception)
+    # Every ``module.name`` the workloads read from rhmlab, and every keyword
+    # they pass to such a call, is still there.
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    modules = {
+        alias.asname or alias.name: importlib.import_module(f"rhmlab.{alias.name}")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "rhmlab"
+        for alias in node.names
+    }
+    assert modules
+    absent, unknown_keywords = [], []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            continue
+        if not hasattr(modules[node.value.id], node.attr):
+            absent.append(f"{node.value.id}.{node.attr}")
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id in modules):
+            continue
+        fn = getattr(modules[node.func.value.id], node.func.attr, None)
+        if fn is None:
+            continue
+        params = inspect.signature(fn).parameters
+        unknown_keywords += [f"{node.func.value.id}.{node.func.attr}({kw.arg}=)"
+                             for kw in node.keywords
+                             if kw.arg is not None and kw.arg not in params]
+    assert absent == []
+    assert unknown_keywords == []

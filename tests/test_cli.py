@@ -238,9 +238,7 @@ class TestSubcommands:
 
 
     def test_sweep_manifest_records_collision_checks(self, tmp_path, monkeypatch):
-        import dataclasses
-
-        from rhmlab import cli, learner
+        from rhmlab import grammar
 
         cfg = _write(
             tmp_path / "c.json",
@@ -251,11 +249,7 @@ class TestSubcommands:
         n_derivations = GrammarParams(2, 2, 8, 2).n_derivations
         outs = {}
         for check, cap in (("ran", n_derivations), ("skipped above cap", n_derivations - 1)):
-            monkeypatch.setattr(
-                cli, "measure_sample_complexity",
-                lambda sc, n_workers, cap=cap: learner.measure_sample_complexity(
-                    dataclasses.replace(sc, collision_cap=cap), n_workers),
-            )
+            monkeypatch.setattr(grammar, "DEFAULT_ENUMERATION_CAP", cap)
             out = outs[check] = tmp_path / check.split()[0]
             assert run(["sweep", "--config", cfg, "--out", str(out),
                         "--threads", "1"]) == 0
@@ -360,6 +354,10 @@ BAD_VALUES = [
     ("sweep", {"sweep": {"depth": 2, "vocab_size": 8, "m_list": [2],
                          "p_grid": {"3": [64]}}}, "sweep.p_grid.3"),
     ("bp", {"sequence": "1 2 x 3"}, "sequence"),
+    # the removed unpooled learner option is an unknown key like any other
+    ("learn", {"n_samples": 50, "learn": {"pooled": True}}, "learn.pooled"),
+    ("sweep", {"sweep": {"depth": 2, "vocab_size": 8, "m_list": [2],
+                         "pooled": False}}, "sweep.pooled"),
 ]
 
 
@@ -574,11 +572,11 @@ VALID_CONFIGS = [
     ("bp", {"seed": 1, "sequence": "? ? ? ?"}),
     ("stats", {"seed": 1, "level": 2}),
     ("learn", {"seed": 1, "n_samples": 300,
-               "learn": {"variant": "full_tuple", "pooled": True, "n_eval": 16}}),
+               "learn": {"variant": "full_tuple", "n_eval": 16}}),
     ("onestep", {"seed": 1, "n_samples": 300, "eta": [0.1, 1.0]}),
     ("sweep", {"seed": 1, "sweep": {
         "depth": 2, "branching": 2, "vocab_size": 8, "m_list": [2], "trials": 1,
-        "variant": "single_token", "pooled": True, "cluster_threshold": 0.9,
+        "variant": "single_token", "cluster_threshold": 0.9,
         "accuracy_threshold": 0.5, "p_grid": {"2": [64]}, "grid_span": 2.0,
         "n_eval": 16, "seed": 1}}),
 ]

@@ -2,12 +2,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rhmlab import (
     Dataset,
     EnumerationCapError,
     GrammarParams,
     accuracy,
+    decode_codes,
+    encode_tuples,
     enumerate_all,
     generate_rules,
     parse_batch,
@@ -16,6 +20,7 @@ from rhmlab import (
     sample_distinct_dataset,
     tree_distance,
 )
+from rhmlab.grammar import DEFAULT_ENUMERATION_CAP
 from rhmlab.io import load_dataset, load_grammar, save_dataset, save_grammar
 
 
@@ -117,11 +122,6 @@ class TestSampling:
         se = np.sqrt(p * (1 - p) / n)
         assert np.all(np.abs(counts / n - p) < 4 * se)
 
-    def test_retained_derivation_is_consistent(self, rs_small):
-        ds = sample_dataset(rs_small, 50, np.random.default_rng(2))
-        for row in range(ds.n_rows):
-            assert ds.row_derivation(row).is_consistent(rs_small)
-
     def test_distinct_sampler(self, rs_small):
         ds = sample_distinct_dataset(rs_small, 32, np.random.default_rng(3))
         assert np.unique(ds.sequences, axis=0).shape[0] == 32
@@ -146,14 +146,12 @@ class TestEnumeration:
         assert n == 3 * 2**7
         assert sum([Fraction(1, n)] * n) == 1
 
-    def test_cap(self, rs_small):
+    def test_cap(self):
+        # 16 * 6**7 = 4,478,976 derivations, above the 1e6 cap
+        rs = generate_rules(GrammarParams(3, 2, 16, 6))
+        assert rs.params.n_derivations > DEFAULT_ENUMERATION_CAP
         with pytest.raises(EnumerationCapError):
-            enumerate_all(rs_small, cap=31)
-
-    def test_derivations_all_consistent(self, rs_small):
-        enum = enumerate_all(rs_small)
-        for row in range(0, enum.n_rows, 5):
-            assert enum.row_derivation(row).is_consistent(rs_small)
+            enumerate_all(rs)
 
 
 class TestParse:
@@ -162,9 +160,21 @@ class TestParse:
         levels, _, _ = parse_batch(rs_deep, ds.sequences)
         assert np.all(levels == 3)
 
-    def test_roundtrip_recovers_derivation(self, rs_deep):
-        ds = sample_dataset(rs_deep, 300, np.random.default_rng(5))
-        _, latents, choices = parse_batch(rs_deep, ds.sequences)
+    @pytest.mark.parametrize("source", [
+        "sampled_deep", "retained_derivation_is_consistent",
+        "derivations_all_consistent",
+    ])
+    def test_roundtrip_recovers_derivation(self, rs_small, rs_deep, source):
+        """Parsing returns exactly the retained latents and choices, which
+        also makes them consistent with the rules at every level."""
+        if source == "sampled_deep":
+            rs, ds = rs_deep, sample_dataset(rs_deep, 300, np.random.default_rng(5))
+        elif source == "retained_derivation_is_consistent":
+            rs, ds = rs_small, sample_dataset(rs_small, 50, np.random.default_rng(2))
+        else:
+            rs, ds = rs_small, enumerate_all(rs_small)
+        max_levels, latents, choices = parse_batch(rs, ds.sequences)
+        assert np.all(max_levels == rs.params.depth)
         for got, want in zip(latents, ds.latents):
             assert np.array_equal(got, want)
         for got, want in zip(choices, ds.choices):
@@ -256,41 +266,47 @@ class TestTreeDistance:
 class TestResampleBelow:
     def test_root_preserved(self, rs_deep):
         ds = sample_dataset(rs_deep, 1, np.random.default_rng(11))
-        deriv = ds.row_derivation(0)
-        out = resample_below(rs_deep, deriv, 3, np.random.default_rng(12))
-        assert out.root == deriv.root
-        assert out.is_consistent(rs_deep)
+        out = resample_below(rs_deep, ds.sequences, 3, np.random.default_rng(12))
+        max_levels, latents, _ = parse_batch(rs_deep, out)
+        assert max_levels[0] == 3
+        assert np.array_equal(latents[-1], ds.latents[-1])
 
     def test_m1_is_identity(self):
         rs = generate_rules(GrammarParams(depth=2, branching=2, vocab_size=4,
                                           n_synonyms=1, seed=13))
-        deriv = sample_dataset(rs, 1, np.random.default_rng(0)).row_derivation(0)
+        seqs = sample_dataset(rs, 1, np.random.default_rng(0)).sequences
         for level in (1, 2):
-            out = resample_below(rs, deriv, level, np.random.default_rng(1))
-            assert np.array_equal(out.tokens, deriv.tokens)
+            out = resample_below(rs, seqs, level, np.random.default_rng(1))
+            assert np.array_equal(out, seqs)
 
     def test_level_one_only_touches_leaves(self, rs_small):
-        deriv = sample_dataset(rs_small, 1, np.random.default_rng(14)).row_derivation(0)
-        out = resample_below(rs_small, deriv, 1, np.random.default_rng(15))
-        assert np.array_equal(out.levels[1], deriv.levels[1])
-        assert np.array_equal(out.levels[2], deriv.levels[2])
-        max_levels, latents, _ = parse_batch(rs_small, out.tokens)
+        ds = sample_dataset(rs_small, 1, np.random.default_rng(14))
+        out = resample_below(rs_small, ds.sequences, 1, np.random.default_rng(15))
+        max_levels, latents, _ = parse_batch(rs_small, out)
         assert max_levels[0] == 2
-        assert np.array_equal(latents[0][0], deriv.levels[1])
+        assert np.array_equal(latents[0], ds.latents[0])
+        assert np.array_equal(latents[1], ds.latents[1])
 
     def test_preserves_levels_at_or_above(self, rs_deep):
         rng = np.random.default_rng(16)
         for level in (1, 2, 3):
-            deriv = sample_dataset(rs_deep, 1, rng).row_derivation(0)
-            out = resample_below(rs_deep, deriv, level, rng)
+            ds = sample_dataset(rs_deep, 1, rng)
+            out = resample_below(rs_deep, ds.sequences, level, rng)
+            max_levels, latents, _ = parse_batch(rs_deep, out)
             for lvl in range(level, 4):
-                assert np.array_equal(out.levels[lvl], deriv.levels[lvl])
-            assert parse_batch(rs_deep, out.tokens)[0][0] == 3
+                assert np.array_equal(latents[lvl - 1], ds.latents[lvl - 1])
+            assert max_levels[0] == 3
 
     def test_level_range_checked(self, rs_small):
-        deriv = sample_dataset(rs_small, 1, np.random.default_rng(17)).row_derivation(0)
+        seqs = sample_dataset(rs_small, 1, np.random.default_rng(17)).sequences
         with pytest.raises(ValueError):
-            resample_below(rs_small, deriv, 0, np.random.default_rng(0))
+            resample_below(rs_small, seqs, 0, np.random.default_rng(0))
+
+    def test_rows_that_do_not_parse_rejected(self, rs_small):
+        seqs = sample_dataset(rs_small, 3, np.random.default_rng(19)).sequences.copy()
+        seqs[1] = rs_small.params.vocab_size  # masked row
+        with pytest.raises(ValueError, match="parse"):
+            resample_below(rs_small, seqs, 1, np.random.default_rng(0))
 
 
 class TestSerialization:
@@ -327,3 +343,43 @@ class TestSerialization:
         ds = Dataset(sequences=np.zeros((2, 4), dtype=int), params=rs_small.params)
         with pytest.raises(ValueError):
             ds.level_symbols(1)
+
+
+@st.composite
+def small_grammar_rows(draw):
+    """A small grammar (depth 1-4, s 2-3, v 2-6, any feasible m, any seed),
+    some of its rows with latents retained, and a seed for further draws."""
+    s = draw(st.integers(2, 3))
+    v = draw(st.integers(2, 6))
+    params = GrammarParams(
+        depth=draw(st.integers(1, 4)), branching=s, vocab_size=v,
+        n_synonyms=draw(st.integers(1, v ** (s - 1))), seed=draw(st.integers(0, 2**32)),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    rs = generate_rules(params)
+    return rs, sample_dataset(rs, draw(st.integers(1, 12)), rng), rng
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=small_grammar_rows())
+def test_codes_parse_and_resampling_round_trip(case):
+    rs, ds, rng = case
+    p = rs.params
+    # encode/decode: every s-tuple, grammatical or not, comes back
+    tuples = rng.integers(0, p.vocab_size, size=(5, 3, p.branching))
+    codes = encode_tuples(tuples, p.vocab_size)
+    assert codes.min() >= 0 and codes.max() < p.vocab_size**p.branching
+    assert np.array_equal(decode_codes(codes, p.vocab_size, p.branching), tuples)
+    # parse_batch recovers exactly the retained derivation of every row
+    max_levels, latents, choices = parse_batch(rs, ds.sequences)
+    assert np.all(max_levels == p.depth)
+    for got, want in zip(latents + choices, ds.latents + ds.choices):
+        assert np.array_equal(got, want)
+    # resampling below a level keeps that level and everything above it
+    for level in range(1, p.depth + 1):
+        out = resample_below(rs, ds.sequences, level, rng)
+        assert out.shape == ds.sequences.shape
+        max_levels, latents, _ = parse_batch(rs, out)
+        assert np.all(max_levels == p.depth)
+        for lvl in range(level, p.depth + 1):
+            assert np.array_equal(latents[lvl - 1], ds.latents[lvl - 1])

@@ -96,6 +96,24 @@ def test_duplicated_points_reseat_empty_clusters(seed):
     assert ref["reseats"] > 0
 
 
+def test_reseat_takes_the_worst_served_point():
+    # Points on a line, one restart starting at point 0: the greedy spread
+    # puts the centres on 10, 30 and -5. After the first update the middle
+    # cluster's centre sits near 19.0, the left one near 1.7 and the right
+    # one near 20.5, so 10 moves left, every 19.9 moves right, and cluster 0
+    # is empty in the second iteration. The re-seat must take 10, the
+    # worst-served point (at squared distance 8.27**2 from its centre), not
+    # a point served at distance 0. The second coordinate is 0 throughout:
+    # numpy sums a single column pairwise in ``mean(axis=0)``, which the
+    # oracle uses, but sums two or more columns row by row.
+    line = np.array([10.0, 30.0, -5.0] + [2.4] * 10 + [19.9] * 10 + [20.1] * 20)
+    points = np.stack([line, np.zeros_like(line)], axis=1)
+    assert np.random.default_rng(27).integers(0, len(points), size=1)[0] == 0
+    ref = _assert_same_fit(points, 3, 27, n_restarts=1)
+    assert ref["reseats"] == 1
+    assert ref["reseat_served"][0] > 60
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_repeated_first_points_are_skipped_consistently(seed):
     rng = np.random.default_rng(seed)

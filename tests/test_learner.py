@@ -319,13 +319,6 @@ class TestLearnGrammar:
         with pytest.raises(ValueError):
             learn_grammar(bad, 2, 2, 4, truth=rs_small)
 
-    def test_unpooled_mode_learns_with_fallback(self, rs_medium):
-        ds = sample_dataset(rs_medium, 60_000, np.random.default_rng(21),
-                            with_latents=False)
-        model = learn_grammar(ds.sequences, 2, 2, 16, pooled=False, seed=6,
-                              truth=rs_medium)
-        assert model.recovery[0] >= 0.95
-
     def test_learner_is_deterministic(self, rs_medium):
         ds = sample_dataset(rs_medium, 3000, np.random.default_rng(22),
                             with_latents=False)
@@ -471,13 +464,15 @@ class TestSweep:
         assert res.summaries[0].p_star_cluster in (64, 256, 1024, None)
         assert res.slope_cluster is None  # one m value cannot fix a slope
 
-    def test_collision_check_recorded_per_cell(self):
-        base = dict(depth=2, vocab_size=8, m_list=(2,), trials=2,
-                    p_grid={2: (64, 256)}, n_eval=64, seed=31)
+    def test_collision_check_recorded_per_cell(self, monkeypatch):
+        from rhmlab import grammar
+
+        cfg = SweepConfig(depth=2, vocab_size=8, m_list=(2,), trials=2,
+                          p_grid={2: (64, 256)}, n_eval=64, seed=31)
         n_derivations = GrammarParams(2, 2, 8, 2).n_derivations
-        ran = measure_sample_complexity(SweepConfig(**base))
-        skipped = measure_sample_complexity(
-            SweepConfig(**base, collision_cap=n_derivations - 1))
+        ran = measure_sample_complexity(cfg)
+        monkeypatch.setattr(grammar, "DEFAULT_ENUMERATION_CAP", n_derivations - 1)
+        skipped = measure_sample_complexity(cfg)
         assert all(r.collision_checked for r in ran.records)
         assert not any(r.collision_checked for r in skipped.records)
         assert all(r.collisions_resampled == 0 for r in skipped.records)

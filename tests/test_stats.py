@@ -237,12 +237,7 @@ class TestResampleInvariance:
         rng = np.random.default_rng(8)
         ds = sample_dataset(rs_medium, 4000, rng)
         base = token_token_correlation(ds.sequences, 2, 2, 16)
-        swapped = np.stack(
-            [
-                resample_below(rs_medium, ds.row_derivation(r), 1, rng).tokens
-                for r in range(ds.n_rows)
-            ]
-        )
+        swapped = resample_below(rs_medium, ds.sequences, 1, rng)
         rep = token_token_correlation(swapped, 2, 2, 16)
         # same estimator on an equal-size sample of the same law: values agree
         # within a few sampling-noise floors
