@@ -101,11 +101,17 @@ class GrammarParams:
 
 
 def encode_tuples(tuples: np.ndarray, vocab_size: int) -> np.ndarray:
-    """Big-endian base-``vocab_size`` integer code of each trailing-axis tuple."""
+    """Big-endian base-``vocab_size`` integer code of each trailing-axis tuple.
+
+    Horner multiply-adds in int64; every entry is cast to int64 as by
+    ``astype`` (so uint64 wraps), and overflow wraps modulo 2**64.
+    """
     tuples = np.asarray(tuples)
-    s = tuples.shape[-1]
-    powers = vocab_size ** np.arange(s - 1, -1, -1, dtype=np.int64)
-    return tuples.astype(np.int64) @ powers
+    codes = tuples[..., 0].astype(np.int64)
+    for i in range(1, tuples.shape[-1]):
+        codes *= vocab_size
+        np.add(codes, tuples[..., i], out=codes, dtype=np.int64, casting="unsafe")
+    return codes
 
 
 def decode_codes(codes: np.ndarray, vocab_size: int, branching: int) -> np.ndarray:
@@ -127,6 +133,7 @@ class RuleSet:
     level-(level-1) symbols); levels run 1..depth. ``inverse_at(level)`` maps a
     tuple code to ``parent * n_synonyms + rule_index`` (-1 for invalid tuples),
     which is a function because tuples are globally distinct within a level.
+    ``parse_tables(level)`` holds the same map for :func:`parse_batch`.
     """
 
     def __init__(self, params: GrammarParams, tables: list[np.ndarray]):
@@ -154,6 +161,8 @@ class RuleSet:
             invs.append(inv)
         self._tables = tuple(tabs)
         self._inverse = tuple(invs)
+        self._parse: tuple[tuple[np.ndarray, np.ndarray], ...] | None = None
+        self._hash: str | None = None
 
     def _check_level(self, level: int) -> None:
         if not 1 <= level <= self.params.depth:
@@ -166,6 +175,29 @@ class RuleSet:
     def inverse_at(self, level: int) -> np.ndarray:
         self._check_level(level)
         return self._inverse[level - 1]
+
+    def parse_tables(self, level: int) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only int32 ``(parent_of, choice_of)`` over base-``(v+1)`` tuple
+        codes, the digit ``v`` standing for any out-of-range symbol: the
+        parent symbol and rule index producing each tuple, -1 for tuples no
+        rule produces. Built for every level on first use, so drawing a
+        grammar does not pay for them."""
+        self._check_level(level)
+        if self._parse is None:
+            v, m, s = (self.params.vocab_size, self.params.n_synonyms,
+                       self.params.branching)
+            tables = []
+            for table in self._tables:
+                codes = encode_tuples(table.reshape(v * m, s), v + 1)
+                parent_of = np.full((v + 1) ** s, -1, dtype=np.int32)
+                choice_of = np.full((v + 1) ** s, -1, dtype=np.int32)
+                parent_of[codes] = np.repeat(np.arange(v, dtype=np.int32), m)
+                choice_of[codes] = np.tile(np.arange(m, dtype=np.int32), v)
+                parent_of.setflags(write=False)
+                choice_of.setflags(write=False)
+                tables.append((parent_of, choice_of))
+            self._parse = tuple(tables)
+        return self._parse[level - 1]
 
     def lookup(self, level: int, tup) -> tuple[int, int] | None:
         """(parent symbol, rule index) producing ``tup``, or None if invalid."""
@@ -219,9 +251,13 @@ class RuleSet:
         return cls(params, tables)
 
     def content_hash(self) -> str:
-        payload = json.dumps(self.to_jsonable(), sort_keys=True,
-                             separators=(",", ":")).encode()
-        return hashlib.sha256(payload).hexdigest()
+        """SHA-256 of the canonical JSON document, computed once: the rule
+        tables are read-only."""
+        if self._hash is None:
+            payload = json.dumps(self.to_jsonable(), sort_keys=True,
+                                 separators=(",", ":")).encode()
+            self._hash = hashlib.sha256(payload).hexdigest()
+        return self._hash
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RuleSet):
@@ -286,15 +322,23 @@ class Dataset:
 
 
 def _expand_levels(
-    rs: RuleSet, root: np.ndarray, choices: list[np.ndarray]
+    rs: RuleSet, top: np.ndarray, choices: list[np.ndarray]
 ) -> list[np.ndarray]:
-    """Expand per-row roots through given per-level choice arrays."""
-    levels = [root.reshape(-1, 1).astype(np.int32)]
-    for lvl in range(rs.params.depth, 0, -1):
+    """Expand ``(n, width)`` int32 symbols at level ``len(choices)`` down to
+    the leaves; ``choices[lvl - 1]`` holds the level-``lvl`` rule indices.
+    Returns ``levels[0]`` = leaves .. ``levels[-1]`` = ``top``."""
+    p = rs.params
+    m, s = p.n_synonyms, p.branching
+    n = top.shape[0]
+    levels = [top]
+    for lvl in range(len(choices), 0, -1):
         parents = levels[-1]
-        children = rs.rules_at(lvl)[parents, choices[lvl - 1]]
-        levels.append(children.reshape(parents.shape[0], -1))
-    levels.reverse()  # now levels[0] = leaves .. levels[depth] = root
+        # Each int32 production is one opaque 4*s-byte item of a (v, m)
+        # table, gathered at (parent, choice) with no index temporaries.
+        productions = rs.rules_at(lvl).view(f"V{4 * s}").reshape(-1, m)
+        children = productions[parents, choices[lvl - 1]].view(np.int32)
+        levels.append(children.reshape(n, parents.shape[1] * s))
+    levels.reverse()
     return levels
 
 
@@ -311,7 +355,7 @@ def sample_dataset(
         rng.integers(0, p.n_synonyms, size=(n, p.level_width(lvl)), dtype=np.int32)
         for lvl in range(1, p.depth + 1)
     ]
-    levels = _expand_levels(rs, root, choices)
+    levels = _expand_levels(rs, root.reshape(n, 1), choices)
     meta = {"grammar_hash": rs.content_hash(), "distinct": False}
     if not with_latents:
         return Dataset(sequences=levels[0], params=p, meta=meta)
@@ -413,7 +457,7 @@ def enumerate_all(rs: RuleSet) -> Dataset:
             block = block // m
         choices.append(digits)
     choices.reverse()  # choices[lvl-1] for lvl = 1..depth
-    levels = _expand_levels(rs, root, choices)
+    levels = _expand_levels(rs, root.reshape(n, 1), choices)
     ds = Dataset(
         sequences=levels[0],
         params=p,
@@ -430,7 +474,7 @@ def parse_batch(rs: RuleSet, seqs: np.ndarray):
     Returns ``(max_levels, latents, choices)`` where ``max_levels[r]`` is the
     largest level through which every tuple of row ``r`` is grammatical
     (0 = some visible tuple already invalid, depth = fully grammatical).
-    Unparseable positions hold -1.
+    Unparseable positions hold -1 (int32; ``max_levels`` is int64).
     """
     p = rs.params
     seqs = np.asarray(seqs)
@@ -438,24 +482,30 @@ def parse_batch(rs: RuleSet, seqs: np.ndarray):
         seqs = seqs[None, :]
     if seqs.shape[1] != p.seq_len:
         raise ValueError(f"sequences must have length {p.seq_len}")
+    if seqs.dtype.kind not in "biu":
+        seqs = seqs.astype(np.int64)  # truncate non-integer tokens first
     n = seqs.shape[0]
-    v, m, s = p.vocab_size, p.n_synonyms, p.branching
+    v, s = p.vocab_size, p.branching
     max_levels = np.zeros(n, dtype=np.int64)
-    alive = np.ones(n, dtype=bool)
-    cur = seqs.astype(np.int64)
+    cur = seqs
     latents, choices = [], []
     for lvl in range(1, p.depth + 1):
-        blocks = cur.reshape(n, -1, s)
-        in_range = ((blocks >= 0) & (blocks < v)).all(axis=2)
-        codes = np.where(in_range, encode_tuples(blocks, v), 0)
-        entry = rs.inverse_at(lvl)[codes]
-        ok = in_range & (entry >= 0)
-        parents = np.where(ok, entry // m, -1).astype(np.int32)
-        choice = np.where(ok, entry % m, -1).astype(np.int32)
-        alive &= ok.all(axis=1)
-        max_levels[alive] = lvl
+        width = p.level_width(lvl)
+        # Cast to uint64 (negatives wrap high) and clip, so every symbol
+        # outside [0, v) becomes the digit v, which no rule uses.
+        digits = np.empty((n, width, s), dtype=np.uint64)
+        np.minimum(cur.reshape(n, width, s), v, out=digits, dtype=np.uint64,
+                   casting="unsafe")
+        codes = encode_tuples(digits, v + 1)
+        parent_of, choice_of = rs.parse_tables(lvl)
+        parents = np.take(parent_of, codes)
+        choices.append(np.take(choice_of, codes))
         latents.append(parents)
-        choices.append(choice)
+        # An invalid parent (-1) makes every tuple above it invalid, so a row
+        # parses through this level iff all its parents here are valid. The
+        # minimum runs over the transposed copy: numpy reduces a short
+        # trailing axis an order of magnitude slower.
+        max_levels += np.ascontiguousarray(parents.T).min(axis=0) >= 0
         cur = parents
     return max_levels, latents, choices
 
@@ -464,6 +514,8 @@ def accuracy(rs: RuleSet, data, level: int) -> float:
     """Fraction of rows grammatical through ``level`` (cumulative, so the
     accuracy is non-increasing in ``level``)."""
     seqs = data.sequences if isinstance(data, Dataset) else np.asarray(data)
+    if seqs.size == 0:
+        raise ValueError("accuracy of an empty input (0 rows) is undefined")
     if level == 0:
         return 1.0
     if not 1 <= level <= rs.params.depth:
@@ -502,8 +554,9 @@ def resample_below(
     max_levels, latents, _ = parse_batch(rs, seqs)
     if not np.all(max_levels == p.depth):
         raise ValueError("rows must parse fully under the grammar")
-    parents = latents[level - 1]
-    for lvl in range(level, 0, -1):
-        fresh = rng.integers(0, p.n_synonyms, size=parents.shape, dtype=np.int32)
-        parents = rs.rules_at(lvl)[parents, fresh].reshape(parents.shape[0], -1)
-    return parents
+    n = max_levels.shape[0]
+    fresh = [
+        rng.integers(0, p.n_synonyms, size=(n, p.level_width(lvl)), dtype=np.int32)
+        for lvl in range(level, 0, -1)
+    ]
+    return _expand_levels(rs, latents[level - 1], fresh[::-1])[0]

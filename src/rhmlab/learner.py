@@ -105,7 +105,8 @@ def build_context_stats(
     read contexts: the first visible token under the adjacent sibling block
     (the next block for a group's first block, else the previous one), or
     its first visible s-tuple for the ``full_tuple`` variant. Every block
-    with a sibling in range adds to its code's vector.
+    with a sibling in range adds to its code's vector. Context tokens must
+    lie in ``[0, vocab_size)``.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
@@ -122,18 +123,22 @@ def build_context_stats(
     block_codes = encode_tuples(labels.reshape(n, n_blocks, s), vocab_size)
     n_ctx = s if variant == "full_tuple" else 1
     code_space = vocab_size**s
-    counts_flat = np.zeros(code_space, dtype=np.int64)
     sums = np.zeros((code_space, n_ctx, vocab_size), dtype=np.int64)
     for b in range(n_blocks):
         c = b - 1 if b % s != 0 else b + 1
         if c >= n_blocks:
             continue
-        codes = block_codes[:, b]
+        keys = block_codes[:, b] * vocab_size
         start = c * s * span
-        counts_flat += np.bincount(codes, minlength=code_space)
         for t in range(n_ctx):
             ctx = visible[:, start + t]
-            np.add.at(sums, (codes, t, ctx), 1)
+            if n and (ctx.min() < 0 or ctx.max() >= vocab_size):
+                raise ValueError(f"context tokens must lie in [0, {vocab_size})")
+            sums[:, t, :] += np.bincount(
+                keys + ctx, minlength=code_space * vocab_size
+            ).reshape(code_space, vocab_size)
+    # Each occurrence adds one count to every context token's block.
+    counts_flat = sums[:, 0, :].sum(axis=1)
     observed = np.flatnonzero(counts_flat)
     vectors = (
         sums[observed].astype(np.float64) / counts_flat[observed, None, None]
@@ -389,24 +394,31 @@ def generate_from_learned(
     model: ClusterModel, n: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Ancestral sampling from the reconstructed grammar: a uniform observed
-    top tuple, then uniform member-tuple expansion of every label."""
+    top tuple, then uniform member-tuple expansion of every label.
+
+    Each level draws one member index per position, label by label in
+    ascending order and, within a label, in row-major position order.
+    """
     if model.top_tuples.size == 0:
         raise ValueError("model has no top-level tuples")
     cur = model.top_tuples[rng.integers(0, model.top_tuples.shape[0], size=n)]
-    cur = cur.astype(np.int64)
     s = model.branching
     for level in reversed(model.levels):
-        width = cur.shape[1]
-        out = np.empty((n, width, s), dtype=np.int64)
-        for lab in np.unique(cur):
-            members = level.productions[int(lab)]
-            if members.shape[0] == 0:
-                raise ValueError(f"label {lab} has no productions at stage {level.stage}")
-            mask = cur == lab
-            picks = rng.integers(0, members.shape[0], size=int(mask.sum()))
-            out[mask] = members[picks]
-        cur = out.reshape(n, width * s)
-    return cur.astype(np.int32)
+        sizes = np.array([members.shape[0] for members in level.productions])
+        starts = np.cumsum(sizes) - sizes
+        labels = cur.ravel()
+        order = np.argsort(labels, kind="stable")
+        by_label = labels[order]
+        high = sizes[by_label]
+        if high.size and high.min() == 0:
+            lab = by_label[np.argmin(high)]
+            raise ValueError(f"label {lab} has no productions at stage {level.stage}")
+        # An array of bounds draws exactly what one call per label would.
+        picks = np.empty_like(order)
+        picks[order] = starts[by_label] + rng.integers(0, high)
+        members = np.concatenate(level.productions)
+        cur = np.take(members, picks, axis=0).reshape(n, cur.shape[1] * s)
+    return cur
 
 
 def population_context_collision(rs: RuleSet, variant: str = "single_token") -> bool:

@@ -1,15 +1,20 @@
 """Independent brute-force oracles for the exact-inference, statistics,
-k-means and file-format tests.
+k-means, row-kernel and file-format tests.
 
 Nothing here goes through the message-passing, correlation-report or k-means
 code paths: conditionals come from literal weighted enumeration over all
 derivations, pair joints from transfer-matrix products along the tree,
 k-means from a literal per-cluster Lloyd loop that runs every restart, token
 pair counts from one strided bincount per position pair, and dataset text
-files from ``np.savetxt`` and a per-token Python parse.
+files from ``np.savetxt`` and a per-token Python parse. The row kernels
+(parse, expansion, context counts, generation from a learned model) are
+checked against per-row Python loops that never call ``encode_tuples``,
+``parse_batch`` or the expansion code.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 
@@ -143,9 +148,12 @@ def lloyd_kmeans_oracle(
                     reseats += 1
             inertia = float(own.sum())
             for c in range(k):
-                mask = labels == c
-                if np.any(mask):
-                    centers[c] = points[mask].mean(axis=0)
+                members = np.flatnonzero(labels == c)
+                if members.size:
+                    total = np.zeros(points.shape[1])
+                    for i in members:  # row by row, in point order
+                        total += points[i]
+                    centers[c] = total / members.size
             if prev - inertia <= rel_tol * max(inertia, 1e-300):
                 break
             prev = inertia
@@ -199,3 +207,117 @@ def load_dataset_text_oracle(path) -> tuple[np.ndarray, dict]:
         seq_len=int(d), vocab_size=int(vocab), n_rows=int(n), grammar_hash=grammar_hash
     )
     return seqs, header
+
+
+def _rule_dicts(rs: RuleSet) -> list[dict]:
+    """Per level, ``{production tuple: (parent, rule index)}`` from ``rules_at``."""
+    p = rs.params
+    out = []
+    for lvl in range(1, p.depth + 1):
+        table = rs.rules_at(lvl)
+        out.append({
+            tuple(int(x) for x in table[a, k]): (a, k)
+            for a in range(p.vocab_size) for k in range(p.n_synonyms)
+        })
+    return out
+
+
+def parse_rows_oracle(rs: RuleSet, seqs: np.ndarray):
+    """``parse_batch`` by a per-row, per-tuple dict lookup: the same
+    ``(max_levels, latents, choices)`` with -1 at unparseable positions."""
+    p = rs.params
+    s = p.branching
+    rules = _rule_dicts(rs)
+    seqs = np.asarray(seqs)
+    if seqs.ndim == 1:
+        seqs = seqs[None, :]
+    n = seqs.shape[0]
+    max_levels = np.zeros(n, dtype=np.int64)
+    latents = [np.full((n, p.level_width(l)), -1, dtype=np.int32)
+               for l in range(1, p.depth + 1)]
+    choices = [a.copy() for a in latents]
+    for r in range(n):
+        cur = [int(x) for x in seqs[r]]
+        ok = True
+        for lvl in range(1, p.depth + 1):
+            parents = []
+            for j in range(0, len(cur), s):
+                parent, k = rules[lvl - 1].get(tuple(cur[j:j + s]), (-1, -1))
+                latents[lvl - 1][r, j // s] = parent
+                choices[lvl - 1][r, j // s] = k
+                parents.append(parent)
+            ok = ok and min(parents) >= 0
+            if ok:
+                max_levels[r] = lvl
+            cur = parents
+    return max_levels, latents, choices
+
+
+def expand_rows_oracle(rs: RuleSet, top: np.ndarray, choices: list) -> list:
+    """Per-row descent from the ``(n, w)`` symbols at level ``len(choices)``
+    through the given per-level rule indices; returns the int32 levels
+    ``[leaves, .., top]``."""
+    s = rs.params.branching
+    top = np.asarray(top)
+    n = top.shape[0]
+    levels = [top.astype(np.int32)]
+    for lvl in range(len(choices), 0, -1):
+        table = rs.rules_at(lvl)
+        parents = levels[0]
+        children = np.empty((n, parents.shape[1] * s), dtype=np.int32)
+        for r in range(n):
+            row = []
+            for j in range(parents.shape[1]):
+                row.extend(int(x) for x in
+                           table[parents[r, j], choices[lvl - 1][r, j]])
+            children[r] = row
+        levels.insert(0, children)
+    return levels
+
+
+def context_counts_oracle(labels, visible, vocab_size, branching, variant):
+    """Occurrences of each block code and of each (code, context slot, token)
+    triple, counted one block at a time with ``collections.Counter``; codes
+    are big-endian base ``vocab_size``, formed in Python."""
+    labels = np.asarray(labels)
+    visible = np.asarray(visible)
+    s = branching
+    n, width = labels.shape
+    span = visible.shape[1] // width
+    n_blocks = width // s
+    n_ctx = s if variant == "full_tuple" else 1
+    codes, triples = Counter(), Counter()
+    for r in range(n):
+        for b in range(n_blocks):
+            c = b - 1 if b % s != 0 else b + 1
+            if c >= n_blocks:
+                continue
+            code = 0
+            for x in labels[r, b * s:(b + 1) * s]:
+                code = code * vocab_size + int(x)
+            codes[code] += 1
+            for t in range(n_ctx):
+                triples[(code, t, int(visible[r, c * s * span + t]))] += 1
+    return codes, triples
+
+
+def generate_from_learned_oracle(model, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Ancestral sampling from a learned model with one masked draw per label,
+    labels in ascending order."""
+    if model.top_tuples.size == 0:
+        raise ValueError("model has no top-level tuples")
+    cur = model.top_tuples[rng.integers(0, model.top_tuples.shape[0], size=n)]
+    cur = cur.astype(np.int64)
+    s = model.branching
+    for level in reversed(model.levels):
+        width = cur.shape[1]
+        out = np.empty((n, width, s), dtype=np.int64)
+        for lab in np.unique(cur):
+            members = level.productions[int(lab)]
+            if members.shape[0] == 0:
+                raise ValueError(f"label {lab} has no productions at stage {level.stage}")
+            mask = cur == lab
+            picks = rng.integers(0, members.shape[0], size=int(mask.sum()))
+            out[mask] = members[picks]
+        cur = out.reshape(n, width * s)
+    return cur.astype(np.int32)

@@ -95,6 +95,23 @@ class TestGenerateRules:
         with pytest.raises(ValueError):
             rs_small.rules_at(1)[0, 0, 0] = 3
 
+    def test_parse_tables_are_read_only(self, rs_small):
+        for level in (1, 2):
+            for table in rs_small.parse_tables(level):
+                with pytest.raises(ValueError, match="read-only"):
+                    table[0] = 3
+
+    def test_encode_tuples_uint64_matches_matmul(self):
+        # values at and above 2**63 wrap on the cast to int64, as in the
+        # int64 matrix product the Horner form replaced
+        tuples = np.array([[0, 1, 2], [3, 2**63 + 5, 7], [2**64 - 1, 0, 2**40]],
+                          dtype=np.uint64)
+        powers = 16 ** np.arange(2, -1, -1, dtype=np.int64)
+        want = tuples.astype(np.int64) @ powers
+        got = encode_tuples(tuples, 16)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+
 
 class TestSampling:
     def test_m1_emits_only_v_strings(self):
@@ -245,6 +262,34 @@ class TestAccuracy:
     def test_out_of_range_level(self, rs_small):
         with pytest.raises(ValueError):
             accuracy(rs_small, np.zeros((2, 4), dtype=int), 3)
+
+
+class TestZeroRows:
+    def test_parse_batch(self, rs_deep):
+        for dtype in (np.int8, np.int64):
+            max_levels, latents, choices = parse_batch(rs_deep, np.zeros((0, 8), dtype))
+            assert max_levels.shape == (0,) and max_levels.dtype == np.int64
+            for lvl, (lat, ch) in enumerate(zip(latents, choices), start=1):
+                width = rs_deep.params.level_width(lvl)
+                assert lat.shape == ch.shape == (0, width)
+                assert lat.dtype == ch.dtype == np.int32
+
+    def test_sample_dataset(self, rs_deep):
+        ds = sample_dataset(rs_deep, 0, np.random.default_rng(0))
+        assert ds.sequences.shape == (0, 8) and ds.sequences.dtype == np.int32
+        assert [a.shape for a in ds.latents] == [(0, 4), (0, 2), (0, 1)]
+        assert [a.shape for a in ds.choices] == [(0, 4), (0, 2), (0, 1)]
+
+    def test_resample_below(self, rs_deep):
+        for level in (1, 3):
+            out = resample_below(rs_deep, np.zeros((0, 8), np.int32), level,
+                                 np.random.default_rng(0))
+            assert out.shape == (0, 8) and out.dtype == np.int32
+
+    def test_accuracy_names_the_empty_input(self, rs_deep):
+        for level in (0, 2):
+            with pytest.raises(ValueError, match="empty"):
+                accuracy(rs_deep, np.zeros((0, 8), np.int32), level)
 
 
 class TestTreeDistance:

@@ -114,6 +114,19 @@ def test_reseat_takes_the_worst_served_point():
     assert ref["reseat_served"][0] > 60
 
 
+def test_one_column_centres_are_row_by_row_sums():
+    # The re-seat input above on one coordinate. Its 20-member cluster has a
+    # centre whose last bits depend on summation order: numpy's one-column
+    # ``mean(axis=0)`` sums pairwise, while kmeans_fit and the oracle add
+    # member rows one by one in point order.
+    line = np.array([10.0, 30.0, -5.0] + [2.4] * 10 + [19.9] * 10 + [20.1] * 20)
+    points = line[:, None]
+    ref = _assert_same_fit(points, 3, 27, n_restarts=1)
+    assert ref["reseats"] == 1
+    pairwise = np.array([points[ref["labels"] == c].mean(axis=0) for c in range(3)])
+    assert not np.array_equal(pairwise, ref["centers"])
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_repeated_first_points_are_skipped_consistently(seed):
     rng = np.random.default_rng(seed)

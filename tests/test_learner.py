@@ -97,6 +97,14 @@ class TestContextStats:
         with pytest.raises(ValueError):
             build_context_stats(np.zeros((3, 2), dtype=int), np.zeros((3, 2), dtype=int), 4, 2)
 
+    @pytest.mark.parametrize("token", [-1, 4])
+    def test_out_of_range_context_rejected(self, token):
+        # a context token outside [0, v) would land in another code's counts
+        visible = np.zeros((3, 4), dtype=int)
+        visible[1, 2] = token
+        with pytest.raises(ValueError, match="context tokens"):
+            build_context_stats(np.zeros((3, 4), dtype=int), visible, 4, 2)
+
     def test_merge_matches_whole_and_is_order_insensitive(self, rs_medium):
         ds = sample_dataset(rs_medium, 900, np.random.default_rng(3))
         whole = build_context_stats(ds.sequences, ds.sequences, 16, 2)

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rhmlab import (
     Dataset,
     GrammarParams,
     TokenCovarianceAccumulator,
+    build_context_stats,
     correlation_recursion_check,
     enumerate_all,
     ensemble_correlation_std,
@@ -242,3 +245,60 @@ class TestResampleInvariance:
         # same estimator on an equal-size sample of the same law: values agree
         # within a few sampling-noise floors
         assert np.abs(rep.values - base.values).max() < 4 * base.noise_floor
+
+
+@st.composite
+def sharded_rows(draw):
+    """Rows of a small grammar (depth 2-3, s 2, v 2-6) cut into 1-5 non-empty
+    contiguous shards, a clustering stage and variant, and a merge plan: each
+    step merges one adjacent pair, in either order, until one state is left."""
+    v = draw(st.integers(2, 6))
+    params = GrammarParams(depth=draw(st.integers(2, 3)), branching=2, vocab_size=v,
+                           n_synonyms=draw(st.integers(1, v)),
+                           seed=draw(st.integers(0, 2**32)))
+    n = draw(st.integers(1, 40))
+    ds = sample_dataset(generate_rules(params), n,
+                        np.random.default_rng(draw(st.integers(0, 2**32))))
+    cuts = sorted(set(draw(st.lists(st.integers(1, max(n - 1, 1)), max_size=4))) - {n})
+    plan = draw(st.lists(st.integers(0, 2**16), min_size=len(cuts), max_size=len(cuts)))
+    return dict(ds=ds, cuts=cuts, plan=plan,
+                stage=draw(st.integers(1, params.depth - 1)),
+                variant=draw(st.sampled_from(["single_token", "full_tuple"])))
+
+
+def _merge_by_plan(parts, plan):
+    parts = list(parts)
+    for step in plan:
+        i = step % (len(parts) - 1)
+        a, b = parts[i], parts[i + 1]
+        parts[i:i + 2] = [a.merge(b) if step // (len(parts) - 1) % 2 else b.merge(a)]
+    (out,) = parts
+    return out
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=sharded_rows())
+def test_accumulator_merges_are_associative(case):
+    ds, cuts, plan = case["ds"], case["cuts"], case["plan"]
+    p = ds.params
+    labels = ds.level_symbols(case["stage"] - 1)
+
+    def context_stats(rows):
+        return build_context_stats(labels[rows], ds.sequences[rows], p.vocab_size,
+                                   p.branching, case["variant"], level=case["stage"])
+
+    shards = np.split(np.arange(ds.n_rows), cuts)
+    whole = context_stats(np.arange(ds.n_rows))
+    merged = _merge_by_plan([context_stats(rows) for rows in shards], plan)
+    assert np.array_equal(merged.codes, whole.codes)
+    assert np.array_equal(merged.counts, whole.counts)
+    assert np.abs(merged.vectors - whole.vectors).max() <= 1e-12
+
+    def covariance(rows):
+        return TokenCovarianceAccumulator(p.branching, p.depth, p.vocab_size).update(
+            ds.sequences[rows])
+
+    whole = covariance(np.arange(ds.n_rows))
+    merged = _merge_by_plan([covariance(rows) for rows in shards], plan)
+    assert np.array_equal(merged.counts, whole.counts)
+    assert merged.n_rows == whole.n_rows
