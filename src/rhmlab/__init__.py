@@ -39,7 +39,6 @@ from .learner import (
     measure_sample_complexity,
     pair_agreement_score,
     population_context_collision,
-    recovery_score,
     true_tuple_classes,
 )
 from .onestep import OneStepModel, one_step_gd, synonym_column_cosine, tuple_next_token_pairs

@@ -373,9 +373,8 @@ def _run_learn(args, cfg, out_dir, seed):
         out_dir / "learn_summary.csv",
         ["stage", "recovery", "n_codes", "partial", "n_fallback"],
         [
-            (lv.stage, model.recovery[i], int(lv.codes.size),
-             int(lv.partial), 0)
-            for i, lv in enumerate(model.levels)
+            (stage, model.recovery[stage - 1], int(part.codes.size), int(part.partial), 0)
+            for stage, part in enumerate(model.levels, 1)
         ],
     )
     gen = generate_from_learned(
@@ -389,8 +388,10 @@ def _run_learn(args, cfg, out_dir, seed):
     )
     # What the learner decided at each stage: the winning k-means restart,
     # its Lloyd iterations and inertia, and how many distinct restarts ran.
+    keys = ("restart", "n_iter", "inertia", "restarts_run", "partial")
     stages = {
-        f"stage={lv.stage}": {**lv.kmeans, "partial": lv.partial} for lv in model.levels
+        f"stage={stage}": {key: getattr(part, key) for key in keys}
+        for stage, part in enumerate(model.levels, 1)
     }
     return rs.content_hash(), {
         "n_rows": int(seqs.shape[0]), "n_eval": n_eval, "stages": stages,

@@ -199,18 +199,6 @@ class RuleSet:
             self._parse = tuple(tables)
         return self._parse[level - 1]
 
-    def lookup(self, level: int, tup) -> tuple[int, int] | None:
-        """(parent symbol, rule index) producing ``tup``, or None if invalid."""
-        tup = np.asarray(tup)
-        v = self.params.vocab_size
-        if tup.min() < 0 or tup.max() >= v:
-            return None
-        entry = int(self.inverse_at(level)[int(encode_tuples(tup, v))])
-        if entry < 0:
-            return None
-        m = self.params.n_synonyms
-        return entry // m, entry % m
-
     def drop_bottom_level(self) -> "RuleSet":
         """The grammar formed by levels 2..depth, with level-1 symbols as leaves.
 
@@ -385,43 +373,30 @@ def sample_distinct_dataset(
             f"cannot draw {n} distinct strings; grammar has {p.n_derivations}"
         )
     seen: set[bytes] = set()
-    kept: list[Dataset] = []
-    n_kept = 0
-    for _ in range(1000):
-        batch = sample_dataset(rs, max(n - n_kept, 64), rng, with_latents=True)
-        keys = [row.tobytes() for row in np.ascontiguousarray(batch.sequences)]
-        fresh = []
-        for i, key in enumerate(keys):
+    batches: list[Dataset] = []
+    firsts: list[int] = []  # row of each first appearance in the concatenation
+    n_drawn = 0
+    while len(firsts) < n or not batches:  # at least one batch, even for n = 0
+        if len(batches) == 1000:
+            raise ValueError(
+                f"drew fewer than {n} distinct strings of the grammar's "
+                f"{p.n_derivations} in 1000 batches"
+            )
+        batch = sample_dataset(rs, max(n - len(firsts), 64), rng, with_latents)
+        for i, row in enumerate(np.ascontiguousarray(batch.sequences)):
+            key = row.tobytes()
             if key not in seen:
                 seen.add(key)
-                fresh.append(i)
-        if fresh:
-            idx = np.asarray(fresh)
-            kept.append(
-                Dataset(
-                    sequences=batch.sequences[idx],
-                    params=p,
-                    latents=[lat[idx] for lat in batch.latents],
-                    choices=[ch[idx] for ch in batch.choices],
-                )
-            )
-            n_kept += len(fresh)
-        if n_kept >= n:
-            break
-    else:
-        raise RuntimeError("rejection sampling did not reach n distinct rows")
-    seqs = np.concatenate([d.sequences for d in kept])[:n]
-    latents = [
-        np.concatenate([d.latents[i] for d in kept])[:n]
-        for i in range(p.depth)
-    ]
-    choices = [
-        np.concatenate([d.choices[i] for d in kept])[:n]
-        for i in range(p.depth)
-    ]
+                firsts.append(n_drawn + i)
+        batches.append(batch)
+        n_drawn += batch.n_rows
+    idx = np.asarray(firsts[:n], dtype=np.int64)
     meta = {"grammar_hash": rs.content_hash(), "distinct": True}
+    seqs = np.concatenate([b.sequences for b in batches])[idx]
     if not with_latents:
         return Dataset(sequences=seqs, params=p, meta=meta)
+    latents = [np.concatenate([b.latents[i] for b in batches])[idx] for i in range(p.depth)]
+    choices = [np.concatenate([b.choices[i] for b in batches])[idx] for i in range(p.depth)]
     return Dataset(
         sequences=seqs, params=p, latents=latents, choices=choices, meta=meta
     )

@@ -21,7 +21,7 @@ collapsed sibling labels instead would short-circuit that structure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -42,6 +42,8 @@ from .seeding import derive_seed
 from .stats import theory_prediction
 
 VARIANTS = ("single_token", "full_tuple")
+# Ratio of consecutive points of a sweep's geometric sample-size grid.
+GRID_RATIO = 2.0**0.5
 
 
 @dataclass
@@ -156,11 +158,11 @@ def build_context_stats(
 
 @dataclass
 class Partition:
-    """A clustering of observed block codes into synonym-class candidates."""
+    """A clustering of observed block codes into synonym-class candidates;
+    a learned model keeps one per stage."""
 
     codes: np.ndarray
     labels: np.ndarray
-    n_clusters: int
     partial: bool  # fewer observed codes than requested clusters
     inertia: float
     n_iter: int | None = None  # Lloyd iterations of the winning k-means restart
@@ -168,14 +170,7 @@ class Partition:
     restarts_run: int = 0  # distinct k-means first points fitted
 
 
-def cluster_tuples(
-    stats: ContextStats,
-    k: int | None = None,
-    seed: int = 0,
-    n_restarts: int = 16,
-    max_iter: int = 200,
-    rel_tol: float = 1e-8,
-) -> Partition:
+def cluster_tuples(stats: ContextStats, k: int | None = None, seed: int = 0) -> Partition:
     """k-means over the mean context vectors (k defaults to vocab_size).
 
     With fewer observed codes than k, every code becomes its own cluster and
@@ -188,18 +183,13 @@ def cluster_tuples(
         return Partition(
             codes=stats.codes.copy(),
             labels=np.arange(n_codes, dtype=np.int64),
-            n_clusters=n_codes,
             partial=True,
             inertia=0.0,
         )
-    fit = kmeans_fit(
-        stats.vectors, k, seed=seed, n_restarts=n_restarts,
-        max_iter=max_iter, rel_tol=rel_tol,
-    )
+    fit = kmeans_fit(stats.vectors, k, seed=seed)
     return Partition(
         codes=stats.codes.copy(),
         labels=fit.labels.astype(np.int64),
-        n_clusters=k,
         partial=False,
         inertia=fit.inertia,
         n_iter=fit.n_iter,
@@ -226,43 +216,28 @@ def pair_agreement_score(labels: np.ndarray, reference: np.ndarray) -> float:
 
 def true_tuple_classes(rs: RuleSet, level: int, codes: np.ndarray) -> np.ndarray:
     """Ground-truth synonym class (parent symbol) of each grammatical tuple code."""
-    entries = rs.inverse_at(level)[np.asarray(codes)]
+    inverse = rs.inverse_at(level)
+    codes = np.asarray(codes)
+    if codes.size and (codes.min() < 0 or codes.max() >= inverse.size):
+        raise ValueError(f"tuple codes must lie in [0, {inverse.size})")
+    entries = inverse[codes]
     if np.any(entries < 0):
         raise ValueError("ungrammatical tuple has no synonym class")
     return entries // rs.params.n_synonyms
 
 
-def recovery_score(partition: Partition, rs: RuleSet, level: int) -> float:
-    """Pairwise agreement between a partition of observed tuple codes and the
-    true synonym classes at ``level``."""
-    return pair_agreement_score(
-        partition.labels, true_tuple_classes(rs, level, partition.codes)
-    )
-
-
-@dataclass
-class LearnedLevel:
-    stage: int
-    codes: np.ndarray
-    labels: np.ndarray
-    productions: list[np.ndarray]  # per label: (members, branching) lower-label tuples
-    partial: bool
-    kmeans: dict = field(default_factory=dict)  # winning restart, n_iter, inertia, restarts_run
-
-
 @dataclass
 class ClusterModel:
-    """The reconstructed grammar: per-stage partitions plus the observed
-    top-level tuple inventory."""
+    """The reconstructed grammar: per-stage partitions (``levels[i]`` is stage
+    i+1) plus the observed top-level tuple inventory."""
 
     depth: int
     branching: int
     vocab_size: int
     variant: str
-    levels: list[LearnedLevel]
+    levels: list[Partition]
     top_tuples: np.ndarray
     recovery: list[float] | None = None
-    meta: dict = field(default_factory=dict)
 
 
 def _majority_true_classes(
@@ -290,7 +265,6 @@ def learn_grammar(
     seed: int = 0,
     truth: RuleSet | None = None,
     partition_fn: Callable[[int, np.ndarray], np.ndarray] | None = None,
-    n_restarts: int = 16,
 ) -> ClusterModel:
     """Recover a grammar from visible strings by staged context clustering.
 
@@ -303,6 +277,8 @@ def learn_grammar(
     seqs = np.asarray(seqs)
     if seqs.ndim != 2 or seqs.shape[1] != branching**depth:
         raise ValueError(f"strings must have shape (n, {branching ** depth})")
+    if seqs.shape[0] == 0:
+        raise ValueError("cannot learn a grammar from an empty input (0 rows)")
     true_latents = None
     recovery: list[float] | None = None
     if truth is not None:
@@ -311,7 +287,7 @@ def learn_grammar(
             raise ValueError("training rows must parse under the reference grammar")
         recovery = []
     labels = seqs.astype(np.int64)
-    levels: list[LearnedLevel] = []
+    levels: list[Partition] = []
     for stage in range(1, depth):
         # Every block of a power-of-s width has a sibling, so the context
         # statistics see every observed code, in ascending order.
@@ -333,46 +309,19 @@ def learn_grammar(
             if part_labels.shape != observed.shape:
                 raise ValueError("partition_fn must label every observed code")
             part = Partition(
-                codes=observed,
-                labels=part_labels,
-                n_clusters=int(part_labels.max()) + 1,
-                partial=False,
-                inertia=math.nan,
+                codes=observed, labels=part_labels, partial=False, inertia=math.nan
             )
         else:
             part = cluster_tuples(
-                stats,
-                k=vocab_size,
-                seed=derive_seed(seed, stage, "kmeans"),
-                n_restarts=n_restarts,
+                stats, k=vocab_size, seed=derive_seed(seed, stage, "kmeans")
             )
-        label_of = part.labels
         if recovery is not None:
             classes = _majority_true_classes(
                 block_idx, observed.size, true_latents[stage - 1], vocab_size
             )
-            recovery.append(pair_agreement_score(label_of, classes))
-        members = decode_codes(observed, vocab_size, branching)
-        n_labels = max(int(label_of.max()) + 1, vocab_size)
-        productions = [
-            members[label_of == lab].astype(np.int32) for lab in range(n_labels)
-        ]
-        levels.append(
-            LearnedLevel(
-                stage=stage,
-                codes=observed,
-                labels=label_of,
-                productions=productions,
-                partial=part.partial,
-                kmeans={
-                    "restart": part.restart,
-                    "n_iter": part.n_iter,
-                    "inertia": part.inertia,
-                    "restarts_run": part.restarts_run,
-                },
-            )
-        )
-        labels = label_of[block_idx]
+            recovery.append(pair_agreement_score(part.labels, classes))
+        levels.append(part)
+        labels = part.labels[block_idx]
     # Distinct top-level rows in lexicographic order, via their big-endian
     # codes in a base wide enough for every label (partition_fn may exceed v).
     base = max(int(labels.max()) + 1, vocab_size)
@@ -386,7 +335,6 @@ def learn_grammar(
         levels=levels,
         top_tuples=top_tuples.astype(np.int32),
         recovery=recovery,
-        meta={"n_rows": int(seqs.shape[0])},
     )
 
 
@@ -396,15 +344,21 @@ def generate_from_learned(
     """Ancestral sampling from the reconstructed grammar: a uniform observed
     top tuple, then uniform member-tuple expansion of every label.
 
-    Each level draws one member index per position, label by label in
-    ascending order and, within a label, in row-major position order.
+    A label's members are its codes in ascending order. Each level draws one
+    member index per position, label by label in ascending order and, within
+    a label, in row-major position order.
     """
     if model.top_tuples.size == 0:
         raise ValueError("model has no top-level tuples")
     cur = model.top_tuples[rng.integers(0, model.top_tuples.shape[0], size=n)]
     s = model.branching
-    for level in reversed(model.levels):
-        sizes = np.array([members.shape[0] for members in level.productions])
+    for stage in range(len(model.levels), 0, -1):
+        part = model.levels[stage - 1]
+        # Every label's member tuples, grouped by label in ascending order.
+        members = decode_codes(
+            part.codes[np.argsort(part.labels, kind="stable")], model.vocab_size, s
+        )
+        sizes = np.bincount(part.labels, minlength=model.vocab_size)
         starts = np.cumsum(sizes) - sizes
         labels = cur.ravel()
         order = np.argsort(labels, kind="stable")
@@ -412,11 +366,10 @@ def generate_from_learned(
         high = sizes[by_label]
         if high.size and high.min() == 0:
             lab = by_label[np.argmin(high)]
-            raise ValueError(f"label {lab} has no productions at stage {level.stage}")
+            raise ValueError(f"label {lab} has no productions at stage {stage}")
         # An array of bounds draws exactly what one call per label would.
         picks = np.empty_like(order)
         picks[order] = starts[by_label] + rng.integers(0, high)
-        members = np.concatenate(level.productions)
         cur = np.take(members, picks, axis=0).reshape(n, cur.shape[1] * s)
     return cur
 
@@ -462,7 +415,6 @@ class SweepConfig:
     accuracy_threshold: float = 0.5
     p_grid: dict[int, tuple[int, ...]] | None = None
     grid_span: float = 8.0
-    grid_ratio: float = 2.0**0.5
     n_eval: int = 1024
     seed: int = 0
 
@@ -486,8 +438,8 @@ class SweepConfig:
         )
         center = theory_prediction(params, self.depth).sample_complexity
         lo = center / self.grid_span
-        n_points = int(round(2 * math.log(self.grid_span) / math.log(self.grid_ratio))) + 1
-        grid = [max(8, int(round(lo * self.grid_ratio**i))) for i in range(n_points)]
+        n_points = int(round(2 * math.log(self.grid_span) / math.log(GRID_RATIO))) + 1
+        grid = [max(8, int(round(lo * GRID_RATIO**i))) for i in range(n_points)]
         return sorted(set(grid))
 
 

@@ -90,6 +90,8 @@ class TokenCovarianceAccumulator:
 
     def update(self, seqs: np.ndarray) -> "TokenCovarianceAccumulator":
         seqs = np.asarray(seqs)
+        if seqs.shape[0] == 0:
+            return self  # an empty shard adds nothing
         v = self.vocab_size
         if seqs.min() < 0 or seqs.max() >= v:
             raise ValueError("tokens must lie in [0, vocab_size)")
@@ -123,7 +125,7 @@ class TokenCovarianceAccumulator:
 
     def report(self) -> CorrelationReport:
         if self.n_rows < 2:
-            raise ValueError("need at least 2 rows")
+            raise ValueError(f"need at least 2 rows; the input has {self.n_rows} rows")
         n = self.n_rows
         v = self.vocab_size
         levels = sorted({lca for _, _, lca in self.pairs})

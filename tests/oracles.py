@@ -9,7 +9,9 @@ pair counts from one strided bincount per position pair, and dataset text
 files from ``np.savetxt`` and a per-token Python parse. The row kernels
 (parse, expansion, context counts, generation from a learned model) are
 checked against per-row Python loops that never call ``encode_tuples``,
-``parse_batch`` or the expansion code.
+``decode_codes``, ``parse_batch`` or the expansion code. The distinct-row
+sampler is checked against its earlier form, which keeps each batch's fresh
+rows as a Dataset of their own.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from collections import Counter
 
 import numpy as np
 
-from rhmlab import RuleSet, enumerate_all
+from rhmlab import Dataset, RuleSet, enumerate_all, sample_dataset
 
 
 def enumeration_conditionals(rs: RuleSet, lik: np.ndarray):
@@ -303,21 +305,84 @@ def context_counts_oracle(labels, visible, vocab_size, branching, variant):
 
 def generate_from_learned_oracle(model, n: int, rng: np.random.Generator) -> np.ndarray:
     """Ancestral sampling from a learned model with one masked draw per label,
-    labels in ascending order."""
+    labels in ascending order. A label's member tuples are its codes in
+    ascending order, each split into base-``vocab_size`` digits in Python."""
     if model.top_tuples.size == 0:
         raise ValueError("model has no top-level tuples")
     cur = model.top_tuples[rng.integers(0, model.top_tuples.shape[0], size=n)]
     cur = cur.astype(np.int64)
-    s = model.branching
-    for level in reversed(model.levels):
+    s, v = model.branching, model.vocab_size
+    for stage in range(len(model.levels), 0, -1):
+        part = model.levels[stage - 1]
         width = cur.shape[1]
         out = np.empty((n, width, s), dtype=np.int64)
         for lab in np.unique(cur):
-            members = level.productions[int(lab)]
-            if members.shape[0] == 0:
-                raise ValueError(f"label {lab} has no productions at stage {level.stage}")
+            members = []
+            for code, label in sorted(zip(part.codes.tolist(), part.labels.tolist())):
+                if label != lab:
+                    continue
+                digits = []
+                for _ in range(s):
+                    code, digit = divmod(code, v)
+                    digits.append(digit)
+                members.append(digits[::-1])
+            if not members:
+                raise ValueError(f"label {lab} has no productions at stage {stage}")
             mask = cur == lab
-            picks = rng.integers(0, members.shape[0], size=int(mask.sum()))
-            out[mask] = members[picks]
+            picks = rng.integers(0, len(members), size=int(mask.sum()))
+            out[mask] = np.array(members, dtype=np.int64)[picks]
         cur = out.reshape(n, width * s)
     return cur.astype(np.int32)
+
+
+def sample_distinct_dataset_oracle(
+    rs: RuleSet, n: int, rng: np.random.Generator, with_latents: bool = True
+) -> Dataset:
+    """Rejection sampling of ``n`` distinct strings that keeps each batch's
+    fresh rows as a Dataset of their own and concatenates them at the end."""
+    p = rs.params
+    if n > p.n_derivations:
+        raise ValueError(
+            f"cannot draw {n} distinct strings; grammar has {p.n_derivations}"
+        )
+    seen: set[bytes] = set()
+    kept: list[Dataset] = []
+    n_kept = 0
+    for _ in range(1000):
+        batch = sample_dataset(rs, max(n - n_kept, 64), rng, with_latents=True)
+        keys = [row.tobytes() for row in np.ascontiguousarray(batch.sequences)]
+        fresh = []
+        for i, key in enumerate(keys):
+            if key not in seen:
+                seen.add(key)
+                fresh.append(i)
+        if fresh:
+            idx = np.asarray(fresh)
+            kept.append(
+                Dataset(
+                    sequences=batch.sequences[idx],
+                    params=p,
+                    latents=[lat[idx] for lat in batch.latents],
+                    choices=[ch[idx] for ch in batch.choices],
+                )
+            )
+            n_kept += len(fresh)
+        if n_kept >= n:
+            break
+    else:
+        raise RuntimeError("rejection sampling did not reach n distinct rows")
+    seqs = np.concatenate([d.sequences for d in kept])[:n]
+    latents = [
+        np.concatenate([d.latents[i] for d in kept])[:n]
+        for i in range(p.depth)
+    ]
+    choices = [
+        np.concatenate([d.choices[i] for d in kept])[:n]
+        for i in range(p.depth)
+    ]
+    meta = {"grammar_hash": rs.content_hash(), "distinct": True}
+    if not with_latents:
+        return Dataset(sequences=seqs, params=p, meta=meta)
+    return Dataset(
+        sequences=seqs, params=p, latents=latents, choices=choices, meta=meta
+    )

@@ -187,8 +187,8 @@ class TestSubcommands:
         stages = json.loads((out / "manifest.json").read_text())["seeds"]["stages"]
         assert sorted(stages) == ["stage=1", "stage=2"]
         for entry in stages.values():
-            assert set(entry) == {"restart", "n_iter", "inertia", "restarts_run",
-                                  "partial"}
+            assert list(entry) == ["restart", "n_iter", "inertia", "restarts_run",
+                                   "partial"]
             assert entry["partial"] is False
             assert 1 <= entry["restarts_run"] <= 16
             assert 0 <= entry["restart"] < 16
@@ -200,8 +200,11 @@ class TestSubcommands:
                            with_latents=False).sequences,
             3, 2, 8, seed=derive_seed(4, 0, "learn"), truth=rs,
         )
-        for lv in model.levels:
-            assert stages[f"stage={lv.stage}"] == {**lv.kmeans, "partial": lv.partial}
+        for stage, part in enumerate(model.levels, 1):
+            assert stages[f"stage={stage}"] == {
+                "restart": part.restart, "n_iter": part.n_iter, "inertia": part.inertia,
+                "restarts_run": part.restarts_run, "partial": part.partial,
+            }
 
     def test_onestep(self, tmp_path):
         # grammar seed 2 puts every symbol in the next-token support, so the
@@ -507,6 +510,36 @@ class TestErrorsAndDeterminism:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "MemoryError"
+
+    def test_unreachable_distinct_count_exits_two_with_json_line(self, tmp_path, capsys):
+        # every one of the grammar's 98,304 strings: 1000 batches cannot
+        # collect them all
+        cfg = _write(tmp_path / "c.json",
+                     {"grammar": {"depth": 4, "branching": 2, "vocab_size": 3,
+                                  "n_synonyms": 2},
+                      "n_samples": 98_304, "distinct": True})
+        assert run(["sample", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ValueError"
+        assert "fewer than 98304 distinct strings" in err["message"]
+        assert "1000 batches" in err["message"]
+
+    @pytest.mark.parametrize("experiment", ["learn", "stats"])
+    def test_empty_data_file_exits_two_with_json_line(
+        self, tmp_path, grammar_file, capsys, experiment
+    ):
+        rs, gpath = grammar_file
+        data = tmp_path / "d.txt"
+        data.write_text(f"4 8 0 {rs.content_hash()}\n")
+        assert run([experiment, "--grammar", str(gpath), "--data", str(data),
+                    "--out", str(tmp_path / "o")]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ValueError"
+        assert "0 rows" in err["message"] and "zero-size" not in err["message"]
 
     def test_overflowing_grid_span_exits_two_with_json_line(self, tmp_path, capsys):
         # a 1e308 span is in range but overflows the geometric grid

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import sample_distinct_dataset_oracle
 from rhmlab import (
     Dataset,
     EnumerationCapError,
@@ -43,7 +44,8 @@ class TestGenerateRules:
             table = rs_small.rules_at(level)
             for sym in range(p.vocab_size):
                 for k in range(p.n_synonyms):
-                    assert rs_small.lookup(level, table[sym, k]) == (sym, k)
+                    code = encode_tuples(table[sym, k], p.vocab_size)
+                    assert inv[code] == sym * p.n_synonyms + k
 
     def test_determinism(self):
         params = GrammarParams(depth=2, branching=2, vocab_size=5, n_synonyms=3, seed=99)
@@ -145,6 +147,42 @@ class TestSampling:
         assert ds.meta["distinct"]
         with pytest.raises(ValueError):
             sample_distinct_dataset(rs_small, 33, np.random.default_rng(3))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(shape=st.sampled_from([(1, 2, 3, 2), (2, 2, 2, 2), (2, 3, 2, 2),
+                                  (2, 2, 4, 3), (3, 2, 3, 2)]),
+           share=st.floats(0, 0.75), with_latents=st.booleans(),
+           seed=st.integers(0, 2**32))
+    def test_distinct_sampler_matches_batch_oracle(self, shape, share, with_latents, seed):
+        # n from 0 to 3/4 of the string count: up to hundreds of rejections
+        rs = generate_rules(GrammarParams(*shape, seed=seed))
+        n = int(share * rs.params.n_derivations)
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sample_distinct_dataset(rs, n, rng_a, with_latents=with_latents)
+        want = sample_distinct_dataset_oracle(rs, n, rng_b, with_latents=with_latents)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        assert got.meta == want.meta
+        assert (got.latents is None) == (got.choices is None) == (not with_latents)
+        pairs = [(got.sequences, want.sequences)]
+        if with_latents:
+            pairs += list(zip(got.latents + got.choices, want.latents + want.choices))
+        for a, b in pairs:
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert np.array_equal(a, b)
+
+    def test_distinct_sampler_names_its_budget(self):
+        # 98,304 strings: 1000 batches cannot collect them all
+        rs = generate_rules(GrammarParams(depth=4, branching=2, vocab_size=3,
+                                          n_synonyms=2, seed=0))
+        n = rs.params.n_derivations
+        rng_a, rng_b = np.random.default_rng(0), np.random.default_rng(0)
+        with pytest.raises(ValueError, match=f"fewer than {n} distinct strings of "
+                           f"the grammar's {n} in 1000 batches"):
+            sample_distinct_dataset(rs, n, rng_a, with_latents=False)
+        # it gave up after exactly as many batches as the oracle
+        with pytest.raises(RuntimeError):
+            sample_distinct_dataset_oracle(rs, n, rng_b, with_latents=False)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
 class TestEnumeration:

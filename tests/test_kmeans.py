@@ -12,7 +12,6 @@ from rhmlab import (
     build_context_stats,
     generate_rules,
     kmeans_fit,
-    learn_grammar,
     sample_dataset,
 )
 
@@ -141,9 +140,3 @@ def test_no_restarts_is_rejected(n_restarts):
     points = np.random.default_rng(0).normal(size=(10, 2))
     with pytest.raises(ValueError, match="n_restarts"):
         kmeans_fit(points, 3, seed=0, n_restarts=n_restarts)
-    # the learner surfaces the same error instead of failing on a missing fit
-    rs = generate_rules(GrammarParams(depth=2, branching=2, vocab_size=8,
-                                      n_synonyms=2, seed=0))
-    ds = sample_dataset(rs, 500, np.random.default_rng(0), with_latents=False)
-    with pytest.raises(ValueError, match="n_restarts"):
-        learn_grammar(ds.sequences, 2, 2, 8, n_restarts=n_restarts)

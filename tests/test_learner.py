@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import generate_from_learned_oracle
 from rhmlab import (
     GrammarParams,
     RuleSet,
@@ -19,12 +20,16 @@ from rhmlab import (
     pair_agreement_score,
     parse_batch,
     population_context_collision,
-    recovery_score,
     sample_dataset,
     theory_prediction,
     true_tuple_classes,
     SweepConfig,
 )
+
+
+def _recovery(part, rs, level):
+    """Pair agreement of a partition of observed codes with the true classes."""
+    return pair_agreement_score(part.labels, true_tuple_classes(rs, level, part.codes))
 
 
 class TestKMeans:
@@ -130,7 +135,7 @@ class TestClusterTuples:
         enum = enumerate_all(rs_medium)
         stats = build_context_stats(enum.sequences, enum.sequences, 16, 2)
         part = cluster_tuples(stats, seed=0)
-        assert recovery_score(part, rs_medium, 1) == 1.0
+        assert _recovery(part, rs_medium, 1) == 1.0
 
     def test_single_synonym_is_trivial(self):
         rs = generate_rules(GrammarParams(depth=2, branching=2, vocab_size=8,
@@ -138,24 +143,24 @@ class TestClusterTuples:
         enum = enumerate_all(rs)
         stats = build_context_stats(enum.sequences, enum.sequences, 8, 2)
         part = cluster_tuples(stats, seed=0)
-        assert recovery_score(part, rs, 1) == 1.0
+        assert _recovery(part, rs, 1) == 1.0
 
     def test_fewer_codes_than_clusters_goes_partial(self):
         labels = np.array([[0, 1, 2, 3]] * 5)
         stats = build_context_stats(labels, labels, 4, 2)
         part = cluster_tuples(stats, k=4, seed=0)
         assert part.partial
-        assert part.n_clusters == 2
-        assert len(set(part.labels.tolist())) == 2
+        assert np.array_equal(part.labels, [0, 1])
         assert part.n_iter is None and part.restart is None
 
     def test_partition_records_winning_kmeans_run(self, rs_medium):
         enum = enumerate_all(rs_medium)
         stats = build_context_stats(enum.sequences, enum.sequences, 16, 2)
-        part = cluster_tuples(stats, seed=3, n_restarts=8)
-        fit = kmeans_fit(stats.vectors, 16, seed=3, n_restarts=8)
+        part = cluster_tuples(stats, seed=3)
+        fit = kmeans_fit(stats.vectors, 16, seed=3)
         assert (part.n_iter, part.restart) == (fit.n_iter, fit.restart)
-        assert part.n_iter >= 1 and 0 <= part.restart < 8
+        assert part.restarts_run == fit.restarts_run
+        assert part.n_iter >= 1 and 0 <= part.restart < 16
 
     def test_minimal_inventory_recovers_only_at_chance(self, rs_medium):
         # one observation per tuple type on average: vectors exist, but the
@@ -166,7 +171,7 @@ class TestClusterTuples:
                                 with_latents=False)
             stats = build_context_stats(ds.sequences, ds.sequences, 16, 2)
             part = cluster_tuples(stats, seed=trial)
-            scores.append(recovery_score(part, rs_medium, 1))
+            scores.append(_recovery(part, rs_medium, 1))
         assert max(scores) < 0.95
         assert np.mean(scores) == pytest.approx(0.896, abs=0.03)
 
@@ -184,7 +189,7 @@ class TestClusterTuples:
                                 with_latents=False)
             stats = build_context_stats(ds.sequences, ds.sequences, 16, 2)
             part = cluster_tuples(stats, seed=trial)
-            wins += recovery_score(part, rs, 1) >= 0.95
+            wins += _recovery(part, rs, 1) >= 0.95
         assert wins >= 16
 
 
@@ -194,8 +199,8 @@ class TestRecoveryScore:
         from rhmlab.learner import Partition
 
         part = Partition(codes=codes, labels=true_tuple_classes(rs_medium, 1, codes),
-                         n_clusters=16, partial=False, inertia=0.0)
-        assert recovery_score(part, rs_medium, 1) == 1.0
+                         partial=False, inertia=0.0)
+        assert _recovery(part, rs_medium, 1) == 1.0
 
     def test_single_cluster_exact_value(self, rs_medium):
         # 64 tuples in 16 classes of 4: joined pairs correct only within class
@@ -203,9 +208,17 @@ class TestRecoveryScore:
         from rhmlab.learner import Partition
 
         part = Partition(codes=codes, labels=np.zeros(64, dtype=int),
-                         n_clusters=1, partial=False, inertia=0.0)
+                         partial=False, inertia=0.0)
         want = (16 * 6) / (64 * 63 / 2)
-        assert recovery_score(part, rs_medium, 1) == pytest.approx(want)
+        assert _recovery(part, rs_medium, 1) == pytest.approx(want)
+
+    @pytest.mark.parametrize("code", [-1, 16])
+    def test_codes_out_of_range_rejected(self, code):
+        # -1 used to wrap around to code 15, and 16 to raise IndexError
+        rs = generate_rules(GrammarParams(2, 2, 4, 2, seed=2))
+        assert true_tuple_classes(rs, 1, [15]).tolist() == [3]
+        with pytest.raises(ValueError, match="tuple codes"):
+            true_tuple_classes(rs, 1, [code])
 
     def test_random_partition_near_chance_baseline(self, rs_medium):
         codes = np.flatnonzero(rs_medium.inverse_at(1) >= 0)
@@ -229,15 +242,12 @@ class TestLearnGrammar:
         assert model.recovery == [1.0]
         gen = generate_from_learned(model, 4096, np.random.default_rng(8))
         assert accuracy(rs_medium, gen, 2) >= 0.99
-        # reconstructed productions are exactly the true synonym classes
-        level = model.levels[0]
-        for lab in range(16):
-            members = level.productions[lab]
-            if members.shape[0] == 0:
-                continue
-            classes = true_tuple_classes(rs_medium, 1, encode_tuples(members, 16))
+        # every label's member codes are exactly one true synonym class
+        part = model.levels[0]
+        for lab in np.unique(part.labels):
+            classes = true_tuple_classes(rs_medium, 1, part.codes[part.labels == lab])
             assert len(set(classes.tolist())) == 1
-            assert members.shape[0] == 4
+            assert classes.size == 4
 
     def test_single_synonym_recovers_from_few_rows(self):
         rs = generate_rules(GrammarParams(depth=2, branching=2, vocab_size=8,
@@ -322,7 +332,7 @@ class TestLearnGrammar:
 
     def test_rows_must_parse_under_truth(self, rs_small):
         bad = np.zeros((5, 4), dtype=int)
-        if rs_small.lookup(1, (0, 0)) is not None:
+        if rs_small.inverse_at(1)[0] >= 0:  # (0, 0) is a production
             bad[:, 1] = 3
         with pytest.raises(ValueError):
             learn_grammar(bad, 2, 2, 4, truth=rs_small)
@@ -387,6 +397,12 @@ class TestLearnGrammarCodeTables:
             assert np.array_equal(level.labels, labels)
             assert score == recovery
         assert np.array_equal(model.top_tuples, top)
+        # generation reads each stage's partition exactly as the oracle does
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = generate_from_learned(model, 64, rng_a)
+        want = generate_from_learned_oracle(model, 64, rng_b)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
         return model
 
     @pytest.mark.parametrize("n_rows", [200, 3000])

@@ -22,6 +22,7 @@ from rhmlab import (
     parse_batch,
     resample_below,
     sample_dataset,
+    true_tuple_classes,
 )
 from rhmlab.learner import VARIANTS
 
@@ -136,14 +137,27 @@ def test_row_kernels_match_per_row_oracles(case):
             _assert_identical(stats.vectors, want)
 
     # generate_from_learned: same strings, dtype and generator state as one
-    # masked draw per label
+    # masked draw per label, for a k-means model, a model of 1-3 rows and one
+    # whose top labels are all >= v
     if n:
-        model = learn_grammar(ds.sequences, p.depth, p.branching, v,
-                              seed=seed, n_restarts=2)
-        n_gen = int(rng.integers(0, 40))
-        rng_a = np.random.default_rng([seed, 3])
-        rng_b = np.random.default_rng([seed, 3])
-        got = generate_from_learned(model, n_gen, rng_a)
-        want = generate_from_learned_oracle(model, n_gen, rng_b)
-        _assert_identical(got, want)
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+        def labels_past_v(stage, codes):
+            if stage < p.depth - 1:
+                return true_tuple_classes(rs, stage, codes)
+            return np.arange(codes.size) + v
+
+        models = [
+            learn_grammar(ds.sequences, p.depth, p.branching, v, seed=seed),
+            learn_grammar(ds.sequences[: 1 + seed % 3], p.depth, p.branching, v,
+                          seed=seed),
+            learn_grammar(ds.sequences, p.depth, p.branching, v,
+                          partition_fn=labels_past_v),
+        ]
+        for i, model in enumerate(models):
+            n_gen = int(rng.integers(0, 40))
+            rng_a = np.random.default_rng([seed, 3, i])
+            rng_b = np.random.default_rng([seed, 3, i])
+            got = generate_from_learned(model, n_gen, rng_a)
+            want = generate_from_learned_oracle(model, n_gen, rng_b)
+            _assert_identical(got, want)
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state

@@ -249,9 +249,10 @@ class TestResampleInvariance:
 
 @st.composite
 def sharded_rows(draw):
-    """Rows of a small grammar (depth 2-3, s 2, v 2-6) cut into 1-5 non-empty
-    contiguous shards, a clustering stage and variant, and a merge plan: each
-    step merges one adjacent pair, in either order, until one state is left."""
+    """Rows of a small grammar (depth 2-3, s 2, v 2-6) cut into 1-5
+    contiguous shards, any of them empty, a clustering stage and variant, and
+    a merge plan: each step merges one adjacent pair, in either order, until
+    one state is left."""
     v = draw(st.integers(2, 6))
     params = GrammarParams(depth=draw(st.integers(2, 3)), branching=2, vocab_size=v,
                            n_synonyms=draw(st.integers(1, v)),
@@ -259,7 +260,7 @@ def sharded_rows(draw):
     n = draw(st.integers(1, 40))
     ds = sample_dataset(generate_rules(params), n,
                         np.random.default_rng(draw(st.integers(0, 2**32))))
-    cuts = sorted(set(draw(st.lists(st.integers(1, max(n - 1, 1)), max_size=4))) - {n})
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=4)))
     plan = draw(st.lists(st.integers(0, 2**16), min_size=len(cuts), max_size=len(cuts)))
     return dict(ds=ds, cuts=cuts, plan=plan,
                 stage=draw(st.integers(1, params.depth - 1)),
