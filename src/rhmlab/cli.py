@@ -28,6 +28,7 @@ from .grammar import (
     Dataset,
     GrammarParams,
     RuleSet,
+    accuracy,
     generate_rules,
     parse_batch,
     sample_dataset,
@@ -380,11 +381,10 @@ def _run_learn(args, cfg, out_dir, seed):
     gen = generate_from_learned(
         model, n_eval, np.random.default_rng(derive_seed(seed, 0, "learn-eval"))
     )
-    max_levels, _, _ = parse_batch(rs, gen)
     write_csv(
         out_dir / "accuracy.csv",
         ["level", "accuracy"],
-        [(lvl, float(np.mean(max_levels >= lvl))) for lvl in range(1, p.depth + 1)],
+        list(enumerate(accuracy(rs, gen), 1)),
     )
     # What the learner decided at each stage: the winning k-means restart,
     # its Lloyd iterations and inertia, and how many distinct restarts ran.

@@ -45,12 +45,6 @@ class NoiseSpec:
         betas = tuple(1.0 / (n_steps - t + 1) for t in range(1, n_steps + 1))
         return cls(kind=kind, schedule=betas)
 
-    def truncated(self, n_steps: int) -> "NoiseSpec":
-        """The spec formed by the first ``n_steps`` schedule entries."""
-        if self.schedule is None:
-            raise ValueError("truncated() needs a schedule spec")
-        return NoiseSpec(kind=self.kind, schedule=self.schedule[:n_steps])
-
 
 def cumulative_keep_prob(spec: NoiseSpec) -> float:
     """Probability that a token survives the whole corruption untouched.

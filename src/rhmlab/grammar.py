@@ -225,18 +225,33 @@ class RuleSet:
 
     @classmethod
     def from_jsonable(cls, obj: dict) -> "RuleSet":
+        """The grammar a document of :meth:`to_jsonable`'s shape describes;
+        any other document raises ``ValueError`` naming the field."""
+        if not isinstance(obj, dict):
+            raise ValueError("a grammar document must be a JSON object")
         if obj.get("format") != "rhm-grammar-v1":
             raise ValueError("not a grammar document")
-        p = obj["params"]
-        params = GrammarParams(
-            depth=p["depth"],
-            branching=p["branching"],
-            vocab_size=p["vocab_size"],
-            n_synonyms=p["n_synonyms"],
-            seed=p["seed"],
-        )
-        tables = [np.asarray(t, dtype=np.int32) for t in obj["rules"]]
-        return cls(params, tables)
+        p = obj.get("params")
+        if not isinstance(p, dict):
+            raise ValueError("grammar field 'params' must be an object")
+        keys = ("depth", "branching", "vocab_size", "n_synonyms", "seed")
+        for key in keys:
+            if type(p.get(key)) is not int:  # JSON integers only, not booleans
+                raise ValueError(f"grammar field 'params.{key}' must be an integer")
+        rules = obj.get("rules")
+        if not isinstance(rules, list):
+            raise ValueError("grammar field 'rules' must be a list")
+        for lvl, table in enumerate(rules, 1):
+            items = [table]
+            for _ in range(3):  # symbol, production, child
+                if not all(isinstance(x, list) for x in items):
+                    raise ValueError(f"grammar field 'rules' level {lvl} must "
+                                     f"nest lists three deep")
+                items = [y for x in items for y in x]
+            if not all(type(x) is int for x in items):
+                raise ValueError(f"grammar field 'rules' level {lvl} must hold integers")
+        params = GrammarParams(**{key: p[key] for key in keys})
+        return cls(params, [np.asarray(t, dtype=np.int32) for t in rules])
 
     def content_hash(self) -> str:
         """SHA-256 of the canonical JSON document, computed once: the rule
@@ -485,18 +500,17 @@ def parse_batch(rs: RuleSet, seqs: np.ndarray):
     return max_levels, latents, choices
 
 
-def accuracy(rs: RuleSet, data, level: int) -> float:
-    """Fraction of rows grammatical through ``level`` (cumulative, so the
-    accuracy is non-increasing in ``level``)."""
+def accuracy(rs: RuleSet, data) -> tuple[float, ...]:
+    """Per-level accuracy curve: entry ``lvl - 1`` is the fraction of rows
+    grammatical through level ``lvl`` (1..depth). Cumulative, so the curve is
+    non-increasing."""
     seqs = data.sequences if isinstance(data, Dataset) else np.asarray(data)
     if seqs.size == 0:
         raise ValueError("accuracy of an empty input (0 rows) is undefined")
-    if level == 0:
-        return 1.0
-    if not 1 <= level <= rs.params.depth:
-        raise ValueError(f"level must be in 1..{rs.params.depth}")
     max_levels, _, _ = parse_batch(rs, seqs)
-    return float(np.mean(max_levels >= level))
+    return tuple(
+        float(np.mean(max_levels >= lvl)) for lvl in range(1, rs.params.depth + 1)
+    )
 
 
 def tree_distance(i: int, j: int, branching: int, depth: int) -> tuple[int, int]:

@@ -26,7 +26,10 @@ def save_grammar(rs: RuleSet, path) -> None:
 
 
 def load_grammar(path) -> RuleSet:
-    doc = json.loads(Path(path).read_text())
+    try:
+        doc = json.loads(Path(path).read_text())
+    except RecursionError as exc:
+        raise ValueError(f"grammar file {path} nests too deep to be a grammar") from exc
     rs = RuleSet.from_jsonable(doc)
     if "hash" in doc and doc["hash"] != rs.content_hash():
         raise ValueError(f"grammar file {path} failed its content hash")

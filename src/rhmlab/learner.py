@@ -30,6 +30,7 @@ from .grammar import (
     EnumerationCapError,
     GrammarParams,
     RuleSet,
+    accuracy,
     decode_codes,
     encode_tuples,
     enumerate_all,
@@ -170,14 +171,13 @@ class Partition:
     restarts_run: int = 0  # distinct k-means first points fitted
 
 
-def cluster_tuples(stats: ContextStats, k: int | None = None, seed: int = 0) -> Partition:
-    """k-means over the mean context vectors (k defaults to vocab_size).
+def cluster_tuples(stats: ContextStats, seed: int = 0) -> Partition:
+    """k-means over the mean context vectors, k = vocab_size.
 
     With fewer observed codes than k, every code becomes its own cluster and
     the partition is flagged partial.
     """
-    if k is None:
-        k = stats.vocab_size
+    k = stats.vocab_size
     n_codes = stats.codes.size
     if n_codes < k:
         return Partition(
@@ -231,10 +231,8 @@ class ClusterModel:
     """The reconstructed grammar: per-stage partitions (``levels[i]`` is stage
     i+1) plus the observed top-level tuple inventory."""
 
-    depth: int
     branching: int
     vocab_size: int
-    variant: str
     levels: list[Partition]
     top_tuples: np.ndarray
     recovery: list[float] | None = None
@@ -272,7 +270,9 @@ def learn_grammar(
     recovery score is recorded: each observed code's ground-truth class is the
     majority true parent over its occurrences, compared by pair agreement.
     ``partition_fn(stage, observed_codes) -> labels`` overrides the clustering
-    at every stage (used to inject oracle or adversarial partitions).
+    at every stage (used to inject oracle or adversarial partitions); its
+    labels must lie in ``[0, vocab_size)`` below the top stage and be
+    non-negative at the top stage.
     """
     seqs = np.asarray(seqs)
     if seqs.ndim != 2 or seqs.shape[1] != branching**depth:
@@ -308,13 +308,17 @@ def learn_grammar(
             part_labels = np.asarray(partition_fn(stage, observed), dtype=np.int64)
             if part_labels.shape != observed.shape:
                 raise ValueError("partition_fn must label every observed code")
+            # The next stage encodes these labels in base vocab_size; only
+            # the top stage's labels may reach past it.
+            top = stage == depth - 1
+            if part_labels.min() < 0 or (not top and part_labels.max() >= vocab_size):
+                bound = "non-negative" if top else f"in [0, {vocab_size})"
+                raise ValueError(f"partition_fn labels at stage {stage} must be {bound}")
             part = Partition(
                 codes=observed, labels=part_labels, partial=False, inertia=math.nan
             )
         else:
-            part = cluster_tuples(
-                stats, k=vocab_size, seed=derive_seed(seed, stage, "kmeans")
-            )
+            part = cluster_tuples(stats, seed=derive_seed(seed, stage, "kmeans"))
         if recovery is not None:
             classes = _majority_true_classes(
                 block_idx, observed.size, true_latents[stage - 1], vocab_size
@@ -328,10 +332,8 @@ def learn_grammar(
     top_codes = np.flatnonzero(np.bincount(encode_tuples(labels, base)))
     top_tuples = decode_codes(top_codes, base, labels.shape[1])
     return ClusterModel(
-        depth=depth,
         branching=branching,
         vocab_size=vocab_size,
-        variant=variant,
         levels=levels,
         top_tuples=top_tuples.astype(np.int32),
         recovery=recovery,
@@ -544,23 +546,34 @@ def _sweep_cell(args: tuple) -> list[TrialRecord]:
             cfg.n_eval,
             np.random.default_rng(derive_seed(cfg.seed, trial, f"eval m={m} P={p}")),
         )
-        max_levels, _, _ = parse_batch(rs, gen)
-        acc = tuple(
-            float(np.mean(max_levels >= lvl)) for lvl in range(1, cfg.depth + 1)
-        )
         out.append(
             TrialRecord(
                 m=m,
                 n_samples=p,
                 trial=trial,
                 recovery=tuple(model.recovery),
-                accuracy=acc,
+                accuracy=accuracy(rs, gen),
                 grammar_seed=gseed,
                 collisions_resampled=n_redraw,
                 collision_checked=checked,
             )
         )
     return out
+
+
+def _stable_crossing(grid: list[int], records: list[TrialRecord], metric: str,
+                     threshold: float) -> int | None:
+    """Smallest grid point from which the median last entry of ``metric``
+    stays at or above ``threshold`` (identical to the first crossing for
+    monotone curves, and robust to the tiny-P replay bump where a
+    near-singleton clustering just re-emits memorized rows)."""
+    p_star = None
+    for p in reversed(grid):
+        values = [getattr(r, metric)[-1] for r in records if r.n_samples == p]
+        if float(np.median(values)) < threshold:
+            break
+        p_star = p
+    return p_star
 
 
 def measure_sample_complexity(cfg: SweepConfig, n_workers: int = 1) -> SweepResult:
@@ -585,35 +598,12 @@ def measure_sample_complexity(cfg: SweepConfig, n_workers: int = 1) -> SweepResu
     summaries: list[SweepSummary] = []
     for m in cfg.m_list:
         grid = cfg.grid_for(m)
-        per_p: dict[int, list[TrialRecord]] = {p: [] for p in grid}
-        for rec in records:
-            if rec.m == m:
-                per_p[rec.n_samples].append(rec)
-        # Smallest grid point from which the median metric stays above its
-        # threshold (identical to the first crossing for monotone curves, and
-        # robust to the tiny-P replay bump where a near-singleton clustering
-        # just re-emits memorized rows).
-        med_rec = [
-            float(np.median([r.recovery[-1] for r in per_p[p]])) for p in grid
-        ]
-        med_acc = [
-            float(np.median([r.accuracy[-1] for r in per_p[p]])) for p in grid
-        ]
-        p_star_cluster = None
-        for i in range(len(grid) - 1, -1, -1):
-            if med_rec[i] < cfg.cluster_threshold:
-                break
-            p_star_cluster = grid[i]
-        p_star_accuracy = None
-        for i in range(len(grid) - 1, -1, -1):
-            if med_acc[i] < cfg.accuracy_threshold:
-                break
-            p_star_accuracy = grid[i]
-        summaries.append(
-            SweepSummary(
-                m=m, p_star_cluster=p_star_cluster, p_star_accuracy=p_star_accuracy
-            )
-        )
+        of_m = [r for r in records if r.m == m]
+        summaries.append(SweepSummary(
+            m=m,
+            p_star_cluster=_stable_crossing(grid, of_m, "recovery", cfg.cluster_threshold),
+            p_star_accuracy=_stable_crossing(grid, of_m, "accuracy", cfg.accuracy_threshold),
+        ))
 
     def slope_of(attr: str) -> tuple[float | None, float | None]:
         pts = [

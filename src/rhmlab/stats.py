@@ -35,24 +35,23 @@ from .grammar import (
 from .seeding import derive_seed
 
 
+def _covariance(joint: np.ndarray, n: int) -> np.ndarray:
+    """C[a, b] = P(a, b) - P(a) P(b) from the integer pair counts of ``n``
+    rows: (n*joint - outer(row sums, column sums)) / n^2, so the marginal sums
+    cancel exactly before the final division."""
+    return (n * joint - np.outer(joint.sum(axis=1), joint.sum(axis=0))) / float(n) ** 2
+
+
 def joint_correlation(
     a: np.ndarray, b: np.ndarray, n_a: int, n_b: int
 ) -> np.ndarray:
-    """Empirical correlation matrix C[a, b] = P(a, b) - P(a) P(b).
-
-    Computed from integer counts (C = (N*joint - outer(ca, cb)) / N^2), so
-    row/column marginal sums cancel exactly before the final division.
-    """
+    """Empirical correlation matrix C[a, b] = P(a, b) - P(a) P(b)."""
     a = np.asarray(a).ravel()
     b = np.asarray(b).ravel()
     if a.shape != b.shape or a.size == 0:
         raise ValueError("need two equal-length non-empty index arrays")
-    n = a.size
     joint = np.bincount(a * n_b + b, minlength=n_a * n_b).reshape(n_a, n_b)
-    ca = joint.sum(axis=1)
-    cb = joint.sum(axis=0)
-    num = n * joint - np.outer(ca, cb)
-    return num / float(n) ** 2
+    return _covariance(joint, a.size)
 
 
 @dataclass
@@ -132,10 +131,7 @@ class TokenCovarianceAccumulator:
         sums = {lca: 0.0 for lca in levels}
         counts = {lca: 0 for lca in levels}
         for idx, (_, _, lca) in enumerate(self.pairs):
-            joint = self.counts[idx]
-            num = n * joint - np.outer(joint.sum(axis=1), joint.sum(axis=0))
-            cov = num / float(n) ** 2
-            sums[lca] += float(np.linalg.norm(cov)) / v
+            sums[lca] += float(np.linalg.norm(_covariance(self.counts[idx], n))) / v
             counts[lca] += 1
         return CorrelationReport(
             distances=np.array([self.branching**lca for lca in levels]),
@@ -275,6 +271,16 @@ class RecursionCheck:
     level: int
 
 
+def _grammar_draws(n_grammars: int, seed: int, tag: str, *shape: int):
+    """The ``n_grammars`` grammars of an ensemble average, of ``shape``
+    ``(depth, branching, vocab_size, n_synonyms)``, drawn one at a time from
+    seeds ``derive_seed(seed, g, tag)``."""
+    if n_grammars < 30:
+        raise ValueError("need at least 30 grammar draws")
+    return (generate_rules(GrammarParams(*shape, seed=derive_seed(seed, g, tag)))
+            for g in range(n_grammars))
+
+
 def correlation_recursion_check(
     vocab_size: int,
     branching: int,
@@ -291,23 +297,15 @@ def correlation_recursion_check(
     Per-draw entry sums vanish identically, so pooled second moments are
     variances.
     """
-    if n_grammars < 30:
-        raise ValueError("need at least 30 grammar draws")
+    draws = _grammar_draws(n_grammars, seed, "recursion-grammar",
+                           level + 1, branching, vocab_size, n_synonyms)
     if level < 2:
         raise ValueError("recursion is defined for level >= 2")
     sq_high = 0.0
     sq_low = 0.0
     n_high = 0
     n_low = 0
-    for g in range(n_grammars):
-        params = GrammarParams(
-            depth=level + 1,
-            branching=branching,
-            vocab_size=vocab_size,
-            n_synonyms=n_synonyms,
-            seed=derive_seed(seed, g, "recursion-grammar"),
-        )
-        rs = generate_rules(params)
+    for rs in draws:
         hi = population_token_tuple_correlation(rs, level + 1).matrix
         lo = population_token_tuple_correlation(rs.drop_bottom_level(), level).matrix
         sq_high += float((hi**2).sum())
@@ -342,19 +340,10 @@ def ensemble_correlation_std(
     identically-zero correlation and the analytic magnitude is normalized per
     realizable tuple value.
     """
-    if n_grammars < 30:
-        raise ValueError("need at least 30 grammar draws")
     total = 0.0
     count = 0
-    for g in range(n_grammars):
-        params = GrammarParams(
-            depth=level,
-            branching=branching,
-            vocab_size=vocab_size,
-            n_synonyms=n_synonyms,
-            seed=derive_seed(seed, g, "ensemble-grammar"),
-        )
-        rs = generate_rules(params)
+    for rs in _grammar_draws(n_grammars, seed, "ensemble-grammar",
+                             level, branching, vocab_size, n_synonyms):
         mat = population_token_tuple_correlation(rs, level).matrix
         valid = rs.inverse_at(level - 1) >= 0
         total += float((mat[:, valid] ** 2).sum())

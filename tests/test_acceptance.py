@@ -199,7 +199,7 @@ def test_criterion_8_correlation_range_growth():
             rep = rl.token_token_correlation(gen, 2, 2, 16)
             c2r.append(rep.values[0])
             c4r.append(rep.values[1])
-            a2r.append(rl.accuracy(rs, gen, 2))
+            a2r.append(rl.accuracy(rs, gen)[1])
         curves["c_short"].append(c2r)
         curves["c_long"].append(c4r)
         curves["a2"].append(a2r)
@@ -250,7 +250,7 @@ def test_criterion_9_structural_properties(rs_deep):
         for beta in (0.1, 0.3, 0.6, 0.9):
             spec = rl.NoiseSpec(kind=kind, beta_bar=beta)
             noisy, _ = rl.corrupt(ds.sequences[:20_000], spec, p.vocab_size, rng)
-            accs = [rl.accuracy(rs_deep, noisy, lvl) for lvl in range(p.depth + 1)]
+            accs = [1.0, *rl.accuracy(rs_deep, noisy)]
             monotone_ok &= all(a >= b for a, b in zip(accs, accs[1:]))
 
     resample_ok = True

@@ -1,8 +1,9 @@
 """The rhmlab names the benchmark under ``perfbench/`` relies on.
 
 The benchmark reaches into the package from outside: ``perfbench/tracer.py``
-wraps the public functions it lists, and ``perfbench/workloads.py`` calls
-module attributes with keyword arguments. Both files are only read here
+wraps the public functions it lists and its hooks read some of their arguments
+by position, and ``perfbench/workloads.py`` calls module attributes with
+keyword arguments. Both files are only read here
 (never imported through the import system, so no bytecode is written next to
 them), and deleting or renaming a name they use fails this test.
 """
@@ -84,3 +85,35 @@ def test_names_the_workloads_use_exist():
                              if kw.arg is not None and kw.arg not in params]
     assert absent == []
     assert unknown_keywords == []
+
+
+def test_tracer_positional_reads_match_the_signatures():
+    # Each hook reads arguments through ``_arg(args, kwargs, pos, name[,
+    # default])``: the wrapped function's parameter at ``pos`` must be ``name``,
+    # with that default.
+    tree = ast.parse((PERFBENCH / "tracer.py").read_text())
+    hooks = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets] == ["_HOOKS"])
+    span_of = {fn.id: key.value for key, fn in zip(hooks.keys, hooks.values)}
+    reads, wrong = [], []
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "_arg"):
+                continue
+            span = span_of[fn.name]  # KeyError: a helper outside _HOOKS reads args
+            pos, name, *default = [ast.literal_eval(a) for a in node.args[2:]]
+            reads.append((span, pos, name))
+            layer, *path = span.split(".")
+            target = importlib.import_module(f"rhmlab.{layer}")
+            for attr in path:
+                target = getattr(target, attr)
+            params = list(inspect.signature(target).parameters.values())
+            if pos >= len(params) or params[pos].name != name or (
+                default and params[pos].default != default[0]
+            ):
+                wrong.append((span, pos, name, *default))
+    assert reads
+    assert wrong == []

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from rhmlab import (
@@ -133,6 +135,42 @@ class TestMarginals:
             bp_marginals(rs_small, -np.ones((4, 4)))
         with pytest.raises(ValueError):
             bp_marginals(rs_small, np.ones((3, 4)))
+
+
+@st.composite
+def grammar_evidence(draw):
+    """A small grammar (depth 1-4, s 2-3, v 2-6, any feasible m, any seed),
+    leaf likelihoods with some zero entries that still admit one of its
+    derivations, and one scale factor per leaf in [1e-3, 1e3]."""
+    s = draw(st.integers(2, 3))
+    v = draw(st.integers(2, 6))
+    params = GrammarParams(
+        depth=draw(st.integers(1, 4)), branching=s, vocab_size=v,
+        n_synonyms=draw(st.integers(1, v ** (s - 1))), seed=draw(st.integers(0, 2**32)),
+    )
+    rs = generate_rules(params)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    x = sample_dataset(rs, 1, rng, with_latents=False).sequences[0]
+    lik = rng.random((params.seq_len, v))
+    lik[rng.random(lik.shape) < draw(st.floats(0, 0.9))] = 0.0
+    lik[np.arange(params.seq_len), x] = 0.01 + rng.random(params.seq_len)  # x stays possible
+    scale = 10.0 ** rng.uniform(-3, 3, size=params.seq_len)
+    return rs, lik, scale
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=grammar_evidence())
+def test_marginals_normalized_and_invariant_to_leaf_scaling(case):
+    rs, lik, scale = case
+    base = bp_marginals(rs, lik)
+    scaled = bp_marginals(rs, lik * scale[:, None])
+    for lvl in range(rs.params.depth + 1):
+        for state in (base, scaled):
+            assert np.abs(state.marginals[lvl].sum(axis=1) - 1).max() <= 1e-12
+        assert np.abs(scaled.marginals[lvl] - base.marginals[lvl]).max() <= 1e-12
+    # the evidence picks up exactly the product of the scale factors
+    shift = scaled.log_evidence - base.log_evidence
+    assert abs(shift - np.log(scale).sum()) <= 1e-9
 
 
 class TestPosteriorSampling:

@@ -566,6 +566,45 @@ class TestErrorsAndDeterminism:
         assert time.monotonic() - t0 < 1.0
         assert "int64" in _config_error(capsys)
 
+    @pytest.mark.parametrize("path, value, named", [
+        (["params"], None, "'params'"),
+        (["rules"], None, "'rules'"),
+        ([], None, "JSON object"),  # the document wrapped in an array
+        (["params", "depth"], "2", "'params.depth'"),
+        (["params", "depth"], 2.0, "'params.depth'"),
+        (["params", "n_synonyms"], 2.0, "'params.n_synonyms'"),
+        (["params", "seed"], None, "'params.seed'"),
+        (["params", "n_synonyms"], True, "'params.n_synonyms'"),
+        (["rules", 0, 0, 0, 0], 0.5, "'rules' level 1"),
+        (None, None, "nests too deep"),  # 1e5 nested brackets, not the document
+    ], ids=["no-params", "no-rules", "array", "depth-string", "depth-float",
+            "synonyms-float", "seed-null", "synonyms-bool", "rule-float", "deep"])
+    def test_malformed_grammar_file_exits_two_with_json_line(
+        self, tmp_path, grammar_file, capsys, path, value, named
+    ):
+        rs, _ = grammar_file
+        doc = rs.to_jsonable()  # no content hash: only the shape is checked
+        if path == []:
+            doc = [doc]
+        elif path is not None and len(path) == 1:
+            del doc[path[0]]
+        elif path is not None:
+            *parents, last = path
+            node = doc
+            for key in parents:
+                node = node[key]
+            node[last] = value
+        gpath = tmp_path / "g.json"
+        gpath.write_text("[" * 100_000 + "]" * 100_000 if path is None else json.dumps(doc))
+        cfg = _write(tmp_path / "c.json", {"n_samples": 5})
+        assert run(["sample", "--grammar", str(gpath), "--config", cfg,
+                    "--out", str(tmp_path / "o")]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ValueError"
+        assert named in err["message"]
+
     def test_missing_data_flag(self, tmp_path, grammar_file, capsys):
         _, gpath = grammar_file
         code = run(["stats", "--grammar", str(gpath), "--out", str(tmp_path / "o")])

@@ -31,12 +31,13 @@ class TestNoiseSpec:
     def test_linear_schedule_keep_prob_is_linear(self):
         spec = NoiseSpec.linear_schedule("masking", 1000)
         for t in (1, 137, 500, 999, 1000):
-            keep = cumulative_keep_prob(spec.truncated(t))
+            keep = cumulative_keep_prob(NoiseSpec("masking", schedule=spec.schedule[:t]))
             assert keep == pytest.approx((1000 - t) / 1000, abs=1e-12)
 
     def test_linear_schedule_monte_carlo(self):
         # corruption frequency under the truncated schedule matches 1 - keep
-        spec = NoiseSpec.linear_schedule("masking", 1000).truncated(350)
+        full = NoiseSpec.linear_schedule("masking", 1000)
+        spec = NoiseSpec("masking", schedule=full.schedule[:350])
         keep = cumulative_keep_prob(spec)
         rng = np.random.default_rng(0)
         x = rng.integers(0, 4, size=(400, 100))

@@ -274,32 +274,26 @@ class TestParse:
 class TestAccuracy:
     def test_grammatical_data_scores_one(self, rs_small):
         ds = sample_dataset(rs_small, 100, np.random.default_rng(8))
-        assert accuracy(rs_small, ds, 1) == 1.0
-        assert accuracy(rs_small, ds, 2) == 1.0
+        assert accuracy(rs_small, ds) == (1.0, 1.0)
 
     def test_uniform_strings_match_density_product(self, rs_medium):
         # each visible tuple is grammatical independently with probability f
         rng = np.random.default_rng(9)
         seqs = rng.integers(0, 16, size=(40_000, 4))
-        a1 = accuracy(rs_medium, seqs, 1)
+        a1 = accuracy(rs_medium, seqs)[0]
         f = rs_medium.params.rule_density
         expect = f**2
         se = np.sqrt(expect * (1 - expect) / seqs.shape[0])
         assert abs(a1 - expect) < 4 * se
         assert expect == 0.0625
 
-    def test_level_zero_is_free(self, rs_small):
-        assert accuracy(rs_small, np.zeros((3, 4), dtype=int), 0) == 1.0
-
     def test_monotone_in_level(self, rs_deep):
         rng = np.random.default_rng(10)
         seqs = rng.integers(0, 3, size=(3000, 8))
-        accs = [accuracy(rs_deep, seqs, lvl) for lvl in range(0, 4)]
+        accs = accuracy(rs_deep, seqs)
+        assert len(accs) == rs_deep.params.depth
+        assert all(type(a) is float for a in accs)
         assert all(a >= b for a, b in zip(accs, accs[1:]))
-
-    def test_out_of_range_level(self, rs_small):
-        with pytest.raises(ValueError):
-            accuracy(rs_small, np.zeros((2, 4), dtype=int), 3)
 
 
 class TestZeroRows:
@@ -325,9 +319,8 @@ class TestZeroRows:
             assert out.shape == (0, 8) and out.dtype == np.int32
 
     def test_accuracy_names_the_empty_input(self, rs_deep):
-        for level in (0, 2):
-            with pytest.raises(ValueError, match="empty"):
-                accuracy(rs_deep, np.zeros((0, 8), np.int32), level)
+        with pytest.raises(ValueError, match="empty"):
+            accuracy(rs_deep, np.zeros((0, 8), np.int32))
 
 
 class TestTreeDistance:

@@ -148,7 +148,7 @@ class TestClusterTuples:
     def test_fewer_codes_than_clusters_goes_partial(self):
         labels = np.array([[0, 1, 2, 3]] * 5)
         stats = build_context_stats(labels, labels, 4, 2)
-        part = cluster_tuples(stats, k=4, seed=0)
+        part = cluster_tuples(stats, seed=0)
         assert part.partial
         assert np.array_equal(part.labels, [0, 1])
         assert part.n_iter is None and part.restart is None
@@ -241,7 +241,7 @@ class TestLearnGrammar:
         model = learn_grammar(ds.sequences, 2, 2, 16, seed=1, truth=rs_medium)
         assert model.recovery == [1.0]
         gen = generate_from_learned(model, 4096, np.random.default_rng(8))
-        assert accuracy(rs_medium, gen, 2) >= 0.99
+        assert accuracy(rs_medium, gen)[1] >= 0.99
         # every label's member codes are exactly one true synonym class
         part = model.levels[0]
         for lab in np.unique(part.labels):
@@ -256,7 +256,7 @@ class TestLearnGrammar:
         model = learn_grammar(ds.sequences, 2, 2, 8, seed=2, truth=rs)
         assert model.recovery == [1.0]
         gen = generate_from_learned(model, 512, np.random.default_rng(11))
-        assert accuracy(rs, gen, 2) == 1.0
+        assert accuracy(rs, gen)[1] == 1.0
 
     def test_staged_learning_at_depth_three(self):
         rs = generate_rules(GrammarParams(depth=3, branching=2, vocab_size=16,
@@ -268,8 +268,9 @@ class TestLearnGrammar:
         assert model.recovery[0] >= 0.95  # first-level synonyms found
         assert model.recovery[1] < 0.95  # second level still unresolved
         gen = generate_from_learned(model, 2048, np.random.default_rng(14))
-        assert accuracy(rs, gen, 2) >= 0.9
-        assert accuracy(rs, gen, 3) <= 0.5
+        _, a2, a3 = accuracy(rs, gen)
+        assert a2 >= 0.9
+        assert a3 <= 0.5
 
     def test_true_partition_injection_gives_perfect_accuracy(self, rs_medium):
         ds = sample_dataset(rs_medium, 2000, np.random.default_rng(15),
@@ -282,8 +283,7 @@ class TestLearnGrammar:
                               partition_fn=oracle)
         assert model.recovery == [1.0]
         gen = generate_from_learned(model, 2048, np.random.default_rng(16))
-        assert accuracy(rs_medium, gen, 1) == 1.0
-        assert accuracy(rs_medium, gen, 2) == 1.0
+        assert accuracy(rs_medium, gen) == (1.0, 1.0)
 
     def test_true_partition_injection_every_level_depth_three(self):
         rs = generate_rules(GrammarParams(depth=3, branching=2, vocab_size=16,
@@ -298,8 +298,7 @@ class TestLearnGrammar:
                               partition_fn=oracle)
         assert model.recovery == [1.0, 1.0]
         gen = generate_from_learned(model, 2048, np.random.default_rng(26))
-        for level in (1, 2, 3):
-            assert accuracy(rs, gen, level) == 1.0
+        assert accuracy(rs, gen) == (1.0, 1.0, 1.0)
 
     def test_random_top_merges_drop_to_chance(self, rs_medium):
         ds = sample_dataset(rs_medium, 40_000, np.random.default_rng(17),
@@ -312,8 +311,8 @@ class TestLearnGrammar:
         model = learn_grammar(ds.sequences, 2, 2, 16, seed=5, truth=rs_medium,
                               partition_fn=scrambled)
         gen = generate_from_learned(model, 8192, np.random.default_rng(19))
-        assert accuracy(rs_medium, gen, 1) == 1.0
-        a2 = accuracy(rs_medium, gen, 2)
+        a1, a2 = accuracy(rs_medium, gen)
+        assert a1 == 1.0
         chance = rs_medium.params.rule_density  # valid fraction of label pairs
         assert 0.3 * chance < a2 < 3 * chance
 
@@ -367,9 +366,7 @@ def _reference_learn(seqs, depth, branching, vocab_size, seed, truth,
             stats = build_context_stats(labels, seqs, vocab_size, branching,
                                         level=stage)
             assert np.array_equal(stats.codes, observed)
-            label_of = cluster_tuples(
-                stats, k=vocab_size, seed=derive_seed(seed, stage, "kmeans")
-            ).labels
+            label_of = cluster_tuples(stats, seed=derive_seed(seed, stage, "kmeans")).labels
         idx = np.searchsorted(observed, block_codes.ravel())
         counts = np.zeros((observed.size, vocab_size), dtype=np.int64)
         np.add.at(counts, (idx, latents[stage - 1].ravel()), 1)
@@ -433,6 +430,23 @@ class TestLearnGrammarCodeTables:
 
         model = self._check(ds.sequences, rs, seed=13, partition_fn=labels_past_v)
         assert model.top_tuples.min() >= 8
+
+    @pytest.mark.parametrize("bad_stage, offset, message", [
+        (1, 8, r"stage 1 must be in \[0, 8\)"),
+        (1, -100, r"stage 1 must be in \[0, 8\)"),
+        (2, -100, "stage 2 must be non-negative"),
+    ], ids=["past-v-below-top", "negative-below-top", "negative-at-top"])
+    def test_partition_labels_out_of_range_rejected(self, bad_stage, offset, message):
+        rs = generate_rules(GrammarParams(depth=3, branching=2, vocab_size=8,
+                                          n_synonyms=2, seed=4))
+        ds = sample_dataset(rs, 500, np.random.default_rng(5), with_latents=False)
+
+        def shifted(stage, codes):
+            labels = true_tuple_classes(rs, stage, codes)
+            return labels + offset if stage == bad_stage else labels
+
+        with pytest.raises(ValueError, match=message):
+            learn_grammar(ds.sequences, 3, 2, 8, partition_fn=shifted)
 
 
 class TestGenerateFromLearned:
