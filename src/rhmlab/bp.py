@@ -13,6 +13,7 @@ m**-depth otherwise) with the log normalizers accumulated into the evidence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,8 @@ def _check_evidence(rs: RuleSet, lik: np.ndarray) -> np.ndarray:
     lik = np.asarray(lik, dtype=np.float64)
     if lik.shape != (p.seq_len, p.vocab_size):
         raise ValueError(f"evidence must have shape {(p.seq_len, p.vocab_size)}")
-    if np.any(lik < 0):
-        raise ValueError("likelihoods must be nonnegative")
+    if not lik.min() >= 0:  # a NaN entry fails this too
+        raise ValueError("likelihoods must be nonnegative numbers, not NaN")
     return lik
 
 
@@ -56,23 +57,30 @@ def _upward_pass(rs: RuleSet, lik: np.ndarray):
     child ``i`` of node ``n`` at value ``rules_at(lvl)[a, k, i]``, shape
     ``(width, v, m, s)``; ``prods[lvl - 1]`` is its product over the children,
     shape ``(width, v, m)``; ``log_z`` is the accumulated log normalizer.
+
+    The gather goes through :meth:`RuleSet.bp_index` and is transposed so
+    that the node axis is innermost in memory. numpy picks the summation
+    order of ``prod.sum(axis=2)``, ``up.sum(axis=1)`` and the marginal
+    normalizers from that layout, so the layout is part of the exact bits of
+    every result: a C-contiguous ``(width, v, m, s)`` gather moves marginals
+    and log evidence by an ulp.
     """
     p = rs.params
     norms = lik.sum(axis=1)
-    if np.any(norms <= 0):
+    if norms.min() <= 0:
         raise ImpossibleEvidenceError("a leaf has an all-zero likelihood")
     log_z = float(np.log(norms).sum())
+    if log_z == math.inf:
+        raise ValueError("likelihoods must be finite, with finite sums per leaf")
     upward = [lik / norms[:, None]]
     gathered, prods = [], []
-    s, m = p.branching, p.n_synonyms
+    m = p.n_synonyms
     for lvl in range(1, p.depth + 1):
-        width = p.level_width(lvl)
-        child = upward[-1].reshape(width, s, p.vocab_size)
-        g = child[:, np.arange(s)[None, None, :], rs.rules_at(lvl)]
+        g = upward[-1].take(rs.bp_index(lvl)).transpose(3, 0, 1, 2)
         prod = g.prod(axis=3)
         up = prod.sum(axis=2) / m
         z = up.sum(axis=1)
-        if np.any(z <= 0):
+        if z.min() <= 0:
             raise ImpossibleEvidenceError(
                 f"evidence admits no grammatical completion at level {lvl}"
             )
@@ -88,31 +96,32 @@ def bp_marginals(rs: RuleSet, evidence: np.ndarray) -> BeliefState:
     p = rs.params
     lik = _check_evidence(rs, evidence)
     upward, gathered, _, log_z = _upward_pass(rs, lik)
-    v, m, s = p.vocab_size, p.n_synonyms, p.branching
+    v, m = p.vocab_size, p.n_synonyms
 
     # Root prior is uniform, so it cancels after normalization; its mass is
     # still part of the evidence.
     log_z += float(np.log(upward[p.depth][0].sum() / v))  # = -log v
     downward = [np.full((1, v), 1.0 / v)]  # root first
     for lvl in range(p.depth, 0, -1):
-        g = gathered[lvl - 1]  # (width, v, m, s)
+        index = rs.bp_index(lvl)
+        g = gathered[lvl - 1].transpose(1, 2, 3, 0)  # (v, m, s, width), contiguous
         # Product over every child but i: an exclusive prefix times an
-        # exclusive suffix product along the slot axis.
-        ones = np.ones(g.shape[:3] + (1,))
-        before = np.cumprod(np.concatenate([ones, g[..., :-1]], axis=3), axis=3)
-        after = np.cumprod(np.concatenate([ones, g[..., :0:-1]], axis=3), axis=3)
-        contrib = downward[-1][:, :, None, None] * (before * after[..., ::-1]) / m
-        # Scatter each (node, parent value, production, slot) onto the value
+        # exclusive suffix product along the slot axis, each a cumprod
+        # behind a leading 1.
+        excl = np.empty((2,) + g.shape)
+        excl[:, :, :, 0] = 1.0
+        before, after = excl
+        np.cumprod(g[:, :, :-1], axis=2, out=before[:, :, 1:])
+        np.cumprod(g[:, :, :0:-1], axis=2, out=after[:, :, 1:])
+        contrib = downward[-1].T[:, None, None, :] * (before * after[:, :, ::-1]) / m
+        # Scatter each (parent value, production, slot, node) onto the value
         # the rule table gives that child: O(v) per node, where a product
         # with a one-hot rule table would cost O(v**2). Each bin sums its
         # terms in (parent value, production) order.
-        width = g.shape[0]
-        child = np.arange(width)[:, None, None, None] * s + np.arange(s)
-        bins = (child * v + rs.rules_at(lvl)).ravel()
-        msg = np.bincount(bins, contrib.ravel(), minlength=width * s * v)
+        msg = np.bincount(index.ravel(), contrib.ravel(), minlength=index.size // m)
         msg = msg.reshape(-1, v)
         z = msg.sum(axis=1)
-        if np.any(z <= 0):
+        if z.min() <= 0:
             raise ImpossibleEvidenceError("zero downward message")
         downward.append(msg / z[:, None])
     downward.reverse()
@@ -120,17 +129,20 @@ def bp_marginals(rs: RuleSet, evidence: np.ndarray) -> BeliefState:
     for lvl in range(p.depth + 1):
         post = upward[lvl] * downward[lvl]
         z = post.sum(axis=1)
-        if np.any(z <= 0):
+        if z.min() <= 0:
             raise ImpossibleEvidenceError("zero posterior mass")
         marginals.append(post / z[:, None])
     return BeliefState(marginals=marginals, log_evidence=log_z)
 
 
-def _categorical_rows(prob_rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One categorical draw per row of a (n, k) probability matrix."""
-    cdf = np.cumsum(prob_rows, axis=1)
-    cdf /= cdf[:, -1:]
-    u = rng.random((prob_rows.shape[0], 1))
+def _categorical_rows(
+    prob_rows: np.ndarray, n: int, rng: np.random.Generator
+) -> np.ndarray:
+    """``n`` categorical draws: one per row of an (n, k) probability matrix,
+    or all ``n`` from one (k,) row."""
+    cdf = np.cumsum(prob_rows, axis=-1)
+    cdf /= cdf[..., -1:]
+    u = rng.random((n, 1))
     return (u > cdf).sum(axis=1).astype(np.int32)
 
 
@@ -145,19 +157,19 @@ def bp_posterior_sample_batch(
     and rule choices.
     """
     p = rs.params
+    v, m = p.vocab_size, p.n_synonyms
     lik = _check_evidence(rs, evidence)
     upward, _, prods, _ = _upward_pass(rs, lik)
     root_post = upward[p.depth][0] / upward[p.depth][0].sum()
-    symbols = _categorical_rows(np.tile(root_post, (n, 1)), rng).reshape(n, 1)
+    symbols = _categorical_rows(root_post, n, rng).reshape(n, 1)
     for lvl in range(p.depth, 0, -1):
         width = p.level_width(lvl)
-        node_idx = np.broadcast_to(np.arange(width)[None, :], symbols.shape)
-        weights = prods[lvl - 1][node_idx, symbols]  # (n, width, m)
-        flat = weights.reshape(-1, p.n_synonyms)
-        bad = flat.sum(axis=1) <= 0
-        if np.any(bad):
+        # Row (node, value) of the (width * v, m) production weights.
+        rows = symbols + np.arange(0, width * v, v)
+        flat = prods[lvl - 1].reshape(-1, m).take(rows.ravel(), axis=0)
+        if not flat.sum(axis=1).all():
             raise ImpossibleEvidenceError("conditioned node has no valid production")
-        ks = _categorical_rows(flat, rng).reshape(symbols.shape)
+        ks = _categorical_rows(flat, flat.shape[0], rng).reshape(symbols.shape)
         symbols = rs.rules_at(lvl)[symbols, ks].reshape(n, width * p.branching)
     return symbols
 

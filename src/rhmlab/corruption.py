@@ -106,8 +106,9 @@ def leaf_likelihoods(
         if seq.min() < 0 or seq.max() > vocab_size:
             raise ValueError("symbols must lie in [0, vocab_size]")
         masked = seq == vocab_size
-        out[masked] = 1.0
-        out[~masked] = np.eye(vocab_size)[seq[~masked]]
+        out[:] = masked[:, None]
+        rows = np.flatnonzero(~masked)
+        out[rows, seq[rows]] = 1.0
     else:
         if seq.min() < 0 or seq.max() >= vocab_size:
             raise ValueError("symbols must lie in [0, vocab_size)")

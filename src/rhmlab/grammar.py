@@ -133,7 +133,8 @@ class RuleSet:
     level-(level-1) symbols); levels run 1..depth. ``inverse_at(level)`` maps a
     tuple code to ``parent * n_synonyms + rule_index`` (-1 for invalid tuples),
     which is a function because tuples are globally distinct within a level.
-    ``parse_tables(level)`` holds the same map for :func:`parse_batch`.
+    ``parse_tables(level)`` holds the same map for :func:`parse_batch`, and
+    ``bp_index(level)`` the gather index of exact inference (:mod:`rhmlab.bp`).
     """
 
     def __init__(self, params: GrammarParams, tables: list[np.ndarray]):
@@ -162,6 +163,7 @@ class RuleSet:
         self._tables = tuple(tabs)
         self._inverse = tuple(invs)
         self._parse: tuple[tuple[np.ndarray, np.ndarray], ...] | None = None
+        self._bp_index: tuple[np.ndarray, ...] | None = None
         self._hash: str | None = None
 
     def _check_level(self, level: int) -> None:
@@ -198,6 +200,29 @@ class RuleSet:
                 tables.append((parent_of, choice_of))
             self._parse = tuple(tables)
         return self._parse[level - 1]
+
+    def bp_index(self, level: int) -> np.ndarray:
+        """Read-only intp ``(v, m, s, width)`` array whose ``[a, k, i, n]``
+        entry is ``(n*s + i)*v + rules_at(level)[a, k, i]``: the flat position,
+        among the ``(width*s, v)`` values of the level below, of child ``i``
+        of node ``n`` taking production ``k`` of value ``a``. The node axis
+        is last so that a gather through it, transposed to
+        ``(width, v, m, s)``, keeps nodes innermost in memory (see
+        :mod:`rhmlab.bp`). Built for every level on first use, like
+        :meth:`parse_tables`."""
+        self._check_level(level)
+        if self._bp_index is None:
+            p = self.params
+            index = []
+            for lvl, table in enumerate(self._tables, 1):
+                width = p.level_width(lvl)
+                child = (np.arange(width) * p.branching
+                         + np.arange(p.branching)[:, None]) * p.vocab_size
+                idx = child + table[..., None].astype(np.intp)
+                idx.setflags(write=False)
+                index.append(idx)
+            self._bp_index = tuple(index)
+        return self._bp_index[level - 1]
 
     def drop_bottom_level(self) -> "RuleSet":
         """The grammar formed by levels 2..depth, with level-1 symbols as leaves.
@@ -238,19 +263,22 @@ class RuleSet:
         for key in keys:
             if type(p.get(key)) is not int:  # JSON integers only, not booleans
                 raise ValueError(f"grammar field 'params.{key}' must be an integer")
+        params = GrammarParams(**{key: p[key] for key in keys})
         rules = obj.get("rules")
         if not isinstance(rules, list):
             raise ValueError("grammar field 'rules' must be a list")
+        if len(rules) != params.depth:
+            raise ValueError(f"grammar field 'rules' must hold {params.depth} levels")
+        shape = (params.vocab_size, params.n_synonyms, params.branching)
         for lvl, table in enumerate(rules, 1):
             items = [table]
-            for _ in range(3):  # symbol, production, child
-                if not all(isinstance(x, list) for x in items):
-                    raise ValueError(f"grammar field 'rules' level {lvl} must "
-                                     f"nest lists three deep")
+            for size in shape:  # symbol, production, child
+                if not all(isinstance(x, list) and len(x) == size for x in items):
+                    raise ValueError(f"grammar field 'rules' level {lvl} must nest "
+                                     f"lists three deep, of lengths {shape}")
                 items = [y for x in items for y in x]
             if not all(type(x) is int for x in items):
                 raise ValueError(f"grammar field 'rules' level {lvl} must hold integers")
-        params = GrammarParams(**{key: p[key] for key in keys})
         return cls(params, [np.asarray(t, dtype=np.int32) for t in rules])
 
     def content_hash(self) -> str:

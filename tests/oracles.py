@@ -11,7 +11,10 @@ files from ``np.savetxt`` and a per-token Python parse. The row kernels
 checked against per-row Python loops that never call ``encode_tuples``,
 ``decode_codes``, ``parse_batch`` or the expansion code. The distinct-row
 sampler is checked against its earlier form, which keeps each batch's fresh
-rows as a Dataset of their own.
+rows as a Dataset of their own. Exact inference is checked twice: against the
+enumeration above to a tolerance, and bit for bit against its earlier form,
+which gathers child messages by fancy indexing and rebuilds its scatter bins
+on every call.
 """
 
 from __future__ import annotations
@@ -20,7 +23,13 @@ from collections import Counter
 
 import numpy as np
 
-from rhmlab import Dataset, RuleSet, enumerate_all, sample_dataset
+from rhmlab import (
+    Dataset,
+    ImpossibleEvidenceError,
+    RuleSet,
+    enumerate_all,
+    sample_dataset,
+)
 
 
 def enumeration_conditionals(rs: RuleSet, lik: np.ndarray):
@@ -386,3 +395,109 @@ def sample_distinct_dataset_oracle(
     return Dataset(
         sequences=seqs, params=p, latents=latents, choices=choices, meta=meta
     )
+
+
+def _bp_check_evidence_oracle(rs: RuleSet, lik: np.ndarray) -> np.ndarray:
+    p = rs.params
+    lik = np.asarray(lik, dtype=np.float64)
+    if lik.shape != (p.seq_len, p.vocab_size):
+        raise ValueError(f"evidence must have shape {(p.seq_len, p.vocab_size)}")
+    if np.any(lik < 0):
+        raise ValueError("likelihoods must be nonnegative")
+    return lik
+
+
+def _bp_upward_pass_oracle(rs: RuleSet, lik: np.ndarray):
+    """Upward messages, gathered child messages (node axis innermost in
+    memory, as fancy indexing leaves it), their products and the log
+    normalizer."""
+    p = rs.params
+    norms = lik.sum(axis=1)
+    if np.any(norms <= 0):
+        raise ImpossibleEvidenceError("a leaf has an all-zero likelihood")
+    log_z = float(np.log(norms).sum())
+    upward = [lik / norms[:, None]]
+    gathered, prods = [], []
+    s, m = p.branching, p.n_synonyms
+    for lvl in range(1, p.depth + 1):
+        width = p.level_width(lvl)
+        child = upward[-1].reshape(width, s, p.vocab_size)
+        g = child[:, np.arange(s)[None, None, :], rs.rules_at(lvl)]
+        prod = g.prod(axis=3)
+        up = prod.sum(axis=2) / m
+        z = up.sum(axis=1)
+        if np.any(z <= 0):
+            raise ImpossibleEvidenceError(
+                f"evidence admits no grammatical completion at level {lvl}"
+            )
+        log_z += float(np.log(z).sum())
+        upward.append(up / z[:, None])
+        gathered.append(g)
+        prods.append(prod)
+    return upward, gathered, prods, log_z
+
+
+def bp_marginals_oracle(rs: RuleSet, evidence: np.ndarray):
+    """Per-level marginals and log evidence by sum-product, the downward
+    products from concatenated cumprods and the scatter bins rebuilt here.
+    Returns ``(marginals, log_evidence)``."""
+    p = rs.params
+    lik = _bp_check_evidence_oracle(rs, evidence)
+    upward, gathered, _, log_z = _bp_upward_pass_oracle(rs, lik)
+    v, m, s = p.vocab_size, p.n_synonyms, p.branching
+    log_z += float(np.log(upward[p.depth][0].sum() / v))
+    downward = [np.full((1, v), 1.0 / v)]
+    for lvl in range(p.depth, 0, -1):
+        g = gathered[lvl - 1]
+        ones = np.ones(g.shape[:3] + (1,))
+        before = np.cumprod(np.concatenate([ones, g[..., :-1]], axis=3), axis=3)
+        after = np.cumprod(np.concatenate([ones, g[..., :0:-1]], axis=3), axis=3)
+        contrib = downward[-1][:, :, None, None] * (before * after[..., ::-1]) / m
+        width = g.shape[0]
+        child = np.arange(width)[:, None, None, None] * s + np.arange(s)
+        bins = (child * v + rs.rules_at(lvl)).ravel()
+        msg = np.bincount(bins, contrib.ravel(), minlength=width * s * v)
+        msg = msg.reshape(-1, v)
+        z = msg.sum(axis=1)
+        if np.any(z <= 0):
+            raise ImpossibleEvidenceError("zero downward message")
+        downward.append(msg / z[:, None])
+    downward.reverse()
+    marginals = []
+    for lvl in range(p.depth + 1):
+        post = upward[lvl] * downward[lvl]
+        z = post.sum(axis=1)
+        if np.any(z <= 0):
+            raise ImpossibleEvidenceError("zero posterior mass")
+        marginals.append(post / z[:, None])
+    return marginals, log_z
+
+
+def _categorical_rows_oracle(prob_rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    cdf = np.cumsum(prob_rows, axis=1)
+    cdf /= cdf[:, -1:]
+    u = rng.random((prob_rows.shape[0], 1))
+    return (u > cdf).sum(axis=1).astype(np.int32)
+
+
+def bp_posterior_sample_batch_oracle(
+    rs: RuleSet, evidence: np.ndarray, n: int, rng: np.random.Generator
+) -> np.ndarray:
+    """``n`` posterior draws by top-down sampling from a tiled root row and
+    weights fetched by broadcast fancy indexing."""
+    p = rs.params
+    lik = _bp_check_evidence_oracle(rs, evidence)
+    upward, _, prods, _ = _bp_upward_pass_oracle(rs, lik)
+    root_post = upward[p.depth][0] / upward[p.depth][0].sum()
+    symbols = _categorical_rows_oracle(np.tile(root_post, (n, 1)), rng).reshape(n, 1)
+    for lvl in range(p.depth, 0, -1):
+        width = p.level_width(lvl)
+        node_idx = np.broadcast_to(np.arange(width)[None, :], symbols.shape)
+        weights = prods[lvl - 1][node_idx, symbols]
+        flat = weights.reshape(-1, p.n_synonyms)
+        bad = flat.sum(axis=1) <= 0
+        if np.any(bad):
+            raise ImpossibleEvidenceError("conditioned node has no valid production")
+        ks = _categorical_rows_oracle(flat, rng).reshape(symbols.shape)
+        symbols = rs.rules_at(lvl)[symbols, ks].reshape(n, width * p.branching)
+    return symbols

@@ -17,7 +17,11 @@ from rhmlab import (
     parse_batch,
     sample_dataset,
 )
-from oracles import enumeration_conditionals
+from oracles import (
+    bp_marginals_oracle,
+    bp_posterior_sample_batch_oracle,
+    enumeration_conditionals,
+)
 
 # (depth, branching, vocab_size, n_synonyms) with branching above 2, where the
 # product over a node's other children has more than one factor.
@@ -136,6 +140,21 @@ class TestMarginals:
         with pytest.raises(ValueError):
             bp_marginals(rs_small, np.ones((3, 4)))
 
+    @pytest.mark.parametrize("bad, named", [
+        (np.nan, "NaN"), (np.inf, "finite"), (-0.5, "nonnegative"),
+    ], ids=["nan", "inf", "negative"])
+    @pytest.mark.parametrize("call", ["marginals", "sample"])
+    def test_rejects_non_finite_or_negative_likelihood(self, bad, named, call):
+        rs = generate_rules(GrammarParams(2, 2, 4, 2, seed=1))
+        lik = np.ones((4, 4))
+        lik[0, 0] = bad
+        with pytest.raises(ValueError, match=named) as err:
+            if call == "marginals":
+                bp_marginals(rs, lik)
+            else:
+                bp_posterior_sample_batch(rs, lik, 3, np.random.default_rng(0))
+        assert not isinstance(err.value, ImpossibleEvidenceError)
+
 
 @st.composite
 def grammar_evidence(draw):
@@ -171,6 +190,64 @@ def test_marginals_normalized_and_invariant_to_leaf_scaling(case):
     # the evidence picks up exactly the product of the scale factors
     shift = scaled.log_evidence - base.log_evidence
     assert abs(shift - np.log(scale).sum()) <= 1e-9
+
+
+@st.composite
+def oracle_cases(draw):
+    """A grammar (depth 1-4, s 2-4, v 2-16, feasible m up to 16, any seed),
+    leaf evidence from masking noise, uniform noise or random likelihoods
+    with zero entries (which may admit no derivation), a draw count 0-20
+    and a seed for the sampler's generator."""
+    s = draw(st.integers(2, 4))
+    v = draw(st.integers(2, 16))
+    params = GrammarParams(
+        depth=draw(st.integers(1, 4)), branching=s, vocab_size=v,
+        n_synonyms=draw(st.integers(1, min(v ** (s - 1), 16))),
+        seed=draw(st.integers(0, 2**32)),
+    )
+    rs = generate_rules(params)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["masking", "uniform", "random"]))
+    if kind == "random":
+        lik = rng.random((params.seq_len, v))
+        lik[rng.random(lik.shape) < draw(st.floats(0, 0.9))] = 0.0
+    else:
+        spec = NoiseSpec(kind=kind, beta_bar=draw(st.floats(0, 1)))
+        x = sample_dataset(rs, 1, rng, with_latents=False).sequences[0]
+        lik = leaf_likelihoods(corrupt(x, spec, v, rng)[0], spec, v)
+    return rs, lik, draw(st.integers(0, 20)), draw(st.integers(0, 2**32))
+
+
+def _outcome(call):
+    """The call's result, or None when it raises ImpossibleEvidenceError."""
+    try:
+        return call()
+    except ImpossibleEvidenceError:
+        return None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=oracle_cases())
+def test_bp_is_bit_identical_to_the_oracle(case):
+    rs, lik, n, seed = case
+    state = _outcome(lambda: bp_marginals(rs, lik))
+    want = _outcome(lambda: bp_marginals_oracle(rs, lik))
+    assert (state is None) == (want is None)
+    if want is not None:
+        marginals, log_evidence = want
+        assert len(state.marginals) == len(marginals)
+        for got, ref in zip(state.marginals, marginals):
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+        assert state.log_evidence == log_evidence
+    rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    draws = _outcome(lambda: bp_posterior_sample_batch(rs, lik, n, rng))
+    draws_ref = _outcome(lambda: bp_posterior_sample_batch_oracle(rs, lik, n, rng_ref))
+    assert (draws is None) == (draws_ref is None)
+    if draws_ref is not None:
+        assert draws.dtype == draws_ref.dtype and draws.shape == draws_ref.shape
+        assert np.array_equal(draws, draws_ref)
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
 class TestPosteriorSampling:

@@ -576,9 +576,10 @@ class TestErrorsAndDeterminism:
         (["params", "seed"], None, "'params.seed'"),
         (["params", "n_synonyms"], True, "'params.n_synonyms'"),
         (["rules", 0, 0, 0, 0], 0.5, "'rules' level 1"),
+        (["rules", 1, 0, 1], [3], "'rules' level 2"),  # a ragged table
         (None, None, "nests too deep"),  # 1e5 nested brackets, not the document
     ], ids=["no-params", "no-rules", "array", "depth-string", "depth-float",
-            "synonyms-float", "seed-null", "synonyms-bool", "rule-float", "deep"])
+            "synonyms-float", "seed-null", "synonyms-bool", "rule-float", "ragged", "deep"])
     def test_malformed_grammar_file_exits_two_with_json_line(
         self, tmp_path, grammar_file, capsys, path, value, named
     ):

@@ -143,6 +143,23 @@ class TestLeafLikelihoods:
                 assert np.all(lik >= 0)
                 assert np.all(lik.sum(axis=1) > 0)
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int32, np.int64])
+    def test_masking_rows_equal_the_identity_matrix_formula(self, dtype):
+        rng = np.random.default_rng(7)
+        spec = NoiseSpec(kind="masking", beta_bar=0.5)
+        for v in (2, 5, 16):
+            for n in (1, 3, 40):
+                for masked_share in (0.0, 0.5, 1.0):
+                    seq = rng.integers(0, v, size=n).astype(dtype)
+                    seq[rng.random(n) < masked_share] = v
+                    want = np.empty((n, v))
+                    hidden = seq == v
+                    want[hidden] = 1.0
+                    want[~hidden] = np.eye(v)[seq[~hidden]]
+                    got = leaf_likelihoods(seq, spec, v)
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
+
     def test_rejects_out_of_range_symbol(self):
         with pytest.raises(ValueError):
             leaf_likelihoods(np.array([4]), NoiseSpec(kind="uniform", beta_bar=0.2), 4)

@@ -10,6 +10,7 @@ from rhmlab import (
     Dataset,
     EnumerationCapError,
     GrammarParams,
+    RuleSet,
     accuracy,
     decode_codes,
     encode_tuples,
@@ -102,6 +103,38 @@ class TestGenerateRules:
             for table in rs_small.parse_tables(level):
                 with pytest.raises(ValueError, match="read-only"):
                     table[0] = 3
+
+    def test_bp_index_is_read_only_and_addresses_each_child(self, rs_deep):
+        p = rs_deep.params
+        for level in range(1, p.depth + 1):
+            index = rs_deep.bp_index(level)
+            width, s, v = p.level_width(level), p.branching, p.vocab_size
+            assert index.shape == (v, p.n_synonyms, s, width)
+            node, slot = divmod(index // v, s)
+            assert np.array_equal(node, np.broadcast_to(np.arange(width), index.shape))
+            assert np.array_equal(slot, np.broadcast_to(np.arange(s)[:, None], index.shape))
+            assert np.array_equal(index % v, np.broadcast_to(
+                rs_deep.rules_at(level)[..., None], index.shape))
+            with pytest.raises(ValueError, match="read-only"):
+                index[0, 0, 0, 0] = 3
+
+    @pytest.mark.parametrize("rules, level", [
+        ([[[0, 1]], [[1]]], 1),  # a production with one child
+        ([[[0, 1]]], 1),  # one symbol's table
+        ([[[0, 1], [1, 0]], [[1, 1], [0, 0]]], 1),  # two productions each
+        ([[0, 1], [1, 0]], 1),  # nested two deep
+    ], ids=["short-production", "short-level", "extra-synonym", "two-deep"])
+    def test_ragged_rule_table_names_rules_and_level(self, rules, level):
+        doc = generate_rules(GrammarParams(1, 2, 2, 1, seed=0)).to_jsonable()
+        doc["rules"] = [rules]
+        with pytest.raises(ValueError, match=f"'rules' level {level}"):
+            RuleSet.from_jsonable(doc)
+
+    def test_rule_level_count_names_rules(self):
+        doc = generate_rules(GrammarParams(2, 2, 2, 1, seed=0)).to_jsonable()
+        doc["rules"] = doc["rules"][:1]
+        with pytest.raises(ValueError, match="'rules' must hold 2 levels"):
+            RuleSet.from_jsonable(doc)
 
     def test_encode_tuples_uint64_matches_matmul(self):
         # values at and above 2**63 wrap on the cast to int64, as in the
