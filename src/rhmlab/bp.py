@@ -139,11 +139,13 @@ def _categorical_rows(
     prob_rows: np.ndarray, n: int, rng: np.random.Generator
 ) -> np.ndarray:
     """``n`` categorical draws: one per row of an (n, k) probability matrix,
-    or all ``n`` from one (k,) row."""
+    or all ``n`` from one (k,) row. A uniform ``u`` in
+    ``[cdf[j-1], cdf[j])`` draws ``j``, so a zero-probability entry, whose
+    interval is empty, is never drawn, not even at ``u = 0``."""
     cdf = np.cumsum(prob_rows, axis=-1)
     cdf /= cdf[..., -1:]
     u = rng.random((n, 1))
-    return (u > cdf).sum(axis=1).astype(np.int32)
+    return (u >= cdf).sum(axis=1).astype(np.int32)
 
 
 def bp_posterior_sample_batch(

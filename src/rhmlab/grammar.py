@@ -152,10 +152,11 @@ class RuleSet:
             if table.min() < 0 or table.max() >= v:
                 raise ValueError("rule table contains out-of-range symbols")
             codes = encode_tuples(table.reshape(v * m, s), v)
-            if len(np.unique(codes)) != v * m:
-                raise ValueError("ambiguous rules: duplicate production tuple")
             inv = np.full(v**s, -1, dtype=np.int64)
             inv[codes] = np.arange(v * m, dtype=np.int64)
+            # A repeated tuple fills one slot for several productions.
+            if np.count_nonzero(inv >= 0) != v * m:
+                raise ValueError("ambiguous rules: duplicate production tuple")
             table.setflags(write=False)
             inv.setflags(write=False)
             tabs.append(table)
@@ -233,7 +234,7 @@ class RuleSet:
         if self.params.depth < 2:
             raise ValueError("cannot drop the only level")
         params = replace(self.params, depth=self.params.depth - 1)
-        return RuleSet(params, [t.copy() for t in self._tables[1:]])
+        return RuleSet(params, list(self._tables[1:]))
 
     def to_jsonable(self) -> dict:
         return {

@@ -28,7 +28,6 @@ from .grammar import (
     GrammarParams,
     RuleSet,
     encode_tuples,
-    enumerate_all,
     generate_rules,
     tree_distance,
 )
@@ -194,20 +193,46 @@ def token_tuple_correlation(ds: Dataset, level: int) -> TokenTupleCorrelation:
 
 
 def population_token_tuple_correlation(rs: RuleSet, level: int) -> TokenTupleCorrelation:
-    """Exact population token-tuple correlation of a grammar instance.
+    """Exact population token-tuple correlation of a grammar instance, by
+    transfer matrices along the tree; nothing is enumerated, so any depth
+    works.
+
+    With ``A_l[a, b] = #{k : rules_at(l)[a, k, 0] = b} / m`` the left-slot
+    matrices: the marginal ``pi`` of node 0 at ``level`` is the uniform root
+    pushed down the leftmost spine; its children 0 and 1 have the joint
+    ``Q[c0, c1] = sum_{a,k} pi[a] / m [rules_at(level)[a, k, 0:2] = (c0, c1)]``
+    (summed over (parent, production) pairs, because siblings are coupled
+    through the shared production); ``c0`` reaches leaf 0 through
+    ``A_{level-1} ... A_1``, and ``c1`` emits each of its productions, the
+    tuple, with probability ``1/m``. The result is that joint minus the
+    outer product of its marginals.
 
     Columns span all vocab_size**branching tuple codes; columns of
-    ungrammatical tuples are exactly zero. Requires the instance to be
-    enumerable (see :func:`enumerate_all`).
+    ungrammatical tuples are exactly zero.
     """
     p = rs.params
-    ds = enumerate_all(rs)
-    block = _tuple_block(ds, level)
-    codes = encode_tuples(block, p.vocab_size)
-    n_cols = p.vocab_size**p.branching
-    matrix = joint_correlation(ds.sequences[:, 0], codes, p.vocab_size, n_cols)
+    if not 2 <= level <= p.depth:
+        raise ValueError(f"level must be in 2..{p.depth}")
+    v, m = p.vocab_size, p.n_synonyms
+    pi = np.full(v, 1.0 / v)
+    for lvl in range(p.depth, level, -1):
+        pi = np.bincount(rs.rules_at(lvl)[:, :, 0].ravel(),
+                         weights=np.repeat(pi / m, m), minlength=v)
+    top = rs.rules_at(level)
+    joint = np.bincount((top[:, :, 0] * v + top[:, :, 1]).ravel(),
+                        weights=np.repeat(pi / m, m), minlength=v * v).reshape(v, v)
+    parents = np.repeat(np.arange(v), m)
+    for lvl in range(level - 1, 0, -1):  # rows: leftmost node at level lvl-1
+        left = np.bincount(parents * v + rs.rules_at(lvl)[:, :, 0].ravel(),
+                           minlength=v * v).reshape(v, v) / m
+        joint = left.T @ joint
+    inv = rs.inverse_at(level - 1)
+    valid = inv >= 0
+    matrix = np.zeros((v, inv.size))
+    matrix[:, valid] = joint[:, inv[valid] // m] / m
+    matrix -= np.outer(matrix.sum(axis=1), matrix.sum(axis=0))
     return TokenTupleCorrelation(
-        level=level, codes=np.arange(n_cols), matrix=matrix
+        level=level, codes=np.arange(inv.size), matrix=matrix
     )
 
 

@@ -14,7 +14,8 @@ sampler is checked against its earlier form, which keeps each batch's fresh
 rows as a Dataset of their own. Exact inference is checked twice: against the
 enumeration above to a tolerance, and bit for bit against its earlier form,
 which gathers child messages by fancy indexing and rebuilds its scatter bins
-on every call.
+on every call. The exact population token-tuple correlation is checked
+against its earlier form, the pair counts of the enumeration.
 """
 
 from __future__ import annotations
@@ -27,9 +28,11 @@ from rhmlab import (
     Dataset,
     ImpossibleEvidenceError,
     RuleSet,
+    encode_tuples,
     enumerate_all,
     sample_dataset,
 )
+from rhmlab.stats import TokenTupleCorrelation, _tuple_block, joint_correlation
 
 
 def enumeration_conditionals(rs: RuleSet, lik: np.ndarray):
@@ -501,3 +504,21 @@ def bp_posterior_sample_batch_oracle(
         ks = _categorical_rows_oracle(flat, rng).reshape(symbols.shape)
         symbols = rs.rules_at(lvl)[symbols, ks].reshape(n, width * p.branching)
     return symbols
+
+
+def population_token_tuple_correlation_oracle(rs: RuleSet, level: int) -> TokenTupleCorrelation:
+    """Exact population token-tuple correlation of a grammar instance.
+
+    Columns span all vocab_size**branching tuple codes; columns of
+    ungrammatical tuples are exactly zero. Requires the instance to be
+    enumerable (see :func:`enumerate_all`).
+    """
+    p = rs.params
+    ds = enumerate_all(rs)
+    block = _tuple_block(ds, level)
+    codes = encode_tuples(block, p.vocab_size)
+    n_cols = p.vocab_size**p.branching
+    matrix = joint_correlation(ds.sequences[:, 0], codes, p.vocab_size, n_cols)
+    return TokenTupleCorrelation(
+        level=level, codes=np.arange(n_cols), matrix=matrix
+    )

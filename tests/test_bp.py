@@ -17,6 +17,7 @@ from rhmlab import (
     parse_batch,
     sample_dataset,
 )
+from rhmlab.bp import _categorical_rows
 from oracles import (
     bp_marginals_oracle,
     bp_posterior_sample_batch_oracle,
@@ -275,6 +276,19 @@ class TestPosteriorSampling:
             assert max_levels[0] == 2
             for lvl in range(1, 3):
                 assert np.array_equal(latents[lvl - 1][0], ds.level_symbols(lvl)[row])
+
+    def test_zero_uniform_never_draws_a_zero_probability_entry(self, rs_deep):
+        class ZeroUniform:
+            def random(self, size):
+                return np.zeros(size)
+
+        assert _categorical_rows(np.array([0.0, 0.5, 0.5]), 1, ZeroUniform())[0] == 1
+        # Clean evidence leaves one derivation; u = 0 must still find it.
+        ds = sample_dataset(rs_deep, 20, np.random.default_rng(3))
+        for row in ds.sequences:
+            lik = np.eye(rs_deep.params.vocab_size)[row]
+            draws = bp_posterior_sample_batch(rs_deep, lik, 2, ZeroUniform())
+            assert np.array_equal(draws, np.stack([row, row]))
 
     def test_sample_marginals_match_bp_at_every_node(self, rs_small):
         rng = np.random.default_rng(8)

@@ -136,6 +136,24 @@ class TestGenerateRules:
         with pytest.raises(ValueError, match="'rules' must hold 2 levels"):
             RuleSet.from_jsonable(doc)
 
+    def test_duplicate_production_tuple_is_ambiguous(self):
+        tables = [np.array([[[0, 1]], [[1, 0]]]), np.array([[[0, 1]], [[0, 1]]])]
+        with pytest.raises(ValueError, match="ambiguous rules: duplicate production tuple"):
+            RuleSet(GrammarParams(2, 2, 2, 1), tables)
+
+    def test_drop_bottom_level_shares_levels_above(self, rs_deep):
+        dropped = rs_deep.drop_bottom_level()
+        p = rs_deep.params
+        assert dropped.params == GrammarParams(p.depth - 1, p.branching, p.vocab_size,
+                                               p.n_synonyms, p.seed)
+        for level in range(1, p.depth):
+            table = dropped.rules_at(level)
+            assert np.array_equal(table, rs_deep.rules_at(level + 1))
+            assert np.shares_memory(table, rs_deep.rules_at(level + 1))
+            assert np.array_equal(dropped.inverse_at(level), rs_deep.inverse_at(level + 1))
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0, 0] = 1
+
     def test_encode_tuples_uint64_matches_matmul(self):
         # values at and above 2**63 wrap on the cast to int64, as in the
         # int64 matrix product the Horner form replaced

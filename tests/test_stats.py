@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from rhmlab import (
     Dataset,
+    EnumerationCapError,
     GrammarParams,
     TokenCovarianceAccumulator,
     build_context_stats,
@@ -22,7 +23,11 @@ from rhmlab import (
     token_tuple_correlation,
     true_tuple_classes,
 )
-from oracles import pair_joint_dp, token_pair_counts_oracle
+from oracles import (
+    pair_joint_dp,
+    population_token_tuple_correlation_oracle,
+    token_pair_counts_oracle,
+)
 
 
 class TestTokenTokenCorrelation:
@@ -154,6 +159,23 @@ class TestTokenTupleCorrelation:
         invalid = np.flatnonzero(rs_small.inverse_at(1) < 0)
         assert np.abs(pop.matrix[:, invalid]).max() == 0.0
 
+    def test_population_past_the_enumeration_cap(self):
+        rs = generate_rules(GrammarParams(5, 2, 16, 4, seed=3))
+        with pytest.raises(EnumerationCapError):
+            enumerate_all(rs)
+        for level in range(2, 6):
+            mat = population_token_tuple_correlation(rs, level).matrix
+            assert np.isfinite(mat).all()
+            inv = rs.inverse_at(level - 1)
+            assert np.all(mat[:, inv < 0] == 0.0)
+            valid = np.flatnonzero(inv >= 0)
+            classes = true_tuple_classes(rs, level - 1, valid)
+            for cls in range(16):
+                cols = mat[:, valid[classes == cls]]
+                assert np.abs(cols - cols[:, :1]).max() < 1e-12
+            assert np.abs(mat.sum(axis=0)).max() <= 1e-15
+            assert np.abs(mat.sum(axis=1)).max() <= 1e-15
+
     def test_level_bounds_and_missing_latents(self, rs_deep):
         ds = sample_dataset(rs_deep, 100, np.random.default_rng(6))
         with pytest.raises(ValueError):
@@ -173,6 +195,36 @@ class TestTokenTupleCorrelation:
     def test_joint_correlation_input_checks(self):
         with pytest.raises(ValueError):
             joint_correlation(np.array([0]), np.array([0, 1]), 2, 2)
+
+
+@st.composite
+def population_cases(draw):
+    depth = draw(st.integers(2, 4))
+    s = draw(st.integers(2, 3))
+    v = draw(st.integers(2, 8))
+    n_internal = (s**depth - 1) // (s - 1)
+    m_max = 1
+    while m_max < v ** (s - 1) and v * (m_max + 1) ** n_internal <= 200_000:
+        m_max += 1
+    m = draw(st.integers(1, m_max))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return generate_rules(GrammarParams(depth, s, v, m, seed=seed))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(rs=population_cases())
+def test_population_correlation_matches_enumeration(rs):
+    p = rs.params
+    for level in range(2, p.depth + 1):
+        got = population_token_tuple_correlation(rs, level)
+        want = population_token_tuple_correlation_oracle(rs, level)
+        assert np.array_equal(got.codes, np.arange(p.vocab_size**p.branching))
+        assert got.matrix.shape == want.matrix.shape
+        assert np.abs(got.matrix - want.matrix).max() <= 1e-12
+        assert np.all(got.matrix[:, rs.inverse_at(level - 1) < 0] == 0.0)
+    for level in (1, p.depth + 1):
+        with pytest.raises(ValueError, match="level must be in"):
+            population_token_tuple_correlation(rs, level)
 
 
 class TestTheoryPrediction:
