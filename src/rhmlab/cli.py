@@ -50,17 +50,6 @@ from .stats import (
     token_tuple_correlation,
 )
 
-EXPERIMENTS = (
-    "gen-grammar",
-    "sample",
-    "corrupt",
-    "bp",
-    "stats",
-    "learn",
-    "onestep",
-    "sweep",
-)
-
 
 class ConfigError(ValueError):
     pass
@@ -499,6 +488,7 @@ _RUNNERS = {
     "onestep": _run_onestep,
     "sweep": _run_sweep,
 }
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 def _default_threads() -> int:

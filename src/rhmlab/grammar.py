@@ -147,6 +147,10 @@ class RuleSet:
         tabs, invs = [], []
         for table in tables:
             table = np.ascontiguousarray(table, dtype=np.int32)
+            # Share a frozen table (drop_bottom_level's); freeze a copy of
+            # any other, so the caller's own array stays writeable.
+            if table.flags.writeable:
+                table = table.copy()
             if table.shape != (v, m, s):
                 raise ValueError(f"rule table must have shape {(v, m, s)}")
             if table.min() < 0 or table.max() >= v:
@@ -469,12 +473,7 @@ def enumerate_all(rs: RuleSet) -> Dataset:
     for lvl in range(p.depth, 0, -1):
         width = p.level_width(lvl)
         n_below -= width
-        block = (rem // m**n_below) % m**width
-        digits = np.empty((n, width), dtype=np.int32)
-        for j in range(width - 1, -1, -1):
-            digits[:, j] = block % m
-            block = block // m
-        choices.append(digits)
+        choices.append(decode_codes((rem // m**n_below) % m**width, m, width))
     choices.reverse()  # choices[lvl-1] for lvl = 1..depth
     levels = _expand_levels(rs, root.reshape(n, 1), choices)
     ds = Dataset(

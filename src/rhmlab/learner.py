@@ -111,8 +111,6 @@ def build_context_stats(
     with a sibling in range adds to its code's vector. Context tokens must
     lie in ``[0, vocab_size)``.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}")
     labels = np.asarray(labels)
     visible = np.asarray(visible)
     n, width = labels.shape
@@ -121,9 +119,19 @@ def build_context_stats(
         raise ValueError("label sequences must hold at least two full blocks")
     if visible.shape[0] != n or visible.shape[1] % width != 0:
         raise ValueError("visible strings do not align with the label grid")
-    span = visible.shape[1] // width
-    n_blocks = width // s
-    block_codes = encode_tuples(labels.reshape(n, n_blocks, s), vocab_size)
+    block_codes = encode_tuples(labels.reshape(n, width // s, s), vocab_size)
+    return _count_contexts(block_codes, visible, vocab_size, branching, variant, level)
+
+
+def _count_contexts(block_codes: np.ndarray, visible: np.ndarray, vocab_size: int,
+                    branching: int, variant: str, level: int) -> ContextStats:
+    """:func:`build_context_stats` from the ``(n, n_blocks)`` block codes of
+    an already checked label grid."""
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}")
+    n, n_blocks = block_codes.shape
+    s = branching
+    span = visible.shape[1] // (n_blocks * s)
     n_ctx = s if variant == "full_tuple" else 1
     code_space = vocab_size**s
     sums = np.zeros((code_space, n_ctx, vocab_size), dtype=np.int64)
@@ -239,19 +247,20 @@ class ClusterModel:
 
 
 def _majority_true_classes(
-    block_idx: np.ndarray,
-    n_observed: int,
+    block_codes: np.ndarray,
+    observed: np.ndarray,
     true_parents: np.ndarray,
     vocab_size: int,
+    code_space: int,
 ) -> np.ndarray:
     """Per observed code, the most frequent true parent symbol over its data
-    occurrences (ties to the smallest symbol); ``block_idx`` holds each
-    block's position in the observed-code list."""
+    occurrences (ties to the smallest symbol); codes lie in
+    ``[0, code_space)``."""
     counts = np.bincount(
-        block_idx.ravel() * vocab_size + true_parents.ravel(),
-        minlength=n_observed * vocab_size,
-    ).reshape(n_observed, vocab_size)
-    return counts.argmax(axis=1)
+        block_codes.ravel() * vocab_size + true_parents.ravel(),
+        minlength=code_space * vocab_size,
+    ).reshape(code_space, vocab_size)
+    return counts[observed].argmax(axis=1)
 
 
 def learn_grammar(
@@ -279,6 +288,8 @@ def learn_grammar(
         raise ValueError(f"strings must have shape (n, {branching ** depth})")
     if seqs.shape[0] == 0:
         raise ValueError("cannot learn a grammar from an empty input (0 rows)")
+    if not np.issubdtype(seqs.dtype, np.integer):
+        raise ValueError(f"strings must hold integer tokens, not {seqs.dtype}")
     true_latents = None
     recovery: list[float] | None = None
     if truth is not None:
@@ -286,24 +297,18 @@ def learn_grammar(
         if not np.all(max_levels == depth):
             raise ValueError("training rows must parse under the reference grammar")
         recovery = []
-    labels = seqs.astype(np.int64)
+    code_space = vocab_size**branching
+    labels = seqs
     levels: list[Partition] = []
     for stage in range(1, depth):
-        # Every block of a power-of-s width has a sibling, so the context
-        # statistics see every observed code, in ascending order.
-        stats = build_context_stats(
-            labels, seqs, vocab_size, branching, variant, level=stage
-        )
-        observed = stats.codes
         n, width = labels.shape
         block_codes = encode_tuples(
             labels.reshape(n, width // branching, branching), vocab_size
         )
-        # Codes live in the bounded space vocab_size**branching, so a dense
-        # table replaces sorting: index_of inverts the observed codes.
-        index_of = np.zeros(vocab_size**branching, dtype=np.int64)
-        index_of[observed] = np.arange(observed.size)
-        block_idx = index_of[block_codes]
+        # Every block of a power-of-s width has a sibling, so the context
+        # statistics see every observed code, in ascending order.
+        stats = _count_contexts(block_codes, seqs, vocab_size, branching, variant, stage)
+        observed = stats.codes
         if partition_fn is not None:
             part_labels = np.asarray(partition_fn(stage, observed), dtype=np.int64)
             if part_labels.shape != observed.shape:
@@ -321,11 +326,13 @@ def learn_grammar(
             part = cluster_tuples(stats, seed=derive_seed(seed, stage, "kmeans"))
         if recovery is not None:
             classes = _majority_true_classes(
-                block_idx, observed.size, true_latents[stage - 1], vocab_size
+                block_codes, observed, true_latents[stage - 1], vocab_size, code_space
             )
             recovery.append(pair_agreement_score(part.labels, classes))
         levels.append(part)
-        labels = part.labels[block_idx]
+        label_of = np.zeros(code_space, dtype=np.int64)
+        label_of[observed] = part.labels
+        labels = label_of[block_codes]
     # Distinct top-level rows in lexicographic order, via their big-endian
     # codes in a base wide enough for every label (partition_fn may exceed v).
     base = max(int(labels.max()) + 1, vocab_size)

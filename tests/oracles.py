@@ -15,21 +15,33 @@ rows as a Dataset of their own. Exact inference is checked twice: against the
 enumeration above to a tolerance, and bit for bit against its earlier form,
 which gathers child messages by fancy indexing and rebuilds its scatter bins
 on every call. The exact population token-tuple correlation is checked
-against its earlier form, the pair counts of the enumeration.
+against its earlier form, the pair counts of the enumeration. The learner's
+stage loop is checked bit for bit against its earlier form, which copies the
+input to int64, encodes each stage's blocks twice and looks every code up in
+the observed-code list through a dense position table.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 
 import numpy as np
 
 from rhmlab import (
+    ClusterModel,
     Dataset,
     ImpossibleEvidenceError,
+    Partition,
     RuleSet,
+    build_context_stats,
+    cluster_tuples,
+    decode_codes,
+    derive_seed,
     encode_tuples,
     enumerate_all,
+    pair_agreement_score,
+    parse_batch,
     sample_dataset,
 )
 from rhmlab.stats import TokenTupleCorrelation, _tuple_block, joint_correlation
@@ -345,6 +357,48 @@ def generate_from_learned_oracle(model, n: int, rng: np.random.Generator) -> np.
             out[mask] = np.array(members, dtype=np.int64)[picks]
         cur = out.reshape(n, width * s)
     return cur.astype(np.int32)
+
+
+def learn_grammar_oracle(seqs, depth, branching, vocab_size, variant="single_token",
+                         seed=0, truth=None, partition_fn=None) -> ClusterModel:
+    """Staged context clustering on an int64 copy of ``seqs``, for valid
+    input. Each stage's statistics encode the labels, the loop encodes them
+    again, and ``index_of`` maps every code to its position in the
+    observed-code list; recovery counts (position, true parent) pairs."""
+    true_latents = parse_batch(truth, seqs)[1] if truth is not None else None
+    recovery = [] if truth is not None else None
+    labels = seqs.astype(np.int64)
+    levels = []
+    for stage in range(1, depth):
+        stats = build_context_stats(labels, seqs, vocab_size, branching, variant,
+                                    level=stage)
+        observed = stats.codes
+        n, width = labels.shape
+        block_codes = encode_tuples(
+            labels.reshape(n, width // branching, branching), vocab_size
+        )
+        index_of = np.zeros(vocab_size**branching, dtype=np.int64)
+        index_of[observed] = np.arange(observed.size)
+        block_idx = index_of[block_codes]
+        if partition_fn is not None:
+            part_labels = np.asarray(partition_fn(stage, observed), dtype=np.int64)
+            part = Partition(codes=observed, labels=part_labels, partial=False,
+                             inertia=math.nan)
+        else:
+            part = cluster_tuples(stats, seed=derive_seed(seed, stage, "kmeans"))
+        if recovery is not None:
+            counts = np.bincount(
+                block_idx.ravel() * vocab_size + true_latents[stage - 1].ravel(),
+                minlength=observed.size * vocab_size,
+            ).reshape(observed.size, vocab_size)
+            recovery.append(pair_agreement_score(part.labels, counts.argmax(axis=1)))
+        levels.append(part)
+        labels = part.labels[block_idx]
+    base = max(int(labels.max()) + 1, vocab_size)
+    top_codes = np.flatnonzero(np.bincount(encode_tuples(labels, base)))
+    top_tuples = decode_codes(top_codes, base, labels.shape[1]).astype(np.int32)
+    return ClusterModel(branching=branching, vocab_size=vocab_size, levels=levels,
+                        top_tuples=top_tuples, recovery=recovery)
 
 
 def sample_distinct_dataset_oracle(

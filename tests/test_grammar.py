@@ -154,6 +154,16 @@ class TestGenerateRules:
             with pytest.raises(ValueError, match="read-only"):
                 table[0, 0, 0] = 1
 
+    def test_caller_tables_stay_writeable_and_dropping_shares(self):
+        tables = [np.array([[[0, 1]], [[1, 0]]], dtype=np.int32),
+                  np.array([[[1, 1]], [[0, 0]]], dtype=np.int32)]
+        rs = RuleSet(GrammarParams(2, 2, 2, 1), tables)
+        for level, table in enumerate(tables, start=1):
+            assert table.flags.writeable
+            assert not rs.rules_at(level).flags.writeable
+            assert not np.shares_memory(table, rs.rules_at(level))
+        assert np.shares_memory(rs.rules_at(2), rs.drop_bottom_level().rules_at(1))
+
     def test_encode_tuples_uint64_matches_matmul(self):
         # values at and above 2**63 wrap on the cast to int64, as in the
         # int64 matrix product the Horner form replaced

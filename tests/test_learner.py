@@ -1,9 +1,15 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import generate_from_learned_oracle
+from oracles import generate_from_learned_oracle, learn_grammar_oracle
 from rhmlab import (
     GrammarParams,
+    Partition,
     RuleSet,
     accuracy,
     build_context_stats,
@@ -336,6 +342,30 @@ class TestLearnGrammar:
         with pytest.raises(ValueError):
             learn_grammar(bad, 2, 2, 4, truth=rs_small)
 
+    def test_non_integer_rows_rejected(self, rs_small):
+        seqs = enumerate_all(rs_small).sequences.astype(np.float64)
+        with pytest.raises(ValueError, match="integer tokens, not float64"):
+            learn_grammar(seqs, 2, 2, 4)
+
+    @pytest.mark.parametrize("with_truth, bound", [(True, 6.5), (False, 3.75)])
+    def test_peak_memory_is_a_bounded_multiple_of_the_input(self, with_truth, bound):
+        # 2e4 depth-4 rows: 1.28 MB of int32. One block-code array per stage
+        # peaks at 5.4x the input with truth and 2.5x without; an int64 copy
+        # of the input plus a second encoding per stage measured 8.0x and 5.0x.
+        rs = generate_rules(GrammarParams(depth=4, branching=2, vocab_size=16,
+                                          n_synonyms=4, seed=3))
+        seqs = sample_dataset(rs, 20_000, np.random.default_rng(4),
+                              with_latents=False).sequences
+        assert seqs.dtype == np.int32 and seqs.nbytes == 1_280_000
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            learn_grammar(seqs, 4, 2, 16, seed=1, truth=rs if with_truth else None)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * seqs.nbytes
+
     def test_learner_is_deterministic(self, rs_medium):
         ds = sample_dataset(rs_medium, 3000, np.random.default_rng(22),
                             with_latents=False)
@@ -447,6 +477,43 @@ class TestLearnGrammarCodeTables:
 
         with pytest.raises(ValueError, match=message):
             learn_grammar(ds.sequences, 3, 2, 8, partition_fn=shifted)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(depth=st.integers(2, 4), branching=st.sampled_from([2, 3]),
+       v=st.integers(3, 8), m=st.integers(1, 8), n_rows=st.integers(1, 300),
+       variant=st.sampled_from(["single_token", "full_tuple"]),
+       with_truth=st.booleans(), dtype=st.sampled_from([np.int32, np.int64]),
+       injected=st.booleans(), seed=st.integers(0, 2**32))
+def test_learn_grammar_matches_stage_loop_oracle(depth, branching, v, m, n_rows, variant,
+                                                 with_truth, dtype, injected, seed):
+    rs = generate_rules(GrammarParams(depth, branching, v, min(m, v), seed=seed))
+    seqs = sample_dataset(rs, n_rows, np.random.default_rng(seed),
+                          with_latents=False).sequences.astype(dtype)
+
+    def partition_fn(stage, codes):
+        # random labels below the top stage, labels past v at the top
+        if stage == depth - 1:
+            return codes + v
+        return np.random.default_rng([seed, stage]).integers(0, v, size=codes.size)
+
+    kwargs = dict(variant=variant, seed=seed, truth=rs if with_truth else None,
+                  partition_fn=partition_fn if injected else None)
+    got = learn_grammar(seqs, depth, branching, v, **kwargs)
+    want = learn_grammar_oracle(seqs, depth, branching, v, **kwargs)
+    assert len(got.levels) == len(want.levels) == depth - 1
+    for a, b in zip(got.levels, want.levels):
+        for field in dataclasses.fields(Partition):
+            x, y = getattr(a, field.name), getattr(b, field.name)
+            if isinstance(x, np.ndarray):
+                assert x.dtype == y.dtype and np.array_equal(x, y)
+            else:
+                assert x == y or (x != x and y != y)  # inertia is nan when injected
+    assert got.top_tuples.dtype == want.top_tuples.dtype
+    assert np.array_equal(got.top_tuples, want.top_tuples)
+    assert got.recovery == want.recovery
+    if injected:
+        assert got.top_tuples.min() >= v
 
 
 class TestGenerateFromLearned:
