@@ -41,7 +41,14 @@ from .learner import (
     population_context_collision,
     true_tuple_classes,
 )
-from .onestep import OneStepModel, one_step_gd, synonym_column_cosine, tuple_next_token_pairs
+from .onestep import (
+    OneStepGradient,
+    OneStepModel,
+    one_step_gd,
+    one_step_gradient,
+    synonym_column_cosine,
+    tuple_next_token_pairs,
+)
 from .seeding import derive_seed
 from .stats import (
     CorrelationReport,

@@ -42,7 +42,7 @@ from .learner import (
     measure_sample_complexity,
     true_tuple_classes,
 )
-from .onestep import one_step_gd, synonym_column_cosine, tuple_next_token_pairs
+from .onestep import one_step_gradient, synonym_column_cosine, tuple_next_token_pairs
 from .seeding import derive_seed
 from .stats import (
     theory_prediction,
@@ -393,11 +393,12 @@ def _run_onestep(args, cfg, out_dir, seed):
     seqs = _training_rows(args, cfg, rs, seed)
     etas = cfg.get("eta", [0.1, 1.0, 10.0])
     codes, labels = tuple_next_token_pairs(seqs, p.branching, p.vocab_size)
+    grad = one_step_gradient(codes, labels, p.vocab_size)
+    classes = true_tuple_classes(rs, 1, grad.tuple_codes)
     rows = []
     for eta in etas if isinstance(etas, list) else [etas]:
-        model = one_step_gd(codes, labels, p.vocab_size, eta)
+        model = grad.step(eta)
         dev = float(np.abs(model.delta - model.eta * model.empirical_corr).max())
-        classes = true_tuple_classes(rs, 1, model.tuple_codes)
         rows.append((model.eta, dev, synonym_column_cosine(model, classes)))
     write_csv(
         out_dir / "onestep.csv",

@@ -1,14 +1,34 @@
 """On-disk formats: grammar JSON, dataset text/binary files, CSV helpers.
 
-Dataset files carry a header (seq_len, vocab_size, n_rows, grammar hash) and
-the token rows; the binary layout opens with the magic bytes ``RHMD1``. Floats
-in CSV output are rendered with 17 significant digits so values round-trip.
+A dataset text file is a header line ``seq_len vocab_size n_rows
+grammar_hash`` (whitespace-separated; the hash ``-`` means no recorded
+provenance) and then one row of ``seq_len`` tokens per line. Exactly the
+first ``n_rows`` rows are read, and in them:
+
+* a token is unsigned decimal ASCII digits, leading zeros allowed, no sign;
+* tokens are separated by runs of spaces and tabs, and a line may start and
+  end with spaces and tabs;
+* a line ends in LF or CRLF, and the last one may lack its line end;
+* any other byte is an error: a sign, a blank line, other whitespace (vertical
+  tab, form feed, non-ASCII spaces) or a carriage return not followed by LF;
+* a token must lie in ``[0, vocab_size]``, where ``vocab_size`` marks a
+  masked position, and fit in int32.
+
+Lines past ``n_rows`` are not read. The writer emits the canonical form,
+byte for byte what ``np.savetxt(fmt="%d")`` writes: single spaces, LF ends.
+
+The binary layout is little-endian: the magic bytes ``RHMD1``; ``seq_len``,
+``vocab_size`` and ``n_rows`` as three uint64; the grammar hash's byte length
+as uint16 and its UTF-8 bytes; then the ``n_rows * seq_len`` tokens as uint16,
+row by row.
+
+Floats in CSV output are rendered with 17 significant digits so values
+round-trip.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +36,7 @@ import numpy as np
 from .grammar import Dataset, RuleSet
 
 DATASET_MAGIC = b"RHMD1"
-WRITE_CHUNK_ROWS = 4096  # rows gathered per text write
+WRITE_CHUNK_ROWS = 4096  # rows per chunk of text written or parsed
 
 
 def save_grammar(rs: RuleSet, path) -> None:
@@ -67,29 +87,37 @@ def save_dataset(ds: Dataset, path, binary: bool = False) -> None:
         fh.write(f"{d} {vocab} {n} {grammar_hash}\n".encode())
         if n == 0:
             return
-        # Row text as np.savetxt(fmt="%d") writes it: each token's digits and
-        # separator come from a zero-padded byte table (separator row 1 for
-        # the last column), and the padding is dropped. Fixed-size chunks keep
-        # the gathered bytes small.
+        # Row text as np.savetxt(fmt="%d") writes it. Each token's digits and
+        # separator are one zero-padded cell of a byte table: cell t holds
+        # token t with a space, cell top + 1 + t token t with a newline (the
+        # last column). One take over the table viewed as one void item per
+        # cell gathers a chunk's cells, and the padding is dropped.
+        # Fixed-size chunks keep the gathered bytes small.
         top = int(seqs.max())
-        table = np.zeros((2, top + 1, len(str(top)) + 1), dtype=np.uint8)
+        width = len(str(top)) + 1
+        table = np.zeros((2, top + 1, width), dtype=np.uint8)
         for t in range(top + 1):
             digits = np.frombuffer(str(t).encode(), dtype=np.uint8)
             table[:, t, : digits.size] = digits
             table[:, t, digits.size] = (ord(" "), ord("\n"))
-        sep = (np.arange(d) == d - 1).astype(np.intp)
+        cells = table.reshape(-1, width).view(f"V{width}").ravel()
+        offset = np.where(np.arange(d) == d - 1, top + 1, 0)
         for start in range(0, n, WRITE_CHUNK_ROWS):
-            cells = table[sep, seqs[start : start + WRITE_CHUNK_ROWS]]
-            fh.write(cells[cells != 0].tobytes())
+            chunk = seqs[start : start + WRITE_CHUNK_ROWS]
+            index = np.add(chunk, offset, dtype=np.intp)
+            text = cells.take(index).view(np.uint8)
+            fh.write(text[text != 0].tobytes())
 
 
 def load_dataset(path) -> tuple[np.ndarray, dict]:
     """Returns (rows, header dict with seq_len/vocab_size/n_rows/grammar_hash).
 
-    Exactly ``n_rows`` rows are read. A malformed file raises ``ValueError``:
-    no header, a header without four fields, fewer rows or other widths than
-    the header states, a non-integer token, or a token outside
-    ``[0, vocab_size]`` (``vocab_size`` marks a masked token).
+    Exactly ``n_rows`` rows are read; the text syntax is in the module
+    docstring. A malformed file raises ``ValueError``: no header, a header
+    without four fields, fewer rows or other widths than the header states, a
+    byte that is not a digit, space, tab or line end, or a token outside
+    ``[0, vocab_size]`` (``vocab_size`` marks a masked token). Errors in the
+    text body name the file and the 1-based line.
     """
     path = Path(path)
     with open(path, "rb") as fh:
@@ -103,41 +131,112 @@ def load_dataset(path) -> tuple[np.ndarray, dict]:
             header = dict(seq_len=d, vocab_size=vocab, n_rows=n, grammar_hash=grammar_hash)
             _check_tokens(seqs, vocab, path)
             return seqs, header
-    with open(path) as fh:
-        fields = fh.readline().split()
-        if len(fields) != 4:
-            raise ValueError(
-                f"dataset file {path}: the header needs 4 fields "
-                f"(seq_len vocab_size n_rows grammar_hash), found {len(fields)}"
-            )
-        try:
-            d, vocab, n = (int(x) for x in fields[:3])
-        except ValueError:
-            raise ValueError(
-                f"dataset file {path}: header sizes {fields[:3]} are not integers"
-            ) from None
-        if d < 1 or vocab < 1 or n < 0:
-            raise ValueError(f"dataset file {path}: header sizes {fields[:3]} out of range")
-        if n == 0:
-            seqs = np.zeros((0, d), dtype=np.int32)
-        else:
-            try:
-                with warnings.catch_warnings():
-                    # np.loadtxt only warns about blank lines and an empty body
-                    warnings.simplefilter("error", UserWarning)
-                    seqs = np.loadtxt(
-                        fh, dtype=np.int32, comments=None, ndmin=2, max_rows=n
-                    )
-            except (ValueError, UserWarning) as exc:
-                raise ValueError(f"dataset file {path}: {exc}") from None
-    if seqs.shape != (n, d):
+        data = magic + fh.read()
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    body = data.index(b"\n") + 1
+    try:
+        fields = data[: body - 1].decode().split()
+    except UnicodeDecodeError:
+        raise ValueError(f"dataset file {path}: line 1 is not UTF-8 text") from None
+    if len(fields) != 4:
         raise ValueError(
-            f"dataset file {path}: the header states {n} rows of {d} tokens, "
-            f"the body holds {seqs.shape[0]} rows of {seqs.shape[1]}"
+            f"dataset file {path}: the header needs 4 fields "
+            f"(seq_len vocab_size n_rows grammar_hash), found {len(fields)}"
         )
-    _check_tokens(seqs, vocab, path)
+    try:
+        d, vocab, n = (int(x) for x in fields[:3])
+    except ValueError:
+        raise ValueError(
+            f"dataset file {path}: header sizes {fields[:3]} are not integers"
+        ) from None
+    if d < 1 or vocab < 1 or n < 0:
+        raise ValueError(f"dataset file {path}: header sizes {fields[:3]} out of range")
+    seqs = _parse_rows(np.frombuffer(data, dtype=np.uint8), body, n, d, vocab, path)
     header = dict(seq_len=d, vocab_size=vocab, n_rows=n, grammar_hash=fields[3])
     return seqs, header
+
+
+_INT32_MAX = 2**31 - 1
+_SEPARATOR_BYTES = np.frombuffer(b" \t\n\r", dtype=np.uint8)
+
+
+def _parse_rows(buf, body: int, n: int, d: int, vocab: int, path) -> np.ndarray:
+    """The first ``n`` rows of ``d`` tokens in ``buf`` (uint8, ending in a
+    newline) from byte ``body`` on, parsed ``WRITE_CHUNK_ROWS`` rows at a
+    time. In a chunk every byte is classified, the last digit of every token
+    is found with one ``flatnonzero``, and each value is built from the
+    digits before it; row ``k`` of the chunk must hold tokens ``k*d`` to
+    ``k*d + d - 1``."""
+    newlines = np.flatnonzero(buf[body:] == ord("\n"))[:n] + body
+    # every token takes a byte, so no larger array is allocated than the body
+    # could fill
+    if newlines.size < n or n * d > buf.size - body:
+        raise ValueError(
+            f"dataset file {path}: the header states {n} rows of {d} tokens, "
+            f"the body holds {newlines.size} lines of {buf.size - body} bytes"
+        )
+    seqs = np.empty((n, d), dtype=np.int32)
+    for r0 in range(0, n, WRITE_CHUNK_ROWS):
+        r1 = min(r0 + WRITE_CHUNK_ROWS, n)
+        lo = body if r0 == 0 else newlines[r0 - 1] + 1
+        seg = buf[lo : newlines[r1 - 1] + 1]
+        line_end = newlines[r0:r1] - lo
+
+        def fail(pos, what):
+            line = r0 + 2 + int(np.searchsorted(line_end, pos))
+            return ValueError(f"dataset file {path}: line {line}: {what}")
+
+        rows = r1 - r0
+        dv = seg - np.uint8(ord("0"))  # digit values; other bytes wrap past 9
+        digit = dv < 10
+        returns = np.count_nonzero(seg == ord("\r"))
+        allowed = (np.count_nonzero(digit) + np.count_nonzero(seg == ord(" "))
+                   + np.count_nonzero(seg == ord("\t")) + returns + rows)
+        if allowed != seg.size:
+            pos = int(np.flatnonzero(~digit & ~np.isin(seg, _SEPARATOR_BYTES))[0])
+            raise fail(pos, f"byte {bytes(seg[pos : pos + 1])!r} is not a digit, "
+                            "space, tab or line end")
+        if returns:
+            ret = np.flatnonzero(seg == ord("\r"))
+            lone = ret[seg[ret + 1] != ord("\n")]
+            if lone.size:
+                raise fail(lone[0], "a carriage return not followed by a newline")
+        last = np.flatnonzero(digit[:-1] > digit[1:])
+        # with rows * d tokens, the first token of every row after the first
+        # must follow the previous line end
+        if last.size != rows * d or not (last[d::d] > line_end[:-1]).all():
+            per_line = np.bincount(np.searchsorted(line_end, last), minlength=rows)
+            row = int(np.flatnonzero(per_line != d)[0])
+            raise fail(line_end[row], f"the row holds {per_line[row]} tokens, "
+                                      f"the header states {d}")
+
+        # Digits are added from the last one backwards; a seg[-1] read (a
+        # token at the chunk's first byte) meets the final newline.
+        values = dv.take(last).astype(np.int64)
+        pos, tok, scale = last, None, 1
+        while True:
+            pos = pos - 1
+            more = np.flatnonzero(digit.take(pos))
+            if more.size == 0:
+                break
+            pos = pos.take(more)
+            tok = more if tok is None else tok.take(more)
+            scale *= 10
+            digits = dv.take(pos)
+            if scale <= 10**9:
+                values[tok] += digits.astype(np.int64) * scale
+            elif digits.any():  # a nonzero 11th digit from the end
+                raise fail(pos[np.argmax(digits)], f"a token exceeds {_INT32_MAX}")
+        top = int(values.max())
+        if top > min(vocab, _INT32_MAX):
+            where = last[np.argmax(values)]
+            if top > _INT32_MAX:
+                raise fail(where, f"token {top} exceeds {_INT32_MAX}")
+            raise fail(where, f"token {top} lies outside [0, {vocab}] "
+                              f"({vocab} marks a masked token)")
+        seqs[r0:r1] = values.reshape(rows, d)
+    return seqs
 
 
 def _check_tokens(seqs: np.ndarray, vocab: int, path) -> None:

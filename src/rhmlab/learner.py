@@ -108,8 +108,8 @@ def build_context_stats(
     read contexts: the first visible token under the adjacent sibling block
     (the next block for a group's first block, else the previous one), or
     its first visible s-tuple for the ``full_tuple`` variant. Every block
-    with a sibling in range adds to its code's vector. Context tokens must
-    lie in ``[0, vocab_size)``.
+    with a sibling in range adds to its code's vector. Labels and visible
+    tokens must lie in ``[0, vocab_size)``.
     """
     labels = np.asarray(labels)
     visible = np.asarray(visible)
@@ -119,14 +119,24 @@ def build_context_stats(
         raise ValueError("label sequences must hold at least two full blocks")
     if visible.shape[0] != n or visible.shape[1] % width != 0:
         raise ValueError("visible strings do not align with the label grid")
+    _check_token_range("labels", labels, vocab_size)
+    _check_token_range("context tokens", visible, vocab_size)
     block_codes = encode_tuples(labels.reshape(n, width // s, s), vocab_size)
     return _count_contexts(block_codes, visible, vocab_size, branching, variant, level)
+
+
+def _check_token_range(name: str, tokens: np.ndarray, vocab_size: int) -> None:
+    if tokens.size:
+        low, high = tokens.min(), tokens.max()
+        if low < 0 or high >= vocab_size:
+            bad = low if low < 0 else high
+            raise ValueError(f"{name} must lie in [0, {vocab_size}), found {bad}")
 
 
 def _count_contexts(block_codes: np.ndarray, visible: np.ndarray, vocab_size: int,
                     branching: int, variant: str, level: int) -> ContextStats:
     """:func:`build_context_stats` from the ``(n, n_blocks)`` block codes of
-    an already checked label grid."""
+    an already checked label grid and visible tokens in ``[0, vocab_size)``."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
     n, n_blocks = block_codes.shape
@@ -142,11 +152,10 @@ def _count_contexts(block_codes: np.ndarray, visible: np.ndarray, vocab_size: in
         keys = block_codes[:, b] * vocab_size
         start = c * s * span
         for t in range(n_ctx):
-            ctx = visible[:, start + t]
-            if n and (ctx.min() < 0 or ctx.max() >= vocab_size):
-                raise ValueError(f"context tokens must lie in [0, {vocab_size})")
+            # int64 keys: numpy would add uint64 tokens in float64
+            ctx_keys = np.add(keys, visible[:, start + t], dtype=np.int64)
             sums[:, t, :] += np.bincount(
-                keys + ctx, minlength=code_space * vocab_size
+                ctx_keys, minlength=code_space * vocab_size
             ).reshape(code_space, vocab_size)
     # Each occurrence adds one count to every context token's block.
     counts_flat = sums[:, 0, :].sum(axis=1)
@@ -290,6 +299,7 @@ def learn_grammar(
         raise ValueError("cannot learn a grammar from an empty input (0 rows)")
     if not np.issubdtype(seqs.dtype, np.integer):
         raise ValueError(f"strings must hold integer tokens, not {seqs.dtype}")
+    _check_token_range("tokens", seqs, vocab_size)
     true_latents = None
     recovery: list[float] | None = None
     if truth is not None:

@@ -6,6 +6,13 @@ the log empirical label marginal and taking a single cross-entropy gradient
 step lands the weights exactly at init + eta * (empirical token-tuple
 correlation); the update is computed through the generic softmax gradient so
 that identity can be asserted rather than assumed.
+
+The eta-independent part (label counts, initial weights, the softmax residual
+of every sample, the summed gradient and the empirical correlation) is
+computed once per dataset by :func:`one_step_gradient`; each learning rate
+then only scales the gradient. The identity is still checked for every eta
+(``max_identity_dev`` in the CLI's ``onestep.csv``), not assumed from the
+shared gradient.
 """
 
 from __future__ import annotations
@@ -39,19 +46,41 @@ def tuple_next_token_pairs(
     return codes, seqs[:, branching].astype(np.int64)
 
 
-def one_step_gd(
-    tuple_codes: np.ndarray,
-    next_tokens: np.ndarray,
-    vocab_size: int,
-    eta: float,
-) -> OneStepModel:
-    """Train for exactly one full-batch gradient step at learning rate ``eta``.
+@dataclass
+class OneStepGradient:
+    """The eta-independent part of one step, computed once per dataset."""
+
+    tuple_codes: np.ndarray  # observed tuple codes, sorted (the columns)
+    init_log_marginal: np.ndarray  # (vocab_size,)
+    init_weights: np.ndarray  # (vocab_size, n_tuples), every column identical
+    grad_t: np.ndarray  # (n_tuples, vocab_size) summed softmax residuals
+    empirical_corr: np.ndarray
+    n: int  # training pairs
+
+    def step(self, eta: float) -> OneStepModel:
+        """The model after one full-batch step at learning rate ``eta``."""
+        if eta <= 0:
+            raise ValueError("eta must be positive")
+        delta = eta * self.grad_t.T / self.n
+        return OneStepModel(
+            tuple_codes=self.tuple_codes,
+            init_log_marginal=self.init_log_marginal,
+            weights=self.init_weights + delta,
+            delta=delta,
+            empirical_corr=self.empirical_corr,
+            eta=float(eta),
+        )
+
+
+def one_step_gradient(
+    tuple_codes: np.ndarray, next_tokens: np.ndarray, vocab_size: int
+) -> OneStepGradient:
+    """Initial weights, softmax cross-entropy gradient and empirical
+    correlation of a training set; ``.step(eta)`` takes the step.
 
     Raises when some label class never occurs (its log marginal is -inf, so
     the prescribed initialization does not exist).
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
     tuple_codes = np.asarray(tuple_codes).ravel()
     next_tokens = np.asarray(next_tokens).ravel()
     if tuple_codes.shape != next_tokens.shape or tuple_codes.size == 0:
@@ -76,19 +105,32 @@ def one_step_gd(
     probs /= probs.sum(axis=1, keepdims=True)
     resid = -probs
     resid[np.arange(n), next_tokens] += 1.0
-    grad_t = np.zeros((observed.size, vocab_size))
-    np.add.at(grad_t, col, resid)
-    delta = eta * grad_t.T / n
+    # One flat bincount over (column, label) keys adds each bin's residuals
+    # in sample order, starting from 0.0, as a per-sample row scatter does.
+    keys = col[:, None] * vocab_size + np.arange(vocab_size)
+    grad_t = np.bincount(
+        keys.ravel(), weights=resid.ravel(), minlength=observed.size * vocab_size
+    ).reshape(observed.size, vocab_size)
 
-    corr = joint_correlation(next_tokens, col, vocab_size, observed.size)
-    return OneStepModel(
+    return OneStepGradient(
         tuple_codes=observed,
         init_log_marginal=w0_col,
-        weights=w0 + delta,
-        delta=delta,
-        empirical_corr=corr,
-        eta=float(eta),
+        init_weights=w0,
+        grad_t=grad_t,
+        empirical_corr=joint_correlation(next_tokens, col, vocab_size, observed.size),
+        n=n,
     )
+
+
+def one_step_gd(
+    tuple_codes: np.ndarray,
+    next_tokens: np.ndarray,
+    vocab_size: int,
+    eta: float,
+) -> OneStepModel:
+    """Train for exactly one full-batch gradient step at learning rate ``eta``
+    (``one_step_gradient(...).step(eta)``)."""
+    return one_step_gradient(tuple_codes, next_tokens, vocab_size).step(eta)
 
 
 def synonym_column_cosine(model: OneStepModel, classes: np.ndarray) -> float:

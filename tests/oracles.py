@@ -6,7 +6,8 @@ code paths: conditionals come from literal weighted enumeration over all
 derivations, pair joints from transfer-matrix products along the tree,
 k-means from a literal per-cluster Lloyd loop that runs every restart, token
 pair counts from one strided bincount per position pair, and dataset text
-files from ``np.savetxt`` and a per-token Python parse. The row kernels
+files from ``np.savetxt``, a per-token Python parse and the earlier
+``np.loadtxt`` reader. The row kernels
 (parse, expansion, context counts, generation from a learned model) are
 checked against per-row Python loops that never call ``encode_tuples``,
 ``decode_codes``, ``parse_batch`` or the expansion code. The distinct-row
@@ -18,12 +19,15 @@ on every call. The exact population token-tuple correlation is checked
 against its earlier form, the pair counts of the enumeration. The learner's
 stage loop is checked bit for bit against its earlier form, which copies the
 input to int64, encodes each stage's blocks twice and looks every code up in
-the observed-code list through a dense position table.
+the observed-code list through a dense position table. The one-step model is
+checked bit for bit against its earlier form, which scatters the gradient
+rows with ``np.add.at``.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -32,6 +36,7 @@ from rhmlab import (
     ClusterModel,
     Dataset,
     ImpossibleEvidenceError,
+    OneStepModel,
     Partition,
     RuleSet,
     build_context_stats,
@@ -233,6 +238,70 @@ def load_dataset_text_oracle(path) -> tuple[np.ndarray, dict]:
         seq_len=int(d), vocab_size=int(vocab), n_rows=int(n), grammar_hash=grammar_hash
     )
     return seqs, header
+
+
+def load_dataset_loadtxt_oracle(path) -> tuple[np.ndarray, dict]:
+    """A dataset text file read by its earlier reader: the header line split
+    on whitespace, then ``np.loadtxt`` over exactly ``n_rows`` rows (its
+    blank-line warning an error) and the token range check."""
+    with open(path) as fh:
+        fields = fh.readline().split()
+        if len(fields) != 4:
+            raise ValueError(f"dataset file {path}: the header needs 4 fields")
+        try:
+            d, vocab, n = (int(x) for x in fields[:3])
+        except ValueError:
+            raise ValueError(f"dataset file {path}: header sizes are not integers") from None
+        if d < 1 or vocab < 1 or n < 0:
+            raise ValueError(f"dataset file {path}: header sizes out of range")
+        if n == 0:
+            seqs = np.zeros((0, d), dtype=np.int32)
+        else:
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", UserWarning)
+                    seqs = np.loadtxt(
+                        fh, dtype=np.int32, comments=None, ndmin=2, max_rows=n
+                    )
+            except (ValueError, UserWarning) as exc:
+                raise ValueError(f"dataset file {path}: {exc}") from None
+    if seqs.shape != (n, d):
+        raise ValueError(f"dataset file {path}: the body is not {n} rows of {d}")
+    if seqs.size and (seqs.min() < 0 or seqs.max() > vocab):
+        raise ValueError(f"dataset file {path}: tokens outside [0, {vocab}]")
+    header = dict(seq_len=d, vocab_size=vocab, n_rows=n, grammar_hash=fields[3])
+    return seqs, header
+
+
+def one_step_gd_oracle(tuple_codes, next_tokens, vocab_size: int, eta: float) -> OneStepModel:
+    """One gradient step as first written: the whole gradient per call, its
+    rows scattered into the tuple columns with ``np.add.at``."""
+    tuple_codes = np.asarray(tuple_codes).ravel()
+    next_tokens = np.asarray(next_tokens).ravel()
+    n = tuple_codes.size
+    label_counts = np.bincount(next_tokens, minlength=vocab_size)
+    observed = np.unique(tuple_codes)
+    col = np.searchsorted(observed, tuple_codes)
+    w0_col = np.log(label_counts / n)
+    w0 = np.tile(w0_col[:, None], (1, observed.size))
+    logits = w0[:, col].T
+    logits -= logits.max(axis=1, keepdims=True)
+    probs = np.exp(logits)
+    probs /= probs.sum(axis=1, keepdims=True)
+    resid = -probs
+    resid[np.arange(n), next_tokens] += 1.0
+    grad_t = np.zeros((observed.size, vocab_size))
+    np.add.at(grad_t, col, resid)
+    delta = eta * grad_t.T / n
+    corr = joint_correlation(next_tokens, col, vocab_size, observed.size)
+    return OneStepModel(
+        tuple_codes=observed,
+        init_log_marginal=w0_col,
+        weights=w0 + delta,
+        delta=delta,
+        empirical_corr=corr,
+        eta=float(eta),
+    )
 
 
 def _rule_dicts(rs: RuleSet) -> list[dict]:

@@ -1,9 +1,17 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rhmlab import Dataset, GrammarParams
 from rhmlab.io import DATASET_MAGIC, WRITE_CHUNK_ROWS, load_dataset, save_dataset
-from oracles import load_dataset_text_oracle, save_dataset_text_oracle
+from oracles import (
+    load_dataset_loadtxt_oracle,
+    load_dataset_text_oracle,
+    save_dataset_text_oracle,
+)
 
 
 def _dataset(vocab_size, n_rows, dtype, masked, seed=0):
@@ -25,6 +33,8 @@ CASES = [
     pytest.param(16, 0, np.int64, False, id="0-rows"),
     pytest.param(16, 1, np.int32, False, id="1-row"),
     pytest.param(16, WRITE_CHUNK_ROWS + 1, np.int64, True, id="chunk+1-rows"),
+    pytest.param(12000, 300, np.int64, True, id="v12000-five-digit-masked"),
+    pytest.param(1000, 300, np.uint16, False, id="v1000-four-digit-uint16"),
 ]
 
 
@@ -108,6 +118,7 @@ MALFORMED = {
     "blank-line": "4 8 2 -\n0 1 2 3\n\n4 5 6 7\n",
     "token-above-mask": "4 8 2 -\n0 1 2 3\n4 5 6 9\n",
     "negative-token": "4 8 2 -\n0 1 2 3\n4 5 -6 7\n",
+    "header-width-past-the-body": "1000000000000 8 1 -\n0 1\n",
 }
 
 
@@ -124,3 +135,140 @@ class TestLoaderContract:
         path.write_text("4 8 2 -\n0 1 8 3\n8 8 8 8\n")
         seqs, _ = load_dataset(path)
         assert seqs.tolist() == [[0, 1, 8, 3], [8, 8, 8, 8]]
+
+
+STRAY_BYTES = "x.,;#\x00"
+
+
+@st.composite
+def dataset_texts(draw):
+    """Dataset text files: canonical or not (runs of blanks, leading and
+    trailing blanks, zero-padded tokens up to 2**31 - 1, CRLF, no final
+    newline, rows past ``n_rows``), with at most one injected fault."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 5))
+    vocab = draw(st.sampled_from([1, 12, 1000, 2**31 - 1, 2**33]))
+    token = st.one_of(st.integers(0, min(vocab, 2**31 - 1)),
+                      st.integers(0, 2**31 - 1))
+    rows = draw(st.lists(st.lists(token, min_size=d, max_size=d),
+                         min_size=n, max_size=n + 2))
+    fault = draw(st.sampled_from(["none", "none", "blank", "ragged", "stray",
+                                  "oversized"]))
+    if rows and fault in ("ragged", "oversized"):
+        i = draw(st.integers(0, len(rows) - 1))
+        if fault == "oversized":
+            rows[i][draw(st.integers(0, d - 1))] = draw(st.integers(2**31, 10**12))
+        elif draw(st.booleans()):
+            rows[i] = rows[i][:-1]
+        else:
+            rows[i] = rows[i] + [0]
+    blanks = st.text(" \t", max_size=2)
+    lines = [f"{d} {vocab} {n} {draw(st.sampled_from(['-', 'f00d']))}"]
+    for row in rows:
+        cells = [
+            "0" * draw(st.sampled_from([0, 0, 0, 1, 11])) + str(t) for t in row
+        ]
+        seps = [draw(st.text(" \t", min_size=1, max_size=3)) for _ in cells[1:]]
+        body = cells[0] + "".join(sep + c for sep, c in zip(seps, cells[1:])) if cells else ""
+        lines.append(draw(blanks) + body + draw(blanks))
+    if fault == "blank":
+        lines.insert(draw(st.integers(1, len(lines))), draw(blanks))
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    if not draw(st.booleans()):
+        ends[-1] = ""
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if fault == "stray":
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(STRAY_BYTES)) + text[at:]
+    return text.encode()
+
+
+def _read(reader, path):
+    try:
+        return reader(path)
+    except ValueError as exc:
+        return exc
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=dataset_texts())
+def test_reader_agrees_with_loadtxt(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "reader-agrees.txt"
+    path.write_bytes(text)
+    got = _read(load_dataset, path)
+    want = _read(load_dataset_loadtxt_oracle, path)
+    if isinstance(want, ValueError) or isinstance(got, ValueError):
+        assert isinstance(got, ValueError) and isinstance(want, ValueError), (got, want)
+        assert str(got).startswith(f"dataset file {path}: ")
+        return
+    (seqs, header), (want_seqs, want_header) = got, want
+    assert seqs.dtype == np.int32
+    assert seqs.shape == want_seqs.shape
+    assert np.array_equal(seqs, want_seqs)
+    assert header == want_header
+
+
+# Inputs the earlier np.loadtxt reader accepted and the reader now refuses:
+# the row syntax is unsigned ASCII digits separated by spaces and tabs, lines
+# end in LF or CRLF. Each maps to the (line, message) of its error.
+SYNTAX_CHANGES = {
+    "plus-sign": ("2 4 1 -\n+1 2\n", 2, "byte b'+'"),
+    "negative-zero": ("2 4 2 -\n0 1\n-0 2\n", 3, "byte b'-'"),
+    "vertical-tab": ("2 4 1 -\n1\x0b2\n", 2, "byte b'\\x0b'"),
+    "form-feed": ("2 4 1 -\n1\x0c2\n", 2, "byte b'\\x0c'"),
+    "no-break-space": ("2 4 1 -\n1\u00a02\n", 2, "byte b'\\xc2'"),
+    "lone-carriage-return": ("2 4 1 -\n0 1\r2 3\n", 2, "carriage return"),
+}
+
+
+@pytest.mark.parametrize("text, line, what", SYNTAX_CHANGES.values(),
+                         ids=SYNTAX_CHANGES.keys())
+def test_syntax_loadtxt_accepted_is_refused(tmp_path, text, line, what):
+    path = tmp_path / "d.txt"
+    path.write_bytes(text.encode())
+    load_dataset_loadtxt_oracle(path)  # the earlier reader took these
+    with pytest.raises(ValueError, match=re.escape(f"dataset file {path}: line {line}: ")) as err:
+        load_dataset(path)
+    assert what in str(err.value)
+
+
+LINE_ERRORS = {
+    "stray-byte": ("4 8 2 -\n0 1 2 3\n4 5 x 7\n", 3, "byte b'x'"),
+    "negative-token": ("4 8 2 -\n0 1 2 3\n4 5 -6 7\n", 3, "byte b'-'"),
+    "blank-line": ("4 8 2 -\n0 1 2 3\n\n4 5 6 7\n", 3, "holds 0 tokens"),
+    "short-row": ("4 8 2 -\n0 1 2 3\n4 5 6\n", 3, "holds 3 tokens"),
+    "long-row": ("4 8 3 -\n0 1 2 3 4\n4 5 6\n0 0 0 0\n", 2, "holds 5 tokens"),
+    "above-mask": ("4 8 2 -\n0 1 2 3\n4 5 6 9\n", 3, "token 9 lies outside [0, 8]"),
+    "past-int32": ("2 8 1 -\n2147483648 1\n", 2, "token 2147483648 exceeds"),
+    "past-int32-within-vocab": (f"2 {2**33} 2 -\n0 1\n1 2147483648\n", 3,
+                                "token 2147483648 exceeds 2147483647"),
+    "eleven-digits": ("2 8 1 -\n1 12345678901\n", 2, "a token exceeds"),
+}
+
+
+@pytest.mark.parametrize("text, line, what", LINE_ERRORS.values(),
+                         ids=LINE_ERRORS.keys())
+def test_errors_name_file_and_line(tmp_path, text, line, what):
+    path = tmp_path / "d.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"dataset file {path}: line {line}: ")) as err:
+        load_dataset(path)
+    assert what in str(err.value)
+
+
+def test_error_line_counts_across_chunks(tmp_path):
+    ds = _dataset(8, WRITE_CHUNK_ROWS + 10, np.int64, False)
+    path = tmp_path / "d.txt"
+    save_dataset(ds, path)
+    lines = path.read_text().split("\n")
+    lines[WRITE_CHUNK_ROWS + 6] += " 3"  # row WRITE_CHUNK_ROWS + 5
+    path.write_text("\n".join(lines))
+    with pytest.raises(ValueError, match=f"line {WRITE_CHUNK_ROWS + 7}: the row holds 9"):
+        load_dataset(path)
+
+
+def test_leading_zeros_and_int32_max_load(tmp_path):
+    path = tmp_path / "d.txt"
+    path.write_text(f"3 {2**31 - 1} 1 -\n007 000000000002147483647 0\n")
+    seqs, _ = load_dataset(path)
+    assert seqs.tolist() == [[7, 2**31 - 1, 0]]

@@ -398,8 +398,9 @@ def _reference_learn(seqs, depth, branching, vocab_size, seed, truth,
             assert np.array_equal(stats.codes, observed)
             label_of = cluster_tuples(stats, seed=derive_seed(seed, stage, "kmeans")).labels
         idx = np.searchsorted(observed, block_codes.ravel())
-        counts = np.zeros((observed.size, vocab_size), dtype=np.int64)
-        np.add.at(counts, (idx, latents[stage - 1].ravel()), 1)
+        counts = np.bincount(idx * vocab_size + latents[stage - 1].ravel(),
+                             minlength=observed.size * vocab_size
+                             ).reshape(observed.size, vocab_size)
         recovery = pair_agreement_score(label_of, counts.argmax(axis=1))
         stages.append((observed, label_of, recovery))
         labels = label_of[np.searchsorted(observed, block_codes)]
@@ -608,3 +609,47 @@ class TestSweep:
         a = measure_sample_complexity(cfg)
         b = measure_sample_complexity(cfg)
         assert a.records == b.records
+
+
+class TestTokenChecks:
+    """Tokens outside [0, vocab_size) are refused wherever they sit; unsigned
+    rows learn exactly what signed rows do."""
+
+    @pytest.mark.parametrize("token", [-1, 4, 7])
+    def test_out_of_range_later_slot_rejected(self, token):
+        # (0, 4) would alias code 4 = (1, 0); (3, 7) would pass the v**s table
+        rows = np.random.default_rng(5).integers(0, 4, size=(50, 4))
+        rows[:, 1] = token
+        with pytest.raises(ValueError, match=rf"tokens must lie in \[0, 4\), found {token}"):
+            learn_grammar(rows, 2, 2, 4)
+
+    @pytest.mark.parametrize("token", [-1, 4])
+    def test_context_stats_reject_out_of_range_labels(self, token):
+        labels = np.zeros((3, 4), dtype=int)
+        labels[2, 1] = token
+        with pytest.raises(ValueError, match=rf"labels must lie in \[0, 4\), found {token}"):
+            build_context_stats(labels, np.zeros((3, 4), dtype=int), 4, 2)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint32, np.uint64])
+    @pytest.mark.parametrize("variant", ["single_token", "full_tuple"])
+    def test_unsigned_rows_learn_the_same_partitions(self, dtype, variant):
+        rs = generate_rules(GrammarParams(depth=3, branching=2, vocab_size=8,
+                                          n_synonyms=2, seed=6))
+        seqs = sample_dataset(rs, 1500, np.random.default_rng(6),
+                              with_latents=False).sequences.astype(np.int32)
+        want = learn_grammar(seqs, 3, 2, 8, variant=variant, seed=3, truth=rs)
+        got = learn_grammar(seqs.astype(dtype), 3, 2, 8, variant=variant, seed=3,
+                            truth=rs)
+        assert len(got.levels) == len(want.levels) == 2
+        for a, b in zip(got.levels, want.levels):
+            assert np.array_equal(a.codes, b.codes)
+            assert np.array_equal(a.labels, b.labels)
+            assert (a.partial, a.inertia, a.n_iter, a.restart, a.restarts_run) == (
+                b.partial, b.inertia, b.n_iter, b.restart, b.restarts_run)
+        assert np.array_equal(got.top_tuples, want.top_tuples)
+        assert got.recovery == want.recovery
+        stats = build_context_stats(seqs.astype(dtype), seqs.astype(dtype), 8, 2,
+                                    variant=variant)
+        ref = build_context_stats(seqs, seqs, 8, 2, variant=variant)
+        assert np.array_equal(stats.codes, ref.codes)
+        assert np.array_equal(stats.vectors, ref.vectors)

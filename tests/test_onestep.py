@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from oracles import one_step_gd_oracle
 from rhmlab import (
     enumerate_all,
     one_step_gd,
+    one_step_gradient,
     sample_dataset,
     synonym_column_cosine,
     theory_prediction,
@@ -56,6 +58,41 @@ class TestGradientIdentity:
     def test_eta_must_be_positive(self):
         with pytest.raises(ValueError):
             one_step_gd(np.zeros(4, dtype=int), np.array([0, 1, 0, 1]), 2, 0.0)
+
+
+def _assert_same_model(got, want):
+    for field in ("tuple_codes", "init_log_marginal", "weights", "delta",
+                  "empirical_corr"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    assert got.eta == want.eta
+
+
+class TestOneStepOracle:
+    """Bit-identical to the per-eta ``np.add.at`` form of the step."""
+
+    def test_one_gradient_serves_every_eta(self, rs_medium):
+        ds = sample_dataset(rs_medium, 4000, np.random.default_rng(4),
+                            with_latents=False)
+        codes, labels = tuple_next_token_pairs(ds.sequences, 2, 16)
+        grad = one_step_gradient(codes, labels, 16)
+        for eta in (0.1, 1.0, 10.0, 0.3):
+            want = one_step_gd_oracle(codes, labels, 16, eta)
+            _assert_same_model(grad.step(eta), want)
+            _assert_same_model(one_step_gd(codes, labels, 16, eta), want)
+
+    def test_random_datasets(self):
+        rng = np.random.default_rng(5)
+        for trial in range(30):
+            n_tuples = int(rng.integers(1, 40))
+            n = int(rng.integers(20, 600))
+            v = int(rng.integers(2, 9))
+            codes = rng.integers(0, n_tuples, size=n) * 7
+            labels = rng.integers(0, v, size=n)
+            if np.bincount(labels, minlength=v).min() == 0:
+                continue
+            eta = float(rng.uniform(0.01, 20.0))
+            _assert_same_model(one_step_gd(codes, labels, v, eta),
+                               one_step_gd_oracle(codes, labels, v, eta))
 
 
 class TestSynonymStructure:
