@@ -203,9 +203,10 @@ def _parse_rows(buf, body: int, n: int, d: int, vocab: int, path) -> np.ndarray:
             if lone.size:
                 raise fail(lone[0], "a carriage return not followed by a newline")
         last = np.flatnonzero(digit[:-1] > digit[1:])
-        # with rows * d tokens, the first token of every row after the first
-        # must follow the previous line end
-        if last.size != rows * d or not (last[d::d] > line_end[:-1]).all():
+        # with rows * d tokens, every row's first token must follow the
+        # previous line end and its d-th token precede its own line end
+        if (last.size != rows * d or not (last[d::d] > line_end[:-1]).all()
+                or not (last[d - 1 :: d] < line_end).all()):
             per_line = np.bincount(np.searchsorted(line_end, last), minlength=rows)
             row = int(np.flatnonzero(per_line != d)[0])
             raise fail(line_end[row], f"the row holds {per_line[row]} tokens, "

@@ -144,7 +144,9 @@ STRAY_BYTES = "x.,;#\x00"
 def dataset_texts(draw):
     """Dataset text files: canonical or not (runs of blanks, leading and
     trailing blanks, zero-padded tokens up to 2**31 - 1, CRLF, no final
-    newline, rows past ``n_rows``), with at most one injected fault."""
+    newline, rows past ``n_rows``), with at most one injected fault. A
+    ``shift`` fault moves one token between rows, making one row short and
+    another long while the token count stays right."""
     d = draw(st.integers(1, 4))
     n = draw(st.integers(0, 5))
     vocab = draw(st.sampled_from([1, 12, 1000, 2**31 - 1, 2**33]))
@@ -152,8 +154,12 @@ def dataset_texts(draw):
                       st.integers(0, 2**31 - 1))
     rows = draw(st.lists(st.lists(token, min_size=d, max_size=d),
                          min_size=n, max_size=n + 2))
-    fault = draw(st.sampled_from(["none", "none", "blank", "ragged", "stray",
-                                  "oversized"]))
+    fault = draw(st.sampled_from(["none", "none", "blank", "ragged", "shift",
+                                  "stray", "oversized"]))
+    if len(rows) > 1 and fault == "shift":
+        i, j = draw(st.lists(st.integers(0, len(rows) - 1), min_size=2,
+                             max_size=2, unique=True))
+        rows[j].append(rows[i].pop())
     if rows and fault in ("ragged", "oversized"):
         i = draw(st.integers(0, len(rows) - 1))
         if fault == "oversized":
@@ -238,6 +244,8 @@ LINE_ERRORS = {
     "blank-line": ("4 8 2 -\n0 1 2 3\n\n4 5 6 7\n", 3, "holds 0 tokens"),
     "short-row": ("4 8 2 -\n0 1 2 3\n4 5 6\n", 3, "holds 3 tokens"),
     "long-row": ("4 8 3 -\n0 1 2 3 4\n4 5 6\n0 0 0 0\n", 2, "holds 5 tokens"),
+    "short-then-long-row": ("2 8 2 -\n5\n1 2 3\n", 2, "holds 1 tokens"),
+    "blank-then-long-row": ("1 8 2 -\n\n1 2\n", 2, "holds 0 tokens"),
     "above-mask": ("4 8 2 -\n0 1 2 3\n4 5 6 9\n", 3, "token 9 lies outside [0, 8]"),
     "past-int32": ("2 8 1 -\n2147483648 1\n", 2, "token 2147483648 exceeds"),
     "past-int32-within-vocab": (f"2 {2**33} 2 -\n0 1\n1 2147483648\n", 3,
