@@ -9,6 +9,10 @@ the Bayes-optimal denoiser for corrupted strings.
 
 Messages are renormalized at every node (posterior masses shrink like
 m**-depth otherwise) with the log normalizers accumulated into the evidence.
+
+One upward pass serves each evidence: the grammar keeps its last pass, keyed
+by the evidence bytes, so marginals and posterior draws of the same noisy
+string share it, in either call order.
 """
 
 from __future__ import annotations
@@ -53,18 +57,27 @@ def _upward_pass(rs: RuleSet, lik: np.ndarray):
 
     Returns ``(upward, gathered, prods, log_z)``: ``upward[lvl]`` holds the
     normalized upward message of every level-``lvl`` node, shape
-    ``(width, v)``; ``gathered[lvl - 1][n, a, k, i]`` is the upward message of
+    ``(width, v)``; ``gathered[lvl - 1][a, k, i, n]`` is the upward message of
     child ``i`` of node ``n`` at value ``rules_at(lvl)[a, k, i]``, shape
-    ``(width, v, m, s)``; ``prods[lvl - 1]`` is its product over the children,
-    shape ``(width, v, m)``; ``log_z`` is the accumulated log normalizer.
+    ``(v, m, s, width)``, the gather through :meth:`RuleSet.bp_index`;
+    ``prods[lvl - 1]`` is its product over the children, shape
+    ``(width, v, m)``; ``log_z`` is the accumulated log normalizer.
 
-    The gather goes through :meth:`RuleSet.bp_index` and is transposed so
-    that the node axis is innermost in memory. numpy picks the summation
-    order of ``prod.sum(axis=2)``, ``up.sum(axis=1)`` and the marginal
-    normalizers from that layout, so the layout is part of the exact bits of
-    every result: a C-contiguous ``(width, v, m, s)`` gather moves marginals
-    and log evidence by an ulp.
+    The products are taken slot by slot, left to right, on the gather as it
+    lies in memory, and the ``(v, m, width)`` result is transposed so that
+    the node axis is innermost in memory. numpy picks the summation order of
+    ``prod.sum(axis=2)``, ``up.sum(axis=1)`` and the marginal normalizers from
+    that layout, so the layout is part of the exact bits of every result: a
+    C-contiguous ``(width, v, m)`` product moves marginals and log evidence
+    by an ulp.
+
+    The grammar keeps the last successful pass, keyed by the evidence bytes;
+    its arrays are read-only, and a pass that raises is not kept.
     """
+    key = lik.tobytes()
+    memo = rs._bp_memo
+    if memo is not None and memo[0] == key:
+        return memo[1]
     p = rs.params
     norms = lik.sum(axis=1)
     if norms.min() <= 0:
@@ -76,8 +89,11 @@ def _upward_pass(rs: RuleSet, lik: np.ndarray):
     gathered, prods = [], []
     m = p.n_synonyms
     for lvl in range(1, p.depth + 1):
-        g = upward[-1].take(rs.bp_index(lvl)).transpose(3, 0, 1, 2)
-        prod = g.prod(axis=3)
+        g = upward[-1].take(rs.bp_index(lvl))
+        prod = g[:, :, 0] * g[:, :, 1]
+        for i in range(2, p.branching):
+            prod *= g[:, :, i]
+        prod = prod.transpose(2, 0, 1)
         up = prod.sum(axis=2) / m
         z = up.sum(axis=1)
         if z.min() <= 0:
@@ -88,7 +104,11 @@ def _upward_pass(rs: RuleSet, lik: np.ndarray):
         upward.append(up / z[:, None])
         gathered.append(g)
         prods.append(prod)
-    return upward, gathered, prods, log_z
+    for arr in upward + gathered + prods:
+        arr.setflags(write=False)
+    result = (tuple(upward), tuple(gathered), tuple(prods), log_z)
+    rs._bp_memo = (key, result)
+    return result
 
 
 def bp_marginals(rs: RuleSet, evidence: np.ndarray) -> BeliefState:
@@ -96,7 +116,7 @@ def bp_marginals(rs: RuleSet, evidence: np.ndarray) -> BeliefState:
     p = rs.params
     lik = _check_evidence(rs, evidence)
     upward, gathered, _, log_z = _upward_pass(rs, lik)
-    v, m = p.vocab_size, p.n_synonyms
+    v, m, s = p.vocab_size, p.n_synonyms, p.branching
 
     # Root prior is uniform, so it cancels after normalization; its mass is
     # still part of the evidence.
@@ -104,16 +124,24 @@ def bp_marginals(rs: RuleSet, evidence: np.ndarray) -> BeliefState:
     downward = [np.full((1, v), 1.0 / v)]  # root first
     for lvl in range(p.depth, 0, -1):
         index = rs.bp_index(lvl)
-        g = gathered[lvl - 1].transpose(1, 2, 3, 0)  # (v, m, s, width), contiguous
-        # Product over every child but i: an exclusive prefix times an
-        # exclusive suffix product along the slot axis, each a cumprod
-        # behind a leading 1.
-        excl = np.empty((2,) + g.shape)
-        excl[:, :, :, 0] = 1.0
-        before, after = excl
-        np.cumprod(g[:, :, :-1], axis=2, out=before[:, :, 1:])
-        np.cumprod(g[:, :, :0:-1], axis=2, out=after[:, :, 1:])
-        contrib = downward[-1].T[:, None, None, :] * (before * after[:, :, ::-1]) / m
+        g = gathered[lvl - 1]  # (v, m, s, width)
+        # Product over every child but i: the product of the slots before i,
+        # taken left to right, times the product of the slots after i, taken
+        # right to left. For s = 2 this is the sibling's message.
+        after = [g[:, :, s - 1]]
+        for i in range(s - 2, 0, -1):
+            after.append(after[-1] * g[:, :, i])
+        after.reverse()  # after[i]: the slots after i, for i < s - 1
+        parent = downward[-1].T[:, None, :]
+        contrib = np.empty(g.shape)
+        np.multiply(parent, after[0], out=contrib[:, :, 0])
+        before = g[:, :, 0]
+        for i in range(1, s):
+            others = before if i == s - 1 else before * after[i]
+            np.multiply(parent, others, out=contrib[:, :, i])
+            if i < s - 1:
+                before = before * g[:, :, i]
+        contrib /= m
         # Scatter each (parent value, production, slot, node) onto the value
         # the rule table gives that child: O(v) per node, where a product
         # with a one-hot rule table would cost O(v**2). Each bin sums its
@@ -135,17 +163,14 @@ def bp_marginals(rs: RuleSet, evidence: np.ndarray) -> BeliefState:
     return BeliefState(marginals=marginals, log_evidence=log_z)
 
 
-def _categorical_rows(
-    prob_rows: np.ndarray, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """``n`` categorical draws: one per row of an (n, k) probability matrix,
-    or all ``n`` from one (k,) row. A uniform ``u`` in
-    ``[cdf[j-1], cdf[j])`` draws ``j``, so a zero-probability entry, whose
-    interval is empty, is never drawn, not even at ``u = 0``."""
-    cdf = np.cumsum(prob_rows, axis=-1)
-    cdf /= cdf[..., -1:]
-    u = rng.random((n, 1))
-    return (u >= cdf).sum(axis=1).astype(np.int32)
+def _categorical(cdf: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``n`` categorical draws from cumulative weights laid out category
+    first: one column of a ``(k, n)`` array per draw, or one ``(k, 1)``
+    column for all ``n``. A uniform ``u`` in ``[cdf[j-1], cdf[j]) / cdf[-1]``
+    draws ``j``, so a zero-weight category, whose interval is empty, is never
+    drawn, not even at ``u = 0``."""
+    u = rng.random(n)
+    return (u >= cdf / cdf[-1]).sum(axis=0)
 
 
 def bp_posterior_sample_batch(
@@ -158,20 +183,25 @@ def bp_posterior_sample_batch(
     :func:`~rhmlab.grammar.parse_batch` recovers each draw's latent symbols
     and rule choices.
     """
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+        raise ValueError(f"n must be a nonnegative integer, not {n!r}")
     p = rs.params
     v, m = p.vocab_size, p.n_synonyms
     lik = _check_evidence(rs, evidence)
     upward, _, prods, _ = _upward_pass(rs, lik)
-    root_post = upward[p.depth][0] / upward[p.depth][0].sum()
-    symbols = _categorical_rows(root_post, n, rng).reshape(n, 1)
+    root = upward[p.depth][0]
+    symbols = _categorical(np.cumsum(root / root.sum())[:, None], n, rng).reshape(n, 1)
     for lvl in range(p.depth, 0, -1):
         width = p.level_width(lvl)
-        # Row (node, value) of the (width * v, m) production weights.
+        # Cumulative production weights of every (node, value), production
+        # first: column node * v + value. Then the columns of the draws.
+        cdf = np.empty((m, width, v))
+        np.cumsum(prods[lvl - 1].transpose(2, 0, 1), axis=0, out=cdf)
         rows = symbols + np.arange(0, width * v, v)
-        flat = prods[lvl - 1].reshape(-1, m).take(rows.ravel(), axis=0)
-        if not flat.sum(axis=1).all():
+        cdf = cdf.reshape(m, width * v).take(rows.ravel(), axis=1)
+        if not (cdf[-1] > 0).all():
             raise ImpossibleEvidenceError("conditioned node has no valid production")
-        ks = _categorical_rows(flat, flat.shape[0], rng).reshape(symbols.shape)
+        ks = _categorical(cdf, cdf.shape[1], rng).reshape(symbols.shape)
         symbols = rs.rules_at(lvl)[symbols, ks].reshape(n, width * p.branching)
     return symbols
 

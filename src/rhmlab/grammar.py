@@ -134,7 +134,8 @@ class RuleSet:
     tuple code to ``parent * n_synonyms + rule_index`` (-1 for invalid tuples),
     which is a function because tuples are globally distinct within a level.
     ``parse_tables(level)`` holds the same map for :func:`parse_batch`, and
-    ``bp_index(level)`` the gather index of exact inference (:mod:`rhmlab.bp`).
+    ``bp_index(level)`` the gather index of exact inference (:mod:`rhmlab.bp`),
+    which also keeps the grammar's last upward pass here.
     """
 
     def __init__(self, params: GrammarParams, tables: list[np.ndarray]):
@@ -169,6 +170,8 @@ class RuleSet:
         self._inverse = tuple(invs)
         self._parse: tuple[tuple[np.ndarray, np.ndarray], ...] | None = None
         self._bp_index: tuple[np.ndarray, ...] | None = None
+        # (evidence bytes, upward pass): rhmlab.bp's one-slot memo.
+        self._bp_memo: tuple[bytes, tuple] | None = None
         self._hash: str | None = None
 
     def _check_level(self, level: int) -> None:

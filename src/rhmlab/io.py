@@ -20,7 +20,7 @@ byte for byte what ``np.savetxt(fmt="%d")`` writes: single spaces, LF ends.
 The binary layout is little-endian: the magic bytes ``RHMD1``; ``seq_len``,
 ``vocab_size`` and ``n_rows`` as three uint64; the grammar hash's byte length
 as uint16 and its UTF-8 bytes; then the ``n_rows * seq_len`` tokens as uint16,
-row by row.
+row by row. So a binary file holds ``vocab_size`` at most 65535.
 
 Floats in CSV output are rendered with 17 significant digits so values
 round-trip.
@@ -74,6 +74,11 @@ def save_dataset(ds: Dataset, path, binary: bool = False) -> None:
         )
     _check_tokens(seqs, vocab, path)
     if binary:
+        if vocab > 65535:
+            raise ValueError(
+                f"dataset file {path}: binary tokens are uint16, so vocab_size "
+                f"(the mask token) must be at most 65535, not {vocab}"
+            )
         with open(path, "wb") as fh:
             fh.write(DATASET_MAGIC)
             header = np.array([d, vocab, n], dtype="<u8")

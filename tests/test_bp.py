@@ -17,7 +17,7 @@ from rhmlab import (
     parse_batch,
     sample_dataset,
 )
-from rhmlab.bp import _categorical_rows
+from rhmlab.bp import _categorical, _upward_pass
 from oracles import (
     bp_marginals_oracle,
     bp_posterior_sample_batch_oracle,
@@ -251,7 +251,126 @@ def test_bp_is_bit_identical_to_the_oracle(case):
     assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
+def _marginals_match_oracle(rs, lik):
+    """bp_marginals equals the oracle byte for byte, or both raise
+    ImpossibleEvidenceError; returns whether the evidence was possible."""
+    state = _outcome(lambda: bp_marginals(rs, lik))
+    want = _outcome(lambda: bp_marginals_oracle(rs, lik))
+    assert (state is None) == (want is None)
+    if want is not None:
+        for got, ref in zip(state.marginals, want[0], strict=True):
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+        assert state.log_evidence == want[1]
+    return want is not None
+
+
+def _draws_match_oracle(rs, lik, n, seed):
+    """bp_posterior_sample_batch equals the oracle draw for draw and leaves
+    the generator in the same state, or both raise ImpossibleEvidenceError."""
+    rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    draws = _outcome(lambda: bp_posterior_sample_batch(rs, lik, n, rng))
+    want = _outcome(lambda: bp_posterior_sample_batch_oracle(rs, lik, n, rng_ref))
+    assert (draws is None) == (want is None)
+    if want is not None:
+        assert draws.dtype == want.dtype and np.array_equal(draws, want)
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+def _noisy_evidence(rs, n_strings, seed, beta_bar=0.5):
+    rng = np.random.default_rng(seed)
+    v = rs.params.vocab_size
+    spec = NoiseSpec(kind="uniform", beta_bar=beta_bar)
+    clean = sample_dataset(rs, n_strings, rng, with_latents=False).sequences
+    return [leaf_likelihoods(corrupt(x, spec, v, rng)[0], spec, v) for x in clean]
+
+
+class TestUpwardPassMemo:
+    """Each grammar keeps its last upward pass, keyed by the evidence bytes;
+    every call around the memo still matches the oracle bit for bit."""
+
+    @pytest.fixture
+    def rs(self):
+        # A fresh grammar per test, so no earlier test has filled its memo.
+        return generate_rules(GrammarParams(4, 2, 16, 4, seed=20))
+
+    @pytest.mark.parametrize("draws_first", [False, True])
+    def test_marginals_and_draws_of_one_string(self, rs, draws_first):
+        for j, lik in enumerate(_noisy_evidence(rs, 20, seed=1)):
+            if draws_first:
+                _draws_match_oracle(rs, lik, 32, seed=j)
+                passes = _upward_pass(rs, lik)
+                assert _marginals_match_oracle(rs, lik)
+            else:
+                assert _marginals_match_oracle(rs, lik)
+                passes = _upward_pass(rs, lik)
+                _draws_match_oracle(rs, lik, 32, seed=j)
+            # The second call of the pair reused the first call's pass.
+            assert _upward_pass(rs, lik.copy()) is passes
+
+    def test_evidence_changed_in_place_between_calls(self, rs):
+        lik = _noisy_evidence(rs, 1, seed=2)[0]
+        changed = _noisy_evidence(rs, 1, seed=3)[0]
+        assert _marginals_match_oracle(rs, lik)
+        lik[:] = changed
+        assert _marginals_match_oracle(rs, lik)
+        _draws_match_oracle(rs, lik, 16, seed=4)
+        lik[5] = 1.0  # mask one leaf
+        _draws_match_oracle(rs, lik, 16, seed=5)
+        assert _marginals_match_oracle(rs, lik)
+
+    def test_two_grammars_interleaved(self, rs):
+        other = generate_rules(GrammarParams(4, 2, 16, 4, seed=21))
+        liks = _noisy_evidence(rs, 6, seed=6)
+        other_liks = _noisy_evidence(other, 6, seed=7)
+        for j, (lik, other_lik) in enumerate(zip(liks, other_liks)):
+            for grammar, evidence in ((rs, lik), (other, other_lik), (rs, lik),
+                                      (other, lik), (rs, other_lik)):
+                _marginals_match_oracle(grammar, evidence)
+                _draws_match_oracle(grammar, evidence, 8, seed=j)
+
+    def test_impossible_evidence_between_two_possible_calls(self, rs):
+        lik, later = _noisy_evidence(rs, 2, seed=8)
+        impossible = np.ones_like(lik)
+        impossible[3] = 0.0  # a leaf no value can explain
+        assert _marginals_match_oracle(rs, lik)
+        passes = _upward_pass(rs, lik)
+        assert not _marginals_match_oracle(rs, impossible)
+        _draws_match_oracle(rs, impossible, 4, seed=9)
+        # The failed passes left the memo as it was.
+        assert _upward_pass(rs, lik) is passes
+        _draws_match_oracle(rs, lik, 32, seed=10)
+        assert _marginals_match_oracle(rs, later)
+        _draws_match_oracle(rs, later, 32, seed=11)
+
+    def test_cached_arrays_are_read_only(self, rs):
+        lik = _noisy_evidence(rs, 1, seed=12)[0]
+        state = bp_marginals(rs, lik)
+        upward, gathered, prods, _ = _upward_pass(rs, lik)
+        for arr in (*upward, *gathered, *prods):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 0.5
+        # What the caller gets back stays theirs to write.
+        state.marginals[0][0, 0] = 0.5
+        assert _marginals_match_oracle(rs, lik)
+
+
 class TestPosteriorSampling:
+    @pytest.mark.parametrize("n", [-1, 2.0, True, np.bool_(True), "3", None])
+    def test_rejects_a_bad_draw_count_before_any_work(self, n):
+        rs = generate_rules(GrammarParams(2, 2, 4, 2, seed=1))
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="n must be a nonnegative integer"):
+            bp_posterior_sample_batch(rs, np.ones((4, 4)), n, rng)
+        assert rng.bit_generator.state == state
+        assert rs._bp_memo is None  # no upward pass ran
+
+    @pytest.mark.parametrize("n", [0, np.int64(3), np.uint8(2)])
+    def test_accepts_integer_draw_counts(self, rs_small, n):
+        draws = bp_posterior_sample_batch(
+            rs_small, np.ones((4, 4)), n, np.random.default_rng(0))
+        assert draws.shape == (int(n), 4)
+
     def test_all_masked_matches_prior_chi_square(self, rs_small):
         n = 120_000
         seqs = bp_posterior_sample_batch(
@@ -282,7 +401,7 @@ class TestPosteriorSampling:
             def random(self, size):
                 return np.zeros(size)
 
-        assert _categorical_rows(np.array([0.0, 0.5, 0.5]), 1, ZeroUniform())[0] == 1
+        assert _categorical(np.cumsum([0.0, 0.5, 0.5])[:, None], 1, ZeroUniform())[0] == 1
         # Clean evidence leaves one derivation; u = 0 must still find it.
         ds = sample_dataset(rs_deep, 20, np.random.default_rng(3))
         for row in ds.sequences:

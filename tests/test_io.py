@@ -104,6 +104,24 @@ class TestBinaryFormat:
         assert header == dict(seq_len=8, vocab_size=120, n_rows=n_rows,
                               grammar_hash="f00d")
 
+    @pytest.mark.parametrize("with_params", [False, True])
+    def test_vocab_past_uint16_is_refused(self, tmp_path, with_params):
+        params = GrammarParams(1, 2, 70000, 1) if with_params else None
+        ds = Dataset(sequences=np.array([[70000, 1], [3, 69999]]), params=params)
+        path = tmp_path / "d.bin"
+        with pytest.raises(ValueError, match=r"d\.bin.*at most 65535"):
+            save_dataset(ds, path, binary=True)
+        assert not path.exists()
+
+    def test_vocab_at_the_uint16_limit_round_trips(self, tmp_path):
+        # 65535 is the mask token of a 65535-symbol vocabulary.
+        ds = Dataset(sequences=np.array([[65535, 0], [65534, 7]]),
+                     params=GrammarParams(1, 2, 65535, 1))
+        save_dataset(ds, tmp_path / "d.bin", binary=True)
+        seqs, header = load_dataset(tmp_path / "d.bin")
+        assert header["vocab_size"] == 65535
+        assert np.array_equal(seqs, ds.sequences)
+
 
 MALFORMED = {
     "empty": "",
