@@ -10,9 +10,9 @@ the Bayes-optimal denoiser for corrupted strings.
 Messages are renormalized at every node (posterior masses shrink like
 m**-depth otherwise) with the log normalizers accumulated into the evidence.
 
-One upward pass serves each evidence: the grammar keeps its last pass, keyed
-by the evidence bytes, so marginals and posterior draws of the same noisy
-string share it, in either call order.
+One upward pass serves each evidence: a grammar's ``_bp`` slot, private to
+this module, keeps the gather index and the last pass, keyed by the evidence
+bytes, so marginals and draws of one noisy string share it, in either order.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corruption import NoiseSpec, leaf_likelihoods
-from .grammar import RuleSet
+from .grammar import RuleSet, _check_draw_count
 
 
 class ImpossibleEvidenceError(ValueError):
@@ -52,6 +52,27 @@ def _check_evidence(rs: RuleSet, lik: np.ndarray) -> np.ndarray:
     return lik
 
 
+def _gather_index(rs: RuleSet) -> tuple[np.ndarray, ...]:
+    """Per level, the read-only intp ``(v, m, s, width)`` array whose
+    ``[a, k, i, n]`` entry is ``(n*s + i)*v + rules_at(level)[a, k, i]``: the
+    flat position, among the ``(width*s, v)`` values of the level below, of
+    child ``i`` of node ``n`` taking production ``k`` of value ``a``. The node
+    axis is last so that a gather through it keeps nodes innermost in memory
+    (see :func:`_upward_pass`). Built at the grammar's first BP call."""
+    if rs._bp is None:
+        p = rs.params
+        index = []
+        for lvl in range(1, p.depth + 1):
+            width = p.level_width(lvl)
+            child = (np.arange(width) * p.branching
+                     + np.arange(p.branching)[:, None]) * p.vocab_size
+            idx = child + rs.rules_at(lvl)[..., None].astype(np.intp)
+            idx.setflags(write=False)
+            index.append(idx)
+        rs._bp = (tuple(index), None, None)  # no upward pass yet
+    return rs._bp[0]
+
+
 def _upward_pass(rs: RuleSet, lik: np.ndarray):
     """The one upward sweep that marginals and sampling share.
 
@@ -59,7 +80,7 @@ def _upward_pass(rs: RuleSet, lik: np.ndarray):
     normalized upward message of every level-``lvl`` node, shape
     ``(width, v)``; ``gathered[lvl - 1][a, k, i, n]`` is the upward message of
     child ``i`` of node ``n`` at value ``rules_at(lvl)[a, k, i]``, shape
-    ``(v, m, s, width)``, the gather through :meth:`RuleSet.bp_index`;
+    ``(v, m, s, width)``, the gather through :func:`_gather_index`;
     ``prods[lvl - 1]`` is its product over the children, shape
     ``(width, v, m)``; ``log_z`` is the accumulated log normalizer.
 
@@ -71,13 +92,14 @@ def _upward_pass(rs: RuleSet, lik: np.ndarray):
     C-contiguous ``(width, v, m)`` product moves marginals and log evidence
     by an ulp.
 
-    The grammar keeps the last successful pass, keyed by the evidence bytes;
-    its arrays are read-only, and a pass that raises is not kept.
+    The ``_bp`` slot keeps the last successful pass, keyed by the evidence
+    bytes; its arrays are read-only, and a pass that raises is not kept.
     """
     key = lik.tobytes()
-    memo = rs._bp_memo
-    if memo is not None and memo[0] == key:
-        return memo[1]
+    index = _gather_index(rs)
+    _, last_key, last_pass = rs._bp
+    if last_key == key:
+        return last_pass
     p = rs.params
     norms = lik.sum(axis=1)
     if norms.min() <= 0:
@@ -89,7 +111,7 @@ def _upward_pass(rs: RuleSet, lik: np.ndarray):
     gathered, prods = [], []
     m = p.n_synonyms
     for lvl in range(1, p.depth + 1):
-        g = upward[-1].take(rs.bp_index(lvl))
+        g = upward[-1].take(index[lvl - 1])
         prod = g[:, :, 0] * g[:, :, 1]
         for i in range(2, p.branching):
             prod *= g[:, :, i]
@@ -107,7 +129,7 @@ def _upward_pass(rs: RuleSet, lik: np.ndarray):
     for arr in upward + gathered + prods:
         arr.setflags(write=False)
     result = (tuple(upward), tuple(gathered), tuple(prods), log_z)
-    rs._bp_memo = (key, result)
+    rs._bp = (index, key, result)
     return result
 
 
@@ -123,7 +145,7 @@ def bp_marginals(rs: RuleSet, evidence: np.ndarray) -> BeliefState:
     log_z += float(np.log(upward[p.depth][0].sum() / v))  # = -log v
     downward = [np.full((1, v), 1.0 / v)]  # root first
     for lvl in range(p.depth, 0, -1):
-        index = rs.bp_index(lvl)
+        index = _gather_index(rs)[lvl - 1]
         g = gathered[lvl - 1]  # (v, m, s, width)
         # Product over every child but i: the product of the slots before i,
         # taken left to right, times the product of the slots after i, taken
@@ -183,8 +205,7 @@ def bp_posterior_sample_batch(
     :func:`~rhmlab.grammar.parse_batch` recovers each draw's latent symbols
     and rule choices.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, not {n!r}")
+    _check_draw_count(n)
     p = rs.params
     v, m = p.vocab_size, p.n_synonyms
     lik = _check_evidence(rs, evidence)

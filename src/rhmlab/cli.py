@@ -308,8 +308,15 @@ def _run_bp(args, cfg, out_dir, seed):
 
 def _run_stats(args, cfg, out_dir, seed):
     rs = _require_grammar(args, cfg, seed)
-    seqs = _require_data(args, rs)
     p = rs.params
+    if args.level is not None:
+        level, name = args.level, "--level"
+    else:
+        level, name = cfg.get("level", 2), "config key 'level'"
+    if not 2 <= level <= p.depth:
+        raise ConfigError(f"{name} is {level}; it must be in 2..{p.depth} "
+                          "(the grammar's depth)")
+    seqs = _require_data(args, rs)
     rep = token_token_correlation(seqs, p.branching, p.depth, p.vocab_size)
     write_csv(
         out_dir / "correlations.csv",
@@ -319,7 +326,6 @@ def _run_stats(args, cfg, out_dir, seed):
             for d, v, k in zip(rep.distances, rep.values, rep.n_pairs)
         ],
     )
-    level = args.level if args.level is not None else cfg.get("level", 2)
     max_levels, latents, choices = parse_batch(rs, seqs)
     rows = []
     if np.all(max_levels == p.depth):
@@ -479,15 +485,16 @@ def _run_sweep(args, cfg, out_dir, seed):
     return None, seeds
 
 
+# Each experiment's runner and the input-file flags it reads.
 _RUNNERS = {
-    "gen-grammar": _run_gen_grammar,
-    "sample": _run_sample,
-    "corrupt": _run_corrupt,
-    "bp": _run_bp,
-    "stats": _run_stats,
-    "learn": _run_learn,
-    "onestep": _run_onestep,
-    "sweep": _run_sweep,
+    "gen-grammar": (_run_gen_grammar, ()),
+    "sample": (_run_sample, ("grammar",)),
+    "corrupt": (_run_corrupt, ("grammar", "data")),
+    "bp": (_run_bp, ("grammar",)),
+    "stats": (_run_stats, ("grammar", "data")),
+    "learn": (_run_learn, ("grammar", "data")),
+    "onestep": (_run_onestep, ("grammar", "data")),
+    "sweep": (_run_sweep, ()),
 }
 EXPERIMENTS = tuple(_RUNNERS)
 
@@ -501,14 +508,22 @@ def _default_threads() -> int:
     return int(env)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise :class:`ConfigError`, so
+    that they exit 2 with one JSON line like every other bad input."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rhmlab",
         description="Random-hierarchy-grammar experiments; CSV columns are "
         "documented per subcommand in the README and config_schema.json.",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
+    for name, (_, files) in _RUNNERS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None, help="JSON config file")
         sp.add_argument("--seed", type=int, default=None, help="64-bit master seed")
@@ -519,8 +534,10 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="worker processes (default: RHMLAB_THREADS or CPU count)",
         )
-        sp.add_argument("--grammar", default=None, help="grammar JSON file")
-        sp.add_argument("--data", default=None, help="dataset file")
+        if "grammar" in files:
+            sp.add_argument("--grammar", default=None, help="grammar JSON file")
+        if "data" in files:
+            sp.add_argument("--data", default=None, help="dataset file")
         if name == "stats":
             sp.add_argument("--level", type=int, default=None,
                             help="token-tuple correlation level (default 2)")
@@ -528,9 +545,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     t0 = time.time()
     try:
+        args, extra = build_parser().parse_known_args(argv)
+        if extra:
+            raise ConfigError(f"rhmlab {args.experiment}: unrecognized "
+                              f"arguments: {' '.join(extra)}")
         cfg = _load_config(args.config)
         seed = args.seed if args.seed is not None else cfg.get("seed", 0)
         if not 0 <= seed < 2**64:
@@ -541,7 +561,7 @@ def run(argv: list[str] | None = None) -> int:
             raise ConfigError(f"--threads must be at least 1, not {args.threads}")
         out_dir = Path(args.out if args.out != "." else cfg.get("out", "."))
         out_dir.mkdir(parents=True, exist_ok=True)
-        grammar_hash, seeds = _RUNNERS[args.experiment](args, cfg, out_dir, seed)
+        grammar_hash, seeds = _RUNNERS[args.experiment][0](args, cfg, out_dir, seed)
         _write_manifest(out_dir, cfg, seed, seeds, grammar_hash, t0)
     except (ConfigError, ValueError, OSError, MemoryError, OverflowError) as exc:
         # numpy raises a MemoryError subclass; report the builtin name

@@ -34,6 +34,22 @@ def _power_at_most(base: int, exp: int, bound: int) -> bool:
     return True
 
 
+def _check_draw_count(n) -> None:
+    """Refuse a draw count ``n`` that is not a nonnegative integer."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+        raise ValueError(f"n must be a nonnegative integer, not {n!r}")
+
+
+def _check_token_range(name: str, tokens: np.ndarray, vocab_size: int) -> None:
+    """Refuse ``tokens`` outside ``[0, vocab_size)``, naming the first bound
+    crossed."""
+    if tokens.size:
+        low, high = tokens.min(), tokens.max()
+        if low < 0 or high >= vocab_size:
+            bad = low if low < 0 else high
+            raise ValueError(f"{name} must lie in [0, {vocab_size}), found {bad}")
+
+
 @dataclass(frozen=True)
 class GrammarParams:
     """Shape parameters of a random hierarchical grammar.
@@ -133,9 +149,7 @@ class RuleSet:
     level-(level-1) symbols); levels run 1..depth. ``inverse_at(level)`` maps a
     tuple code to ``parent * n_synonyms + rule_index`` (-1 for invalid tuples),
     which is a function because tuples are globally distinct within a level.
-    ``parse_tables(level)`` holds the same map for :func:`parse_batch`, and
-    ``bp_index(level)`` the gather index of exact inference (:mod:`rhmlab.bp`),
-    which also keeps the grammar's last upward pass here.
+    ``parse_tables(level)`` holds the same map for :func:`parse_batch`.
     """
 
     def __init__(self, params: GrammarParams, tables: list[np.ndarray]):
@@ -169,9 +183,7 @@ class RuleSet:
         self._tables = tuple(tabs)
         self._inverse = tuple(invs)
         self._parse: tuple[tuple[np.ndarray, np.ndarray], ...] | None = None
-        self._bp_index: tuple[np.ndarray, ...] | None = None
-        # (evidence bytes, upward pass): rhmlab.bp's one-slot memo.
-        self._bp_memo: tuple[bytes, tuple] | None = None
+        self._bp = None  # rhmlab.bp's own state; no other module reads it
         self._hash: str | None = None
 
     def _check_level(self, level: int) -> None:
@@ -208,29 +220,6 @@ class RuleSet:
                 tables.append((parent_of, choice_of))
             self._parse = tuple(tables)
         return self._parse[level - 1]
-
-    def bp_index(self, level: int) -> np.ndarray:
-        """Read-only intp ``(v, m, s, width)`` array whose ``[a, k, i, n]``
-        entry is ``(n*s + i)*v + rules_at(level)[a, k, i]``: the flat position,
-        among the ``(width*s, v)`` values of the level below, of child ``i``
-        of node ``n`` taking production ``k`` of value ``a``. The node axis
-        is last so that a gather through it, transposed to
-        ``(width, v, m, s)``, keeps nodes innermost in memory (see
-        :mod:`rhmlab.bp`). Built for every level on first use, like
-        :meth:`parse_tables`."""
-        self._check_level(level)
-        if self._bp_index is None:
-            p = self.params
-            index = []
-            for lvl, table in enumerate(self._tables, 1):
-                width = p.level_width(lvl)
-                child = (np.arange(width) * p.branching
-                         + np.arange(p.branching)[:, None]) * p.vocab_size
-                idx = child + table[..., None].astype(np.intp)
-                idx.setflags(write=False)
-                index.append(idx)
-            self._bp_index = tuple(index)
-        return self._bp_index[level - 1]
 
     def drop_bottom_level(self) -> "RuleSet":
         """The grammar formed by levels 2..depth, with level-1 symbols as leaves.
@@ -388,6 +377,7 @@ def sample_dataset(
     with_latents: bool = True,
 ) -> Dataset:
     """Draw ``n`` i.i.d. derivations: uniform root, uniform rule choices."""
+    _check_draw_count(n)
     p = rs.params
     root = rng.integers(0, p.vocab_size, size=n, dtype=np.int32)
     choices = [
@@ -418,6 +408,7 @@ def sample_distinct_dataset(
 
     Rows keep their first-draw derivations and order of first appearance.
     """
+    _check_draw_count(n)
     p = rs.params
     if n > p.n_derivations:
         raise ValueError(

@@ -30,6 +30,8 @@ from .grammar import (
     EnumerationCapError,
     GrammarParams,
     RuleSet,
+    _check_draw_count,
+    _check_token_range,
     accuracy,
     decode_codes,
     encode_tuples,
@@ -123,14 +125,6 @@ def build_context_stats(
     _check_token_range("context tokens", visible, vocab_size)
     block_codes = encode_tuples(labels.reshape(n, width // s, s), vocab_size)
     return _count_contexts(block_codes, visible, vocab_size, branching, variant, level)
-
-
-def _check_token_range(name: str, tokens: np.ndarray, vocab_size: int) -> None:
-    if tokens.size:
-        low, high = tokens.min(), tokens.max()
-        if low < 0 or high >= vocab_size:
-            bad = low if low < 0 else high
-            raise ValueError(f"{name} must lie in [0, {vocab_size}), found {bad}")
 
 
 def _count_contexts(block_codes: np.ndarray, visible: np.ndarray, vocab_size: int,
@@ -367,6 +361,7 @@ def generate_from_learned(
     member index per position, label by label in ascending order and, within
     a label, in row-major position order.
     """
+    _check_draw_count(n)
     if model.top_tuples.size == 0:
         raise ValueError("model has no top-level tuples")
     cur = model.top_tuples[rng.integers(0, model.top_tuples.shape[0], size=n)]

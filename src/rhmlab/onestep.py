@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grammar import encode_tuples
+from .grammar import _check_token_range, encode_tuples
 from .stats import joint_correlation
 
 
@@ -78,13 +78,15 @@ def one_step_gradient(
     """Initial weights, softmax cross-entropy gradient and empirical
     correlation of a training set; ``.step(eta)`` takes the step.
 
-    Raises when some label class never occurs (its log marginal is -inf, so
-    the prescribed initialization does not exist).
+    Raises when a next token lies outside ``[0, vocab_size)``, or when some
+    label class never occurs (its log marginal is -inf, so the prescribed
+    initialization does not exist).
     """
     tuple_codes = np.asarray(tuple_codes).ravel()
     next_tokens = np.asarray(next_tokens).ravel()
     if tuple_codes.shape != next_tokens.shape or tuple_codes.size == 0:
         raise ValueError("need equal-length non-empty code/label arrays")
+    _check_token_range("next tokens", next_tokens, vocab_size)
     n = tuple_codes.size
     label_counts = np.bincount(next_tokens, minlength=vocab_size)
     if np.any(label_counts == 0):

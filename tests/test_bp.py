@@ -17,7 +17,7 @@ from rhmlab import (
     parse_batch,
     sample_dataset,
 )
-from rhmlab.bp import _categorical, _upward_pass
+from rhmlab.bp import _categorical, _gather_index, _upward_pass
 from oracles import (
     bp_marginals_oracle,
     bp_posterior_sample_batch_oracle,
@@ -284,6 +284,22 @@ def _noisy_evidence(rs, n_strings, seed, beta_bar=0.5):
     return [leaf_likelihoods(corrupt(x, spec, v, rng)[0], spec, v) for x in clean]
 
 
+def test_bp_index_is_read_only_and_addresses_each_child(rs_deep):
+    p = rs_deep.params
+    for level in range(1, p.depth + 1):
+        index = _gather_index(rs_deep)[level - 1]
+        width, s, v = p.level_width(level), p.branching, p.vocab_size
+        assert index.shape == (v, p.n_synonyms, s, width)
+        assert index.dtype == np.intp
+        node, slot = divmod(index // v, s)
+        assert np.array_equal(node, np.broadcast_to(np.arange(width), index.shape))
+        assert np.array_equal(slot, np.broadcast_to(np.arange(s)[:, None], index.shape))
+        assert np.array_equal(index % v, np.broadcast_to(
+            rs_deep.rules_at(level)[..., None], index.shape))
+        with pytest.raises(ValueError, match="read-only"):
+            index[0, 0, 0, 0] = 3
+
+
 class TestUpwardPassMemo:
     """Each grammar keeps its last upward pass, keyed by the evidence bytes;
     every call around the memo still matches the oracle bit for bit."""
@@ -363,7 +379,7 @@ class TestPosteriorSampling:
         with pytest.raises(ValueError, match="n must be a nonnegative integer"):
             bp_posterior_sample_batch(rs, np.ones((4, 4)), n, rng)
         assert rng.bit_generator.state == state
-        assert rs._bp_memo is None  # no upward pass ran
+        assert rs._bp is None  # no upward pass ran
 
     @pytest.mark.parametrize("n", [0, np.int64(3), np.uint8(2)])
     def test_accepts_integer_draw_counts(self, rs_small, n):

@@ -382,7 +382,9 @@ class TestErrorsAndDeterminism:
     ):
         _, gpath = grammar_file
         path = _write(tmp_path / "c.json", cfg)
-        argv = [experiment, "--config", path, "--grammar", str(gpath)]
+        argv = [experiment, "--config", path]
+        if experiment not in ("gen-grammar", "sweep"):
+            argv += ["--grammar", str(gpath)]
         if "out" not in cfg:
             argv += ["--out", str(tmp_path / "o")]
         assert run(argv) == 2
@@ -605,6 +607,49 @@ class TestErrorsAndDeterminism:
         err = json.loads(lines[0])
         assert err["error"] == "ValueError"
         assert named in err["message"]
+
+    @pytest.mark.parametrize("argv, named", [
+        (["sweep", "--grammar", "/nonexistent.json", "--data", "/nonexistent.txt"],
+         "--grammar /nonexistent.json --data /nonexistent.txt"),
+        (["gen-grammar", "--grammar", "g.json"], "--grammar"),
+        (["sample", "--data", "d.txt"], "--data"),
+        (["bp", "--data", "d.txt"], "--data"),
+        (["learn", "--level", "2"], "--level"),
+        (["stats", "--bogus"], "--bogus"),
+        (["stats", "--seed", "x"], "--seed"),
+        (["sweep", "--threads", "1.5"], "--threads"),
+        (["stats", "--level", "two"], "--level"),
+        (["nope"], "nope"),
+        ([], "experiment"),
+    ], ids=["sweep-files", "gen-grammar-grammar", "sample-data", "bp-data",
+            "learn-level", "unknown-flag", "seed", "threads", "level",
+            "experiment", "none"])
+    def test_argument_error_exits_two_with_json_line(self, capsys, argv, named):
+        assert run(argv) == 2
+        assert named in _config_error(capsys)
+
+    def test_help_still_prints_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["stats", "-h"])
+        assert exc.value.code == 0
+        assert "--level" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag, cfg, named", [
+        (["--level", "9"], {}, "--level is 9"),
+        (["--level", "1"], {}, "--level is 1"),
+        ([], {"level": 7}, "config key 'level' is 7"),
+    ])
+    def test_stats_level_beyond_the_grammar_exits_two_before_reading_data(
+        self, tmp_path, capsys, flag, cfg, named
+    ):
+        grammar = {"depth": 3, "branching": 2, "vocab_size": 8, "n_synonyms": 2}
+        path = _write(tmp_path / "c.json", {"grammar": grammar, **cfg})
+        # The data file is never read, so its absence is not what is reported.
+        argv = ["stats", "--config", path, "--data", str(tmp_path / "absent.txt"),
+                "--out", str(tmp_path / "o"), *flag]
+        assert run(argv) == 2
+        message = _config_error(capsys)
+        assert named in message and "2..3" in message
 
     def test_missing_data_flag(self, tmp_path, grammar_file, capsys):
         _, gpath = grammar_file

@@ -104,20 +104,6 @@ class TestGenerateRules:
                 with pytest.raises(ValueError, match="read-only"):
                     table[0] = 3
 
-    def test_bp_index_is_read_only_and_addresses_each_child(self, rs_deep):
-        p = rs_deep.params
-        for level in range(1, p.depth + 1):
-            index = rs_deep.bp_index(level)
-            width, s, v = p.level_width(level), p.branching, p.vocab_size
-            assert index.shape == (v, p.n_synonyms, s, width)
-            node, slot = divmod(index // v, s)
-            assert np.array_equal(node, np.broadcast_to(np.arange(width), index.shape))
-            assert np.array_equal(slot, np.broadcast_to(np.arange(s)[:, None], index.shape))
-            assert np.array_equal(index % v, np.broadcast_to(
-                rs_deep.rules_at(level)[..., None], index.shape))
-            with pytest.raises(ValueError, match="read-only"):
-                index[0, 0, 0, 0] = 3
-
     @pytest.mark.parametrize("rules, level", [
         ([[[0, 1]], [[1]]], 1),  # a production with one child
         ([[[0, 1]]], 1),  # one symbol's table
@@ -230,6 +216,15 @@ class TestSampling:
         for a, b in pairs:
             assert a.dtype == b.dtype and a.shape == b.shape
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("sampler", [sample_dataset, sample_distinct_dataset])
+    @pytest.mark.parametrize("n", [-1, 2.0, True, np.bool_(True), "3", None])
+    def test_rejects_a_bad_draw_count_before_any_draw(self, rs_small, sampler, n):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="n must be a nonnegative integer"):
+            sampler(rs_small, n, rng)
+        assert rng.bit_generator.state == state
 
     def test_distinct_sampler_names_its_budget(self):
         # 98,304 strings: 1000 batches cannot collect them all

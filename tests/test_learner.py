@@ -255,6 +255,17 @@ class TestLearnGrammar:
             assert len(set(classes.tolist())) == 1
             assert classes.size == 4
 
+    @pytest.mark.parametrize("n", [-1, 2.0, True, np.bool_(True), "3", None])
+    def test_generation_rejects_a_bad_draw_count_before_any_draw(self, rs_medium, n):
+        ds = sample_dataset(rs_medium, 2000, np.random.default_rng(7),
+                            with_latents=False)
+        model = learn_grammar(ds.sequences, 2, 2, 16, seed=1)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="n must be a nonnegative integer"):
+            generate_from_learned(model, n, rng)
+        assert rng.bit_generator.state == state
+
     def test_single_synonym_recovers_from_few_rows(self):
         rs = generate_rules(GrammarParams(depth=2, branching=2, vocab_size=8,
                                           n_synonyms=1, seed=9))

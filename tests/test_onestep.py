@@ -55,6 +55,12 @@ class TestGradientIdentity:
         with pytest.raises(ValueError):
             one_step_gd(codes, labels, 2, 1.0)
 
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_out_of_range_next_token_is_named(self, bad):
+        labels = np.array([0, 1, 0, bad])
+        with pytest.raises(ValueError, match=rf"next tokens must lie in \[0, 2\), found {bad}"):
+            one_step_gradient(np.zeros(4, dtype=int), labels, 2)
+
     def test_eta_must_be_positive(self):
         with pytest.raises(ValueError):
             one_step_gd(np.zeros(4, dtype=int), np.array([0, 1, 0, 1]), 2, 0.0)
