@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .bp import bp_marginals
-from .corruption import NoiseSpec, corrupt, cumulative_keep_prob
+from .corruption import NoiseSpec, corrupt, cumulative_keep_prob, leaf_likelihoods
 from .grammar import (
     Dataset,
     GrammarParams,
@@ -289,14 +289,14 @@ def _run_bp(args, cfg, out_dir, seed):
     p = rs.params
     if len(tokens) != p.seq_len:
         raise ConfigError(f"config key 'sequence' must have {p.seq_len} tokens")
-    symbols = {str(sym): sym for sym in range(p.vocab_size)}
-    lik = np.ones((p.seq_len, p.vocab_size))  # '?' leaves its row uniform
+    # '?' is the mask token, whose likelihood row is all ones at any beta_bar.
+    symbols = {str(sym): sym for sym in range(p.vocab_size)} | {"?": p.vocab_size}
     for i, tok in enumerate(tokens):
-        if tok != "?":
-            if tok not in symbols:
-                raise ConfigError(f"config key 'sequence': token {tok!r} at position "
-                                  f"{i} is neither '?' nor a symbol 0..{p.vocab_size - 1}")
-            lik[i] = np.arange(p.vocab_size) == symbols[tok]
+        if tok not in symbols:
+            raise ConfigError(f"config key 'sequence': token {tok!r} at position "
+                              f"{i} is neither '?' nor a symbol 0..{p.vocab_size - 1}")
+    lik = leaf_likelihoods(np.array([symbols[tok] for tok in tokens]),
+                           NoiseSpec(kind="masking", beta_bar=1.0), p.vocab_size)
     state = bp_marginals(rs, lik)
     rows = []
     for pos in range(p.seq_len):
@@ -428,11 +428,6 @@ def _run_sweep(args, cfg, out_dir, seed):
         sc = SweepConfig(**sweep)
     except ValueError as exc:
         raise ConfigError(f"config key 'sweep' is invalid: {exc}") from exc
-    for m in sc.m_list:
-        # Reject infeasible cells up front: f >= 1 has no finite threshold.
-        if m >= sc.vocab_size ** (sc.branching - 1):
-            raise ConfigError(f"config key 'sweep.m_list': m={m} gives rule "
-                              "density >= 1; thresholds diverge")
     res = measure_sample_complexity(sc, n_workers=args.threads)
     rows = []
     for r in res.records:

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grammar import _check_token_range
+
 KINDS = ("uniform", "masking")
 
 
@@ -74,9 +76,7 @@ def corrupt(
     token stays masked and corrupting in two steps composes like one step.
     """
     seqs = np.asarray(seqs)
-    top = vocab_size if spec.kind == "masking" else vocab_size - 1
-    if seqs.size and (seqs.min() < 0 or seqs.max() > top):
-        raise ValueError(f"tokens must lie in [0, {top}] for {spec.kind} noise")
+    _check_token_range("seqs", seqs, vocab_size + (spec.kind == "masking"))
     keep = cumulative_keep_prob(spec)
     hits = rng.random(seqs.shape) < (1.0 - keep)
     if spec.kind == "uniform":
@@ -100,18 +100,15 @@ def leaf_likelihoods(
     seq = np.asarray(seq)
     if seq.ndim != 1:
         raise ValueError("leaf_likelihoods expects a single sequence")
+    _check_token_range("seq", seq, vocab_size + (spec.kind == "masking"))
     keep = cumulative_keep_prob(spec)
     out = np.empty((seq.shape[0], vocab_size), dtype=np.float64)
     if spec.kind == "masking":
-        if seq.min() < 0 or seq.max() > vocab_size:
-            raise ValueError("symbols must lie in [0, vocab_size]")
         masked = seq == vocab_size
         out[:] = masked[:, None]
         rows = np.flatnonzero(~masked)
         out[rows, seq[rows]] = 1.0
     else:
-        if seq.min() < 0 or seq.max() >= vocab_size:
-            raise ValueError("symbols must lie in [0, vocab_size)")
         out[:] = (1.0 - keep) / vocab_size
         out[np.arange(seq.shape[0]), seq] += keep
     return out

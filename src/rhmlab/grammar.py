@@ -40,14 +40,16 @@ def _check_draw_count(n) -> None:
         raise ValueError(f"n must be a nonnegative integer, not {n!r}")
 
 
-def _check_token_range(name: str, tokens: np.ndarray, vocab_size: int) -> None:
-    """Refuse ``tokens`` outside ``[0, vocab_size)``, naming the first bound
-    crossed."""
-    if tokens.size:
+def _check_token_range(name: str, tokens: np.ndarray, bound: int | None) -> None:
+    """Refuse ``tokens`` of a non-integer dtype or, unless ``bound`` is None,
+    outside ``[0, bound)``, naming the first bound crossed."""
+    if tokens.dtype.kind not in "iu":
+        raise ValueError(f"{name} must hold integer tokens, not {tokens.dtype}")
+    if bound is not None and tokens.size:
         low, high = tokens.min(), tokens.max()
-        if low < 0 or high >= vocab_size:
+        if low < 0 or high >= bound:
             bad = low if low < 0 else high
-            raise ValueError(f"{name} must lie in [0, {vocab_size}), found {bad}")
+            raise ValueError(f"{name} must lie in [0, {bound}), found {bad}")
 
 
 @dataclass(frozen=True)
@@ -330,11 +332,9 @@ class Dataset:
         self.sequences = np.asarray(self.sequences)
         if self.sequences.ndim != 2:
             raise ValueError("sequences must be 2-D (rows, tokens)")
-        if self.params is not None and self.sequences.size:
+        if self.params is not None:
             # vocab_size itself is legal: it is the masking sentinel
-            if (self.sequences.min() < 0
-                    or self.sequences.max() > self.params.vocab_size):
-                raise ValueError("token values outside [0, vocab_size]")
+            _check_token_range("sequences", self.sequences, self.params.vocab_size + 1)
 
     @property
     def n_rows(self) -> int:
@@ -487,15 +487,15 @@ def parse_batch(rs: RuleSet, seqs: np.ndarray):
     largest level through which every tuple of row ``r`` is grammatical
     (0 = some visible tuple already invalid, depth = fully grammatical).
     Unparseable positions hold -1 (int32; ``max_levels`` is int64).
+    Integer tokens only; one outside ``[0, vocab_size)`` is ungrammatical.
     """
     p = rs.params
     seqs = np.asarray(seqs)
     if seqs.ndim == 1:
         seqs = seqs[None, :]
     if seqs.shape[1] != p.seq_len:
-        raise ValueError(f"sequences must have length {p.seq_len}")
-    if seqs.dtype.kind not in "biu":
-        seqs = seqs.astype(np.int64)  # truncate non-integer tokens first
+        raise ValueError(f"seqs must have length {p.seq_len}")
+    _check_token_range("seqs", seqs, None)
     n = seqs.shape[0]
     v, s = p.vocab_size, p.branching
     max_levels = np.zeros(n, dtype=np.int64)

@@ -20,7 +20,9 @@ byte for byte what ``np.savetxt(fmt="%d")`` writes: single spaces, LF ends.
 The binary layout is little-endian: the magic bytes ``RHMD1``; ``seq_len``,
 ``vocab_size`` and ``n_rows`` as three uint64; the grammar hash's byte length
 as uint16 and its UTF-8 bytes; then the ``n_rows * seq_len`` tokens as uint16,
-row by row. So a binary file holds ``vocab_size`` at most 65535.
+row by row. So a binary file holds ``vocab_size`` at most 65535. A file that
+ends inside its header or body is refused; bytes past the body are not read,
+as text lines past ``n_rows`` are not.
 
 Floats in CSV output are rendered with 17 significant digits so values
 round-trip.
@@ -29,6 +31,7 @@ round-trip.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -128,10 +131,21 @@ def load_dataset(path) -> tuple[np.ndarray, dict]:
     with open(path, "rb") as fh:
         magic = fh.read(len(DATASET_MAGIC))
         if magic == DATASET_MAGIC:
-            d, vocab, n = (int(x) for x in np.frombuffer(fh.read(24), dtype="<u8"))
-            tag_len = int.from_bytes(fh.read(2), "little")
-            grammar_hash = fh.read(tag_len).decode()
-            seqs = np.frombuffer(fh.read(d * n * 2), dtype="<u2")
+            size = os.fstat(fh.fileno()).st_size
+
+            def read(n_bytes: int, part: str) -> bytes:
+                # Sizes come from the file, so check them before reading.
+                end = fh.tell() + n_bytes
+                if end > size:
+                    raise ValueError(
+                        f"dataset file {path} ends inside its binary {part}: "
+                        f"the file holds {size} bytes, the {part} ends at byte {end}")
+                return fh.read(n_bytes)
+
+            d, vocab, n = (int(x) for x in np.frombuffer(read(24, "header"), dtype="<u8"))
+            tag_len = int.from_bytes(read(2, "header"), "little")
+            grammar_hash = read(tag_len, "header").decode()
+            seqs = np.frombuffer(read(d * n * 2, "body"), dtype="<u2")
             seqs = seqs.reshape(n, d).astype(np.int32)
             header = dict(seq_len=d, vocab_size=vocab, n_rows=n, grammar_hash=grammar_hash)
             _check_tokens(seqs, vocab, path)

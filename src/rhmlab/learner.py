@@ -32,6 +32,7 @@ from .grammar import (
     RuleSet,
     _check_draw_count,
     _check_token_range,
+    _power_at_most,
     accuracy,
     decode_codes,
     encode_tuples,
@@ -118,9 +119,9 @@ def build_context_stats(
     n, width = labels.shape
     s = branching
     if width % s != 0 or width < 2 * s:
-        raise ValueError("label sequences must hold at least two full blocks")
+        raise ValueError("labels must hold at least two full blocks per row")
     if visible.shape[0] != n or visible.shape[1] % width != 0:
-        raise ValueError("visible strings do not align with the label grid")
+        raise ValueError("context tokens must align with the label grid")
     _check_token_range("labels", labels, vocab_size)
     _check_token_range("context tokens", visible, vocab_size)
     block_codes = encode_tuples(labels.reshape(n, width // s, s), vocab_size)
@@ -288,11 +289,9 @@ def learn_grammar(
     """
     seqs = np.asarray(seqs)
     if seqs.ndim != 2 or seqs.shape[1] != branching**depth:
-        raise ValueError(f"strings must have shape (n, {branching ** depth})")
+        raise ValueError(f"tokens must have shape (n, {branching ** depth})")
     if seqs.shape[0] == 0:
         raise ValueError("cannot learn a grammar from an empty input (0 rows)")
-    if not np.issubdtype(seqs.dtype, np.integer):
-        raise ValueError(f"strings must hold integer tokens, not {seqs.dtype}")
     _check_token_range("tokens", seqs, vocab_size)
     true_latents = None
     recovery: list[float] | None = None
@@ -433,9 +432,25 @@ class SweepConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # Check the grammar shape once, before any cell or worker starts.
+        # Check every invariant once, before any cell or worker starts.
         GrammarParams(depth=self.depth, branching=self.branching,
                       vocab_size=self.vocab_size, n_synonyms=1)
+        if self.trials < 1 or self.n_eval < 1:
+            raise ValueError(f"trials and n_eval must be >= 1, not "
+                             f"{self.trials} and {self.n_eval}")
+        if not self.m_list or len(set(self.m_list)) != len(self.m_list):
+            raise ValueError(f"m_list must be non-empty with no repeated m, "
+                             f"not {self.m_list}")
+        for m in self.m_list:
+            # f = m / v**(s-1) >= 1 has no finite threshold.
+            if m < 1 or _power_at_most(self.vocab_size, self.branching - 1, m):
+                raise ValueError(f"m={m} must be >= 1 with rule density "
+                                 "m / vocab_size**(branching-1) below 1")
+        if not self.grid_span >= 1:  # NaN too
+            raise ValueError(f"grid_span must be >= 1, not {self.grid_span}")
+        for name in ("cluster_threshold", "accuracy_threshold"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValueError(f"{name} must lie in [0, 1], not {getattr(self, name)}")
 
     def grid_for(self, m: int) -> list[int]:
         if self.p_grid is not None and m in self.p_grid:
@@ -488,11 +503,17 @@ class SweepResult:
 
 
 def fit_loglog_slope(xs, ys) -> tuple[float, float | None]:
-    """Least-squares slope of log(y) on log(x), with its standard error."""
-    xs = np.log(np.asarray(xs, dtype=np.float64))
-    ys = np.log(np.asarray(ys, dtype=np.float64))
+    """Least-squares slope of log(y) on log(x), with its standard error, from
+    at least two positive points whose ``xs`` are not all equal."""
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
     if xs.size < 2:
         raise ValueError("need at least two points to fit a slope")
+    if not ((xs > 0).all() and (ys > 0).all()):
+        raise ValueError("a log-log slope needs positive xs and ys")
+    if xs.min() == xs.max():
+        raise ValueError("a slope needs xs that are not all equal")
+    xs, ys = np.log(xs), np.log(ys)
     xc = xs - xs.mean()
     slope = float((xc * (ys - ys.mean())).sum() / (xc**2).sum())
     if xs.size == 2:

@@ -40,8 +40,9 @@ def tuple_next_token_pairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(first-tuple code, following token) pairs from visible strings."""
     seqs = np.asarray(seqs)
-    if seqs.shape[1] < branching + 1:
-        raise ValueError("strings too short for a tuple plus next token")
+    if seqs.ndim != 2 or seqs.shape[1] < branching + 1:
+        raise ValueError(f"seqs must have shape (n, L) with L > {branching}, not {seqs.shape}")
+    _check_token_range("seqs", seqs[:, : branching + 1], vocab_size)
     codes = encode_tuples(seqs[:, :branching], vocab_size)
     return codes, seqs[:, branching].astype(np.int64)
 

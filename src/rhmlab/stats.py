@@ -27,6 +27,7 @@ from .grammar import (
     Dataset,
     GrammarParams,
     RuleSet,
+    _check_token_range,
     encode_tuples,
     generate_rules,
     tree_distance,
@@ -88,11 +89,11 @@ class TokenCovarianceAccumulator:
 
     def update(self, seqs: np.ndarray) -> "TokenCovarianceAccumulator":
         seqs = np.asarray(seqs)
-        if seqs.shape[0] == 0:
-            return self  # an empty shard adds nothing
+        d = self.branching**self.depth
+        if seqs.ndim != 2 or seqs.shape[1] != d:
+            raise ValueError(f"seqs must have shape (n, {d}), not {seqs.shape}")
         v = self.vocab_size
-        if seqs.min() < 0 or seqs.max() >= v:
-            raise ValueError("tokens must lie in [0, vocab_size)")
+        _check_token_range("seqs", seqs, v)
         # One contiguous row per token position, in the narrowest unsigned
         # type holding a pair code a*v + b <= v*v - 1, so each pair's bincount
         # reads two contiguous rows.

@@ -161,6 +161,23 @@ class TestSubcommands:
         theory = (out / "theory.csv").read_text().splitlines()
         assert theory[0] == "level,C_theory,C_empirical,P_level"
 
+    def test_stats_on_ungrammatical_rows_writes_nan_empirical_correlation(
+            self, tmp_path, grammar_file, data_file):
+        # Uniform noise leaves rows with no parse, so no latents to correlate.
+        _, gpath = grammar_file
+        noise = _write(tmp_path / "n.json", {"noise": {"kind": "uniform", "beta_bar": 1.0}})
+        noisy = tmp_path / "noisy"
+        assert run(["corrupt", "--config", noise, "--grammar", str(gpath),
+                    "--data", str(data_file), "--out", str(noisy)]) == 0
+        out = tmp_path / "out"
+        assert run(["stats", "--grammar", str(gpath), "--data",
+                    str(noisy / "corrupted.txt"), "--out", str(out)]) == 0
+        theory = (out / "theory.csv").read_text().splitlines()
+        assert len(theory) == 2
+        level, c_theory, c_empirical, _ = theory[1].split(",")
+        assert (level, c_empirical) == ("2", "nan")
+        assert float(c_theory) > 0
+
     def test_learn(self, tmp_path, grammar_file):
         _, gpath = grammar_file
         cfg = _write(tmp_path / "c.json",
@@ -553,6 +570,18 @@ class TestErrorsAndDeterminism:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "OverflowError"
+
+    def test_sweep_with_rule_density_one_exits_two_before_any_cell(
+            self, tmp_path, capsys):
+        # m = 8 = vocab_size**(branching-1): f = 1 has no finite threshold
+        cfg = _write(tmp_path / "c.json",
+                     {"sweep": {"depth": 2, "vocab_size": 8, "m_list": [2, 8],
+                                "p_grid": {"8": [64]}}})
+        assert run(["sweep", "--config", cfg, "--out", str(tmp_path / "o"),
+                    "--threads", "1"]) == 2
+        message = _config_error(capsys)
+        assert message.startswith("config key 'sweep' is invalid: m=8")
+        assert not (tmp_path / "o" / "sweep_trials.csv").exists()
 
     @pytest.mark.parametrize("experiment", ["gen-grammar", "sweep"])
     def test_huge_depth_exits_two_at_once(self, tmp_path, capsys, experiment):

@@ -104,6 +104,31 @@ class TestBinaryFormat:
         assert header == dict(seq_len=8, vocab_size=120, n_rows=n_rows,
                               grammar_hash="f00d")
 
+    # 5 magic + 24 size + 2 hash-length + 4 hash bytes, then a 32-byte body:
+    # a cut inside each field, and the byte each read needs
+    @pytest.mark.parametrize("cut, part, end", [
+        (20, "header", 29), (30, "header", 31), (33, "header", 35),
+        (35, "body", 67), (66, "body", 67),
+    ])
+    def test_file_ending_inside_header_or_body_is_refused(self, tmp_path, cut,
+                                                          part, end):
+        path = tmp_path / "d.bin"
+        save_dataset(_dataset(8, 2, np.int64, False), path, binary=True)
+        assert len(path.read_bytes()) == 67
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(ValueError, match=rf"d\.bin ends inside its binary {part}: "
+                                             rf"the file holds {cut} bytes, the {part} "
+                                             rf"ends at byte {end}$"):
+            load_dataset(path)
+
+    def test_bytes_past_the_body_are_not_read(self, tmp_path):
+        ds = _dataset(8, 2, np.int64, False)
+        path = tmp_path / "d.bin"
+        save_dataset(ds, path, binary=True)
+        path.write_bytes(path.read_bytes() + b"trailing")
+        seqs, header = load_dataset(path)
+        assert np.array_equal(seqs, ds.sequences) and header["n_rows"] == 2
+
     @pytest.mark.parametrize("with_params", [False, True])
     def test_vocab_past_uint16_is_refused(self, tmp_path, with_params):
         params = GrammarParams(1, 2, 70000, 1) if with_params else None

@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -572,6 +573,30 @@ class TestSweep:
         slope2, se2 = fit_loglog_slope([2, 4], [10, 80])
         assert slope2 == pytest.approx(3.0)
         assert se2 is None
+
+    @pytest.mark.parametrize("xs, ys", [([2, 4], [0, 8]), ([2, 4], [-1, 8]),
+                                        ([0, 4], [1, 8]), ([2, 4], [np.nan, 8]),
+                                        ([3, 3, 3], [1, 2, 4])])
+    def test_fit_loglog_slope_refuses_bad_points(self, xs, ys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning either
+            with pytest.raises(ValueError, match="positive|not all equal"):
+                fit_loglog_slope(xs, ys)
+
+    @pytest.mark.parametrize("change, named", [
+        ({"trials": 0}, "trials"), ({"n_eval": 0}, "n_eval"),
+        ({"m_list": ()}, "m_list"), ({"m_list": (2, 2)}, "m_list"),
+        ({"m_list": (0, 2)}, "m=0"), ({"m_list": (2, 8)}, "m=8"),
+        ({"m_list": (9,)}, "m=9"), ({"grid_span": 0.5}, "grid_span"),
+        ({"grid_span": float("nan")}, "grid_span"),
+        ({"cluster_threshold": 1.5}, "cluster_threshold"),
+        ({"accuracy_threshold": -0.1}, "accuracy_threshold"),
+    ])
+    def test_sweep_config_refuses_bad_fields(self, change, named):
+        # vocab_size 8, branching 2: m = 8 has rule density 1
+        kwargs = dict(depth=2, vocab_size=8, m_list=(2,), p_grid={8: (64,)})
+        with pytest.raises(ValueError, match=named):
+            SweepConfig(**{**kwargs, **change})
 
     def test_tiny_sweep_structure(self):
         cfg = SweepConfig(depth=2, vocab_size=8, m_list=(2,), trials=2,
