@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -163,15 +163,12 @@ class RuleSet:
         self._inverse: tuple[np.ndarray, ...] = ()
         tabs, invs = [], []
         for table in tables:
-            table = np.ascontiguousarray(table, dtype=np.int32)
-            # Share a frozen table (drop_bottom_level's); freeze a copy of
-            # any other, so the caller's own array stays writeable.
-            if table.flags.writeable:
-                table = table.copy()
+            table = np.asarray(table)
+            _check_token_range("rule table", table, v)
             if table.shape != (v, m, s):
                 raise ValueError(f"rule table must have shape {(v, m, s)}")
-            if table.min() < 0 or table.max() >= v:
-                raise ValueError("rule table contains out-of-range symbols")
+            # Freeze a copy, so the caller's own array stays writeable.
+            table = np.array(table, dtype=np.int32, order="C")
             codes = encode_tuples(table.reshape(v * m, s), v)
             inv = np.full(v**s, -1, dtype=np.int64)
             inv[codes] = np.arange(v * m, dtype=np.int64)
@@ -222,17 +219,6 @@ class RuleSet:
                 tables.append((parent_of, choice_of))
             self._parse = tuple(tables)
         return self._parse[level - 1]
-
-    def drop_bottom_level(self) -> "RuleSet":
-        """The grammar formed by levels 2..depth, with level-1 symbols as leaves.
-
-        Shares the remaining rule tables with ``self``; ``params.seed`` is kept
-        for provenance even though the reduced set was not drawn from it.
-        """
-        if self.params.depth < 2:
-            raise ValueError("cannot drop the only level")
-        params = replace(self.params, depth=self.params.depth - 1)
-        return RuleSet(params, list(self._tables[1:]))
 
     def to_jsonable(self) -> dict:
         return {
@@ -297,19 +283,26 @@ class RuleSet:
         )
 
 
-def generate_rules(params: GrammarParams) -> RuleSet:
-    """Draw a grammar instance: per level, a uniform sample of m*v distinct
-    tuples out of v**s, split into consecutive blocks of m per symbol.
+def draw_production_codes(params: GrammarParams) -> np.ndarray:
+    """The rule draw behind :func:`generate_rules`: per level, a uniform
+    sample of m*v distinct tuples out of v**s, split into consecutive blocks
+    of m per symbol.
 
-    Deterministic given ``params.seed``.
+    Returns a ``(depth, v*m)`` int64 array whose row ``lvl - 1`` holds the
+    level-``lvl`` production codes (see :func:`encode_tuples`), entry
+    ``a*m + k`` being symbol ``a``'s k-th production. Deterministic given
+    ``params.seed``.
     """
     v, m, s = params.vocab_size, params.n_synonyms, params.branching
     rng = np.random.default_rng(params.seed)
-    tables = []
-    for _ in range(params.depth):
-        codes = rng.permutation(v**s)[: v * m]
-        tables.append(decode_codes(codes, v, s).reshape(v, m, s))
-    return RuleSet(params, tables)
+    return np.stack([rng.permutation(v**s)[: v * m] for _ in range(params.depth)])
+
+
+def generate_rules(params: GrammarParams) -> RuleSet:
+    """Draw a grammar instance from :func:`draw_production_codes`."""
+    v, m, s = params.vocab_size, params.n_synonyms, params.branching
+    tables = decode_codes(draw_production_codes(params), v, s)
+    return RuleSet(params, list(tables.reshape(params.depth, v, m, s)))
 
 
 @dataclass
@@ -333,6 +326,10 @@ class Dataset:
         if self.sequences.ndim != 2:
             raise ValueError("sequences must be 2-D (rows, tokens)")
         if self.params is not None:
+            width = self.params.seq_len
+            if self.sequences.shape[1] != width:
+                raise ValueError(f"sequences must have {width} tokens per row "
+                                 f"(the grammar's seq_len), not {self.sequences.shape[1]}")
             # vocab_size itself is legal: it is the masking sentinel
             _check_token_range("sequences", self.sequences, self.params.vocab_size + 1)
 

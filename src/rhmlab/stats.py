@@ -12,6 +12,11 @@ Covers three families of quantities:
 * the exact level-to-level variance recursion with prefactor
   v^(s-1) (v-1) / (m (v^s - 1)).
 
+Exact population correlations come from one transfer-matrix core over a
+stack of grammars. A single grammar is a stack of one; the ensemble averages
+over grammar draws evaluate ``ENSEMBLE_BLOCK`` draws per stacked pass and
+keep the bits of one draw at a time.
+
 Correlation magnitudes are reported as the root-mean-square matrix entry
 (Frobenius norm / number-of-rows of the v x v block), which is the
 normalization under which the independence floor equals 1/(v*sqrt(N)).
@@ -19,7 +24,7 @@ normalization under which the independence floor equals 1/(v*sqrt(N)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,8 +33,8 @@ from .grammar import (
     GrammarParams,
     RuleSet,
     _check_token_range,
+    draw_production_codes,
     encode_tuples,
-    generate_rules,
     tree_distance,
 )
 from .seeding import derive_seed
@@ -193,12 +198,16 @@ def token_tuple_correlation(ds: Dataset, level: int) -> TokenTupleCorrelation:
     return TokenTupleCorrelation(level=level, codes=observed, matrix=matrix)
 
 
-def population_token_tuple_correlation(rs: RuleSet, level: int) -> TokenTupleCorrelation:
-    """Exact population token-tuple correlation of a grammar instance, by
+def _stacked_tuple_correlation(
+    codes: np.ndarray, vocab_size: int, n_synonyms: int, branching: int, level: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact population token-tuple correlations of ``G`` grammars at once, by
     transfer matrices along the tree; nothing is enumerated, so any depth
     works.
 
-    With ``A_l[a, b] = #{k : rules_at(l)[a, k, 0] = b} / m`` the left-slot
+    ``codes`` is ``(G, depth, v*m)``: grammar ``g``'s production codes per
+    level, as :func:`draw_production_codes` returns them. With
+    ``A_l[a, b] = #{k : rules_at(l)[a, k, 0] = b} / m`` the left-slot
     matrices: the marginal ``pi`` of node 0 at ``level`` is the uniform root
     pushed down the leftmost spine; its children 0 and 1 have the joint
     ``Q[c0, c1] = sum_{a,k} pi[a] / m [rules_at(level)[a, k, 0:2] = (c0, c1)]``
@@ -208,33 +217,56 @@ def population_token_tuple_correlation(rs: RuleSet, level: int) -> TokenTupleCor
     tuple, with probability ``1/m``. The result is that joint minus the
     outer product of its marginals.
 
+    Every count is one bincount over the whole stack, keyed by grammar
+    first, so each grammar's bins add the same terms in the same order as a
+    stack of one. Returns the ``(G, v, v**s)`` matrices, whose columns of
+    ungrammatical tuples are exactly zero, and the ``(G, v*m)`` grammatical
+    tuple codes of each, ascending.
+    """
+    n, depth = codes.shape[:2]
+    v, m, s = vocab_size, n_synonyms, branching
+    first = codes // v ** (s - 1)  # left child of every production
+    grammar = np.repeat(np.arange(n), v * m)  # g of every production
+    rows = np.repeat(np.arange(n * v), m)  # g*v + parent of every production
+    pi = np.full((n, v), 1.0 / v)
+    for lvl in range(depth, level, -1):
+        pi = np.bincount(grammar * v + first[:, lvl - 1].ravel(),
+                         weights=np.repeat(pi / m, m, axis=1).ravel(),
+                         minlength=n * v).reshape(n, v)
+    # (c0, c1) of each production is its code's leading two base-v digits.
+    pairs = codes[:, level - 1] // v ** (s - 2)
+    joint = np.bincount(grammar * v * v + pairs.ravel(),
+                        weights=np.repeat(pi / m, m, axis=1).ravel(),
+                        minlength=n * v * v).reshape(n, v, v)
+    for lvl in range(level - 1, 0, -1):  # rows: leftmost node at level lvl-1
+        left = np.bincount(rows * v + first[:, lvl - 1].ravel(),
+                           minlength=n * v * v).reshape(n, v, v) / m
+        joint = left.transpose(0, 2, 1) @ joint
+    order = np.argsort(codes[:, level - 2], axis=1)
+    cols = np.take_along_axis(codes[:, level - 2], order, axis=1)
+    matrix = np.zeros((n, v, v**s))
+    np.put_along_axis(matrix, cols[:, None, :],
+                      np.take_along_axis(joint, order[:, None, :] // m, axis=2) / m,
+                      axis=2)
+    matrix -= matrix.sum(axis=2)[:, :, None] * matrix.sum(axis=1)[:, None, :]
+    return matrix, cols
+
+
+def population_token_tuple_correlation(rs: RuleSet, level: int) -> TokenTupleCorrelation:
+    """Exact population token-tuple correlation of a grammar instance
+    (:func:`_stacked_tuple_correlation` on a stack of one).
+
     Columns span all vocab_size**branching tuple codes; columns of
     ungrammatical tuples are exactly zero.
     """
     p = rs.params
     if not 2 <= level <= p.depth:
         raise ValueError(f"level must be in 2..{p.depth}")
-    v, m = p.vocab_size, p.n_synonyms
-    pi = np.full(v, 1.0 / v)
-    for lvl in range(p.depth, level, -1):
-        pi = np.bincount(rs.rules_at(lvl)[:, :, 0].ravel(),
-                         weights=np.repeat(pi / m, m), minlength=v)
-    top = rs.rules_at(level)
-    joint = np.bincount((top[:, :, 0] * v + top[:, :, 1]).ravel(),
-                        weights=np.repeat(pi / m, m), minlength=v * v).reshape(v, v)
-    parents = np.repeat(np.arange(v), m)
-    for lvl in range(level - 1, 0, -1):  # rows: leftmost node at level lvl-1
-        left = np.bincount(parents * v + rs.rules_at(lvl)[:, :, 0].ravel(),
-                           minlength=v * v).reshape(v, v) / m
-        joint = left.T @ joint
-    inv = rs.inverse_at(level - 1)
-    valid = inv >= 0
-    matrix = np.zeros((v, inv.size))
-    matrix[:, valid] = joint[:, inv[valid] // m] / m
-    matrix -= np.outer(matrix.sum(axis=1), matrix.sum(axis=0))
-    return TokenTupleCorrelation(
-        level=level, codes=np.arange(inv.size), matrix=matrix
-    )
+    v, m, s = p.vocab_size, p.n_synonyms, p.branching
+    codes = np.stack([encode_tuples(rs.rules_at(lvl).reshape(v * m, s), v)
+                      for lvl in range(1, p.depth + 1)])
+    matrix, _ = _stacked_tuple_correlation(codes[None], v, m, s, level)
+    return TokenTupleCorrelation(level=level, codes=np.arange(v**s), matrix=matrix[0])
 
 
 @dataclass
@@ -297,14 +329,36 @@ class RecursionCheck:
     level: int
 
 
-def _grammar_draws(n_grammars: int, seed: int, tag: str, *shape: int):
-    """The ``n_grammars`` grammars of an ensemble average, of ``shape``
-    ``(depth, branching, vocab_size, n_synonyms)``, drawn one at a time from
-    seeds ``derive_seed(seed, g, tag)``."""
+ENSEMBLE_BLOCK = 64  # grammar draws evaluated per stacked pass
+
+
+def _ensemble_blocks(params: GrammarParams, n_grammars: int, seed: int, tag: str):
+    """The production codes of an ensemble's ``n_grammars`` grammars of shape
+    ``params``, drawn from seeds ``derive_seed(seed, g, tag)`` exactly as
+    :func:`generate_rules` draws them, stacked ``ENSEMBLE_BLOCK`` draws at a
+    time in draw order."""
+    for start in range(0, n_grammars, ENSEMBLE_BLOCK):
+        yield np.stack([
+            draw_production_codes(replace(params, seed=derive_seed(seed, g, tag)))
+            for g in range(start, min(start + ENSEMBLE_BLOCK, n_grammars))
+        ])
+
+
+def _ensemble_params(depth: int, branching: int, vocab_size: int, n_synonyms: int,
+                     level: int, n_grammars: int) -> GrammarParams:
+    """The shape of an ensemble's grammars, checked with ``level`` and
+    ``n_grammars`` before anything is drawn."""
+    if level < 2:
+        raise ValueError(f"level must be >= 2, not {level}")
     if n_grammars < 30:
-        raise ValueError("need at least 30 grammar draws")
-    return (generate_rules(GrammarParams(*shape, seed=derive_seed(seed, g, tag)))
-            for g in range(n_grammars))
+        raise ValueError(f"need at least 30 grammar draws, not n_grammars={n_grammars}")
+    return GrammarParams(depth, branching, vocab_size, n_synonyms)
+
+
+def _sums_of_squares(matrices: np.ndarray) -> list[float]:
+    """Each matrix's sum of squared entries, summed as ``(mat**2).sum()``
+    sums one C-contiguous matrix: pairwise, in row-major order."""
+    return (matrices.reshape(len(matrices), -1) ** 2).sum(axis=1).tolist()
 
 
 def correlation_recursion_check(
@@ -321,25 +375,25 @@ def correlation_recursion_check(
     instance with its bottom level dropped for the denominator, so numerator
     and denominator share the upper rules exactly as in the analytic recursion.
     Per-draw entry sums vanish identically, so pooled second moments are
-    variances.
+    variances. The draws run through :func:`_stacked_tuple_correlation` in
+    blocks of ``ENSEMBLE_BLOCK``, and each draw's sum of squares is added in
+    draw order, so the result does not depend on the block size.
     """
-    draws = _grammar_draws(n_grammars, seed, "recursion-grammar",
-                           level + 1, branching, vocab_size, n_synonyms)
-    if level < 2:
-        raise ValueError("recursion is defined for level >= 2")
+    params = _ensemble_params(level + 1, branching, vocab_size, n_synonyms,
+                              level, n_grammars)
     sq_high = 0.0
     sq_low = 0.0
-    n_high = 0
-    n_low = 0
-    for rs in draws:
-        hi = population_token_tuple_correlation(rs, level + 1).matrix
-        lo = population_token_tuple_correlation(rs.drop_bottom_level(), level).matrix
-        sq_high += float((hi**2).sum())
-        n_high += hi.size
-        sq_low += float((lo**2).sum())
-        n_low += lo.size
-    mean_high = sq_high / n_high
-    mean_low = sq_low / n_low
+    for codes in _ensemble_blocks(params, n_grammars, seed, "recursion-grammar"):
+        hi, _ = _stacked_tuple_correlation(codes, vocab_size, n_synonyms,
+                                           branching, level + 1)
+        lo, _ = _stacked_tuple_correlation(codes[:, 1:], vocab_size, n_synonyms,
+                                           branching, level)
+        for high, low in zip(_sums_of_squares(hi), _sums_of_squares(lo)):
+            sq_high += high
+            sq_low += low
+    n_entries = n_grammars * vocab_size * vocab_size**branching
+    mean_high = sq_high / n_entries
+    mean_low = sq_low / n_entries
     return RecursionCheck(
         predicted_ratio=recursion_prefactor(vocab_size, branching, n_synonyms),
         empirical_ratio=mean_high / mean_low,
@@ -364,14 +418,17 @@ def ensemble_correlation_std(
 
     Restricted to grammatical tuple columns: ungrammatical tuples carry an
     identically-zero correlation and the analytic magnitude is normalized per
-    realizable tuple value.
+    realizable tuple value. Runs in blocks of draws, as
+    :func:`correlation_recursion_check` does.
     """
+    params = _ensemble_params(level, branching, vocab_size, n_synonyms,
+                              level, n_grammars)
     total = 0.0
-    count = 0
-    for rs in _grammar_draws(n_grammars, seed, "ensemble-grammar",
-                             level, branching, vocab_size, n_synonyms):
-        mat = population_token_tuple_correlation(rs, level).matrix
-        valid = rs.inverse_at(level - 1) >= 0
-        total += float((mat[:, valid] ** 2).sum())
-        count += int(valid.sum()) * mat.shape[0]
-    return float(np.sqrt(total / count))
+    for codes in _ensemble_blocks(params, n_grammars, seed, "ensemble-grammar"):
+        mat, cols = _stacked_tuple_correlation(codes, vocab_size, n_synonyms,
+                                               branching, level)
+        # Column-major, as numpy lays out the column selection mat[:, valid].
+        valid = np.take_along_axis(mat, cols[:, None, :], axis=2).transpose(0, 2, 1)
+        for sq in _sums_of_squares(valid):
+            total += sq
+    return float(np.sqrt(total / (n_grammars * vocab_size * vocab_size * n_synonyms)))

@@ -16,7 +16,11 @@ rows as a Dataset of their own. Exact inference is checked twice: against the
 enumeration above to a tolerance, and bit for bit against its earlier form,
 which gathers child messages by fancy indexing and rebuilds its scatter bins
 on every call. The exact population token-tuple correlation is checked
-against its earlier form, the pair counts of the enumeration. The learner's
+against its earlier form, the pair counts of the enumeration, and bit for bit
+against the per-grammar transfer-matrix loop that the stacked core replaced;
+the criteria 3-4 ensembles are checked bit for bit against their earlier
+per-draw loops over that function, with one ``RuleSet`` per draw and one per
+dropped bottom level. The learner's
 stage loop is checked bit for bit against its earlier form, which copies the
 input to int64, encodes each stage's blocks twice and looks every code up in
 the observed-code list through a dense position table. The one-step model is
@@ -29,12 +33,14 @@ from __future__ import annotations
 import math
 import warnings
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 
 from rhmlab import (
     ClusterModel,
     Dataset,
+    GrammarParams,
     ImpossibleEvidenceError,
     OneStepModel,
     Partition,
@@ -45,11 +51,19 @@ from rhmlab import (
     derive_seed,
     encode_tuples,
     enumerate_all,
+    generate_rules,
     pair_agreement_score,
     parse_batch,
+    recursion_prefactor,
     sample_dataset,
 )
-from rhmlab.stats import TokenTupleCorrelation, _tuple_block, joint_correlation
+from rhmlab.seeding import derive_seed
+from rhmlab.stats import (
+    RecursionCheck,
+    TokenTupleCorrelation,
+    _tuple_block,
+    joint_correlation,
+)
 
 
 def enumeration_conditionals(rs: RuleSet, lik: np.ndarray):
@@ -645,3 +659,74 @@ def population_token_tuple_correlation_oracle(rs: RuleSet, level: int) -> TokenT
     return TokenTupleCorrelation(
         level=level, codes=np.arange(n_cols), matrix=matrix
     )
+
+
+def transfer_matrix_correlation_loop(rs: RuleSet, level: int) -> np.ndarray:
+    """The ``(v, v**s)`` population token-tuple correlation of one grammar by
+    its transfer matrices, one 2-D product per level."""
+    p = rs.params
+    v, m = p.vocab_size, p.n_synonyms
+    pi = np.full(v, 1.0 / v)
+    for lvl in range(p.depth, level, -1):
+        pi = np.bincount(rs.rules_at(lvl)[:, :, 0].ravel(),
+                         weights=np.repeat(pi / m, m), minlength=v)
+    top = rs.rules_at(level)
+    joint = np.bincount((top[:, :, 0] * v + top[:, :, 1]).ravel(),
+                        weights=np.repeat(pi / m, m), minlength=v * v).reshape(v, v)
+    parents = np.repeat(np.arange(v), m)
+    for lvl in range(level - 1, 0, -1):
+        left = np.bincount(parents * v + rs.rules_at(lvl)[:, :, 0].ravel(),
+                           minlength=v * v).reshape(v, v) / m
+        joint = left.T @ joint
+    inv = rs.inverse_at(level - 1)
+    valid = inv >= 0
+    matrix = np.zeros((v, inv.size))
+    matrix[:, valid] = joint[:, inv[valid] // m] / m
+    matrix -= np.outer(matrix.sum(axis=1), matrix.sum(axis=0))
+    return matrix
+
+
+def _ensemble_grammars(n_grammars, seed, tag, depth, branching, vocab_size, n_synonyms):
+    for g in range(n_grammars):
+        yield generate_rules(GrammarParams(depth, branching, vocab_size, n_synonyms,
+                                           seed=derive_seed(seed, g, tag)))
+
+
+def correlation_recursion_check_loop(vocab_size, branching, n_synonyms, level,
+                                     n_grammars, seed) -> RecursionCheck:
+    """Criterion 3's ensemble, one grammar and one dropped grammar at a time."""
+    sq_high = sq_low = 0.0
+    n_high = n_low = 0
+    for rs in _ensemble_grammars(n_grammars, seed, "recursion-grammar", level + 1,
+                                 branching, vocab_size, n_synonyms):
+        p = rs.params
+        dropped = RuleSet(replace(p, depth=p.depth - 1),
+                          [rs.rules_at(lvl) for lvl in range(2, p.depth + 1)])
+        hi = transfer_matrix_correlation_loop(rs, level + 1)
+        lo = transfer_matrix_correlation_loop(dropped, level)
+        sq_high += float((hi**2).sum())
+        n_high += hi.size
+        sq_low += float((lo**2).sum())
+        n_low += lo.size
+    return RecursionCheck(
+        predicted_ratio=recursion_prefactor(vocab_size, branching, n_synonyms),
+        empirical_ratio=(sq_high / n_high) / (sq_low / n_low),
+        mean_sq_high=sq_high / n_high,
+        mean_sq_low=sq_low / n_low,
+        n_grammars=n_grammars,
+        level=level,
+    )
+
+
+def ensemble_correlation_std_loop(vocab_size, branching, n_synonyms, level,
+                                  n_grammars, seed) -> float:
+    """Criterion 4's ensemble, one grammar at a time."""
+    total = 0.0
+    count = 0
+    for rs in _ensemble_grammars(n_grammars, seed, "ensemble-grammar", level,
+                                 branching, vocab_size, n_synonyms):
+        mat = transfer_matrix_correlation_loop(rs, level)
+        valid = rs.inverse_at(level - 1) >= 0
+        total += float((mat[:, valid] ** 2).sum())
+        count += int(valid.sum()) * mat.shape[0]
+    return float(np.sqrt(total / count))

@@ -127,20 +127,7 @@ class TestGenerateRules:
         with pytest.raises(ValueError, match="ambiguous rules: duplicate production tuple"):
             RuleSet(GrammarParams(2, 2, 2, 1), tables)
 
-    def test_drop_bottom_level_shares_levels_above(self, rs_deep):
-        dropped = rs_deep.drop_bottom_level()
-        p = rs_deep.params
-        assert dropped.params == GrammarParams(p.depth - 1, p.branching, p.vocab_size,
-                                               p.n_synonyms, p.seed)
-        for level in range(1, p.depth):
-            table = dropped.rules_at(level)
-            assert np.array_equal(table, rs_deep.rules_at(level + 1))
-            assert np.shares_memory(table, rs_deep.rules_at(level + 1))
-            assert np.array_equal(dropped.inverse_at(level), rs_deep.inverse_at(level + 1))
-            with pytest.raises(ValueError, match="read-only"):
-                table[0, 0, 0] = 1
-
-    def test_caller_tables_stay_writeable_and_dropping_shares(self):
+    def test_caller_tables_stay_writeable(self):
         tables = [np.array([[[0, 1]], [[1, 0]]], dtype=np.int32),
                   np.array([[[1, 1]], [[0, 0]]], dtype=np.int32)]
         rs = RuleSet(GrammarParams(2, 2, 2, 1), tables)
@@ -148,7 +135,17 @@ class TestGenerateRules:
             assert table.flags.writeable
             assert not rs.rules_at(level).flags.writeable
             assert not np.shares_memory(table, rs.rules_at(level))
-        assert np.shares_memory(rs.rules_at(2), rs.drop_bottom_level().rules_at(1))
+
+    @pytest.mark.parametrize("table, message", [
+        # truncated to [[[0, 1]], [[1, 0]]] by an int32 cast
+        (np.array([[[0.7, 1.7]], [[1.7, 0.7]]]), "integer tokens, not float64"),
+        # wraps to 1 under an int32 cast
+        (np.array([[[0, 2**32 + 1]], [[1, 0]]]), r"\[0, 2\), found 4294967297"),
+        (np.array([[[0, 1]], [[-1, 0]]]), r"\[0, 2\), found -1"),
+    ], ids=["float", "wraps-int32", "negative"])
+    def test_rule_table_tokens_checked_before_the_cast(self, table, message):
+        with pytest.raises(ValueError, match=f"^rule table must .*{message}"):
+            RuleSet(GrammarParams(1, 2, 2, 1), [table])
 
     def test_encode_tuples_uint64_matches_matmul(self):
         # values at and above 2**63 wrap on the cast to int64, as in the

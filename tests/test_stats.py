@@ -23,10 +23,15 @@ from rhmlab import (
     token_tuple_correlation,
     true_tuple_classes,
 )
+from rhmlab import stats
+from rhmlab.grammar import draw_production_codes
 from oracles import (
+    correlation_recursion_check_loop,
+    ensemble_correlation_std_loop,
     pair_joint_dp,
     population_token_tuple_correlation_oracle,
     token_pair_counts_oracle,
+    transfer_matrix_correlation_loop,
 )
 
 
@@ -227,6 +232,22 @@ def test_population_correlation_matches_enumeration(rs):
             population_token_tuple_correlation(rs, level)
 
 
+@pytest.mark.parametrize("v, m", [(2, 1), (2, 4), (3, 2), (4, 5), (5, 25)])
+def test_stacked_core_matches_the_per_grammar_loop(v, m):
+    # s=3, depth 4: every level, every grammar of a stack, byte for byte
+    params = [GrammarParams(4, 3, v, m, seed=seed) for seed in range(7)]
+    codes = np.stack([draw_production_codes(p) for p in params])
+    for level in range(2, 5):
+        stacked, cols = stats._stacked_tuple_correlation(codes, v, m, 3, level)
+        for g, p in enumerate(params):
+            rs = generate_rules(p)
+            want = transfer_matrix_correlation_loop(rs, level)
+            assert stacked[g].tobytes() == want.tobytes()
+            assert population_token_tuple_correlation(rs, level).matrix.tobytes() \
+                == want.tobytes()
+            assert np.array_equal(cols[g], np.flatnonzero(rs.inverse_at(level - 1) >= 0))
+
+
 class TestTheoryPrediction:
     def test_reference_numbers(self):
         params = GrammarParams(depth=3, branching=2, vocab_size=16, n_synonyms=4)
@@ -278,6 +299,39 @@ class TestRecursion:
     def test_requires_enough_draws(self):
         with pytest.raises(ValueError):
             correlation_recursion_check(8, 2, 2, n_grammars=10)
+
+    @pytest.mark.parametrize("n_grammars", [30, stats.ENSEMBLE_BLOCK,
+                                            stats.ENSEMBLE_BLOCK + 1])
+    @pytest.mark.parametrize("shape", [(8, 2, 2, 2), (16, 2, 4, 2), (4, 3, 3, 2),
+                                       (5, 2, 3, 3)])
+    def test_ensembles_match_the_per_grammar_loops(self, shape, n_grammars):
+        # At seeds 11 and 16, summing each (4, 3, 3, 2) matrix in the other
+        # memory order changes the last bit of both results.
+        v, s, m, level = shape
+        got = correlation_recursion_check(v, s, m, level=level,
+                                          n_grammars=n_grammars, seed=11)
+        want = correlation_recursion_check_loop(v, s, m, level, n_grammars, 11)
+        assert got == want  # every field, bit for bit
+        got = ensemble_correlation_std(v, s, m, level=level,
+                                       n_grammars=n_grammars, seed=16)
+        assert got == ensemble_correlation_std_loop(v, s, m, level, n_grammars, 16)
+
+    @pytest.mark.parametrize("check", [correlation_recursion_check,
+                                       ensemble_correlation_std])
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"level": 1}, "level must be >= 2, not 1"),
+        ({"n_grammars": 29}, "n_grammars=29"),
+        ({"n_synonyms": 9}, "n_synonyms must be <="),
+    ])
+    def test_bad_arguments_raise_before_any_draw(self, monkeypatch, check, kwargs,
+                                                 message):
+        def no_draw(params):
+            raise AssertionError("drew a grammar")
+
+        monkeypatch.setattr(stats, "draw_production_codes", no_draw)
+        args = {"vocab_size": 8, "branching": 2, "n_synonyms": 2} | kwargs
+        with pytest.raises(ValueError, match=message):
+            check(**args)
 
     def test_ensemble_std_matches_prediction(self):
         params = GrammarParams(depth=2, branching=2, vocab_size=16, n_synonyms=4)

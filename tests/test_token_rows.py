@@ -43,7 +43,7 @@ def _rng():
 # below the one required, or None where no width applies).
 ENTRY_POINTS = {
     "Dataset": (
-        lambda x: Dataset(sequences=x, params=PARAMS), "sequences", V + 1, None),
+        lambda x: Dataset(sequences=x, params=PARAMS), "sequences", V + 1, 3),
     "corrupt-uniform": (
         lambda x: corrupt(x, UNIFORM, V, _rng()), "seqs", V, None),
     "corrupt-masking": (
