@@ -34,6 +34,15 @@ def _power_at_most(base: int, exp: int, bound: int) -> bool:
     return True
 
 
+def _check_enumeration_cap(params: GrammarParams) -> None:
+    """Raise :class:`EnumerationCapError` when ``params`` has more derivations
+    than ``DEFAULT_ENUMERATION_CAP`` (read at call time)."""
+    n = params.n_derivations
+    if n > DEFAULT_ENUMERATION_CAP:
+        raise EnumerationCapError(
+            f"{n} derivations exceed cap {DEFAULT_ENUMERATION_CAP}")
+
+
 def _check_draw_count(n) -> None:
     """Refuse a draw count ``n`` that is not a nonnegative integer."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
@@ -264,6 +273,11 @@ class RuleSet:
                 items = [y for x in items for y in x]
             if not all(type(x) is int for x in items):
                 raise ValueError(f"grammar field 'rules' level {lvl} must hold integers")
+            # Checked here, before the int32 cast: 2**40 would overflow it.
+            bad = next((x for x in items if not 0 <= x < params.vocab_size), None)
+            if bad is not None:
+                raise ValueError(f"grammar field 'rules' level {lvl} must hold "
+                                 f"integers in [0, {params.vocab_size}), found {bad}")
         return cls(params, [np.asarray(t, dtype=np.int32) for t in rules])
 
     def content_hash(self) -> str:
@@ -450,10 +464,8 @@ def enumerate_all(rs: RuleSet) -> Dataset:
     at call time).
     """
     p = rs.params
+    _check_enumeration_cap(p)
     n = p.n_derivations
-    if n > DEFAULT_ENUMERATION_CAP:
-        raise EnumerationCapError(
-            f"{n} derivations exceed cap {DEFAULT_ENUMERATION_CAP}")
     m = p.n_synonyms
     idx = np.arange(n, dtype=np.int64)
     root = (idx // m**p.n_internal_nodes).astype(np.int32)

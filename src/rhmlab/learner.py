@@ -31,12 +31,12 @@ from .grammar import (
     GrammarParams,
     RuleSet,
     _check_draw_count,
+    _check_enumeration_cap,
     _check_token_range,
     _power_at_most,
     accuracy,
     decode_codes,
     encode_tuples,
-    enumerate_all,
     generate_rules,
     parse_batch,
     sample_dataset,
@@ -387,29 +387,56 @@ def generate_from_learned(
     return cur
 
 
+def _slot_matrix(table: np.ndarray, slot: int) -> np.ndarray:
+    """``[a, b]``: the probability that a uniform production of symbol ``a``
+    in the ``(v, m, s)`` rule ``table`` holds ``b`` in ``slot``."""
+    v, m = table.shape[:2]
+    keys = np.repeat(np.arange(v), m) * v + table[:, :, slot].ravel()
+    return np.bincount(keys, minlength=v * v).reshape(v, v) / m
+
+
 def population_context_collision(rs: RuleSet, variant: str = "single_token") -> bool:
     """Whether any two non-synonymous tuples share an exact population context
     vector at some stage (which would make them unclusterable in principle).
 
-    Exact check via full enumeration (vectors within 1e-12 in every entry
-    count as shared); raises :class:`EnumerationCapError` when the instance is
-    too large to enumerate.
+    Exact, by transfer matrices; nothing is enumerated. The pooled context
+    vector that :func:`build_context_stats` would give a tuple over every
+    derivation depends only on the tuple's parent symbol ``a``. At stage
+    ``k`` it is the normalized sum, over level-(k+1) parents ``A``,
+    productions ``p`` and slots ``i`` with ``rules_at(k+1)[A, p, i] = a``, of
+    ``w[A] / m`` times the context distribution under the sibling
+    ``rules_at(k+1)[A, p, j(i)]`` (``j(0) = 1``, else ``i - 1``): its leftmost
+    leaf, or for ``full_tuple`` the ``s`` leaf marginals under its leftmost
+    level-1 descendant. ``w`` is the expected count of each symbol over the
+    level-(k+1) nodes, the uniform root pushed down through every slot.
+    Vectors within 1e-12 in every entry count as shared.
+
+    Raises :class:`EnumerationCapError` above ``DEFAULT_ENUMERATION_CAP``
+    derivations, as :func:`enumerate_all` does, until that guard is lifted.
     """
-    ds = enumerate_all(rs)
-    for stage in range(1, rs.params.depth):
-        stats = build_context_stats(
-            ds.level_symbols(stage - 1),
-            ds.sequences,
-            rs.params.vocab_size,
-            rs.params.branching,
-            variant,
-            level=stage,
-        )
-        classes = true_tuple_classes(rs, stage, stats.codes)
-        vecs = stats.vectors
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}, not {variant!r}")
+    p = rs.params
+    _check_enumeration_cap(p)
+    v, m, s = p.vocab_size, p.n_synonyms, p.branching
+    # context[k - 1][a]: the context tokens' distributions below a level-k a.
+    n_ctx = s if variant == "full_tuple" else 1
+    context = [np.hstack([_slot_matrix(rs.rules_at(1), t) for t in range(n_ctx)])]
+    for lvl in range(2, p.depth):
+        context.append(_slot_matrix(rs.rules_at(lvl), 0) @ context[-1])
+    sibling = [1] + list(range(s - 1))
+    w = np.full(v, 1.0 / v)  # the root
+    for stage in range(p.depth - 1, 0, -1):
+        children = rs.rules_at(stage + 1).reshape(v * m, s)
+        # joint[a, b]: expected level-stage nodes holding a beside sibling b
+        joint = np.bincount((children * v + children[:, sibling]).ravel(),
+                            weights=np.repeat(w / m, m * s),
+                            minlength=v * v).reshape(v, v)
+        w = joint.sum(axis=1)
+        seen = np.flatnonzero(w > 0)
+        vecs = joint[seen] @ context[stage - 1] / w[seen, None]
         gap = np.abs(vecs[:, None, :] - vecs[None, :, :]).max(axis=2)
-        distinct_class = classes[:, None] != classes[None, :]
-        if np.any(distinct_class & (gap <= 1e-12)):
+        if np.any(gap[np.triu_indices(seen.size, 1)] <= 1e-12):
             return True
     return False
 
@@ -481,7 +508,9 @@ class TrialRecord:
     accuracy: tuple[float, ...]  # per level 1..depth of generated samples
     grammar_seed: int
     collisions_resampled: int
-    collision_checked: bool  # False: derivations exceed DEFAULT_ENUMERATION_CAP
+    # Whether the exact collision check ran: False above
+    # DEFAULT_ENUMERATION_CAP derivations, until that guard is lifted.
+    collision_checked: bool
 
 
 @dataclass
@@ -527,11 +556,12 @@ def _draw_sweep_grammar(
     cfg: SweepConfig, m: int, trial: int
 ) -> tuple[RuleSet, int, int, bool]:
     """Grammar for one (m, trial) cell, redrawing on exact context collisions
-    whenever the instance is small enough to check.
+    (:func:`population_context_collision`, by transfer matrices).
 
     Returns the rules, their seed, the number of redraws and whether the
-    collision check ran (False when the derivations exceed
-    ``DEFAULT_ENUMERATION_CAP``, so the first draw is kept unchecked).
+    collision check ran. The check keeps the ``DEFAULT_ENUMERATION_CAP``
+    guard until it is lifted: above the cap it is skipped, and the first
+    draw is kept unchecked.
     """
     attempt = 0
     while True:

@@ -25,7 +25,9 @@ stage loop is checked bit for bit against its earlier form, which copies the
 input to int64, encodes each stage's blocks twice and looks every code up in
 the observed-code list through a dense position table. The one-step model is
 checked bit for bit against its earlier form, which scatters the gradient
-rows with ``np.add.at``.
+rows with ``np.add.at``. The context-collision check is checked against
+its earlier form, which enumerates every derivation and counts their
+contexts with ``build_context_stats``.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from rhmlab import (
     parse_batch,
     recursion_prefactor,
     sample_dataset,
+    true_tuple_classes,
 )
 from rhmlab.seeding import derive_seed
 from rhmlab.stats import (
@@ -730,3 +733,30 @@ def ensemble_correlation_std_loop(vocab_size, branching, n_synonyms, level,
         total += float((mat[:, valid] ** 2).sum())
         count += int(valid.sum()) * mat.shape[0]
     return float(np.sqrt(total / count))
+
+
+def population_context_collision_oracle(rs: RuleSet, variant: str = "single_token") -> bool:
+    """Whether any two non-synonymous tuples share an exact population context
+    vector at some stage (which would make them unclusterable in principle).
+
+    Exact check via full enumeration (vectors within 1e-12 in every entry
+    count as shared); raises :class:`EnumerationCapError` when the instance is
+    too large to enumerate.
+    """
+    ds = enumerate_all(rs)
+    for stage in range(1, rs.params.depth):
+        stats = build_context_stats(
+            ds.level_symbols(stage - 1),
+            ds.sequences,
+            rs.params.vocab_size,
+            rs.params.branching,
+            variant,
+            level=stage,
+        )
+        classes = true_tuple_classes(rs, stage, stats.codes)
+        vecs = stats.vectors
+        gap = np.abs(vecs[:, None, :] - vecs[None, :, :]).max(axis=2)
+        distinct_class = classes[:, None] != classes[None, :]
+        if np.any(distinct_class & (gap <= 1e-12)):
+            return True
+    return False

@@ -116,6 +116,15 @@ class TestGenerateRules:
         with pytest.raises(ValueError, match=f"'rules' level {level}"):
             RuleSet.from_jsonable(doc)
 
+    @pytest.mark.parametrize("entry", [2**40, 2**63, 2**64],
+                             ids=["past-int32", "past-int64", "past-uint64"])
+    def test_huge_rule_entry_names_rules_and_level(self, entry):
+        doc = generate_rules(GrammarParams(2, 2, 2, 1, seed=0)).to_jsonable()
+        doc["rules"][1][0][0][1] = entry
+        with pytest.raises(ValueError, match=rf"^grammar field 'rules' level 2 "
+                                             rf"must hold integers in \[0, 2\), found {entry}$"):
+            RuleSet.from_jsonable(doc)
+
     def test_rule_level_count_names_rules(self):
         doc = generate_rules(GrammarParams(2, 2, 2, 1, seed=0)).to_jsonable()
         doc["rules"] = doc["rules"][:1]

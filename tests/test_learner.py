@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import tracemalloc
 import warnings
 
@@ -7,8 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import generate_from_learned_oracle, learn_grammar_oracle
+from oracles import (
+    generate_from_learned_oracle,
+    learn_grammar_oracle,
+    population_context_collision_oracle,
+)
 from rhmlab import (
+    EnumerationCapError,
     GrammarParams,
     Partition,
     RuleSet,
@@ -561,6 +567,68 @@ class TestCollisionCheck:
         level2 = np.array([[[0, 0], [0, 1]], [[1, 0], [1, 1]]])
         rs = RuleSet(params, [level1, level2])
         assert population_context_collision(rs)
+
+    def test_degenerate_construction_detected_three_children(self):
+        # A -> (A, x, 0): slot 0's sibling x and slot 2's sibling x are
+        # uniform, slot 1's sibling is the uniform root, whatever the symbol
+        params = GrammarParams(depth=2, branching=3, vocab_size=2,
+                               n_synonyms=2, seed=0)
+        level1 = np.array([[[0, 0, 0], [0, 0, 1]], [[1, 1, 0], [1, 1, 1]]])
+        level2 = np.array([[[0, 0, 0], [0, 1, 0]], [[1, 0, 0], [1, 1, 0]]])
+        rs = RuleSet(params, [level1, level2])
+        for variant in ("single_token", "full_tuple"):
+            assert population_context_collision(rs, variant)
+            assert population_context_collision_oracle(rs, variant)
+
+    def test_matches_enumeration_oracle(self):
+        # One fixed-seed grammar per shape: depth 2-4, s 2-3, v 2-6 and every
+        # m up to 2e5 derivations (the oracle enumerates them, twice).
+        answers = []
+        for depth, s, v in itertools.product((2, 3, 4), (2, 3), range(2, 7)):
+            for m in range(1, v ** (s - 1) + 1):
+                if GrammarParams(depth, s, v, m).n_derivations > 200_000:
+                    break
+                seed = derive_seed(0, depth * 100 + s * 10 + v, f"collision m={m}")
+                rs = generate_rules(GrammarParams(depth, s, v, m, seed=seed))
+                for variant in ("single_token", "full_tuple"):
+                    want = population_context_collision_oracle(rs, variant)
+                    assert population_context_collision(rs, variant) == want, (
+                        depth, s, v, m, variant)
+                    answers.append(want)
+        assert len(answers) == 232
+        assert 0 < sum(answers) < len(answers)  # collisions and clean grammars
+
+    def test_enumerates_nothing(self, rs_medium, monkeypatch):
+        from rhmlab import grammar, learner
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the collision check must not enumerate")
+
+        for module in (grammar, learner):
+            for name in ("enumerate_all", "build_context_stats", "_count_contexts"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        for variant in ("single_token", "full_tuple"):
+            assert not population_context_collision(rs_medium, variant)
+
+    def test_cap_error_iff_derivations_exceed_the_cap(self, rs_deep, monkeypatch):
+        from rhmlab import grammar
+
+        n = rs_deep.params.n_derivations
+        monkeypatch.setattr(grammar, "DEFAULT_ENUMERATION_CAP", n)
+        population_context_collision(rs_deep)
+        assert enumerate_all(rs_deep).n_rows == n
+        monkeypatch.setattr(grammar, "DEFAULT_ENUMERATION_CAP", n - 1)
+        message = f"^{n} derivations exceed cap {n - 1}$"
+        for check in (population_context_collision, enumerate_all):
+            with pytest.raises(EnumerationCapError, match=message):
+                check(rs_deep)
+
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_unknown_variant_refused_before_any_work(self, depth):
+        # depth 3, v=16, m=6 has 16 * 6**7 (4.5e6) derivations: past the cap
+        rs = generate_rules(GrammarParams(depth, 2, 16, 6, seed=1))
+        with pytest.raises(ValueError, match="'bogus'"):
+            population_context_collision(rs, "bogus")
 
 
 class TestSweep:
