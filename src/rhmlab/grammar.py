@@ -153,14 +153,13 @@ def decode_codes(codes: np.ndarray, vocab_size: int, branching: int) -> np.ndarr
 
 
 class RuleSet:
-    """Frozen rule tables of one grammar instance.
+    """Frozen rule tables of one grammar instance, with two views.
 
     ``rules_at(level)`` is a ``(vocab_size, n_synonyms, branching)`` array whose
     ``[symbol, k]`` row is the k-th production of ``symbol`` (a tuple of
-    level-(level-1) symbols); levels run 1..depth. ``inverse_at(level)`` maps a
-    tuple code to ``parent * n_synonyms + rule_index`` (-1 for invalid tuples),
-    which is a function because tuples are globally distinct within a level.
-    ``parse_tables(level)`` holds the same map for :func:`parse_batch`.
+    level-(level-1) symbols); levels run 1..depth. ``parse_tables(level)`` is
+    the inverse map, a function because tuples are globally distinct within a
+    level.
     """
 
     def __init__(self, params: GrammarParams, tables: list[np.ndarray]):
@@ -168,9 +167,7 @@ class RuleSet:
             raise ValueError("need one rule table per level 1..depth")
         v, m, s = params.vocab_size, params.n_synonyms, params.branching
         self.params = params
-        self._tables: tuple[np.ndarray, ...] = ()
-        self._inverse: tuple[np.ndarray, ...] = ()
-        tabs, invs = [], []
+        tabs, parse = [], []
         for table in tables:
             table = np.asarray(table)
             _check_token_range("rule table", table, v)
@@ -178,19 +175,20 @@ class RuleSet:
                 raise ValueError(f"rule table must have shape {(v, m, s)}")
             # Freeze a copy, so the caller's own array stays writeable.
             table = np.array(table, dtype=np.int32, order="C")
-            codes = encode_tuples(table.reshape(v * m, s), v)
-            inv = np.full(v**s, -1, dtype=np.int64)
-            inv[codes] = np.arange(v * m, dtype=np.int64)
+            codes = encode_tuples(table.reshape(v * m, s), v + 1)
+            parent_of = np.full((v + 1) ** s, -1, dtype=np.int32)
+            choice_of = np.full((v + 1) ** s, -1, dtype=np.int32)
+            parent_of[codes] = np.repeat(np.arange(v, dtype=np.int32), m)
+            choice_of[codes] = np.tile(np.arange(m, dtype=np.int32), v)
             # A repeated tuple fills one slot for several productions.
-            if np.count_nonzero(inv >= 0) != v * m:
+            if np.count_nonzero(parent_of >= 0) != v * m:
                 raise ValueError("ambiguous rules: duplicate production tuple")
-            table.setflags(write=False)
-            inv.setflags(write=False)
+            for array in (table, parent_of, choice_of):
+                array.setflags(write=False)
             tabs.append(table)
-            invs.append(inv)
+            parse.append((parent_of, choice_of))
         self._tables = tuple(tabs)
-        self._inverse = tuple(invs)
-        self._parse: tuple[tuple[np.ndarray, np.ndarray], ...] | None = None
+        self._parse = tuple(parse)
         self._bp = None  # rhmlab.bp's own state; no other module reads it
         self._hash: str | None = None
 
@@ -202,31 +200,12 @@ class RuleSet:
         self._check_level(level)
         return self._tables[level - 1]
 
-    def inverse_at(self, level: int) -> np.ndarray:
-        self._check_level(level)
-        return self._inverse[level - 1]
-
     def parse_tables(self, level: int) -> tuple[np.ndarray, np.ndarray]:
         """Read-only int32 ``(parent_of, choice_of)`` over base-``(v+1)`` tuple
         codes, the digit ``v`` standing for any out-of-range symbol: the
         parent symbol and rule index producing each tuple, -1 for tuples no
-        rule produces. Built for every level on first use, so drawing a
-        grammar does not pay for them."""
+        rule produces."""
         self._check_level(level)
-        if self._parse is None:
-            v, m, s = (self.params.vocab_size, self.params.n_synonyms,
-                       self.params.branching)
-            tables = []
-            for table in self._tables:
-                codes = encode_tuples(table.reshape(v * m, s), v + 1)
-                parent_of = np.full((v + 1) ** s, -1, dtype=np.int32)
-                choice_of = np.full((v + 1) ** s, -1, dtype=np.int32)
-                parent_of[codes] = np.repeat(np.arange(v, dtype=np.int32), m)
-                choice_of[codes] = np.tile(np.arange(m, dtype=np.int32), v)
-                parent_of.setflags(write=False)
-                choice_of.setflags(write=False)
-                tables.append((parent_of, choice_of))
-            self._parse = tuple(tables)
         return self._parse[level - 1]
 
     def to_jsonable(self) -> dict:

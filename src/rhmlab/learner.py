@@ -228,14 +228,14 @@ def pair_agreement_score(labels: np.ndarray, reference: np.ndarray) -> float:
 
 def true_tuple_classes(rs: RuleSet, level: int, codes: np.ndarray) -> np.ndarray:
     """Ground-truth synonym class (parent symbol) of each grammatical tuple code."""
-    inverse = rs.inverse_at(level)
+    v, s = rs.params.vocab_size, rs.params.branching
     codes = np.asarray(codes)
-    if codes.size and (codes.min() < 0 or codes.max() >= inverse.size):
-        raise ValueError(f"tuple codes must lie in [0, {inverse.size})")
-    entries = inverse[codes]
-    if np.any(entries < 0):
+    if codes.size and (codes.min() < 0 or codes.max() >= v**s):
+        raise ValueError(f"tuple codes must lie in [0, {v**s})")
+    parents = rs.parse_tables(level)[0][encode_tuples(decode_codes(codes, v, s), v + 1)]
+    if np.any(parents < 0):
         raise ValueError("ungrammatical tuple has no synonym class")
-    return entries // rs.params.n_synonyms
+    return parents.astype(np.int64)
 
 
 @dataclass
@@ -284,8 +284,7 @@ def learn_grammar(
     majority true parent over its occurrences, compared by pair agreement.
     ``partition_fn(stage, observed_codes) -> labels`` overrides the clustering
     at every stage (used to inject oracle or adversarial partitions); its
-    labels must lie in ``[0, vocab_size)`` below the top stage and be
-    non-negative at the top stage.
+    labels must lie in ``[0, vocab_size)``, the grammar's alphabet.
     """
     seqs = np.asarray(seqs)
     if seqs.ndim != 2 or seqs.shape[1] != branching**depth:
@@ -316,12 +315,10 @@ def learn_grammar(
             part_labels = np.asarray(partition_fn(stage, observed), dtype=np.int64)
             if part_labels.shape != observed.shape:
                 raise ValueError("partition_fn must label every observed code")
-            # The next stage encodes these labels in base vocab_size; only
-            # the top stage's labels may reach past it.
-            top = stage == depth - 1
-            if part_labels.min() < 0 or (not top and part_labels.max() >= vocab_size):
-                bound = "non-negative" if top else f"in [0, {vocab_size})"
-                raise ValueError(f"partition_fn labels at stage {stage} must be {bound}")
+            # The next stage, and the top tuples, encode these in base vocab_size.
+            if part_labels.min() < 0 or part_labels.max() >= vocab_size:
+                raise ValueError(f"partition_fn labels at stage {stage} must be "
+                                 f"in [0, {vocab_size})")
             part = Partition(
                 codes=observed, labels=part_labels, partial=False, inertia=math.nan
             )
@@ -336,11 +333,9 @@ def learn_grammar(
         label_of = np.zeros(code_space, dtype=np.int64)
         label_of[observed] = part.labels
         labels = label_of[block_codes]
-    # Distinct top-level rows in lexicographic order, via their big-endian
-    # codes in a base wide enough for every label (partition_fn may exceed v).
-    base = max(int(labels.max()) + 1, vocab_size)
-    top_codes = np.flatnonzero(np.bincount(encode_tuples(labels, base)))
-    top_tuples = decode_codes(top_codes, base, labels.shape[1])
+    # Distinct top-level rows in lexicographic order, via their big-endian codes.
+    top_codes = np.flatnonzero(np.bincount(encode_tuples(labels, vocab_size)))
+    top_tuples = decode_codes(top_codes, vocab_size, labels.shape[1])
     return ClusterModel(
         branching=branching,
         vocab_size=vocab_size,

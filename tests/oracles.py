@@ -12,7 +12,9 @@ files from ``np.savetxt``, a per-token Python parse and the earlier
 checked against per-row Python loops that never call ``encode_tuples``,
 ``decode_codes``, ``parse_batch`` or the expansion code. The distinct-row
 sampler is checked against its earlier form, which keeps each batch's fresh
-rows as a Dataset of their own. Exact inference is checked twice: against the
+rows as a Dataset of their own. The tests look tuple codes up in
+``production_index``, built from ``rules_at`` one production at a time, not
+in the parse tables they check. Exact inference is checked twice: against the
 enumeration above to a tolerance, and bit for bit against its earlier form,
 which gathers child messages by fancy indexing and rebuilds its scatter bins
 on every call. The exact population token-tuple correlation is checked
@@ -49,7 +51,6 @@ from rhmlab import (
     RuleSet,
     build_context_stats,
     cluster_tuples,
-    decode_codes,
     derive_seed,
     encode_tuples,
     enumerate_all,
@@ -450,7 +451,8 @@ def learn_grammar_oracle(seqs, depth, branching, vocab_size, variant="single_tok
     """Staged context clustering on an int64 copy of ``seqs``, for valid
     input. Each stage's statistics encode the labels, the loop encodes them
     again, and ``index_of`` maps every code to its position in the
-    observed-code list; recovery counts (position, true parent) pairs."""
+    observed-code list; recovery counts (position, true parent) pairs. The
+    top tuples are the distinct rows of the last stage's labels."""
     true_latents = parse_batch(truth, seqs)[1] if truth is not None else None
     recovery = [] if truth is not None else None
     labels = seqs.astype(np.int64)
@@ -480,9 +482,7 @@ def learn_grammar_oracle(seqs, depth, branching, vocab_size, variant="single_tok
             recovery.append(pair_agreement_score(part.labels, counts.argmax(axis=1)))
         levels.append(part)
         labels = part.labels[block_idx]
-    base = max(int(labels.max()) + 1, vocab_size)
-    top_codes = np.flatnonzero(np.bincount(encode_tuples(labels, base)))
-    top_tuples = decode_codes(top_codes, base, labels.shape[1]).astype(np.int32)
+    top_tuples = np.unique(labels, axis=0).astype(np.int32)
     return ClusterModel(branching=branching, vocab_size=vocab_size, levels=levels,
                         top_tuples=top_tuples, recovery=recovery)
 
@@ -664,6 +664,23 @@ def population_token_tuple_correlation_oracle(rs: RuleSet, level: int) -> TokenT
     )
 
 
+def production_index(rs: RuleSet, level: int) -> np.ndarray:
+    """Dense lookup over the base-v tuple codes of level ``level``, built from
+    ``rules_at`` one production at a time: ``parent * m + k`` at the
+    big-endian code of ``rules_at(level)[parent, k]``, -1 at every code no
+    rule produces."""
+    p = rs.params
+    v, m = p.vocab_size, p.n_synonyms
+    index = np.full(v**p.branching, -1, dtype=np.int64)
+    for parent, productions in enumerate(rs.rules_at(level).tolist()):
+        for k, children in enumerate(productions):
+            code = 0
+            for child in children:
+                code = code * v + child
+            index[code] = parent * m + k
+    return index
+
+
 def transfer_matrix_correlation_loop(rs: RuleSet, level: int) -> np.ndarray:
     """The ``(v, v**s)`` population token-tuple correlation of one grammar by
     its transfer matrices, one 2-D product per level."""
@@ -681,7 +698,7 @@ def transfer_matrix_correlation_loop(rs: RuleSet, level: int) -> np.ndarray:
         left = np.bincount(parents * v + rs.rules_at(lvl)[:, :, 0].ravel(),
                            minlength=v * v).reshape(v, v) / m
         joint = left.T @ joint
-    inv = rs.inverse_at(level - 1)
+    inv = production_index(rs, level - 1)
     valid = inv >= 0
     matrix = np.zeros((v, inv.size))
     matrix[:, valid] = joint[:, inv[valid] // m] / m
@@ -729,7 +746,7 @@ def ensemble_correlation_std_loop(vocab_size, branching, n_synonyms, level,
     for rs in _ensemble_grammars(n_grammars, seed, "ensemble-grammar", level,
                                  branching, vocab_size, n_synonyms):
         mat = transfer_matrix_correlation_loop(rs, level)
-        valid = rs.inverse_at(level - 1) >= 0
+        valid = production_index(rs, level - 1) >= 0
         total += float((mat[:, valid] ** 2).sum())
         count += int(valid.sum()) * mat.shape[0]
     return float(np.sqrt(total / count))

@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import sample_distinct_dataset_oracle
+from oracles import production_index, sample_distinct_dataset_oracle
 from rhmlab import (
     Dataset,
     EnumerationCapError,
@@ -31,22 +31,6 @@ class TestGenerateRules:
         rs = generate_rules(GrammarParams(depth=1, branching=2, vocab_size=2,
                                           n_synonyms=1, seed=0))
         assert rs.rules_at(1).shape == (2, 1, 2)
-        inv = rs.inverse_at(1)
-        assert (inv >= 0).sum() == 2
-        # injective: the two valid codes map to different symbols
-        entries = inv[inv >= 0]
-        assert len(set(entries.tolist())) == 2
-
-    def test_inverse_roundtrip(self, rs_small):
-        p = rs_small.params
-        for level in (1, 2):
-            inv = rs_small.inverse_at(level)
-            assert (inv >= 0).sum() == p.vocab_size * p.n_synonyms
-            table = rs_small.rules_at(level)
-            for sym in range(p.vocab_size):
-                for k in range(p.n_synonyms):
-                    code = encode_tuples(table[sym, k], p.vocab_size)
-                    assert inv[code] == sym * p.n_synonyms + k
 
     def test_determinism(self):
         params = GrammarParams(depth=2, branching=2, vocab_size=5, n_synonyms=3, seed=99)
@@ -300,8 +284,8 @@ class TestParse:
     def test_invalid_leaf_tuple_parses_to_zero(self, rs_small):
         ds = sample_dataset(rs_small, 1, np.random.default_rng(6))
         seq = ds.sequences[0].copy()
-        inv = rs_small.inverse_at(1)
-        # replace the second leaf so the first tuple leaves the inverse map
+        inv = production_index(rs_small, 1)
+        # replace the second leaf so that no rule produces the first tuple
         for cand in range(4):
             if inv[seq[0] * 4 + cand] < 0:
                 seq[1] = cand
@@ -316,7 +300,7 @@ class TestParse:
         ds = sample_dataset(rs_small, 200, np.random.default_rng(7))
         _, latents, _ = parse_batch(rs_small, ds.sequences)
         top = latents[0]  # level-1 symbols, shape (n, 2)
-        inv2 = rs_small.inverse_at(2)
+        inv2 = production_index(rs_small, 2)
         for a in range(ds.n_rows):
             for b in range(ds.n_rows):
                 code = top[a, 0] * 4 + top[b, 1]
@@ -481,6 +465,55 @@ class TestSerialization:
         ds = Dataset(sequences=np.zeros((2, 4), dtype=int), params=rs_small.params)
         with pytest.raises(ValueError):
             ds.level_symbols(1)
+
+
+@st.composite
+def rule_tables(draw):
+    """Legal rule tables (depth 1-3, s 2-4, v 2-5, any feasible m, any seed)
+    and two distinct (level, symbol, production) slots of them."""
+    s = draw(st.integers(2, 4))
+    v = draw(st.integers(2, 5 if s < 4 else 3))
+    params = GrammarParams(
+        depth=draw(st.integers(1, 3)), branching=s, vocab_size=v,
+        n_synonyms=draw(st.integers(1, v ** (s - 1))), seed=draw(st.integers(0, 2**32)),
+    )
+    level = draw(st.integers(1, params.depth))
+    slots = st.tuples(st.integers(0, v - 1), st.integers(0, params.n_synonyms - 1))
+    first, second = draw(st.lists(slots, min_size=2, max_size=2, unique=True))
+    return generate_rules(params), level, first, second
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=rule_tables())
+@example(case=(generate_rules(GrammarParams(1, 2, 2, 1, seed=0)), 1, (0, 0), (1, 0)))
+def test_parse_tables_invert_every_production(case):
+    rs, dup_level, first, second = case
+    p = rs.params
+    v, m, s = p.vocab_size, p.n_synonyms, p.branching
+    for level in range(1, p.depth + 1):
+        parent_of, choice_of = rs.parse_tables(level)
+        want_parent = np.full((v + 1) ** s, -1, dtype=np.int32)
+        want_choice = np.full((v + 1) ** s, -1, dtype=np.int32)
+        # each production's big-endian base-(v+1) code maps to (a, k)
+        for a, productions in enumerate(rs.rules_at(level).tolist()):
+            for k, children in enumerate(productions):
+                code = 0
+                for child in children:
+                    code = code * (v + 1) + child
+                want_parent[code], want_choice[code] = a, k
+        for got, want in ((parent_of, want_parent), (choice_of, want_choice)):
+            assert got.dtype == np.int32 and np.array_equal(got, want)
+            # every code with a digit v (an out-of-range symbol) parses nowhere
+            grid = got.reshape((v + 1,) * s)
+            for axis in range(s):
+                assert np.all(np.take(grid, v, axis=axis) == -1)
+            with pytest.raises(ValueError, match="read-only"):
+                got[0] = 0
+    # a production repeated anywhere in a level is refused
+    tables = [rs.rules_at(level).copy() for level in range(1, p.depth + 1)]
+    tables[dup_level - 1][second] = tables[dup_level - 1][first]
+    with pytest.raises(ValueError, match="ambiguous rules: duplicate production tuple"):
+        RuleSet(p, tables)
 
 
 @st.composite

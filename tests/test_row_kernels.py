@@ -22,7 +22,6 @@ from rhmlab import (
     parse_batch,
     resample_below,
     sample_dataset,
-    true_tuple_classes,
 )
 from rhmlab.learner import VARIANTS
 
@@ -137,21 +136,12 @@ def test_row_kernels_match_per_row_oracles(case):
             _assert_identical(stats.vectors, want)
 
     # generate_from_learned: same strings, dtype and generator state as one
-    # masked draw per label, for a k-means model, a model of 1-3 rows and one
-    # whose top labels are all >= v
+    # masked draw per label, for a k-means model and a model of 1-3 rows
     if n:
-
-        def labels_past_v(stage, codes):
-            if stage < p.depth - 1:
-                return true_tuple_classes(rs, stage, codes)
-            return np.arange(codes.size) + v
-
         models = [
             learn_grammar(ds.sequences, p.depth, p.branching, v, seed=seed),
             learn_grammar(ds.sequences[: 1 + seed % 3], p.depth, p.branching, v,
                           seed=seed),
-            learn_grammar(ds.sequences, p.depth, p.branching, v,
-                          partition_fn=labels_past_v),
         ]
         for i, model in enumerate(models):
             n_gen = int(rng.integers(0, 40))

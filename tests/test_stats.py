@@ -30,6 +30,7 @@ from oracles import (
     ensemble_correlation_std_loop,
     pair_joint_dp,
     population_token_tuple_correlation_oracle,
+    production_index,
     token_pair_counts_oracle,
     transfer_matrix_correlation_loop,
 )
@@ -151,17 +152,15 @@ class TestTokenTupleCorrelation:
 
     def test_population_synonym_columns_identical(self, rs_small):
         pop = population_token_tuple_correlation(rs_small, 2)
-        classes = true_tuple_classes(
-            rs_small, 1, np.flatnonzero(rs_small.inverse_at(1) >= 0)
-        )
-        valid = np.flatnonzero(rs_small.inverse_at(1) >= 0)
+        valid = np.flatnonzero(production_index(rs_small, 1) >= 0)
+        classes = true_tuple_classes(rs_small, 1, valid)
         for cls in range(4):
             cols = pop.matrix[:, valid[classes == cls]]
             assert np.abs(cols - cols[:, :1]).max() < 1e-12
 
     def test_population_invalid_columns_zero(self, rs_small):
         pop = population_token_tuple_correlation(rs_small, 2)
-        invalid = np.flatnonzero(rs_small.inverse_at(1) < 0)
+        invalid = np.flatnonzero(production_index(rs_small, 1) < 0)
         assert np.abs(pop.matrix[:, invalid]).max() == 0.0
 
     def test_population_past_the_enumeration_cap(self):
@@ -171,7 +170,7 @@ class TestTokenTupleCorrelation:
         for level in range(2, 6):
             mat = population_token_tuple_correlation(rs, level).matrix
             assert np.isfinite(mat).all()
-            inv = rs.inverse_at(level - 1)
+            inv = production_index(rs, level - 1)
             assert np.all(mat[:, inv < 0] == 0.0)
             valid = np.flatnonzero(inv >= 0)
             classes = true_tuple_classes(rs, level - 1, valid)
@@ -226,7 +225,7 @@ def test_population_correlation_matches_enumeration(rs):
         assert np.array_equal(got.codes, np.arange(p.vocab_size**p.branching))
         assert got.matrix.shape == want.matrix.shape
         assert np.abs(got.matrix - want.matrix).max() <= 1e-12
-        assert np.all(got.matrix[:, rs.inverse_at(level - 1) < 0] == 0.0)
+        assert np.all(got.matrix[:, production_index(rs, level - 1) < 0] == 0.0)
     for level in (1, p.depth + 1):
         with pytest.raises(ValueError, match="level must be in"):
             population_token_tuple_correlation(rs, level)
@@ -245,7 +244,8 @@ def test_stacked_core_matches_the_per_grammar_loop(v, m):
             assert stacked[g].tobytes() == want.tobytes()
             assert population_token_tuple_correlation(rs, level).matrix.tobytes() \
                 == want.tobytes()
-            assert np.array_equal(cols[g], np.flatnonzero(rs.inverse_at(level - 1) >= 0))
+            valid = np.flatnonzero(production_index(rs, level - 1) >= 0)
+            assert np.array_equal(cols[g], valid)
 
 
 class TestTheoryPrediction:
