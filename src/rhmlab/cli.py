@@ -258,7 +258,8 @@ def _run_sample(args, cfg, out_dir, seed):
     rng = np.random.default_rng(derive_seed(seed, 0, "sample"))
     sampler = sample_distinct_dataset if distinct else sample_dataset
     ds = sampler(rs, n, rng, with_latents=False)
-    save_dataset(ds, out_dir / "dataset.txt", binary=cfg.get("binary", False))
+    binary = cfg.get("binary", False)
+    save_dataset(ds, out_dir / ("dataset.bin" if binary else "dataset.txt"), binary=binary)
     return rs.content_hash(), {"distinct": distinct}
 
 
@@ -326,10 +327,13 @@ def _run_stats(args, cfg, out_dir, seed):
             for d, v, k in zip(rep.distances, rep.values, rep.n_pairs)
         ],
     )
-    max_levels, latents, choices = parse_batch(rs, seqs)
+    max_levels, latents, _ = parse_batch(rs, seqs)
+    # The manifest counts the rows that do not parse fully: any one of them
+    # leaves C_empirical NaN.
+    ungrammatical = int(np.count_nonzero(max_levels < p.depth))
     rows = []
-    if np.all(max_levels == p.depth):
-        ds = Dataset(sequences=seqs, params=p, latents=latents, choices=choices)
+    if not ungrammatical:
+        ds = Dataset(sequences=seqs, params=p, latents=latents)
         emp = token_tuple_correlation(ds, level)
         c_emp = emp.rms
     else:
@@ -341,7 +345,7 @@ def _run_stats(args, cfg, out_dir, seed):
         ["level", "C_theory", "C_empirical", "P_level"],
         rows,
     )
-    return rs.content_hash(), {"level": level}
+    return rs.content_hash(), {"level": level, "ungrammatical_rows": ungrammatical}
 
 
 def _training_rows(args, cfg: dict, rs: RuleSet, seed: int) -> np.ndarray:

@@ -300,31 +300,32 @@ def generate_rules(params: GrammarParams) -> RuleSet:
 
 @dataclass
 class Dataset:
-    """Rows of visible strings, with optionally retained latent levels.
+    """Rows of visible strings of the grammar shape ``params`` (required),
+    with optionally retained latent levels.
 
     latents[lvl - 1] has shape ``(n, branching**(depth-lvl))`` and stores the
-    level-``lvl`` symbols of every row; choices[lvl - 1] aligns with it and
-    holds the production index each level-``lvl`` node picked. ``meta``
-    carries provenance (grammar hash, seed, sampling mode).
+    level-``lvl`` symbols of every row. The rule choices are not stored:
+    :func:`parse_batch` recovers them from the rows. ``meta`` carries
+    provenance (grammar hash, seed, sampling mode).
     """
 
     sequences: np.ndarray
-    params: GrammarParams | None = None
+    params: GrammarParams
     latents: list[np.ndarray] | None = None
-    choices: list[np.ndarray] | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.params, GrammarParams):
+            raise TypeError(f"params must be a GrammarParams, not {self.params!r}")
         self.sequences = np.asarray(self.sequences)
         if self.sequences.ndim != 2:
             raise ValueError("sequences must be 2-D (rows, tokens)")
-        if self.params is not None:
-            width = self.params.seq_len
-            if self.sequences.shape[1] != width:
-                raise ValueError(f"sequences must have {width} tokens per row "
-                                 f"(the grammar's seq_len), not {self.sequences.shape[1]}")
-            # vocab_size itself is legal: it is the masking sentinel
-            _check_token_range("sequences", self.sequences, self.params.vocab_size + 1)
+        width = self.params.seq_len
+        if self.sequences.shape[1] != width:
+            raise ValueError(f"sequences must have {width} tokens per row "
+                             f"(the grammar's seq_len), not {self.sequences.shape[1]}")
+        # vocab_size itself is legal: it is the masking sentinel
+        _check_token_range("sequences", self.sequences, self.params.vocab_size + 1)
 
     @property
     def n_rows(self) -> int:
@@ -366,7 +367,9 @@ def sample_dataset(
     rng: np.random.Generator,
     with_latents: bool = True,
 ) -> Dataset:
-    """Draw ``n`` i.i.d. derivations: uniform root, uniform rule choices."""
+    """Draw ``n`` i.i.d. derivations: uniform root, uniform rule choices.
+    ``rng`` draws the ``(n,)`` roots, then one ``(n, width)`` rule-index
+    array per level, from 1 up to ``depth``."""
     _check_draw_count(n)
     p = rs.params
     root = rng.integers(0, p.vocab_size, size=n, dtype=np.int32)
@@ -375,16 +378,9 @@ def sample_dataset(
         for lvl in range(1, p.depth + 1)
     ]
     levels = _expand_levels(rs, root.reshape(n, 1), choices)
-    meta = {"grammar_hash": rs.content_hash(), "distinct": False}
-    if not with_latents:
-        return Dataset(sequences=levels[0], params=p, meta=meta)
-    return Dataset(
-        sequences=levels[0],
-        params=p,
-        latents=levels[1:],
-        choices=choices,
-        meta=meta,
-    )
+    return Dataset(sequences=levels[0], params=p,
+                   latents=levels[1:] if with_latents else None,
+                   meta={"grammar_hash": rs.content_hash(), "distinct": False})
 
 
 def sample_distinct_dataset(
@@ -423,15 +419,12 @@ def sample_distinct_dataset(
         batches.append(batch)
         n_drawn += batch.n_rows
     idx = np.asarray(firsts[:n], dtype=np.int64)
-    meta = {"grammar_hash": rs.content_hash(), "distinct": True}
-    seqs = np.concatenate([b.sequences for b in batches])[idx]
-    if not with_latents:
-        return Dataset(sequences=seqs, params=p, meta=meta)
-    latents = [np.concatenate([b.latents[i] for b in batches])[idx] for i in range(p.depth)]
-    choices = [np.concatenate([b.choices[i] for b in batches])[idx] for i in range(p.depth)]
-    return Dataset(
-        sequences=seqs, params=p, latents=latents, choices=choices, meta=meta
-    )
+    latents = None
+    if with_latents:
+        latents = [np.concatenate([b.latents[i] for b in batches])[idx] for i in range(p.depth)]
+    return Dataset(sequences=np.concatenate([b.sequences for b in batches])[idx],
+                   params=p, latents=latents,
+                   meta={"grammar_hash": rs.content_hash(), "distinct": True})
 
 
 def enumerate_all(rs: RuleSet) -> Dataset:
@@ -458,14 +451,8 @@ def enumerate_all(rs: RuleSet) -> Dataset:
         choices.append(decode_codes((rem // m**n_below) % m**width, m, width))
     choices.reverse()  # choices[lvl-1] for lvl = 1..depth
     levels = _expand_levels(rs, root.reshape(n, 1), choices)
-    ds = Dataset(
-        sequences=levels[0],
-        params=p,
-        latents=levels[1:],
-        choices=choices,
-        meta={"grammar_hash": rs.content_hash(), "enumeration": True},
-    )
-    return ds
+    return Dataset(sequences=levels[0], params=p, latents=levels[1:],
+                   meta={"grammar_hash": rs.content_hash(), "enumeration": True})
 
 
 def parse_batch(rs: RuleSet, seqs: np.ndarray):

@@ -66,15 +66,7 @@ def save_dataset(ds: Dataset, path, binary: bool = False) -> None:
     grammar_hash = ds.meta.get("grammar_hash", "-")
     seqs = ds.sequences
     n, d = seqs.shape
-    if ds.params is not None:
-        vocab = ds.params.vocab_size
-    elif seqs.size:
-        vocab = int(seqs.max()) + 1
-    else:
-        raise ValueError(
-            f"dataset file {path}: vocab_size cannot be inferred from an empty "
-            f"dataset without params"
-        )
+    vocab = ds.params.vocab_size
     _check_tokens(seqs, vocab, path)
     if binary:
         if vocab > 65535:

@@ -172,8 +172,6 @@ class TokenTupleCorrelation:
 
 def _tuple_block(ds: Dataset, level: int) -> np.ndarray:
     p = ds.params
-    if p is None:
-        raise ValueError("dataset lacks grammar parameters")
     if not 2 <= level <= p.depth:
         raise ValueError(f"level must be in 2..{p.depth}")
     s = p.branching

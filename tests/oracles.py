@@ -62,12 +62,7 @@ from rhmlab import (
     true_tuple_classes,
 )
 from rhmlab.seeding import derive_seed
-from rhmlab.stats import (
-    RecursionCheck,
-    TokenTupleCorrelation,
-    _tuple_block,
-    joint_correlation,
-)
+from rhmlab.stats import RecursionCheck, TokenTupleCorrelation, joint_correlation
 
 
 def enumeration_conditionals(rs: RuleSet, lik: np.ndarray):
@@ -366,6 +361,18 @@ def parse_rows_oracle(rs: RuleSet, seqs: np.ndarray):
     return max_levels, latents, choices
 
 
+def sample_draws_oracle(p: GrammarParams, n: int, rng: np.random.Generator):
+    """The draws behind ``sample_dataset(rs, n, rng)``, in its documented
+    order: the ``(n,)`` int32 roots, then one ``(n, width)`` int32 array of
+    rule indices per level 1..depth. Returns ``(root, choices)``."""
+    root = rng.integers(0, p.vocab_size, size=n, dtype=np.int32)
+    choices = [
+        rng.integers(0, p.n_synonyms, size=(n, p.level_width(lvl)), dtype=np.int32)
+        for lvl in range(1, p.depth + 1)
+    ]
+    return root, choices
+
+
 def expand_rows_oracle(rs: RuleSet, top: np.ndarray, choices: list) -> list:
     """Per-row descent from the ``(n, w)`` symbols at level ``len(choices)``
     through the given per-level rule indices; returns the int32 levels
@@ -515,7 +522,6 @@ def sample_distinct_dataset_oracle(
                     sequences=batch.sequences[idx],
                     params=p,
                     latents=[lat[idx] for lat in batch.latents],
-                    choices=[ch[idx] for ch in batch.choices],
                 )
             )
             n_kept += len(fresh)
@@ -528,16 +534,10 @@ def sample_distinct_dataset_oracle(
         np.concatenate([d.latents[i] for d in kept])[:n]
         for i in range(p.depth)
     ]
-    choices = [
-        np.concatenate([d.choices[i] for d in kept])[:n]
-        for i in range(p.depth)
-    ]
     meta = {"grammar_hash": rs.content_hash(), "distinct": True}
     if not with_latents:
         return Dataset(sequences=seqs, params=p, meta=meta)
-    return Dataset(
-        sequences=seqs, params=p, latents=latents, choices=choices, meta=meta
-    )
+    return Dataset(sequences=seqs, params=p, latents=latents, meta=meta)
 
 
 def _bp_check_evidence_oracle(rs: RuleSet, lik: np.ndarray) -> np.ndarray:
@@ -654,8 +654,9 @@ def population_token_tuple_correlation_oracle(rs: RuleSet, level: int) -> TokenT
     enumerable (see :func:`enumerate_all`).
     """
     p = rs.params
+    s = p.branching
     ds = enumerate_all(rs)
-    block = _tuple_block(ds, level)
+    block = ds.level_symbols(level - 2)[:, s : 2 * s]
     codes = encode_tuples(block, p.vocab_size)
     n_cols = p.vocab_size**p.branching
     matrix = joint_correlation(ds.sequences[:, 0], codes, p.vocab_size, n_cols)

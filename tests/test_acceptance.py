@@ -15,7 +15,7 @@ import numpy as np
 import rhmlab as rl
 from rhmlab import derive_seed
 from rhmlab.cli import run as cli_run
-from oracles import enumeration_conditionals
+from oracles import enumeration_conditionals, sample_draws_oracle
 
 
 def _report(num: int, ok: bool, detail: str, elapsed: float, budget: float):
@@ -239,10 +239,11 @@ def test_criterion_9_structural_properties(rs_deep):
     count_ok = enum.n_rows == n_formula == 384
 
     ds = rl.sample_dataset(rs_deep, 100_000, np.random.default_rng(90))
+    _, drawn = sample_draws_oracle(p, 100_000, np.random.default_rng(90))
     levels, latents, choices = rl.parse_batch(rs_deep, ds.sequences)
     roundtrip_ok = bool(np.all(levels == p.depth)) and all(
         np.array_equal(a, b) for a, b in zip(latents, ds.latents)
-    ) and all(np.array_equal(a, b) for a, b in zip(choices, ds.choices))
+    ) and all(np.array_equal(a, b) for a, b in zip(choices, drawn))
 
     rng = np.random.default_rng(91)
     monotone_ok = True

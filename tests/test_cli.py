@@ -18,6 +18,7 @@ import rhmlab
 from rhmlab import Dataset, GrammarParams, derive_seed, generate_rules, sample_dataset
 from rhmlab.cli import run
 from rhmlab.io import load_dataset, load_grammar, save_dataset, save_grammar
+from oracles import parse_rows_oracle
 
 
 class TestDeriveSeed:
@@ -106,8 +107,10 @@ class TestSubcommands:
         out = tmp_path / "out"
         assert run(["sample", "--config", cfg, "--grammar", str(gpath),
                     "--out", str(out), "--seed", "2"]) == 0
-        assert (out / "dataset.txt").read_bytes()[:5] == b"RHMD1"
-        seqs, _ = load_dataset(out / "dataset.txt")
+        # the file is named by its layout
+        assert (out / "dataset.bin").read_bytes()[:5] == b"RHMD1"
+        assert not (out / "dataset.txt").exists()
+        seqs, _ = load_dataset(out / "dataset.bin")
         assert seqs.shape == (10, 4)
 
     def test_corrupt(self, tmp_path, grammar_file, data_file):
@@ -160,11 +163,15 @@ class TestSubcommands:
         assert len(corr) == 3  # two tree-distance classes
         theory = (out / "theory.csv").read_text().splitlines()
         assert theory[0] == "level,C_theory,C_empirical,P_level"
+        assert theory[1].split(",")[2] != "nan"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["seeds"] == {"level": 2, "ungrammatical_rows": 0}
 
     def test_stats_on_ungrammatical_rows_writes_nan_empirical_correlation(
             self, tmp_path, grammar_file, data_file):
-        # Uniform noise leaves rows with no parse, so no latents to correlate.
-        _, gpath = grammar_file
+        # Uniform noise leaves rows with no parse, so no latents to correlate;
+        # the manifest counts the rows that do not parse fully.
+        rs, gpath = grammar_file
         noise = _write(tmp_path / "n.json", {"noise": {"kind": "uniform", "beta_bar": 1.0}})
         noisy = tmp_path / "noisy"
         assert run(["corrupt", "--config", noise, "--grammar", str(gpath),
@@ -177,6 +184,11 @@ class TestSubcommands:
         level, c_theory, c_empirical, _ = theory[1].split(",")
         assert (level, c_empirical) == ("2", "nan")
         assert float(c_theory) > 0
+        max_levels, _, _ = parse_rows_oracle(rs, load_dataset(noisy / "corrupted.txt")[0])
+        ungrammatical = int(np.count_nonzero(max_levels < rs.params.depth))
+        assert ungrammatical > 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["seeds"]["ungrammatical_rows"] == ungrammatical
 
     def test_learn(self, tmp_path, grammar_file):
         _, gpath = grammar_file

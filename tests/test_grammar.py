@@ -5,7 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import production_index, sample_distinct_dataset_oracle
+from oracles import (
+    parse_rows_oracle,
+    production_index,
+    sample_distinct_dataset_oracle,
+    sample_draws_oracle,
+)
 from rhmlab import (
     Dataset,
     EnumerationCapError,
@@ -199,10 +204,10 @@ class TestSampling:
         want = sample_distinct_dataset_oracle(rs, n, rng_b, with_latents=with_latents)
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
         assert got.meta == want.meta
-        assert (got.latents is None) == (got.choices is None) == (not with_latents)
+        assert (got.latents is None) == (want.latents is None) == (not with_latents)
         pairs = [(got.sequences, want.sequences)]
         if with_latents:
-            pairs += list(zip(got.latents + got.choices, want.latents + want.choices))
+            pairs += list(zip(got.latents, want.latents))
         for a, b in pairs:
             assert a.dtype == b.dtype and a.shape == b.shape
             assert np.array_equal(a, b)
@@ -266,19 +271,19 @@ class TestParse:
         "derivations_all_consistent",
     ])
     def test_roundtrip_recovers_derivation(self, rs_small, rs_deep, source):
-        """Parsing returns exactly the retained latents and choices, which
-        also makes them consistent with the rules at every level."""
-        if source == "sampled_deep":
-            rs, ds = rs_deep, sample_dataset(rs_deep, 300, np.random.default_rng(5))
-        elif source == "retained_derivation_is_consistent":
-            rs, ds = rs_small, sample_dataset(rs_small, 50, np.random.default_rng(2))
-        else:
+        """Parsing returns exactly the retained latents and the rule choices
+        that derived each row: the sampler's own draws, or for the
+        enumeration the per-row parse's."""
+        if source == "derivations_all_consistent":
             rs, ds = rs_small, enumerate_all(rs_small)
+            _, _, want_choices = parse_rows_oracle(rs, ds.sequences)
+        else:
+            rs, n, seed = (rs_deep, 300, 5) if source == "sampled_deep" else (rs_small, 50, 2)
+            ds = sample_dataset(rs, n, np.random.default_rng(seed))
+            _, want_choices = sample_draws_oracle(rs.params, n, np.random.default_rng(seed))
         max_levels, latents, choices = parse_batch(rs, ds.sequences)
         assert np.all(max_levels == rs.params.depth)
-        for got, want in zip(latents, ds.latents):
-            assert np.array_equal(got, want)
-        for got, want in zip(choices, ds.choices):
+        for got, want in zip(latents + choices, ds.latents + want_choices):
             assert np.array_equal(got, want)
 
     def test_invalid_leaf_tuple_parses_to_zero(self, rs_small):
@@ -353,10 +358,13 @@ class TestZeroRows:
                 assert lat.dtype == ch.dtype == np.int32
 
     def test_sample_dataset(self, rs_deep):
-        ds = sample_dataset(rs_deep, 0, np.random.default_rng(0))
+        rng, ref_rng = np.random.default_rng(0), np.random.default_rng(0)
+        ds = sample_dataset(rs_deep, 0, rng)
         assert ds.sequences.shape == (0, 8) and ds.sequences.dtype == np.int32
         assert [a.shape for a in ds.latents] == [(0, 4), (0, 2), (0, 1)]
-        assert [a.shape for a in ds.choices] == [(0, 4), (0, 2), (0, 1)]
+        # the same (empty) draws as the documented draw order
+        sample_draws_oracle(rs_deep.params, 0, ref_rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_resample_below(self, rs_deep):
         for level in (1, 3):
@@ -519,32 +527,35 @@ def test_parse_tables_invert_every_production(case):
 @st.composite
 def small_grammar_rows(draw):
     """A small grammar (depth 1-4, s 2-3, v 2-6, any feasible m, any seed),
-    some of its rows with latents retained, and a seed for further draws."""
+    some of its rows with latents retained, and the generator that drew them
+    (for further draws) with its seed."""
     s = draw(st.integers(2, 3))
     v = draw(st.integers(2, 6))
     params = GrammarParams(
         depth=draw(st.integers(1, 4)), branching=s, vocab_size=v,
         n_synonyms=draw(st.integers(1, v ** (s - 1))), seed=draw(st.integers(0, 2**32)),
     )
-    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
-    rs = generate_rules(params)
-    return rs, sample_dataset(rs, draw(st.integers(1, 12)), rng), rng
+    seed = draw(st.integers(0, 2**32))
+    rs, rng = generate_rules(params), np.random.default_rng(seed)
+    return rs, sample_dataset(rs, draw(st.integers(1, 12)), rng), rng, seed
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(case=small_grammar_rows())
 def test_codes_parse_and_resampling_round_trip(case):
-    rs, ds, rng = case
+    rs, ds, rng, seed = case
     p = rs.params
     # encode/decode: every s-tuple, grammatical or not, comes back
     tuples = rng.integers(0, p.vocab_size, size=(5, 3, p.branching))
     codes = encode_tuples(tuples, p.vocab_size)
     assert codes.min() >= 0 and codes.max() < p.vocab_size**p.branching
     assert np.array_equal(decode_codes(codes, p.vocab_size, p.branching), tuples)
-    # parse_batch recovers exactly the retained derivation of every row
+    # parse_batch recovers exactly the derivation of every row: the retained
+    # latents and the sampler's rule choices
+    _, want_choices = sample_draws_oracle(p, ds.n_rows, np.random.default_rng(seed))
     max_levels, latents, choices = parse_batch(rs, ds.sequences)
     assert np.all(max_levels == p.depth)
-    for got, want in zip(latents + choices, ds.latents + ds.choices):
+    for got, want in zip(latents + choices, ds.latents + want_choices):
         assert np.array_equal(got, want)
     # resampling below a level keeps that level and everything above it
     for level in range(1, p.depth + 1):

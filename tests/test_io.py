@@ -74,17 +74,30 @@ class TestTextFormatOracle:
         assert np.array_equal(seqs, ds.sequences[:3])
 
     def test_writer_rejects_negative_tokens(self, tmp_path):
-        ds = Dataset(sequences=np.array([[0, 1, -1, 2]]))
-        with pytest.raises(ValueError):
+        # Dataset checks its rows when built; the writer checks them again,
+        # as they may have been edited in place since.
+        ds = _dataset(8, 2, np.int64, False)
+        ds.sequences[1, 2] = -1
+        with pytest.raises(ValueError, match=r"d\.txt: tokens must lie in \[0, 8\]"):
             save_dataset(ds, tmp_path / "d.txt")
         assert not (tmp_path / "d.txt").exists()
 
+
+class TestRecord:
+    def test_params_are_required(self):
+        rows = np.zeros((2, 4), dtype=np.int64)
+        with pytest.raises(TypeError):
+            Dataset(sequences=rows)
+        with pytest.raises(TypeError, match="params must be a GrammarParams"):
+            Dataset(sequences=rows, params=None)
+
     @pytest.mark.parametrize("binary", [False, True])
-    def test_writer_without_params_needs_rows(self, tmp_path, binary):
-        ds = Dataset(sequences=np.zeros((0, 4), dtype=np.int64))
-        with pytest.raises(ValueError, match="vocab_size cannot be inferred"):
-            save_dataset(ds, tmp_path / "d.txt", binary=binary)
-        assert not (tmp_path / "d.txt").exists()
+    def test_float_rows_are_refused_before_any_file(self, tmp_path, binary):
+        path = tmp_path / "d.bin"
+        with pytest.raises(ValueError, match="sequences must hold integer tokens"):
+            save_dataset(Dataset(sequences=[[0.5, 1.7], [2.9, 0.0]],
+                                 params=GrammarParams(1, 2, 3, 1)), path, binary=binary)
+        assert not path.exists()
 
 
 class TestBinaryFormat:
@@ -129,10 +142,12 @@ class TestBinaryFormat:
         seqs, header = load_dataset(path)
         assert np.array_equal(seqs, ds.sequences) and header["n_rows"] == 2
 
-    @pytest.mark.parametrize("with_params", [False, True])
-    def test_vocab_past_uint16_is_refused(self, tmp_path, with_params):
-        params = GrammarParams(1, 2, 70000, 1) if with_params else None
-        ds = Dataset(sequences=np.array([[70000, 1], [3, 69999]]), params=params)
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_vocab_past_uint16_is_refused(self, tmp_path, masked):
+        # The limit is on the grammar's vocabulary, whatever the rows hold:
+        # small tokens only, or the mask token 70000 itself.
+        rows = [[70000, 1], [3, 69999]] if masked else [[0, 1], [3, 2]]
+        ds = Dataset(sequences=np.array(rows), params=GrammarParams(1, 2, 70000, 1))
         path = tmp_path / "d.bin"
         with pytest.raises(ValueError, match=r"d\.bin.*at most 65535"):
             save_dataset(ds, path, binary=True)

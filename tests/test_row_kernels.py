@@ -11,6 +11,7 @@ from oracles import (
     expand_rows_oracle,
     generate_from_learned_oracle,
     parse_rows_oracle,
+    sample_draws_oracle,
 )
 from rhmlab import (
     GrammarParams,
@@ -70,21 +71,18 @@ def test_row_kernels_match_per_row_oracles(case):
 
     # sample_dataset: the documented draw order, expanded row by row
     ds = sample_dataset(rs, n, np.random.default_rng(seed))
-    ref_rng = np.random.default_rng(seed)
-    root = ref_rng.integers(0, v, size=n, dtype=np.int32)
-    ref_choices = [
-        ref_rng.integers(0, m, size=(n, p.level_width(lvl)), dtype=np.int32)
-        for lvl in range(1, p.depth + 1)
-    ]
+    root, ref_choices = sample_draws_oracle(p, n, np.random.default_rng(seed))
     ref_levels = expand_rows_oracle(rs, root[:, None], ref_choices)
     _assert_identical(ds.sequences, ref_levels[0])
-    for got, want in zip(ds.latents + ds.choices, ref_levels[1:] + ref_choices):
+    for got, want in zip(ds.latents, ref_levels[1:]):
         _assert_identical(got, want)
 
-    # enumerate_all: its rows are the expansion of its own roots and choices
+    # enumerate_all: its rows are the expansion of its own roots through the
+    # rule choices the per-row parse reads off them
     if p.n_derivations <= 4096:
         enum = enumerate_all(rs)
-        ref_levels = expand_rows_oracle(rs, enum.latents[-1], enum.choices)
+        _, _, enum_choices = parse_rows_oracle(rs, enum.sequences)
+        ref_levels = expand_rows_oracle(rs, enum.latents[-1], enum_choices)
         for got, want in zip([enum.sequences] + enum.latents, ref_levels):
             _assert_identical(got, want)
 
