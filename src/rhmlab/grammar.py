@@ -17,6 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 DEFAULT_ENUMERATION_CAP = 1_000_000
+# Tokens per row block of the row kernels (sampling, parsing, the learner's
+# truth counts, the one-step gradient): their temporaries stay block-sized.
+_BLOCK_TOKENS = 1 << 15
 
 
 class EnumerationCapError(RuntimeError):
@@ -340,25 +343,39 @@ class Dataset:
         return self.latents[level - 1]
 
 
+def _row_blocks(n: int, row_tokens: int) -> list[slice]:
+    """Slices of consecutive row blocks covering rows ``0 .. n-1`` of
+    ``row_tokens`` tokens each, ``_BLOCK_TOKENS`` tokens (at least one row)
+    per block."""
+    step = max(1, _BLOCK_TOKENS // row_tokens)
+    return [slice(r0, min(r0 + step, n)) for r0 in range(0, n, step)]
+
+
 def _expand_levels(
-    rs: RuleSet, top: np.ndarray, choices: list[np.ndarray]
+    rs: RuleSet, top: np.ndarray, choices: list[np.ndarray], with_latents: bool = True
 ) -> list[np.ndarray]:
     """Expand ``(n, width)`` int32 symbols at level ``len(choices)`` down to
-    the leaves; ``choices[lvl - 1]`` holds the level-``lvl`` rule indices.
-    Returns ``levels[0]`` = leaves .. ``levels[-1]`` = ``top``."""
+    the leaves, row block by row block; ``choices[lvl - 1]`` holds the
+    level-``lvl`` rule indices, in any integer dtype. Returns ``levels[0]`` =
+    leaves .. ``levels[-1]`` = ``top``, or only ``[leaves]`` without
+    latents."""
     p = rs.params
     m, s = p.n_synonyms, p.branching
-    n = top.shape[0]
-    levels = [top]
-    for lvl in range(len(choices), 0, -1):
-        parents = levels[-1]
-        # Each int32 production is one opaque 4*s-byte item of a (v, m)
-        # table, gathered at (parent, choice) with no index temporaries.
-        productions = rs.rules_at(lvl).view(f"V{4 * s}").reshape(-1, m)
-        children = productions[parents, choices[lvl - 1]].view(np.int32)
-        levels.append(children.reshape(n, parents.shape[1] * s))
-    levels.reverse()
-    return levels
+    n, width = top.shape
+    depth = len(choices)
+    # Each int32 production is one opaque 4*s-byte item of a (v, m)
+    # table, gathered at (parent, choice) with no index temporaries.
+    productions = [rs.rules_at(lvl).view(f"V{4 * s}").reshape(-1, m)
+                   for lvl in range(1, depth + 1)]
+    levels = [np.empty((n, width * s ** (depth - lvl)), dtype=np.int32)
+              for lvl in range(depth if with_latents else 1)]
+    for rows in _row_blocks(n, width * s**depth):
+        cur = top[rows]
+        for lvl in range(depth, 0, -1):
+            cur = productions[lvl - 1][cur, choices[lvl - 1][rows]].view(np.int32)
+            if with_latents or lvl == 1:
+                levels[lvl - 1][rows] = cur
+    return levels + [top] if with_latents else levels
 
 
 def sample_dataset(
@@ -368,19 +385,68 @@ def sample_dataset(
     with_latents: bool = True,
 ) -> Dataset:
     """Draw ``n`` i.i.d. derivations: uniform root, uniform rule choices.
-    ``rng`` draws the ``(n,)`` roots, then one ``(n, width)`` rule-index
-    array per level, from 1 up to ``depth``."""
+    ``rng`` draws the ``(n,)`` roots, then one ``(n, width)`` int32
+    rule-index array per level, from 1 up to ``depth``.
+
+    Holds the result, the rule indices narrowed to the smallest unsigned
+    dtype and one level's int32 draw; without latents only the leaves are
+    kept, and the levels between are expanded row block by row block."""
     _check_draw_count(n)
     p = rs.params
     root = rng.integers(0, p.vocab_size, size=n, dtype=np.int32)
+    narrow = np.min_scalar_type(p.n_synonyms - 1)
     choices = [
-        rng.integers(0, p.n_synonyms, size=(n, p.level_width(lvl)), dtype=np.int32)
+        rng.integers(0, p.n_synonyms, size=(n, p.level_width(lvl)),
+                     dtype=np.int32).astype(narrow)
         for lvl in range(1, p.depth + 1)
     ]
-    levels = _expand_levels(rs, root.reshape(n, 1), choices)
+    levels = _expand_levels(rs, root.reshape(n, 1), choices, with_latents)
     return Dataset(sequences=levels[0], params=p,
                    latents=levels[1:] if with_latents else None,
                    meta={"grammar_hash": rs.content_hash(), "distinct": False})
+
+
+def _row_keys(rows: np.ndarray, vocab_size: int) -> np.ndarray:
+    """One sort key per row of tokens in ``[0, vocab_size)``: the row cut
+    into runs of tokens whose base-``vocab_size`` codes fit in 64 bits (the
+    int64 codes wrap past 2**63), the codes side by side as one opaque item
+    (or the code itself, for a single run). Keys are equal iff rows are."""
+    n, d = rows.shape
+    per_word = 1
+    while vocab_size ** (per_word + 1) <= 2**64 and per_word < d:
+        per_word += 1
+    n_words = -(-d // per_word)
+    words = np.empty((n, n_words), dtype=np.int64)
+    for block in _row_blocks(n, d):
+        for w in range(n_words):
+            words[block, w] = encode_tuples(
+                rows[block, w * per_word : (w + 1) * per_word], vocab_size)
+    # a lone word sorts faster as itself than as an opaque item
+    return words.ravel() if n_words == 1 else words.view(f"V{8 * n_words}").ravel()
+
+
+def _new_rows(keys: np.ndarray, seen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending indices of the rows whose key is neither in the sorted
+    ``seen`` nor on an earlier row, and ``seen`` with their keys inserted."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    first = np.ones(keys.size, dtype=bool)  # first of each run of equal keys
+    first[1:] = ordered[1:] != ordered[:-1]
+    order, ordered = order[first], ordered[first]
+    at = np.searchsorted(seen, ordered)
+    new = np.ones(at.size, dtype=bool)
+    inside = np.flatnonzero(at < seen.size)
+    new[inside] = seen[at[inside]] != ordered[inside]
+    if new.any():
+        seen = np.insert(seen, at[new], ordered[new])
+    return np.sort(order[new]), seen
+
+
+def _compact_rows(array: np.ndarray, rows: np.ndarray) -> None:
+    """Move ``array[rows]`` to the front of ``array`` in place, block by
+    block; ``rows`` ascends, so no row is overwritten before it is read."""
+    for block in _row_blocks(rows.size, array.shape[1]):
+        array[block] = array[rows[block]]
 
 
 def sample_distinct_dataset(
@@ -393,6 +459,9 @@ def sample_distinct_dataset(
     in at most 1000 batches.
 
     Rows keep their first-draw derivations and order of first appearance.
+    Each drawn row is looked up once among the exact keys of the rows kept
+    so far (see :func:`_row_keys`); the first batch, of at least ``n`` rows,
+    holds the result.
     """
     _check_draw_count(n)
     p = rs.params
@@ -400,30 +469,33 @@ def sample_distinct_dataset(
         raise ValueError(
             f"cannot draw {n} distinct strings; grammar has {p.n_derivations}"
         )
-    seen: set[bytes] = set()
-    batches: list[Dataset] = []
-    firsts: list[int] = []  # row of each first appearance in the concatenation
-    n_drawn = 0
-    while len(firsts) < n or not batches:  # at least one batch, even for n = 0
-        if len(batches) == 1000:
+    seen = None
+    out: list[np.ndarray] = []  # the first batch's sequences, then its latents
+    n_kept = n_batches = 0
+    while n_kept < n or not out:  # at least one batch, even for n = 0
+        if n_batches == 1000:
             raise ValueError(
                 f"drew fewer than {n} distinct strings of the grammar's "
                 f"{p.n_derivations} in 1000 batches"
             )
-        batch = sample_dataset(rs, max(n - len(firsts), 64), rng, with_latents)
-        for i, row in enumerate(np.ascontiguousarray(batch.sequences)):
-            key = row.tobytes()
-            if key not in seen:
-                seen.add(key)
-                firsts.append(n_drawn + i)
-        batches.append(batch)
-        n_drawn += batch.n_rows
-    idx = np.asarray(firsts[:n], dtype=np.int64)
-    latents = None
-    if with_latents:
-        latents = [np.concatenate([b.latents[i] for b in batches])[idx] for i in range(p.depth)]
-    return Dataset(sequences=np.concatenate([b.sequences for b in batches])[idx],
-                   params=p, latents=latents,
+        batch = sample_dataset(rs, max(n - n_kept, 64), rng, with_latents)
+        n_batches += 1
+        keys = _row_keys(batch.sequences, p.vocab_size)
+        if seen is None:
+            seen = keys[:0]
+        fresh, seen = _new_rows(keys, seen)
+        arrays = [batch.sequences] + (batch.latents if with_latents else [])
+        if not out:
+            out = arrays
+            for array in out:
+                _compact_rows(array, fresh)
+        else:
+            take = fresh[: n - n_kept]
+            for dst, src in zip(out, arrays):
+                dst[n_kept : n_kept + take.size] = src[take]
+        n_kept += fresh.size
+    return Dataset(sequences=out[0][:n], params=p,
+                   latents=[a[:n] for a in out[1:]] if with_latents else None,
                    meta={"grammar_hash": rs.content_hash(), "distinct": True})
 
 
@@ -455,6 +527,44 @@ def enumerate_all(rs: RuleSet) -> Dataset:
                    meta={"grammar_hash": rs.content_hash(), "enumeration": True})
 
 
+def _parse_level(
+    rs: RuleSet, lvl: int, cur: np.ndarray, with_choices: bool = False
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """Parse the ``(n, width * s)`` level-``lvl - 1`` symbols ``cur`` (any
+    integer dtype) one level up, row block by row block.
+
+    Returns the int32 ``(n, width)`` level-``lvl`` parents, -1 where no rule
+    produces the tuple; their int32 rule indices, or None without
+    ``with_choices``; and whether each row's parents are all valid.
+    """
+    v, s = rs.params.vocab_size, rs.params.branching
+    parent_of, choice_of = rs.parse_tables(lvl)
+
+    def parse(block):
+        # Cast to uint64 (negatives wrap high) and clip, so every symbol
+        # outside [0, v) becomes the digit v, which no rule uses.
+        digits = np.minimum(block.reshape(block.shape[0], -1, s), v,
+                            dtype=np.uint64, casting="unsafe")
+        codes = encode_tuples(digits, v + 1)
+        parents = np.take(parent_of, codes)
+        # The minimum runs over the transposed copy: numpy reduces a short
+        # trailing axis an order of magnitude slower.
+        valid = np.ascontiguousarray(parents.T).min(axis=0) >= 0
+        return parents, np.take(choice_of, codes) if with_choices else None, valid
+
+    blocks = _row_blocks(cur.shape[0], cur.shape[1])
+    if len(blocks) == 1:  # the block's own arrays are the outputs
+        return parse(cur)
+    parents = np.empty((cur.shape[0], cur.shape[1] // s), dtype=np.int32)
+    choices = np.empty_like(parents) if with_choices else None
+    valid = np.empty(cur.shape[0], dtype=bool)
+    for rows in blocks:
+        parents[rows], block_choices, valid[rows] = parse(cur[rows])
+        if with_choices:
+            choices[rows] = block_choices
+    return parents, choices, valid
+
+
 def parse_batch(rs: RuleSet, seqs: np.ndarray):
     """Vectorized bottom-up parse of many rows (a 1-D row is one row).
 
@@ -463,6 +573,7 @@ def parse_batch(rs: RuleSet, seqs: np.ndarray):
     (0 = some visible tuple already invalid, depth = fully grammatical).
     Unparseable positions hold -1 (int32; ``max_levels`` is int64).
     Integer tokens only; one outside ``[0, vocab_size)`` is ungrammatical.
+    Each level is parsed by :func:`_parse_level`, in row blocks.
     """
     p = rs.params
     seqs = np.asarray(seqs)
@@ -472,28 +583,16 @@ def parse_batch(rs: RuleSet, seqs: np.ndarray):
         raise ValueError(f"seqs must have length {p.seq_len}")
     _check_token_range("seqs", seqs, None)
     n = seqs.shape[0]
-    v, s = p.vocab_size, p.branching
     max_levels = np.zeros(n, dtype=np.int64)
     cur = seqs
     latents, choices = [], []
     for lvl in range(1, p.depth + 1):
-        width = p.level_width(lvl)
-        # Cast to uint64 (negatives wrap high) and clip, so every symbol
-        # outside [0, v) becomes the digit v, which no rule uses.
-        digits = np.empty((n, width, s), dtype=np.uint64)
-        np.minimum(cur.reshape(n, width, s), v, out=digits, dtype=np.uint64,
-                   casting="unsafe")
-        codes = encode_tuples(digits, v + 1)
-        parent_of, choice_of = rs.parse_tables(lvl)
-        parents = np.take(parent_of, codes)
-        choices.append(np.take(choice_of, codes))
-        latents.append(parents)
+        cur, level_choices, valid = _parse_level(rs, lvl, cur, with_choices=True)
+        latents.append(cur)
+        choices.append(level_choices)
         # An invalid parent (-1) makes every tuple above it invalid, so a row
-        # parses through this level iff all its parents here are valid. The
-        # minimum runs over the transposed copy: numpy reduces a short
-        # trailing axis an order of magnitude slower.
-        max_levels += np.ascontiguousarray(parents.T).min(axis=0) >= 0
-        cur = parents
+        # parses through this level iff all its parents here are valid.
+        max_levels += valid
     return max_levels, latents, choices
 
 
@@ -545,4 +644,4 @@ def resample_below(
         rng.integers(0, p.n_synonyms, size=(n, p.level_width(lvl)), dtype=np.int32)
         for lvl in range(level, 0, -1)
     ]
-    return _expand_levels(rs, latents[level - 1], fresh[::-1])[0]
+    return _expand_levels(rs, latents[level - 1], fresh[::-1], with_latents=False)[0]

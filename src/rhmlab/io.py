@@ -142,12 +142,20 @@ def load_dataset(path) -> tuple[np.ndarray, dict]:
             header = dict(seq_len=d, vocab_size=vocab, n_rows=n, grammar_hash=grammar_hash)
             _check_tokens(seqs, vocab, path)
             return seqs, header
-        data = magic + fh.read()
-    if not data.endswith(b"\n"):
-        data += b"\n"
-    body = data.index(b"\n") + 1
+        if fh.seekable():
+            # The whole file in one buffer, with room for a final line end.
+            fh.seek(0)
+            data = bytearray(os.fstat(fh.fileno()).st_size + 1)
+            size = fh.readinto(memoryview(data)[:-1])
+        else:  # a pipe, whose size is known only once it is read
+            data = bytearray(magic + fh.read() + b"\n")
+            size = len(data) - 1
+    if size == 0 or data[size - 1] != ord("\n"):
+        data[size] = ord("\n")
+        size += 1
+    body = data.index(b"\n", 0, size) + 1
     try:
-        fields = data[: body - 1].decode().split()
+        fields = bytes(data[: body - 1]).decode().split()
     except UnicodeDecodeError:
         raise ValueError(f"dataset file {path}: line 1 is not UTF-8 text") from None
     if len(fields) != 4:
@@ -163,7 +171,8 @@ def load_dataset(path) -> tuple[np.ndarray, dict]:
         ) from None
     if d < 1 or vocab < 1 or n < 0:
         raise ValueError(f"dataset file {path}: header sizes {fields[:3]} out of range")
-    seqs = _parse_rows(np.frombuffer(data, dtype=np.uint8), body, n, d, vocab, path)
+    seqs = _parse_rows(np.frombuffer(data, dtype=np.uint8, count=size), body, n, d,
+                       vocab, path)
     header = dict(seq_len=d, vocab_size=vocab, n_rows=n, grammar_hash=fields[3])
     return seqs, header
 

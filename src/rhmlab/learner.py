@@ -33,12 +33,13 @@ from .grammar import (
     _check_draw_count,
     _check_enumeration_cap,
     _check_token_range,
+    _parse_level,
     _power_at_most,
+    _row_blocks,
     accuracy,
     decode_codes,
     encode_tuples,
     generate_rules,
-    parse_batch,
     sample_dataset,
 )
 from .kmeans import kmeans_fit
@@ -259,12 +260,12 @@ def _majority_true_classes(
 ) -> np.ndarray:
     """Per observed code, the most frequent true parent symbol over its data
     occurrences (ties to the smallest symbol); codes lie in
-    ``[0, code_space)``."""
-    counts = np.bincount(
-        block_codes.ravel() * vocab_size + true_parents.ravel(),
-        minlength=code_space * vocab_size,
-    ).reshape(code_space, vocab_size)
-    return counts[observed].argmax(axis=1)
+    ``[0, code_space)``. Counted row block by row block."""
+    counts = np.zeros(code_space * vocab_size, dtype=np.int64)
+    for rows in _row_blocks(*block_codes.shape):
+        keys = block_codes[rows] * vocab_size + true_parents[rows]
+        np.add.at(counts, keys.ravel(), 1)
+    return counts.reshape(code_space, vocab_size)[observed].argmax(axis=1)
 
 
 def learn_grammar(
@@ -279,24 +280,39 @@ def learn_grammar(
 ) -> ClusterModel:
     """Recover a grammar from visible strings by staged context clustering.
 
-    When ``truth`` is given, rows must parse fully under it and a per-stage
-    recovery score is recorded: each observed code's ground-truth class is the
-    majority true parent over its occurrences, compared by pair agreement.
+    When ``truth`` is given, it must have this depth, branching and
+    vocab_size, rows must parse fully under it (checked before any
+    clustering) and a per-stage recovery score is recorded: each observed
+    code's ground-truth class is the majority true parent over its
+    occurrences, compared by pair agreement. The true parents are parsed one
+    level at a time, as each stage needs them.
     ``partition_fn(stage, observed_codes) -> labels`` overrides the clustering
     at every stage (used to inject oracle or adversarial partitions); its
     labels must lie in ``[0, vocab_size)``, the grammar's alphabet.
     """
+    if truth is not None:
+        for name, given in (("depth", depth), ("branching", branching),
+                            ("vocab_size", vocab_size)):
+            if getattr(truth.params, name) != given:
+                raise ValueError(f"truth grammar has {name} "
+                                 f"{getattr(truth.params, name)}, not {given}")
     seqs = np.asarray(seqs)
     if seqs.ndim != 2 or seqs.shape[1] != branching**depth:
         raise ValueError(f"tokens must have shape (n, {branching ** depth})")
     if seqs.shape[0] == 0:
         raise ValueError("cannot learn a grammar from an empty input (0 rows)")
     _check_token_range("tokens", seqs, vocab_size)
-    true_latents = None
+    true_parents = None
     recovery: list[float] | None = None
     if truth is not None:
-        max_levels, true_latents, _ = parse_batch(truth, seqs)
-        if not np.all(max_levels == depth):
+        # An unparseable tuple leaves -1 on every level above it, so the rows
+        # parse fully iff the root level is valid. Only level 1 is kept.
+        cur = seqs
+        for lvl in range(1, depth + 1):
+            cur, _, valid = _parse_level(truth, lvl, cur)
+            if lvl == 1:
+                true_parents = cur
+        if not valid.all():
             raise ValueError("training rows must parse under the reference grammar")
         recovery = []
     code_space = vocab_size**branching
@@ -325,14 +341,16 @@ def learn_grammar(
         else:
             part = cluster_tuples(stats, seed=derive_seed(seed, stage, "kmeans"))
         if recovery is not None:
-            classes = _majority_true_classes(
-                block_codes, observed, true_latents[stage - 1], vocab_size, code_space
-            )
+            classes = _majority_true_classes(block_codes, observed, true_parents,
+                                             vocab_size, code_space)
             recovery.append(pair_agreement_score(part.labels, classes))
         levels.append(part)
-        label_of = np.zeros(code_space, dtype=np.int64)
+        label_of = np.zeros(code_space, dtype=np.int32)
         label_of[observed] = part.labels
         labels = label_of[block_codes]
+        del block_codes
+        if recovery is not None and stage + 1 < depth:
+            true_parents = _parse_level(truth, stage + 1, true_parents)[0]
     # Distinct top-level rows in lexicographic order, via their big-endian codes.
     top_codes = np.flatnonzero(np.bincount(encode_tuples(labels, vocab_size)))
     top_tuples = decode_codes(top_codes, vocab_size, labels.shape[1])

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grammar import _check_token_range, encode_tuples
+from .grammar import _check_token_range, _row_blocks, encode_tuples
 from .stats import joint_correlation
 
 
@@ -101,19 +101,21 @@ def one_step_gradient(
     w0_col = np.log(label_counts / n)
     w0 = np.tile(w0_col[:, None], (1, observed.size))
 
-    # Generic softmax cross-entropy gradient; every sample reads one column.
-    logits = w0[:, col].T  # (n, vocab_size)
-    logits -= logits.max(axis=1, keepdims=True)
-    probs = np.exp(logits)
-    probs /= probs.sum(axis=1, keepdims=True)
-    resid = -probs
-    resid[np.arange(n), next_tokens] += 1.0
-    # One flat bincount over (column, label) keys adds each bin's residuals
-    # in sample order, starting from 0.0, as a per-sample row scatter does.
-    keys = col[:, None] * vocab_size + np.arange(vocab_size)
-    grad_t = np.bincount(
-        keys.ravel(), weights=resid.ravel(), minlength=observed.size * vocab_size
-    ).reshape(observed.size, vocab_size)
+    # Generic softmax cross-entropy gradient, row block by row block; every
+    # sample reads one column. np.add.at over flat (column, label) keys adds
+    # each bin's residuals in sample order, starting from 0.0, as one flat
+    # bincount over all samples does.
+    grad_t = np.zeros(observed.size * vocab_size)
+    for rows in _row_blocks(n, vocab_size):
+        logits = w0[:, col[rows]].T  # (block, vocab_size)
+        logits -= logits.max(axis=1, keepdims=True)
+        probs = np.exp(logits)
+        probs /= probs.sum(axis=1, keepdims=True)
+        resid = -probs
+        resid[np.arange(logits.shape[0]), next_tokens[rows]] += 1.0
+        keys = col[rows, None] * vocab_size + np.arange(vocab_size)
+        np.add.at(grad_t, keys.ravel(), resid.ravel())
+    grad_t = grad_t.reshape(observed.size, vocab_size)
 
     return OneStepGradient(
         tuple_codes=observed,

@@ -29,7 +29,12 @@ the observed-code list through a dense position table. The one-step model is
 checked bit for bit against its earlier form, which scatters the gradient
 rows with ``np.add.at``. The context-collision check is checked against
 its earlier form, which enumerates every derivation and counts their
-contexts with ``build_context_stats``.
+contexts with ``build_context_stats``. The row-blocked kernels (sampling,
+parsing, the distinct filter, the learner's truth counts and the one-step
+gradient) are checked byte for byte against their earlier whole-array forms,
+which hold every temporary at full size, filter duplicates through a set of
+row bytes, parse the learner's truth once for the whole call and sum the
+gradient with one flat bincount.
 """
 
 from __future__ import annotations
@@ -61,6 +66,9 @@ from rhmlab import (
     sample_dataset,
     true_tuple_classes,
 )
+from rhmlab.grammar import decode_codes
+from rhmlab.learner import _count_contexts
+from rhmlab.onestep import OneStepGradient
 from rhmlab.seeding import derive_seed
 from rhmlab.stats import RecursionCheck, TokenTupleCorrelation, joint_correlation
 
@@ -778,3 +786,193 @@ def population_context_collision_oracle(rs: RuleSet, variant: str = "single_toke
         if np.any(distinct_class & (gap <= 1e-12)):
             return True
     return False
+
+
+# The row kernels as they were before they ran in row blocks: every array at
+# full size, the distinct filter a set of row bytes, the learner's truth one
+# full parse held for the whole call and the one-step gradient one flat
+# bincount. The blocked kernels must match them byte for byte.
+
+
+def _expand_levels_unblocked_oracle(rs: RuleSet, top: np.ndarray, choices: list) -> list:
+    """Expand ``(n, width)`` int32 symbols at level ``len(choices)`` down to
+    the leaves; ``choices[lvl - 1]`` holds the level-``lvl`` rule indices.
+    Returns ``levels[0]`` = leaves .. ``levels[-1]`` = ``top``."""
+    p = rs.params
+    m, s = p.n_synonyms, p.branching
+    n = top.shape[0]
+    levels = [top]
+    for lvl in range(len(choices), 0, -1):
+        parents = levels[-1]
+        # Each int32 production is one opaque 4*s-byte item of a (v, m)
+        # table, gathered at (parent, choice) with no index temporaries.
+        productions = rs.rules_at(lvl).view(f"V{4 * s}").reshape(-1, m)
+        children = productions[parents, choices[lvl - 1]].view(np.int32)
+        levels.append(children.reshape(n, parents.shape[1] * s))
+    levels.reverse()
+    return levels
+
+
+def sample_dataset_unblocked_oracle(
+    rs: RuleSet, n: int, rng: np.random.Generator, with_latents: bool = True
+) -> Dataset:
+    """Draw ``n`` i.i.d. derivations: uniform root, uniform rule choices.
+    ``rng`` draws the ``(n,)`` roots, then one ``(n, width)`` rule-index
+    array per level, from 1 up to ``depth``."""
+    p = rs.params
+    root = rng.integers(0, p.vocab_size, size=n, dtype=np.int32)
+    choices = [
+        rng.integers(0, p.n_synonyms, size=(n, p.level_width(lvl)), dtype=np.int32)
+        for lvl in range(1, p.depth + 1)
+    ]
+    levels = _expand_levels_unblocked_oracle(rs, root.reshape(n, 1), choices)
+    return Dataset(sequences=levels[0], params=p,
+                   latents=levels[1:] if with_latents else None,
+                   meta={"grammar_hash": rs.content_hash(), "distinct": False})
+
+
+def sample_distinct_dataset_set_oracle(
+    rs: RuleSet, n: int, rng: np.random.Generator, with_latents: bool = True
+) -> Dataset:
+    """Rejection-sample until ``n`` distinct visible strings are collected,
+    in at most 1000 batches, through a set of row bytes. Rows keep their
+    first-draw derivations and order of first appearance."""
+    p = rs.params
+    if n > p.n_derivations:
+        raise ValueError(
+            f"cannot draw {n} distinct strings; grammar has {p.n_derivations}"
+        )
+    seen: set[bytes] = set()
+    batches: list[Dataset] = []
+    firsts: list[int] = []  # row of each first appearance in the concatenation
+    n_drawn = 0
+    while len(firsts) < n or not batches:  # at least one batch, even for n = 0
+        if len(batches) == 1000:
+            raise ValueError(
+                f"drew fewer than {n} distinct strings of the grammar's "
+                f"{p.n_derivations} in 1000 batches"
+            )
+        batch = sample_dataset_unblocked_oracle(rs, max(n - len(firsts), 64), rng,
+                                                with_latents)
+        for i, row in enumerate(np.ascontiguousarray(batch.sequences)):
+            key = row.tobytes()
+            if key not in seen:
+                seen.add(key)
+                firsts.append(n_drawn + i)
+        batches.append(batch)
+        n_drawn += batch.n_rows
+    idx = np.asarray(firsts[:n], dtype=np.int64)
+    latents = None
+    if with_latents:
+        latents = [np.concatenate([b.latents[i] for b in batches])[idx] for i in range(p.depth)]
+    return Dataset(sequences=np.concatenate([b.sequences for b in batches])[idx],
+                   params=p, latents=latents,
+                   meta={"grammar_hash": rs.content_hash(), "distinct": True})
+
+
+def parse_batch_unblocked_oracle(rs: RuleSet, seqs: np.ndarray):
+    """``parse_batch`` with every level's digits and codes at full size:
+    ``(max_levels, latents, choices)``."""
+    p = rs.params
+    seqs = np.asarray(seqs)
+    if seqs.ndim == 1:
+        seqs = seqs[None, :]
+    n = seqs.shape[0]
+    v, s = p.vocab_size, p.branching
+    max_levels = np.zeros(n, dtype=np.int64)
+    cur = seqs
+    latents, choices = [], []
+    for lvl in range(1, p.depth + 1):
+        width = p.level_width(lvl)
+        # Cast to uint64 (negatives wrap high) and clip, so every symbol
+        # outside [0, v) becomes the digit v, which no rule uses.
+        digits = np.empty((n, width, s), dtype=np.uint64)
+        np.minimum(cur.reshape(n, width, s), v, out=digits, dtype=np.uint64,
+                   casting="unsafe")
+        codes = encode_tuples(digits, v + 1)
+        parent_of, choice_of = rs.parse_tables(lvl)
+        parents = np.take(parent_of, codes)
+        choices.append(np.take(choice_of, codes))
+        latents.append(parents)
+        max_levels += np.ascontiguousarray(parents.T).min(axis=0) >= 0
+        cur = parents
+    return max_levels, latents, choices
+
+
+def learn_grammar_parse_truth_oracle(seqs, depth, branching, vocab_size,
+                                     variant="single_token", seed=0, truth=None,
+                                     partition_fn=None) -> ClusterModel:
+    """``learn_grammar`` with its truth from one full parse held for the whole
+    call, the majority counts over one flat bincount of ``code * v + parent``
+    keys and int64 stage labels; valid input only."""
+    seqs = np.asarray(seqs)
+    true_latents = None
+    recovery = None
+    if truth is not None:
+        max_levels, true_latents, _ = parse_batch_unblocked_oracle(truth, seqs)
+        if not np.all(max_levels == depth):
+            raise ValueError("training rows must parse under the reference grammar")
+        recovery = []
+    code_space = vocab_size**branching
+    labels = seqs
+    levels = []
+    for stage in range(1, depth):
+        n, width = labels.shape
+        block_codes = encode_tuples(
+            labels.reshape(n, width // branching, branching), vocab_size
+        )
+        stats = _count_contexts(block_codes, seqs, vocab_size, branching, variant, stage)
+        observed = stats.codes
+        if partition_fn is not None:
+            part_labels = np.asarray(partition_fn(stage, observed), dtype=np.int64)
+            part = Partition(codes=observed, labels=part_labels, partial=False,
+                             inertia=math.nan)
+        else:
+            part = cluster_tuples(stats, seed=derive_seed(seed, stage, "kmeans"))
+        if recovery is not None:
+            counts = np.bincount(
+                block_codes.ravel() * vocab_size + true_latents[stage - 1].ravel(),
+                minlength=code_space * vocab_size,
+            ).reshape(code_space, vocab_size)
+            recovery.append(pair_agreement_score(part.labels,
+                                                 counts[observed].argmax(axis=1)))
+        levels.append(part)
+        label_of = np.zeros(code_space, dtype=np.int64)
+        label_of[observed] = part.labels
+        labels = label_of[block_codes]
+    top_codes = np.flatnonzero(np.bincount(encode_tuples(labels, vocab_size)))
+    top_tuples = decode_codes(top_codes, vocab_size, labels.shape[1])
+    return ClusterModel(branching=branching, vocab_size=vocab_size, levels=levels,
+                        top_tuples=top_tuples.astype(np.int32), recovery=recovery)
+
+
+def one_step_gradient_bincount_oracle(tuple_codes, next_tokens,
+                                      vocab_size: int) -> OneStepGradient:
+    """``one_step_gradient`` over all samples at once: the softmax of every
+    row, then one flat bincount over (column, label) keys; valid input only."""
+    tuple_codes = np.asarray(tuple_codes).ravel()
+    next_tokens = np.asarray(next_tokens).ravel()
+    n = tuple_codes.size
+    label_counts = np.bincount(next_tokens, minlength=vocab_size)
+    observed = np.unique(tuple_codes)
+    col = np.searchsorted(observed, tuple_codes)
+    w0_col = np.log(label_counts / n)
+    w0 = np.tile(w0_col[:, None], (1, observed.size))
+    logits = w0[:, col].T  # (n, vocab_size)
+    logits -= logits.max(axis=1, keepdims=True)
+    probs = np.exp(logits)
+    probs /= probs.sum(axis=1, keepdims=True)
+    resid = -probs
+    resid[np.arange(n), next_tokens] += 1.0
+    keys = col[:, None] * vocab_size + np.arange(vocab_size)
+    grad_t = np.bincount(
+        keys.ravel(), weights=resid.ravel(), minlength=observed.size * vocab_size
+    ).reshape(observed.size, vocab_size)
+    return OneStepGradient(
+        tuple_codes=observed,
+        init_log_marginal=w0_col,
+        init_weights=w0,
+        grad_t=grad_t,
+        empirical_corr=joint_correlation(next_tokens, col, vocab_size, observed.size),
+        n=n,
+    )

@@ -1,4 +1,6 @@
+import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -270,6 +272,28 @@ def test_reader_agrees_with_loadtxt(tmp_path_factory, text):
     assert seqs.shape == want_seqs.shape
     assert np.array_equal(seqs, want_seqs)
     assert header == want_header
+
+
+@pytest.mark.parametrize("text", [b"3 4 2 -\n0 1 2\n3 4 0\n", b"3 4 2 -\n0 1 2\n3 4 0",
+                                  b"3 4 2 -\n0 1 2\n", b""])
+def test_reader_reads_a_pipe_as_it_reads_a_file(tmp_path, text):
+    # A file is read into one buffer of its size; a pipe has no size until
+    # it is read, and must give the same rows or the same error.
+    path, fifo = tmp_path / "d.txt", tmp_path / "d.fifo"
+    path.write_bytes(text)
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(text,))
+    writer.start()
+    try:
+        got = _read(load_dataset, fifo)
+    finally:
+        writer.join()
+    want = _read(load_dataset, path)
+    if isinstance(want, ValueError):
+        assert str(got) == str(want).replace(str(path), str(fifo))
+        return
+    assert np.array_equal(got[0], want[0]) and got[0].dtype == want[0].dtype
+    assert got[1] == want[1]
 
 
 # Inputs the earlier np.loadtxt reader accepted and the reader now refuses:

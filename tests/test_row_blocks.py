@@ -1,0 +1,205 @@
+"""The row-blocked kernels against their earlier whole-array forms.
+
+Sampling, parsing, the distinct filter, the learner's truth counts and the
+one-step gradient must give the same bytes, dtypes and generator state as
+the oracles in ``oracles.py`` at row counts on either side of a block
+boundary, with the real block size and with blocks of a row or two. Each
+kernel's tracemalloc peak is bounded by a multiple of its int32 rows; every
+bound fails for the whole-array forms and sits at least 15% above the
+measured peak (CHANGES.md records both).
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from oracles import (
+    learn_grammar_parse_truth_oracle,
+    one_step_gradient_bincount_oracle,
+    parse_batch_unblocked_oracle,
+    sample_dataset_unblocked_oracle,
+    sample_distinct_dataset_set_oracle,
+)
+from rhmlab import (
+    GrammarParams,
+    generate_rules,
+    learn_grammar,
+    one_step_gradient,
+    parse_batch,
+    sample_dataset,
+    sample_distinct_dataset,
+    tuple_next_token_pairs,
+)
+from rhmlab import grammar
+from rhmlab.grammar import _row_keys
+
+# Depth 6, s=2: 64-token rows, so a sampling block holds B rows.
+RS = generate_rules(GrammarParams(depth=6, branching=2, vocab_size=8, n_synonyms=3,
+                                  seed=5))
+B = grammar._BLOCK_TOKENS // RS.params.seq_len
+COUNTS = (0, 1, B - 1, B, B + 1, 2 * B + 3)
+TINY_COUNTS = (0, 1, 2, 3, 77)  # with 64-token blocks: one row each at level 1
+
+
+@pytest.fixture(params=["block", "tiny"])
+def counts(request, monkeypatch):
+    """Row counts around the real block size, or small counts with blocks
+    of 64 tokens, so every level of every kernel runs many blocks."""
+    if request.param == "tiny":
+        monkeypatch.setattr(grammar, "_BLOCK_TOKENS", 64)
+        return TINY_COUNTS
+    return COUNTS
+
+
+def _identical(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _same_dataset(got, want):
+    _identical(got.sequences, want.sequences)
+    assert got.meta == want.meta
+    assert (got.latents is None) == (want.latents is None)
+    for a, b in zip(got.latents or [], want.latents or []):
+        _identical(a, b)
+
+
+def _rows(n, seed):
+    return sample_dataset(RS, n, np.random.default_rng(seed), with_latents=False).sequences
+
+
+@pytest.mark.parametrize("with_latents", [True, False])
+def test_sampler_matches_the_unblocked_sampler(counts, with_latents):
+    for n in counts:
+        rng_a, rng_b = np.random.default_rng([n, 1]), np.random.default_rng([n, 1])
+        got = sample_dataset(RS, n, rng_a, with_latents=with_latents)
+        want = sample_dataset_unblocked_oracle(RS, n, rng_b, with_latents=with_latents)
+        _same_dataset(got, want)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint64, np.int64])
+def test_parse_matches_the_unblocked_parse(counts, dtype):
+    v = RS.params.vocab_size
+    for n in counts:
+        rng = np.random.default_rng([n, 2])
+        tokens = _rows(n, n).astype(np.int64)
+        noisy = rng.random(tokens.shape) < 0.002
+        # negative tokens wrap to huge uint64 values
+        tokens[noisy] = rng.integers(-2, v + 2, size=int(noisy.sum()))
+        tokens = tokens.astype(dtype)
+        got = parse_batch(RS, tokens)
+        want = parse_batch_unblocked_oracle(RS, tokens)
+        _identical(got[0], want[0])
+        for a, b in zip(got[1] + got[2], want[1] + want[2]):
+            _identical(a, b)
+
+
+@pytest.mark.parametrize("with_latents", [True, False])
+def test_distinct_filter_matches_the_set_filter(counts, with_latents):
+    for n in counts:
+        rng_a, rng_b = np.random.default_rng([n, 3]), np.random.default_rng([n, 3])
+        got = sample_distinct_dataset(RS, n, rng_a, with_latents=with_latents)
+        want = sample_distinct_dataset_set_oracle(RS, n, rng_b, with_latents=with_latents)
+        _same_dataset(got, want)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+@pytest.mark.parametrize("vocab_size, width", [(16, 16), (16, 33), (2, 64), (2, 65),
+                                               (3, 41), (255, 9)])
+def test_row_keys_are_equal_exactly_for_equal_rows(vocab_size, width):
+    # Rows that differ in one token only, in every position, including the
+    # top digit of a code that fills all 64 bits (the int64 sign bit).
+    base = np.full(width, vocab_size - 1, dtype=np.int32)
+    rows = np.repeat(base[None, :], width + 2, axis=0)
+    rows[np.arange(width), np.arange(width)] = vocab_size - 2
+    rows[width + 1, :2] = 0  # the lowest top digit against the highest
+    keys = _row_keys(rows, vocab_size)
+    assert keys.shape == (width + 2,)
+    assert np.unique(keys).size == width + 2
+    assert _row_keys(rows[:1], vocab_size) == keys[0]
+    twice = _row_keys(np.concatenate([rows, rows]), vocab_size)
+    assert np.array_equal(twice[: width + 2], twice[width + 2 :])
+
+
+def test_learner_truth_matches_the_full_parse(counts):
+    p = RS.params
+    with pytest.raises(ValueError, match="empty input"):
+        learn_grammar(_rows(0, 0), p.depth, p.branching, p.vocab_size, truth=RS)
+    for n in counts[1:]:
+        seqs = _rows(n, n + 4)
+        got = learn_grammar(seqs, p.depth, p.branching, p.vocab_size, seed=n, truth=RS)
+        want = learn_grammar_parse_truth_oracle(seqs, p.depth, p.branching,
+                                                p.vocab_size, seed=n, truth=RS)
+        assert got.recovery == want.recovery and len(got.recovery) == p.depth - 1
+        assert len(got.levels) == len(want.levels)
+        for a, b in zip(got.levels, want.levels):
+            _identical(a.codes, b.codes)
+            _identical(a.labels, b.labels)
+        _identical(got.top_tuples, want.top_tuples)
+
+
+def test_one_step_gradient_matches_the_bincount_gradient(counts):
+    # One-step blocks hold rows of v softmax scores; one row needs v = 1,
+    # since every label class must occur.
+    v = 4
+    rows = grammar._BLOCK_TOKENS // v
+    rng = np.random.default_rng(9)
+    for n in (1, rows - 1, rows, rows + 1, 2 * rows + 3):
+        vocab = 1 if n == 1 else v
+        codes = rng.integers(0, 40, size=n)
+        labels = rng.permutation(np.arange(n) % vocab)
+        got = one_step_gradient(codes, labels, vocab)
+        want = one_step_gradient_bincount_oracle(codes, labels, vocab)
+        assert got.n == want.n == n
+        for field in ("tuple_codes", "init_log_marginal", "init_weights", "grad_t",
+                      "empirical_corr"):
+            _identical(getattr(got, field), getattr(want, field))
+    with pytest.raises(ValueError, match="non-empty"):
+        one_step_gradient(np.zeros(0, dtype=int), np.zeros(0, dtype=int), v)
+
+
+# Memory: 2e5 depth-4 rows of int32 tokens, 12.8 MB.
+@pytest.fixture(scope="module")
+def big():
+    rs = generate_rules(GrammarParams(depth=4, branching=2, vocab_size=16,
+                                      n_synonyms=4, seed=3))
+    seqs = sample_dataset(rs, 200_000, np.random.default_rng(4),
+                          with_latents=False).sequences
+    assert seqs.dtype == np.int32 and seqs.nbytes == 12_800_000
+    return rs, seqs
+
+
+def _peak(fn) -> int:
+    fn(100)  # one-time allocations (imports, caches) are not the kernel's
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(None)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kernel, bound", [
+    # measured peaks, as multiples of the rows' bytes: 1.32, 2.09, 2.28 and
+    # 0.31; the whole-array forms measured 2.89, 5.13, 5.92 and 8.26
+    ("sample_dataset", 1.6),
+    ("parse_batch", 2.5),
+    ("sample_distinct_dataset", 2.75),
+    ("one_step_gradient", 0.5),
+])
+def test_peak_memory_is_a_bounded_multiple_of_the_rows(big, kernel, bound):
+    rs, seqs = big
+    n_rows = seqs.shape[0]
+    codes, labels = tuple_next_token_pairs(seqs, 2, 16)
+    calls = {
+        "sample_dataset": lambda n: sample_dataset(
+            rs, n or n_rows, np.random.default_rng(5), with_latents=False),
+        "parse_batch": lambda n: parse_batch(rs, seqs[:n]),
+        "sample_distinct_dataset": lambda n: sample_distinct_dataset(
+            rs, n or n_rows, np.random.default_rng(5), with_latents=False),
+        "one_step_gradient": lambda n: one_step_gradient(codes[:n], labels[:n], 16),
+    }
+    assert _peak(calls[kernel]) < bound * seqs.nbytes
