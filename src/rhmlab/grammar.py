@@ -343,11 +343,16 @@ class Dataset:
         return self.latents[level - 1]
 
 
+def _block_rows(row_tokens: int) -> int:
+    """Rows per block for rows of ``row_tokens`` tokens: ``_BLOCK_TOKENS``
+    tokens, and at least one row."""
+    return max(1, _BLOCK_TOKENS // row_tokens)
+
+
 def _row_blocks(n: int, row_tokens: int) -> list[slice]:
     """Slices of consecutive row blocks covering rows ``0 .. n-1`` of
-    ``row_tokens`` tokens each, ``_BLOCK_TOKENS`` tokens (at least one row)
-    per block."""
-    step = max(1, _BLOCK_TOKENS // row_tokens)
+    ``row_tokens`` tokens each (see :func:`_block_rows`)."""
+    step = _block_rows(row_tokens)
     return [slice(r0, min(r0 + step, n)) for r0 in range(0, n, step)]
 
 
@@ -409,8 +414,8 @@ def sample_dataset(
 def _row_keys(rows: np.ndarray, vocab_size: int) -> np.ndarray:
     """One sort key per row of tokens in ``[0, vocab_size)``: the row cut
     into runs of tokens whose base-``vocab_size`` codes fit in 64 bits (the
-    int64 codes wrap past 2**63), the codes side by side as one opaque item
-    (or the code itself, for a single run). Keys are equal iff rows are."""
+    int64 codes wrap past 2**63), the codes side by side as one opaque item.
+    Keys are equal iff rows are."""
     n, d = rows.shape
     per_word = 1
     while vocab_size ** (per_word + 1) <= 2**64 and per_word < d:
@@ -421,8 +426,7 @@ def _row_keys(rows: np.ndarray, vocab_size: int) -> np.ndarray:
         for w in range(n_words):
             words[block, w] = encode_tuples(
                 rows[block, w * per_word : (w + 1) * per_word], vocab_size)
-    # a lone word sorts faster as itself than as an opaque item
-    return words.ravel() if n_words == 1 else words.view(f"V{8 * n_words}").ravel()
+    return words.view(f"V{8 * n_words}").ravel()
 
 
 def _new_rows(keys: np.ndarray, seen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -527,6 +531,25 @@ def enumerate_all(rs: RuleSet) -> Dataset:
                    meta={"grammar_hash": rs.content_hash(), "enumeration": True})
 
 
+def _parse_block(
+    block: np.ndarray, parent_of: np.ndarray, choice_of: np.ndarray | None,
+    v: int, s: int,
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """One row block of :func:`_parse_level`, through its level's lookup
+    tables (``choice_of`` None to skip the rule indices)."""
+    n, row_tokens = block.shape
+    # Cast to uint64 (negatives wrap high) and clip, so every symbol
+    # outside [0, v) becomes the digit v, which no rule uses.
+    digits = np.minimum(block.reshape(n, row_tokens // s, s), v,
+                        dtype=np.uint64, casting="unsafe")
+    codes = encode_tuples(digits, v + 1)
+    parents = np.take(parent_of, codes)
+    # The minimum runs over the transposed copy: numpy reduces a short
+    # trailing axis an order of magnitude slower.
+    valid = np.ascontiguousarray(parents.T).min(axis=0) >= 0
+    return parents, None if choice_of is None else np.take(choice_of, codes), valid
+
+
 def _parse_level(
     rs: RuleSet, lvl: int, cur: np.ndarray, with_choices: bool = False
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
@@ -539,28 +562,18 @@ def _parse_level(
     """
     v, s = rs.params.vocab_size, rs.params.branching
     parent_of, choice_of = rs.parse_tables(lvl)
-
-    def parse(block):
-        # Cast to uint64 (negatives wrap high) and clip, so every symbol
-        # outside [0, v) becomes the digit v, which no rule uses.
-        digits = np.minimum(block.reshape(block.shape[0], -1, s), v,
-                            dtype=np.uint64, casting="unsafe")
-        codes = encode_tuples(digits, v + 1)
-        parents = np.take(parent_of, codes)
-        # The minimum runs over the transposed copy: numpy reduces a short
-        # trailing axis an order of magnitude slower.
-        valid = np.ascontiguousarray(parents.T).min(axis=0) >= 0
-        return parents, np.take(choice_of, codes) if with_choices else None, valid
-
-    blocks = _row_blocks(cur.shape[0], cur.shape[1])
-    if len(blocks) == 1:  # the block's own arrays are the outputs
-        return parse(cur)
-    parents = np.empty((cur.shape[0], cur.shape[1] // s), dtype=np.int32)
-    choices = np.empty_like(parents) if with_choices else None
-    valid = np.empty(cur.shape[0], dtype=bool)
-    for rows in blocks:
-        parents[rows], block_choices, valid[rows] = parse(cur[rows])
-        if with_choices:
+    if not with_choices:
+        choice_of = None
+    n, row_tokens = cur.shape
+    if n <= _block_rows(row_tokens):  # the block's own arrays are the outputs
+        return _parse_block(cur, parent_of, choice_of, v, s)
+    parents = np.empty((n, row_tokens // s), dtype=np.int32)
+    choices = None if choice_of is None else np.empty_like(parents)
+    valid = np.empty(n, dtype=bool)
+    for rows in _row_blocks(n, row_tokens):
+        parents[rows], block_choices, valid[rows] = _parse_block(
+            cur[rows], parent_of, choice_of, v, s)
+        if choices is not None:
             choices[rows] = block_choices
     return parents, choices, valid
 

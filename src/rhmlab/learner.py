@@ -285,7 +285,8 @@ def learn_grammar(
     clustering) and a per-stage recovery score is recorded: each observed
     code's ground-truth class is the majority true parent over its
     occurrences, compared by pair agreement. The true parents are parsed one
-    level at a time, as each stage needs them.
+    level at a time and kept in the smallest unsigned dtype that holds a
+    symbol.
     ``partition_fn(stage, observed_codes) -> labels`` overrides the clustering
     at every stage (used to inject oracle or adversarial partitions); its
     labels must lie in ``[0, vocab_size)``, the grammar's alphabet.
@@ -302,16 +303,17 @@ def learn_grammar(
     if seqs.shape[0] == 0:
         raise ValueError("cannot learn a grammar from an empty input (0 rows)")
     _check_token_range("tokens", seqs, vocab_size)
-    true_parents = None
+    true_parents: list[np.ndarray] = []  # level-l parents at l - 1, narrowed
     recovery: list[float] | None = None
     if truth is not None:
         # An unparseable tuple leaves -1 on every level above it, so the rows
-        # parse fully iff the root level is valid. Only level 1 is kept.
+        # parse fully iff the root level is valid.
+        narrow = np.min_scalar_type(vocab_size - 1)
         cur = seqs
         for lvl in range(1, depth + 1):
             cur, _, valid = _parse_level(truth, lvl, cur)
-            if lvl == 1:
-                true_parents = cur
+            true_parents.append(cur.astype(narrow))
+        del cur
         if not valid.all():
             raise ValueError("training rows must parse under the reference grammar")
         recovery = []
@@ -341,7 +343,8 @@ def learn_grammar(
         else:
             part = cluster_tuples(stats, seed=derive_seed(seed, stage, "kmeans"))
         if recovery is not None:
-            classes = _majority_true_classes(block_codes, observed, true_parents,
+            classes = _majority_true_classes(block_codes, observed,
+                                             true_parents[stage - 1],
                                              vocab_size, code_space)
             recovery.append(pair_agreement_score(part.labels, classes))
         levels.append(part)
@@ -349,8 +352,6 @@ def learn_grammar(
         label_of[observed] = part.labels
         labels = label_of[block_codes]
         del block_codes
-        if recovery is not None and stage + 1 < depth:
-            true_parents = _parse_level(truth, stage + 1, true_parents)[0]
     # Distinct top-level rows in lexicographic order, via their big-endian codes.
     top_codes = np.flatnonzero(np.bincount(encode_tuples(labels, vocab_size)))
     top_tuples = decode_codes(top_codes, vocab_size, labels.shape[1])

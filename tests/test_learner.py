@@ -392,8 +392,8 @@ class TestLearnGrammar:
     @pytest.mark.parametrize("with_truth, bound", [(True, 3.0), (False, 2.25)])
     def test_peak_memory_is_a_bounded_multiple_of_the_input(self, with_truth, bound):
         # 2e4 depth-4 rows: 1.28 MB of int32. One block-code array and int32
-        # labels per stage, and with truth one level of true parents at a
-        # time, peak at 2.42x the input with truth and 1.84x without; a full
+        # labels per stage, and with truth every level of true parents in
+        # uint8, peak at 2.10x the input with truth and 1.84x without; a full
         # parse held for the whole call and int64 labels measured 5.4x and
         # 2.5x.
         rs = generate_rules(GrammarParams(depth=4, branching=2, vocab_size=16,
