@@ -28,9 +28,9 @@ from .grammar import (
     Dataset,
     GrammarParams,
     RuleSet,
+    _parse_level,
     accuracy,
     generate_rules,
-    parse_batch,
     sample_dataset,
     sample_distinct_dataset,
 )
@@ -327,12 +327,22 @@ def _run_stats(args, cfg, out_dir, seed):
             for d, v, k in zip(rep.distances, rep.values, rep.n_pairs)
         ],
     )
-    max_levels, latents, _ = parse_batch(rs, seqs)
+    # Parse one level at a time, keeping the root level's validity and the
+    # level-(level-2) symbols, the one level token_tuple_correlation reads.
+    # A row parses fully iff it is valid at the root: an unparseable tuple
+    # leaves -1 on every level above it.
+    cur, tuple_syms = seqs, None
+    for lvl in range(1, p.depth + 1):
+        cur, _, valid = _parse_level(rs, lvl, cur)
+        if lvl == level - 2:
+            tuple_syms = cur
     # The manifest counts the rows that do not parse fully: any one of them
     # leaves C_empirical NaN.
-    ungrammatical = int(np.count_nonzero(max_levels < p.depth))
+    ungrammatical = int(np.count_nonzero(~valid))
     rows = []
     if not ungrammatical:
+        # The levels below the one read are not kept.
+        latents = None if level == 2 else [None] * (level - 3) + [tuple_syms]
         ds = Dataset(sequences=seqs, params=p, latents=latents)
         emp = token_tuple_correlation(ds, level)
         c_emp = emp.rms

@@ -356,6 +356,20 @@ def _row_blocks(n: int, row_tokens: int) -> list[slice]:
     return [slice(r0, min(r0 + step, n)) for r0 in range(0, n, step)]
 
 
+def _columns(rows: np.ndarray, dtype) -> np.ndarray:
+    """The ``(width, n)`` copy of the ``(n, width)`` ``rows`` in ``dtype`` (cast
+    unsafely), one row per position, written row block by row block: numpy
+    copies a whole transposed array an order of magnitude slower once its
+    rows outgrow the cache."""
+    n, width = rows.shape
+    if n <= _block_rows(width):
+        return np.ascontiguousarray(rows.T, dtype=dtype)
+    out = np.empty((width, n), dtype=dtype)
+    for block in _row_blocks(n, width):
+        out[:, block] = rows[block].T
+    return out
+
+
 def _expand_levels(
     rs: RuleSet, top: np.ndarray, choices: list[np.ndarray], with_latents: bool = True
 ) -> list[np.ndarray]:

@@ -30,9 +30,11 @@ from .grammar import (
     EnumerationCapError,
     GrammarParams,
     RuleSet,
+    _BLOCK_TOKENS,
     _check_draw_count,
     _check_enumeration_cap,
     _check_token_range,
+    _columns,
     _parse_level,
     _power_at_most,
     _row_blocks,
@@ -125,49 +127,95 @@ def build_context_stats(
         raise ValueError("context tokens must align with the label grid")
     _check_token_range("labels", labels, vocab_size)
     _check_token_range("context tokens", visible, vocab_size)
-    block_codes = encode_tuples(labels.reshape(n, width // s, s), vocab_size)
-    return _count_contexts(block_codes, visible, vocab_size, branching, variant, level)
+    narrow = np.min_scalar_type(vocab_size - 1)
+    block_codes = _block_codes(_columns(labels, narrow), vocab_size, branching)
+    return _count_contexts(block_codes, _columns(visible, narrow), vocab_size,
+                           branching, variant, level)[0]
+
+
+def _block_codes(labels: np.ndarray, vocab_size: int, branching: int) -> np.ndarray:
+    """Big-endian base-``vocab_size`` codes of the s-blocks of the
+    ``(width, n)`` labels (one row per position), as ``(width // s, n)``
+    codes in the narrowest unsigned dtype holding ``vocab_size**s - 1``.
+    The labels' dtype must be no wider than that."""
+    width, n = labels.shape
+    blocks = labels.reshape(width // branching, branching, n)
+    codes = blocks[:, 0].astype(np.min_scalar_type(vocab_size**branching - 1))
+    for i in range(1, branching):
+        codes *= vocab_size
+        codes += blocks[:, i]
+    return codes
+
+
+def _gather(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``table[index]`` in ``table``'s dtype, block by block of
+    ``_BLOCK_TOKENS`` entries: numpy copies a narrow index array to intp
+    before it gathers, so the copy is one block."""
+    if index.size <= _BLOCK_TOKENS:
+        return np.take(table, index)
+    out = np.empty(index.shape, dtype=table.dtype)
+    flat, flat_out = index.ravel(), out.ravel()
+    for part in _row_blocks(flat.size, 1):
+        np.take(table, flat[part], out=flat_out[part])
+    return out
+
+
+def _code_ranks(codes: np.ndarray, code_space: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending distinct values of ``codes`` (all in ``[0, code_space)``)
+    and each entry's rank among them, in the narrowest unsigned dtype holding
+    ``code_space - 1``, through one ``code_space``-entry lookup of that dtype
+    (the only table sized by the code space)."""
+    lookup = np.zeros(code_space, dtype=np.min_scalar_type(code_space - 1))
+    flat = codes.ravel()
+    for part in _row_blocks(flat.size, 1):
+        # numpy scatters through intp indices faster than through narrow ones
+        lookup[flat[part].astype(np.intp)] = 1
+    observed = np.flatnonzero(lookup)
+    lookup[observed] = np.arange(observed.size)
+    return observed, _gather(lookup, codes)
 
 
 def _count_contexts(block_codes: np.ndarray, visible: np.ndarray, vocab_size: int,
-                    branching: int, variant: str, level: int) -> ContextStats:
-    """:func:`build_context_stats` from the ``(n, n_blocks)`` block codes of
-    an already checked label grid and visible tokens in ``[0, vocab_size)``."""
+                    branching: int, variant: str, level: int
+                    ) -> tuple[ContextStats, np.ndarray]:
+    """:func:`build_context_stats` from the ``(n_blocks, n)`` block codes of
+    an already checked label grid and the ``(width, n)`` visible tokens in
+    ``[0, vocab_size)`` (an unsigned dtype), one row per position. Counts are
+    kept per observed code, by rank. Also returns the ranks of the counted
+    blocks' codes."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
-    n, n_blocks = block_codes.shape
+    n_blocks = block_codes.shape[0]
     s = branching
-    span = visible.shape[1] // (n_blocks * s)
+    span = visible.shape[0] // (n_blocks * s)
     n_ctx = s if variant == "full_tuple" else 1
-    code_space = vocab_size**s
-    sums = np.zeros((code_space, n_ctx, vocab_size), dtype=np.int64)
-    for b in range(n_blocks):
-        c = b - 1 if b % s != 0 else b + 1
-        if c >= n_blocks:
-            continue
-        keys = block_codes[:, b] * vocab_size
-        start = c * s * span
-        for t in range(n_ctx):
-            # int64 keys: numpy would add uint64 tokens in float64
-            ctx_keys = np.add(keys, visible[:, start + t], dtype=np.int64)
-            sums[:, t, :] += np.bincount(
-                ctx_keys, minlength=code_space * vocab_size
-            ).reshape(code_space, vocab_size)
+    # Every block has a sibling except a last block that starts a group.
+    counted = n_blocks - ((n_blocks - 1) % s == 0)
+    observed, ranks = _code_ranks(block_codes[:counted], vocab_size**s)
+    k = observed.size
+    sums = np.zeros((k, n_ctx, vocab_size), dtype=np.int64)
+    for rows in _row_blocks(ranks.shape[1], 1):
+        for b in range(counted):
+            c = b - 1 if b % s != 0 else b + 1
+            # intp keys: a narrow rank times vocab_size would wrap
+            keys = np.multiply(ranks[b, rows], vocab_size, dtype=np.intp)
+            start = c * s * span
+            for t in range(n_ctx):
+                sums[:, t, :] += np.bincount(
+                    keys + visible[start + t, rows], minlength=k * vocab_size
+                ).reshape(k, vocab_size)
     # Each occurrence adds one count to every context token's block.
-    counts_flat = sums[:, 0, :].sum(axis=1)
-    observed = np.flatnonzero(counts_flat)
-    vectors = (
-        sums[observed].astype(np.float64) / counts_flat[observed, None, None]
-    ).reshape(observed.size, n_ctx * vocab_size)
-    return ContextStats(
+    counts = sums[:, 0, :].sum(axis=1)
+    stats = ContextStats(
         level=level,
         variant=variant,
         codes=observed.astype(np.int64),
-        vectors=vectors,
-        counts=counts_flat[observed],
+        vectors=(sums / counts[:, None, None]).reshape(k, n_ctx * vocab_size),
+        counts=counts,
         vocab_size=vocab_size,
         branching=branching,
     )
+    return stats, ranks
 
 
 @dataclass
@@ -252,20 +300,19 @@ class ClusterModel:
 
 
 def _majority_true_classes(
-    block_codes: np.ndarray,
-    observed: np.ndarray,
-    true_parents: np.ndarray,
-    vocab_size: int,
-    code_space: int,
+    ranks: np.ndarray, n_codes: int, true_parents: np.ndarray, vocab_size: int
 ) -> np.ndarray:
     """Per observed code, the most frequent true parent symbol over its data
-    occurrences (ties to the smallest symbol); codes lie in
-    ``[0, code_space)``. Counted row block by row block."""
-    counts = np.zeros(code_space * vocab_size, dtype=np.int64)
-    for rows in _row_blocks(*block_codes.shape):
-        keys = block_codes[rows] * vocab_size + true_parents[rows]
-        np.add.at(counts, keys.ravel(), 1)
-    return counts.reshape(code_space, vocab_size)[observed].argmax(axis=1)
+    occurrences (ties to the smallest symbol), from the codes' ranks and the
+    true parents, two equal-shape C-contiguous arrays. Counted block by
+    block of ``_BLOCK_TOKENS`` entries."""
+    counts = np.zeros(n_codes * vocab_size, dtype=np.int64)
+    ranks, true_parents = ranks.ravel(), true_parents.ravel()
+    for part in _row_blocks(ranks.size, 1):
+        keys = np.multiply(ranks[part], vocab_size, dtype=np.intp)
+        keys += true_parents[part]
+        counts += np.bincount(keys, minlength=n_codes * vocab_size)
+    return counts.reshape(n_codes, vocab_size).argmax(axis=1)
 
 
 def learn_grammar(
@@ -285,8 +332,9 @@ def learn_grammar(
     clustering) and a per-stage recovery score is recorded: each observed
     code's ground-truth class is the majority true parent over its
     occurrences, compared by pair agreement. The true parents are parsed one
-    level at a time and kept in the smallest unsigned dtype that holds a
-    symbol.
+    level at a time. Symbols, labels and the rows' context tokens are kept in
+    the smallest unsigned dtype that holds a symbol, block codes in the
+    smallest that holds one, one row per position.
     ``partition_fn(stage, observed_codes) -> labels`` overrides the clustering
     at every stage (used to inject oracle or adversarial partitions); its
     labels must lie in ``[0, vocab_size)``, the grammar's alphabet.
@@ -303,31 +351,31 @@ def learn_grammar(
     if seqs.shape[0] == 0:
         raise ValueError("cannot learn a grammar from an empty input (0 rows)")
     _check_token_range("tokens", seqs, vocab_size)
-    true_parents: list[np.ndarray] = []  # level-l parents at l - 1, narrowed
+    narrow = np.min_scalar_type(vocab_size - 1)  # holds any symbol
+    true_parents: list[np.ndarray] = []  # level-l parents at l - 1, by position
     recovery: list[float] | None = None
     if truth is not None:
         # An unparseable tuple leaves -1 on every level above it, so the rows
         # parse fully iff the root level is valid.
-        narrow = np.min_scalar_type(vocab_size - 1)
         cur = seqs
         for lvl in range(1, depth + 1):
             cur, _, valid = _parse_level(truth, lvl, cur)
-            true_parents.append(cur.astype(narrow))
+            true_parents.append(_columns(cur, narrow))
         del cur
         if not valid.all():
             raise ValueError("training rows must parse under the reference grammar")
         recovery = []
-    code_space = vocab_size**branching
-    labels = seqs
+    # One narrow copy of the rows, by position: the stage-1 labels and every
+    # stage's context tokens.
+    visible = _columns(seqs, narrow)
+    labels = visible
     levels: list[Partition] = []
     for stage in range(1, depth):
-        n, width = labels.shape
-        block_codes = encode_tuples(
-            labels.reshape(n, width // branching, branching), vocab_size
-        )
         # Every block of a power-of-s width has a sibling, so the context
-        # statistics see every observed code, in ascending order.
-        stats = _count_contexts(block_codes, seqs, vocab_size, branching, variant, stage)
+        # statistics see every observed code, in ascending order, and rank
+        # every block.
+        stats, ranks = _count_contexts(_block_codes(labels, vocab_size, branching),
+                                       visible, vocab_size, branching, variant, stage)
         observed = stats.codes
         if partition_fn is not None:
             part_labels = np.asarray(partition_fn(stage, observed), dtype=np.int64)
@@ -343,18 +391,15 @@ def learn_grammar(
         else:
             part = cluster_tuples(stats, seed=derive_seed(seed, stage, "kmeans"))
         if recovery is not None:
-            classes = _majority_true_classes(block_codes, observed,
-                                             true_parents[stage - 1],
-                                             vocab_size, code_space)
+            classes = _majority_true_classes(ranks, observed.size,
+                                             true_parents[stage - 1], vocab_size)
             recovery.append(pair_agreement_score(part.labels, classes))
         levels.append(part)
-        label_of = np.zeros(code_space, dtype=np.int32)
-        label_of[observed] = part.labels
-        labels = label_of[block_codes]
-        del block_codes
+        labels = _gather(part.labels.astype(narrow), ranks)
+        del ranks
     # Distinct top-level rows in lexicographic order, via their big-endian codes.
-    top_codes = np.flatnonzero(np.bincount(encode_tuples(labels, vocab_size)))
-    top_tuples = decode_codes(top_codes, vocab_size, labels.shape[1])
+    top_codes = np.flatnonzero(np.bincount(_block_codes(labels, vocab_size, branching)[0]))
+    top_tuples = decode_codes(top_codes, vocab_size, labels.shape[0])
     return ClusterModel(
         branching=branching,
         vocab_size=vocab_size,

@@ -24,6 +24,7 @@ normalization under which the independence floor equals 1/(v*sqrt(N)).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,6 +34,7 @@ from .grammar import (
     GrammarParams,
     RuleSet,
     _check_token_range,
+    _columns,
     draw_production_codes,
     encode_tuples,
     tree_distance,
@@ -70,11 +72,73 @@ class CorrelationReport:
     n_rows: int
 
 
+# Most bins one r-group joint table may have: the group size r is the largest
+# with vocab_size**r within it (and at least 2, at most the row length).
+_GROUP_BINS = 4096
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_cover(d: int, r: int) -> tuple[tuple[tuple[int, ...], tuple], ...]:
+    """A fixed cover of the position pairs ``i < j < d`` by groups of at most
+    ``r`` ascending positions, each pair read from exactly one group.
+
+    Each entry is ``(members, reads)``; ``reads`` holds ``(axes, pair)``, the
+    group-table axes to sum away and the pair's index in row-major ``i < j``
+    order. Greedy: a group starts at the first position with an unread pair
+    and, while some position has one with a member, adds the position with
+    the most unread pairs to the members (ties to the smallest). Unread pairs
+    are one ``d``-bit mask per position, and ``at_least[c]`` masks the
+    positions with more than ``c`` unread pairs to the members, so a group
+    of ``r`` costs ``O(r**2)`` mask operations and the cover ``O(d**2)``.
+    """
+    others = {(n, a, b): tuple(x for x in range(n) if x not in (a, b))
+              for n in range(2, r + 1) for a in range(n) for b in range(a + 1, n)}
+    unread = [((1 << d) - 1) ^ (1 << i) for i in range(d)]
+    cover = []
+    for i in range(d):
+        while unread[i]:
+            members = [i]
+            free = ~(1 << i)  # positions not yet members
+            at_least = [unread[i]]
+            while len(members) < r:
+                best = next((m & free for m in reversed(at_least) if m & free), 0)
+                if not best:
+                    break
+                k = (best & -best).bit_length() - 1
+                members.append(k)
+                free &= ~(1 << k)
+                row = unread[k]
+                at_least.append(at_least[-1] & row)
+                for c in range(len(at_least) - 2, 0, -1):
+                    at_least[c] |= at_least[c - 1] & row
+                at_least[0] |= row
+            members.sort()
+            n = len(members)
+            reads = []
+            for a, ia in enumerate(members):
+                for b in range(a + 1, n):
+                    jb = members[b]
+                    if unread[ia] >> jb & 1:
+                        unread[ia] ^= 1 << jb
+                        unread[jb] ^= 1 << ia
+                        reads.append((others[n, a, b],
+                                      ia * (2 * d - ia - 1) // 2 + jb - ia - 1))
+            cover.append((tuple(members), tuple(reads)))
+    return tuple(cover)
+
+
 class TokenCovarianceAccumulator:
     """Mergeable pair-count state behind :func:`token_token_correlation`.
 
-    ``update`` streams row shards; ``merge`` combines shards associatively
-    (pure integer counts, so order changes nothing before the final division).
+    ``counts[p]`` is the ``(v, v)`` int64 joint count table of position pair
+    ``pairs[p]``. ``update`` counts ``r`` positions at a time: one bincount
+    of the base-``v`` codes of each group of :func:`_pair_cover`, with ``r``
+    the largest group size whose ``v**r`` bins stay within ``_GROUP_BINS``
+    (at least 2, at most the row length). Each pair's table is its group's
+    table summed over the other members, so the counts are exact and equal
+    one bincount per pair; with ``r = 2`` the groups are the pairs. ``merge``
+    combines shards associatively (pure integer counts, so order changes
+    nothing before the final division).
     """
 
     def __init__(self, branching: int, depth: int, vocab_size: int):
@@ -99,19 +163,24 @@ class TokenCovarianceAccumulator:
             raise ValueError(f"seqs must have shape (n, {d}), not {seqs.shape}")
         v = self.vocab_size
         _check_token_range("seqs", seqs, v)
+        r = 2
+        while r < d and v ** (r + 1) <= _GROUP_BINS:
+            r += 1
         # One contiguous row per token position, in the narrowest unsigned
-        # type holding a pair code a*v + b <= v*v - 1, so each pair's bincount
-        # reads two contiguous rows.
-        code_type = next(
-            (t for t in (np.uint8, np.uint16, np.uint32) if v * v - 1 <= np.iinfo(t).max),
-            np.intp,
-        )
-        cols = np.ascontiguousarray(seqs.T, dtype=code_type)
-        high = cols * code_type(v)
-        for idx, (i, j, _) in enumerate(self.pairs):
-            self.counts[idx] += np.bincount(
-                high[i] + cols[j], minlength=v * v
-            ).reshape(v, v)
+        # type holding a group code, so each group's codes read contiguous
+        # rows and are built in place.
+        code_type = np.min_scalar_type(v**r - 1)
+        cols = _columns(seqs, code_type)
+        codes = np.empty(seqs.shape[0], dtype=code_type)
+        for members, reads in _pair_cover(d, r):
+            np.copyto(codes, cols[members[0]])
+            for m in members[1:]:
+                codes *= v
+                codes += cols[m]
+            table = np.bincount(codes, minlength=v ** len(members)).reshape(
+                (v,) * len(members))
+            for axes, pair in reads:
+                self.counts[pair] += table.sum(axis=axes)
         self.n_rows += seqs.shape[0]
         return self
 

@@ -5,7 +5,7 @@ Nothing here goes through the message-passing, correlation-report or k-means
 code paths: conditionals come from literal weighted enumeration over all
 derivations, pair joints from transfer-matrix products along the tree,
 k-means from a literal per-cluster Lloyd loop that runs every restart, token
-pair counts from one strided bincount per position pair, and dataset text
+pair counts from one bincount per position pair, and dataset text
 files from ``np.savetxt``, a per-token Python parse and the earlier
 ``np.loadtxt`` reader. The row kernels
 (parse, expansion, context counts, generation from a learned model) are
@@ -67,7 +67,6 @@ from rhmlab import (
     true_tuple_classes,
 )
 from rhmlab.grammar import decode_codes
-from rhmlab.learner import _count_contexts
 from rhmlab.onestep import OneStepGradient
 from rhmlab.seeding import derive_seed
 from rhmlab.stats import RecursionCheck, TokenTupleCorrelation, joint_correlation
@@ -224,16 +223,21 @@ def token_pair_counts_oracle(
     seqs: np.ndarray, branching: int, depth: int, vocab_size: int
 ) -> np.ndarray:
     """Joint counts of every position pair i < j, in the pair order of
-    ``TokenCovarianceAccumulator``, as one bincount over two strided columns
-    per pair."""
+    ``TokenCovarianceAccumulator``: one bincount of ``a * v + b`` per pair,
+    over two contiguous rows of the transposed tokens in the narrowest
+    unsigned type holding ``v * v - 1``."""
     v = vocab_size
     d = branching**depth
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
     counts = np.zeros((len(pairs), v, v), dtype=np.int64)
+    code_type = next(
+        (t for t in (np.uint8, np.uint16, np.uint32) if v * v - 1 <= np.iinfo(t).max),
+        np.intp,
+    )
+    cols = np.ascontiguousarray(np.asarray(seqs).T, dtype=code_type)
+    high = cols * code_type(v)
     for idx, (i, j) in enumerate(pairs):
-        counts[idx] = np.bincount(
-            seqs[:, i] * v + seqs[:, j], minlength=v * v
-        ).reshape(v, v)
+        counts[idx] = np.bincount(high[i] + cols[j], minlength=v * v).reshape(v, v)
     return counts
 
 
@@ -921,7 +925,8 @@ def learn_grammar_parse_truth_oracle(seqs, depth, branching, vocab_size,
         block_codes = encode_tuples(
             labels.reshape(n, width // branching, branching), vocab_size
         )
-        stats = _count_contexts(block_codes, seqs, vocab_size, branching, variant, stage)
+        stats = build_context_stats(labels, seqs, vocab_size, branching, variant,
+                                    level=stage)
         observed = stats.codes
         if partition_fn is not None:
             part_labels = np.asarray(partition_fn(stage, observed), dtype=np.int64)

@@ -7,6 +7,7 @@ import io
 import json
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,10 +16,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rhmlab
-from rhmlab import Dataset, GrammarParams, derive_seed, generate_rules, sample_dataset
+from rhmlab import (
+    Dataset,
+    GrammarParams,
+    TokenCovarianceAccumulator,
+    derive_seed,
+    generate_rules,
+    sample_dataset,
+    theory_prediction,
+    token_tuple_correlation,
+)
+from rhmlab import cli
 from rhmlab.cli import run
-from rhmlab.io import load_dataset, load_grammar, save_dataset, save_grammar
-from oracles import parse_rows_oracle
+from rhmlab.io import load_dataset, load_grammar, save_dataset, save_grammar, write_csv
+from oracles import parse_rows_oracle, token_pair_counts_oracle
 
 
 class TestDeriveSeed:
@@ -713,6 +724,90 @@ class TestErrorsAndDeterminism:
         ma, mb = (json.loads((o / "manifest.json").read_text()) for o in outs)
         assert ma["outputs"] == mb["outputs"]
         assert ma["config_hash"] == mb["config_hash"]
+
+
+class TestStatsStep:
+    """The stats step parses level by level and keeps only what it reads: the
+    root level's validity and the level-(level-2) symbols."""
+
+    @staticmethod
+    def _expected(rs, seqs, level, tmp_path):
+        """correlations.csv and theory.csv bytes and the ungrammatical row
+        count, from per-pair counts and a full dict-lookup parse."""
+        p = rs.params
+        acc = TokenCovarianceAccumulator(p.branching, p.depth, p.vocab_size)
+        acc.counts = token_pair_counts_oracle(seqs, p.branching, p.depth, p.vocab_size)
+        acc.n_rows = seqs.shape[0]
+        rep = acc.report()
+        write_csv(tmp_path / "corr.csv", ["distance", "norm", "n_pairs", "floor"],
+                  [(int(d), float(v), int(k), rep.noise_floor)
+                   for d, v, k in zip(rep.distances, rep.values, rep.n_pairs)])
+        max_levels, latents, _ = parse_rows_oracle(rs, seqs)
+        ungrammatical = int(np.count_nonzero(max_levels < p.depth))
+        c_emp = float("nan")
+        if not ungrammatical:
+            ds = Dataset(sequences=seqs, params=p, latents=latents)
+            c_emp = token_tuple_correlation(ds, level).rms
+        th = theory_prediction(p, level, n_samples=seqs.shape[0])
+        write_csv(tmp_path / "theory.csv", ["level", "C_theory", "C_empirical", "P_level"],
+                  [(level, th.corr_magnitude, c_emp, th.sample_complexity)])
+        return ((tmp_path / "corr.csv").read_bytes(),
+                (tmp_path / "theory.csv").read_bytes(), ungrammatical)
+
+    @pytest.mark.parametrize("noise", [None, 0.2])
+    def test_outputs_equal_a_full_parse_at_every_level(self, tmp_path, noise):
+        rs = generate_rules(GrammarParams(depth=4, branching=2, vocab_size=8,
+                                          n_synonyms=2, seed=3))
+        gpath = tmp_path / "grammar.json"
+        save_grammar(rs, gpath)
+        data = tmp_path / "data.txt"
+        save_dataset(sample_dataset(rs, 300, np.random.default_rng(1),
+                                    with_latents=False), data)
+        if noise is not None:
+            cfg = _write(tmp_path / "n.json",
+                         {"noise": {"kind": "uniform", "beta_bar": noise}})
+            assert run(["corrupt", "--config", cfg, "--grammar", str(gpath),
+                        "--data", str(data), "--out", str(tmp_path / "noisy")]) == 0
+            data = tmp_path / "noisy" / "corrupted.txt"
+        seqs = load_dataset(data)[0]
+        for level in (2, 3, 4):
+            out = tmp_path / f"out{level}"
+            assert run(["stats", "--grammar", str(gpath), "--data", str(data),
+                        "--level", str(level), "--out", str(out)]) == 0
+            corr, theory, ungrammatical = self._expected(rs, seqs, level, tmp_path)
+            assert (out / "correlations.csv").read_bytes() == corr
+            assert (out / "theory.csv").read_bytes() == theory
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["seeds"] == {"level": level,
+                                         "ungrammatical_rows": ungrammatical}
+            # the noisy rows mix rows that parse with rows that do not
+            assert (ungrammatical > 0) == (noise is not None) and ungrammatical < 300
+            assert (b",nan," in theory) == (noise is not None)
+
+    def test_peak_memory_is_a_bounded_multiple_of_the_rows(self, tmp_path, monkeypatch):
+        # 2e4 depth-5 rows: 2.56 MB of int32. The loader hands over a fresh
+        # copy of the rows, so the text reader's own buffers are left out.
+        # The pair counts and their uint16 token rows peak at 2.05x the rows;
+        # a full parse_batch, with every level's latents and choices, at 3.30x.
+        rs = generate_rules(GrammarParams(depth=5, branching=2, vocab_size=16,
+                                          n_synonyms=4, seed=3))
+        gpath, data = tmp_path / "grammar.json", tmp_path / "data.txt"
+        save_grammar(rs, gpath)
+        save_dataset(sample_dataset(rs, 20_000, np.random.default_rng(4),
+                                    with_latents=False), data)
+        rows, header = load_dataset(data)
+        assert rows.dtype == np.int32 and rows.nbytes == 2_560_000
+        monkeypatch.setattr(cli, "load_dataset", lambda path: (rows.copy(), header))
+        argv = ["stats", "--grammar", str(gpath), "--data", str(data), "--level", "5"]
+        assert run(argv + ["--out", str(tmp_path / "warm")]) == 0
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert run(argv + ["--out", str(tmp_path / "out")]) == 0
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.4 * rows.nbytes
 
 
 SCHEMA = json.loads((Path(rhmlab.__file__).parent / "config_schema.json").read_text())

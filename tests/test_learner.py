@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    context_counts_oracle,
     generate_from_learned_oracle,
     learn_grammar_oracle,
     population_context_collision_oracle,
@@ -39,6 +40,7 @@ from rhmlab import (
     true_tuple_classes,
     SweepConfig,
 )
+from rhmlab.learner import _block_codes
 
 
 def _recovery(part, rs, level):
@@ -389,13 +391,14 @@ class TestLearnGrammar:
         with pytest.raises(ValueError, match="integer tokens, not float64"):
             learn_grammar(seqs, 2, 2, 4)
 
-    @pytest.mark.parametrize("with_truth, bound", [(True, 3.0), (False, 2.25)])
+    @pytest.mark.parametrize("with_truth, bound", [(True, 1.8), (False, 1.5)])
     def test_peak_memory_is_a_bounded_multiple_of_the_input(self, with_truth, bound):
-        # 2e4 depth-4 rows: 1.28 MB of int32. One block-code array and int32
-        # labels per stage, and with truth every level of true parents in
-        # uint8, peak at 2.10x the input with truth and 1.84x without; a full
-        # parse held for the whole call and int64 labels measured 5.4x and
-        # 2.5x.
+        # 2e4 depth-4 rows: 1.28 MB of int32. One uint8 copy of the rows by
+        # position, uint8 block codes, ranks and labels, and with truth every
+        # level of true parents in uint8, peak at 1.53x the input with truth
+        # and 1.28x without, both during the stage-1 k-means. int64 block
+        # codes and int32 labels measured 2.10x and 1.84x; a full parse held
+        # for the whole call and int64 labels, 5.4x and 2.5x.
         rs = generate_rules(GrammarParams(depth=4, branching=2, vocab_size=16,
                                           n_synonyms=4, seed=3))
         seqs = sample_dataset(rs, 20_000, np.random.default_rng(4),
@@ -455,7 +458,7 @@ def _reference_learn(seqs, depth, branching, vocab_size, seed, truth,
 
 
 class TestLearnGrammarCodeTables:
-    """learn_grammar's dense code tables against a sorted-list reference."""
+    """learn_grammar's code ranks and lookups against a sorted-list reference."""
 
     def _check(self, seqs, rs, seed, partition_fn=None):
         p = rs.params
@@ -534,7 +537,13 @@ def test_learn_grammar_matches_stage_loop_oracle(depth, branching, v, m, n_rows,
                   partition_fn=partition_fn if injected else None)
     got = learn_grammar(seqs, depth, branching, v, **kwargs)
     want = learn_grammar_oracle(seqs, depth, branching, v, **kwargs)
-    assert len(got.levels) == len(want.levels) == depth - 1
+    assert len(got.levels) == depth - 1
+    _assert_same_model(got, want)
+
+
+def _assert_same_model(got, want):
+    """Every stage's partition, the top tuples and the recovery, bit for bit."""
+    assert len(got.levels) == len(want.levels)
     for a, b in zip(got.levels, want.levels):
         for field in dataclasses.fields(Partition):
             x, y = getattr(a, field.name), getattr(b, field.name)
@@ -545,6 +554,110 @@ def test_learn_grammar_matches_stage_loop_oracle(depth, branching, v, m, n_rows,
     assert got.top_tuples.dtype == want.top_tuples.dtype
     assert np.array_equal(got.top_tuples, want.top_tuples)
     assert got.recovery == want.recovery
+
+
+class TestNarrowCodes:
+    """Block codes, their ranks and the stage labels are kept narrow, and
+    widened to intp only inside count keys. The shapes here fill the code
+    type exactly: v**s - 1 is 255 in uint8 at v=16, s=2 and 65535 in uint16
+    at v=256, s=2, and the observed codes outnumber v, so a rank times v
+    overflows the narrow type."""
+
+    @pytest.mark.parametrize("v, dtype", [(16, np.uint8), (256, np.uint16)])
+    def test_block_codes_fill_their_narrow_type(self, v, dtype):
+        labels = np.full((4, 3), v - 1, dtype=np.min_scalar_type(v - 1))
+        codes = _block_codes(labels, v, 2)
+        assert codes.dtype == dtype and codes.shape == (2, 3)
+        assert (codes == v * v - 1).all()
+
+    @pytest.mark.parametrize("with_truth", [False, True])
+    def test_uint8_codes_equal_the_oracle(self, with_truth):
+        rs = generate_rules(GrammarParams(depth=3, branching=2, vocab_size=16,
+                                          n_synonyms=4, seed=5))
+        seqs = sample_dataset(rs, 3000, np.random.default_rng(6),
+                              with_latents=False).sequences
+        kwargs = dict(seed=7, truth=rs if with_truth else None)
+        got = learn_grammar(seqs, 3, 2, 16, **kwargs)
+        want = learn_grammar_oracle(seqs, 3, 2, 16, **kwargs)
+        assert got.levels[0].codes.size == 64 and got.levels[1].codes.size > 16
+        _assert_same_model(got, want)
+
+    @pytest.mark.parametrize("with_truth", [False, True])
+    def test_uint16_codes_equal_the_oracle(self, with_truth):
+        # k-means with k = 256 over 512 codes of 256 coordinates would need
+        # gigabytes, so a fixed partition onto all 256 labels stands in.
+        rs = generate_rules(GrammarParams(depth=3, branching=2, vocab_size=256,
+                                          n_synonyms=2, seed=5))
+        seqs = sample_dataset(rs, 3000, np.random.default_rng(6),
+                              with_latents=False).sequences
+
+        def partition_fn(stage, codes):
+            return (codes * 7 + stage) % 256
+
+        kwargs = dict(seed=7, truth=rs if with_truth else None,
+                      partition_fn=partition_fn)
+        got = learn_grammar(seqs, 3, 2, 256, **kwargs)
+        want = learn_grammar_oracle(seqs, 3, 2, 256, **kwargs)
+        assert got.levels[0].codes.size > 256 and got.levels[1].codes.size > 256
+        _assert_same_model(got, want)
+
+    @pytest.mark.parametrize("variant", ["single_token", "full_tuple"])
+    def test_uint16_context_counts_equal_the_oracle(self, variant):
+        rs = generate_rules(GrammarParams(depth=2, branching=2, vocab_size=256,
+                                          n_synonyms=2, seed=5))
+        seqs = sample_dataset(rs, 3000, np.random.default_rng(6),
+                              with_latents=False).sequences
+        stats = build_context_stats(seqs, seqs, 256, 2, variant)
+        codes, triples = context_counts_oracle(seqs, seqs, 256, 2, variant)
+        assert len(codes) > 256
+        want_codes = np.array(sorted(codes), dtype=np.int64)
+        assert np.array_equal(stats.codes, want_codes)
+        assert np.array_equal(stats.counts, [codes[c] for c in want_codes])
+        want = np.zeros_like(stats.vectors)
+        for (code, t, x), count in triples.items():
+            want[np.searchsorted(want_codes, code), t * 256 + x] = count / codes[code]
+        assert np.array_equal(stats.vectors, want)
+
+
+def _traced_peak(fn) -> int:
+    """Tracemalloc peak of ``fn()`` above the memory held before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestCodeSpaceMemory:
+    """Context and majority counts are kept per observed code, so a few rows
+    over a large code space need no table of v**s counts."""
+
+    def test_learner_counts_need_no_dense_tables(self):
+        # 10 depth-3 rows at v=64, s=3: 262,144 codes. The dense int64
+        # tables peaked at 538 MB; the one code-space lookup is 1 MB of
+        # uint32. A fixed partition stands in for k-means, whose own
+        # (points, k, coordinates) blocks are not the learner's tables.
+        rs = generate_rules(GrammarParams(depth=3, branching=3, vocab_size=64,
+                                          n_synonyms=4, seed=1))
+        seqs = sample_dataset(rs, 10, np.random.default_rng(0),
+                              with_latents=False).sequences
+
+        def learn():
+            learn_grammar(seqs, 3, 3, 64, variant="full_tuple", truth=rs,
+                          partition_fn=lambda stage, codes: codes % 64)
+
+        learn()
+        assert _traced_peak(learn) < 4_000_000
+
+    def test_context_stats_need_no_dense_tables(self):
+        # 10 depth-2 rows at v=32, s=3: the dense tables peaked at 17 MB.
+        rs = generate_rules(GrammarParams(depth=2, branching=3, vocab_size=32,
+                                          n_synonyms=4, seed=1))
+        seqs = sample_dataset(rs, 10, np.random.default_rng(0),
+                              with_latents=False).sequences
+        assert _traced_peak(lambda: build_context_stats(seqs, seqs, 32, 3)) < 500_000
 
 
 class TestGenerateFromLearned:

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -108,8 +110,9 @@ class TestTokenTokenCorrelation:
 
 
 class TestTokenCovarianceCounts:
-    """Exact pair counts against one strided bincount per position pair, for
-    vocabularies on both sides of the uint8/uint16/uint32 code-type limits."""
+    """Exact pair counts, read from r-position group tables, against one
+    bincount per position pair, for vocabularies on both sides of the
+    4096-bin group bound and of the uint8/uint16/uint32 code-type limits."""
 
     @staticmethod
     def _rows(v, n=301, seed=0):
@@ -135,6 +138,78 @@ class TestTokenCovarianceCounts:
                   .merge(TokenCovarianceAccumulator(2, 3, v).update(seqs[100:])))
         assert np.array_equal(merged.counts, whole.counts)
         assert merged.n_rows == whole.n_rows
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_counts_equal_pair_oracle_at_any_shape(self, data):
+        # d = s**depth stays at most 81, so the oracle's pair loop stays small.
+        s = data.draw(st.integers(2, 4), label="branching")
+        depth = data.draw(st.integers(1, {2: 5, 3: 4, 4: 3}[s]), label="depth")
+        v = data.draw(st.integers(2, 20), label="vocab_size")
+        n = data.draw(st.sampled_from([0, 1, 2, 301]), label="rows")
+        dtype = data.draw(st.sampled_from([np.int8, np.uint16, np.int64]), label="dtype")
+        seqs = np.random.default_rng([s, depth, v, n]).integers(
+            0, v, size=(n, s**depth)).astype(dtype)
+        acc = TokenCovarianceAccumulator(s, depth, v).update(seqs)
+        assert acc.counts.dtype == np.int64 and acc.n_rows == n
+        assert np.array_equal(acc.counts, token_pair_counts_oracle(seqs, s, depth, v))
+        half = n // 2
+        merged = (TokenCovarianceAccumulator(s, depth, v).update(seqs[:half])
+                  .merge(TokenCovarianceAccumulator(s, depth, v).update(seqs[half:])))
+        assert np.array_equal(merged.counts, acc.counts) and merged.n_rows == n
+
+    @pytest.mark.parametrize("v, d, r", [
+        (16, 32, 3), (17, 32, 2), (64, 32, 2), (257, 8, 2), (8, 32, 4),
+        (4, 32, 6), (2, 32, 12), (2, 4, 4), (16, 2, 2),
+    ])
+    def test_group_size_is_the_largest_within_4096_bins(self, v, d, r, monkeypatch):
+        seen = []
+        cover = stats._pair_cover
+
+        def recording(*args):
+            seen.append(args)
+            return cover(*args)
+
+        monkeypatch.setattr(stats, "_pair_cover", recording)
+        TokenCovarianceAccumulator(d, 1, v).update(np.zeros((3, d), dtype=np.int32))
+        assert seen == [(d, r)]
+
+    @pytest.mark.parametrize("d, r", [
+        (2, 2), (3, 3), (8, 3), (32, 2), (32, 3), (32, 4), (32, 12), (27, 7), (81, 3),
+    ])
+    def test_cover_reads_every_pair_from_exactly_one_group(self, d, r):
+        pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+        read = []
+        for members, reads in stats._pair_cover(d, r):
+            assert 2 <= len(members) <= r
+            assert list(members) == sorted(set(members))
+            for axes, pair in reads:
+                kept = tuple(m for x, m in enumerate(members) if x not in axes)
+                assert kept == pairs[pair]
+                read.append(pair)
+        assert sorted(read) == list(range(len(pairs)))
+        if r == 2:
+            assert [members for members, _ in stats._pair_cover(d, r)] == pairs
+
+    def test_cover_is_fixed(self):
+        stats._pair_cover.cache_clear()
+        first = stats._pair_cover(32, 3)
+        stats._pair_cover.cache_clear()
+        assert stats._pair_cover(32, 3) == first
+        assert stats._pair_cover(32, 3) is stats._pair_cover(32, 3)  # cached
+        # 171 triples cover the 496 pairs of 32 positions; 166 is the floor.
+        assert len(first) == 171
+        assert all(len(members) == 3 for members, _ in first[:-1])
+
+    def test_depth_five_ternary_cover_builds_in_under_100ms(self):
+        times = []
+        for _ in range(3):
+            stats._pair_cover.cache_clear()
+            t0 = time.perf_counter()
+            cover = stats._pair_cover(243, 3)
+            times.append(time.perf_counter() - t0)
+        assert sum(len(reads) for _, reads in cover) == 243 * 242 // 2
+        assert min(times) < 0.1
 
     @pytest.mark.parametrize("bad", [-1, 16])
     def test_out_of_range_tokens_raise(self, bad):
