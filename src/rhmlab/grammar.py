@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 DEFAULT_ENUMERATION_CAP = 1_000_000
-# Tokens per row block of the row kernels (sampling, parsing, the learner's
-# truth counts, the one-step gradient): their temporaries stay block-sized.
+# Tokens per row block of every row kernel: their temporaries stay block-sized.
 _BLOCK_TOKENS = 1 << 15
 
 
@@ -368,6 +367,34 @@ def _columns(rows: np.ndarray, dtype) -> np.ndarray:
     for block in _row_blocks(n, width):
         out[:, block] = rows[block].T
     return out
+
+
+def _gather(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``table[index]`` in ``table``'s dtype, block by block of
+    ``_BLOCK_TOKENS`` entries: numpy copies a narrow index array to intp
+    before it gathers, so the copy is one block."""
+    if index.size <= _BLOCK_TOKENS:
+        return np.take(table, index)
+    out = np.empty(index.shape, dtype=table.dtype)
+    flat, flat_out = index.ravel(), out.ravel()
+    for part in _row_blocks(flat.size, 1):
+        np.take(table, flat[part], out=flat_out[part])
+    return out
+
+
+def _code_ranks(codes: np.ndarray, code_space: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending distinct values of ``codes`` (all in ``[0, code_space)``)
+    and each entry's rank among them, in the narrowest unsigned dtype holding
+    ``code_space - 1``, through one ``code_space``-entry lookup of that dtype
+    (the only table sized by the code space)."""
+    lookup = np.zeros(code_space, dtype=np.min_scalar_type(code_space - 1))
+    flat = codes.ravel()
+    for part in _row_blocks(flat.size, 1):
+        # numpy scatters through intp indices faster than through narrow ones
+        lookup[flat[part].astype(np.intp)] = 1
+    observed = np.flatnonzero(lookup)
+    lookup[observed] = np.arange(observed.size)
+    return observed, _gather(lookup, codes)
 
 
 def _expand_levels(

@@ -36,10 +36,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .grammar import Dataset, RuleSet
+from .grammar import Dataset, RuleSet, _row_blocks
 
 DATASET_MAGIC = b"RHMD1"
-WRITE_CHUNK_ROWS = 4096  # rows per chunk of text written or parsed
 
 
 def save_grammar(rs: RuleSet, path) -> None:
@@ -91,8 +90,7 @@ def save_dataset(ds: Dataset, path, binary: bool = False) -> None:
         # separator are one zero-padded cell of a byte table: cell t holds
         # token t with a space, cell top + 1 + t token t with a newline (the
         # last column). One take over the table viewed as one void item per
-        # cell gathers a chunk's cells, and the padding is dropped.
-        # Fixed-size chunks keep the gathered bytes small.
+        # cell gathers a row block's cells, and the padding is dropped.
         top = int(seqs.max())
         width = len(str(top)) + 1
         table = np.zeros((2, top + 1, width), dtype=np.uint8)
@@ -102,9 +100,8 @@ def save_dataset(ds: Dataset, path, binary: bool = False) -> None:
             table[:, t, digits.size] = (ord(" "), ord("\n"))
         cells = table.reshape(-1, width).view(f"V{width}").ravel()
         offset = np.where(np.arange(d) == d - 1, top + 1, 0)
-        for start in range(0, n, WRITE_CHUNK_ROWS):
-            chunk = seqs[start : start + WRITE_CHUNK_ROWS]
-            index = np.add(chunk, offset, dtype=np.intp)
+        for rows in _row_blocks(n, d):
+            index = np.add(seqs[rows], offset, dtype=np.intp)
             text = cells.take(index).view(np.uint8)
             fh.write(text[text != 0].tobytes())
 
@@ -183,11 +180,10 @@ _SEPARATOR_BYTES = np.frombuffer(b" \t\n\r", dtype=np.uint8)
 
 def _parse_rows(buf, body: int, n: int, d: int, vocab: int, path) -> np.ndarray:
     """The first ``n`` rows of ``d`` tokens in ``buf`` (uint8, ending in a
-    newline) from byte ``body`` on, parsed ``WRITE_CHUNK_ROWS`` rows at a
-    time. In a chunk every byte is classified, the last digit of every token
-    is found with one ``flatnonzero``, and each value is built from the
-    digits before it; row ``k`` of the chunk must hold tokens ``k*d`` to
-    ``k*d + d - 1``."""
+    newline) from byte ``body`` on, parsed row block by row block. In a block
+    every byte is classified, the last digit of every token is found with one
+    ``flatnonzero``, and each value is built from the digits before it; row
+    ``k`` of the block must hold tokens ``k*d`` to ``k*d + d - 1``."""
     newlines = np.flatnonzero(buf[body:] == ord("\n"))[:n] + body
     # every token takes a byte, so no larger array is allocated than the body
     # could fill
@@ -197,8 +193,8 @@ def _parse_rows(buf, body: int, n: int, d: int, vocab: int, path) -> np.ndarray:
             f"the body holds {newlines.size} lines of {buf.size - body} bytes"
         )
     seqs = np.empty((n, d), dtype=np.int32)
-    for r0 in range(0, n, WRITE_CHUNK_ROWS):
-        r1 = min(r0 + WRITE_CHUNK_ROWS, n)
+    for block in _row_blocks(n, d):
+        r0, r1 = block.start, block.stop
         lo = body if r0 == 0 else newlines[r0 - 1] + 1
         seg = buf[lo : newlines[r1 - 1] + 1]
         line_end = newlines[r0:r1] - lo
@@ -233,7 +229,7 @@ def _parse_rows(buf, body: int, n: int, d: int, vocab: int, path) -> np.ndarray:
                                       f"the header states {d}")
 
         # Digits are added from the last one backwards; a seg[-1] read (a
-        # token at the chunk's first byte) meets the final newline.
+        # token at the block's first byte) meets the final newline.
         values = dv.take(last).astype(np.int64)
         pos, tok, scale = last, None, 1
         while True:
@@ -256,7 +252,7 @@ def _parse_rows(buf, body: int, n: int, d: int, vocab: int, path) -> np.ndarray:
                 raise fail(where, f"token {top} exceeds {_INT32_MAX}")
             raise fail(where, f"token {top} lies outside [0, {vocab}] "
                               f"({vocab} marks a masked token)")
-        seqs[r0:r1] = values.reshape(rows, d)
+        seqs[block] = values.reshape(rows, d)
     return seqs
 
 

@@ -30,14 +30,14 @@ from .grammar import (
     EnumerationCapError,
     GrammarParams,
     RuleSet,
-    _BLOCK_TOKENS,
     _check_draw_count,
     _check_enumeration_cap,
     _check_token_range,
+    _code_ranks,
     _columns,
+    _gather,
     _parse_level,
     _power_at_most,
-    _row_blocks,
     accuracy,
     decode_codes,
     encode_tuples,
@@ -46,7 +46,7 @@ from .grammar import (
 )
 from .kmeans import kmeans_fit
 from .seeding import derive_seed
-from .stats import theory_prediction
+from .stats import _joint_counts, theory_prediction
 
 VARIANTS = ("single_token", "full_tuple")
 # Ratio of consecutive points of a sweep's geometric sample-size grid.
@@ -147,34 +147,6 @@ def _block_codes(labels: np.ndarray, vocab_size: int, branching: int) -> np.ndar
     return codes
 
 
-def _gather(table: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """``table[index]`` in ``table``'s dtype, block by block of
-    ``_BLOCK_TOKENS`` entries: numpy copies a narrow index array to intp
-    before it gathers, so the copy is one block."""
-    if index.size <= _BLOCK_TOKENS:
-        return np.take(table, index)
-    out = np.empty(index.shape, dtype=table.dtype)
-    flat, flat_out = index.ravel(), out.ravel()
-    for part in _row_blocks(flat.size, 1):
-        np.take(table, flat[part], out=flat_out[part])
-    return out
-
-
-def _code_ranks(codes: np.ndarray, code_space: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ascending distinct values of ``codes`` (all in ``[0, code_space)``)
-    and each entry's rank among them, in the narrowest unsigned dtype holding
-    ``code_space - 1``, through one ``code_space``-entry lookup of that dtype
-    (the only table sized by the code space)."""
-    lookup = np.zeros(code_space, dtype=np.min_scalar_type(code_space - 1))
-    flat = codes.ravel()
-    for part in _row_blocks(flat.size, 1):
-        # numpy scatters through intp indices faster than through narrow ones
-        lookup[flat[part].astype(np.intp)] = 1
-    observed = np.flatnonzero(lookup)
-    lookup[observed] = np.arange(observed.size)
-    return observed, _gather(lookup, codes)
-
-
 def _count_contexts(block_codes: np.ndarray, visible: np.ndarray, vocab_size: int,
                     branching: int, variant: str, level: int
                     ) -> tuple[ContextStats, np.ndarray]:
@@ -194,16 +166,11 @@ def _count_contexts(block_codes: np.ndarray, visible: np.ndarray, vocab_size: in
     observed, ranks = _code_ranks(block_codes[:counted], vocab_size**s)
     k = observed.size
     sums = np.zeros((k, n_ctx, vocab_size), dtype=np.int64)
-    for rows in _row_blocks(ranks.shape[1], 1):
-        for b in range(counted):
-            c = b - 1 if b % s != 0 else b + 1
-            # intp keys: a narrow rank times vocab_size would wrap
-            keys = np.multiply(ranks[b, rows], vocab_size, dtype=np.intp)
-            start = c * s * span
-            for t in range(n_ctx):
-                sums[:, t, :] += np.bincount(
-                    keys + visible[start + t, rows], minlength=k * vocab_size
-                ).reshape(k, vocab_size)
+    for b in range(counted):
+        c = b - 1 if b % s != 0 else b + 1
+        for t in range(n_ctx):
+            sums[:, t, :] += _joint_counts(ranks[b], visible[c * s * span + t], k,
+                                           vocab_size)
     # Each occurrence adds one count to every context token's block.
     counts = sums[:, 0, :].sum(axis=1)
     stats = ContextStats(
@@ -299,22 +266,6 @@ class ClusterModel:
     recovery: list[float] | None = None
 
 
-def _majority_true_classes(
-    ranks: np.ndarray, n_codes: int, true_parents: np.ndarray, vocab_size: int
-) -> np.ndarray:
-    """Per observed code, the most frequent true parent symbol over its data
-    occurrences (ties to the smallest symbol), from the codes' ranks and the
-    true parents, two equal-shape C-contiguous arrays. Counted block by
-    block of ``_BLOCK_TOKENS`` entries."""
-    counts = np.zeros(n_codes * vocab_size, dtype=np.int64)
-    ranks, true_parents = ranks.ravel(), true_parents.ravel()
-    for part in _row_blocks(ranks.size, 1):
-        keys = np.multiply(ranks[part], vocab_size, dtype=np.intp)
-        keys += true_parents[part]
-        counts += np.bincount(keys, minlength=n_codes * vocab_size)
-    return counts.reshape(n_codes, vocab_size).argmax(axis=1)
-
-
 def learn_grammar(
     seqs: np.ndarray,
     depth: int,
@@ -391,8 +342,10 @@ def learn_grammar(
         else:
             part = cluster_tuples(stats, seed=derive_seed(seed, stage, "kmeans"))
         if recovery is not None:
-            classes = _majority_true_classes(ranks, observed.size,
-                                             true_parents[stage - 1], vocab_size)
+            # Each observed code's most frequent true parent, ties to the
+            # smallest symbol.
+            classes = _joint_counts(ranks, true_parents[stage - 1], observed.size,
+                                    vocab_size).argmax(axis=1)
             recovery.append(pair_agreement_score(part.labels, classes))
         levels.append(part)
         labels = _gather(part.labels.astype(narrow), ranks)
@@ -450,8 +403,7 @@ def _slot_matrix(table: np.ndarray, slot: int) -> np.ndarray:
     """``[a, b]``: the probability that a uniform production of symbol ``a``
     in the ``(v, m, s)`` rule ``table`` holds ``b`` in ``slot``."""
     v, m = table.shape[:2]
-    keys = np.repeat(np.arange(v), m) * v + table[:, :, slot].ravel()
-    return np.bincount(keys, minlength=v * v).reshape(v, v) / m
+    return _joint_counts(np.repeat(np.arange(v), m), table[:, :, slot], v, v) / m
 
 
 def population_context_collision(rs: RuleSet, variant: str = "single_token") -> bool:

@@ -34,7 +34,9 @@ from .grammar import (
     GrammarParams,
     RuleSet,
     _check_token_range,
+    _code_ranks,
     _columns,
+    _row_blocks,
     draw_production_codes,
     encode_tuples,
     tree_distance,
@@ -49,16 +51,32 @@ def _covariance(joint: np.ndarray, n: int) -> np.ndarray:
     return (n * joint - np.outer(joint.sum(axis=1), joint.sum(axis=0))) / float(n) ** 2
 
 
+def _joint_counts(a: np.ndarray, b: np.ndarray, n_a: int, n_b: int) -> np.ndarray:
+    """The int64 ``(n_a, n_b)`` table of how often each pair ``(a[i], b[i])``
+    occurs, for equal-size integer arrays already in ``[0, n_a)`` and
+    ``[0, n_b)``. The keys ``a * n_b + b`` are formed in intp block by block
+    of ``_BLOCK_TOKENS`` entries, so any input dtype counts alike."""
+    a, b = a.ravel(), b.ravel()
+    counts = np.zeros(n_a * n_b, dtype=np.int64)
+    for part in _row_blocks(a.size, 1):
+        keys = np.multiply(a[part], n_b, dtype=np.intp)
+        np.add(keys, b[part], out=keys, dtype=np.intp, casting="unsafe")
+        counts += np.bincount(keys, minlength=n_a * n_b)
+    return counts.reshape(n_a, n_b)
+
+
 def joint_correlation(
     a: np.ndarray, b: np.ndarray, n_a: int, n_b: int
 ) -> np.ndarray:
-    """Empirical correlation matrix C[a, b] = P(a, b) - P(a) P(b)."""
+    """Empirical correlation matrix C[a, b] = P(a, b) - P(a) P(b) of integer
+    entries in ``[0, n_a)`` and ``[0, n_b)``, of any integer dtype."""
     a = np.asarray(a).ravel()
     b = np.asarray(b).ravel()
     if a.shape != b.shape or a.size == 0:
         raise ValueError("need two equal-length non-empty index arrays")
-    joint = np.bincount(a * n_b + b, minlength=n_a * n_b).reshape(n_a, n_b)
-    return _covariance(joint, a.size)
+    _check_token_range("a", a, n_a)
+    _check_token_range("b", b, n_b)
+    return _covariance(_joint_counts(a, b, n_a, n_b), a.size)
 
 
 @dataclass
@@ -239,29 +257,23 @@ class TokenTupleCorrelation:
         return float(np.sqrt(np.mean(self.matrix**2)))
 
 
-def _tuple_block(ds: Dataset, level: int) -> np.ndarray:
-    p = ds.params
-    if not 2 <= level <= p.depth:
-        raise ValueError(f"level must be in 2..{p.depth}")
-    s = p.branching
-    syms = ds.level_symbols(level - 2)
-    return syms[:, s : 2 * s]
-
-
 def token_tuple_correlation(ds: Dataset, level: int) -> TokenTupleCorrelation:
     """Empirical token-tuple correlation over the observed tuple values.
 
     Latents must be present (retained at sampling or attached from a parse)
-    whenever ``level > 2``.
+    whenever ``level > 2``. The first tokens and the tuple symbols may have
+    any integer dtype and must lie in ``[0, vocab_size)``.
     """
     p = ds.params
-    block = _tuple_block(ds, level)
-    codes = encode_tuples(block, p.vocab_size)
-    observed = np.unique(codes)
-    col = np.searchsorted(observed, codes)
-    matrix = joint_correlation(
-        ds.sequences[:, 0], col, p.vocab_size, observed.size
-    )
+    if not 2 <= level <= p.depth:
+        raise ValueError(f"level must be in 2..{p.depth}")
+    v, s = p.vocab_size, p.branching
+    first = ds.sequences[:, 0]
+    block = ds.level_symbols(level - 2)[:, s : 2 * s]
+    _check_token_range("first tokens", first, v)
+    _check_token_range("tuple symbols", block, v)
+    observed, col = _code_ranks(encode_tuples(block, v), v**s)
+    matrix = joint_correlation(first, col, v, observed.size)
     return TokenTupleCorrelation(level=level, codes=observed, matrix=matrix)
 
 
@@ -284,9 +296,9 @@ def _stacked_tuple_correlation(
     tuple, with probability ``1/m``. The result is that joint minus the
     outer product of its marginals.
 
-    Every count is one bincount over the whole stack, keyed by grammar
-    first, so each grammar's bins add the same terms in the same order as a
-    stack of one. Returns the ``(G, v, v**s)`` matrices, whose columns of
+    Every weighted count is one bincount over the whole stack, keyed by
+    grammar first, so each grammar's bins add the same terms in the same
+    order as a stack of one. Returns the ``(G, v, v**s)`` matrices, whose columns of
     ungrammatical tuples are exactly zero, and the ``(G, v*m)`` grammatical
     tuple codes of each, ascending.
     """
@@ -306,8 +318,7 @@ def _stacked_tuple_correlation(
                         weights=np.repeat(pi / m, m, axis=1).ravel(),
                         minlength=n * v * v).reshape(n, v, v)
     for lvl in range(level - 1, 0, -1):  # rows: leftmost node at level lvl-1
-        left = np.bincount(rows * v + first[:, lvl - 1].ravel(),
-                           minlength=n * v * v).reshape(n, v, v) / m
+        left = _joint_counts(rows, first[:, lvl - 1], n * v, v).reshape(n, v, v) / m
         joint = left.transpose(0, 2, 1) @ joint
     order = np.argsort(codes[:, level - 2], axis=1)
     cols = np.take_along_axis(codes[:, level - 2], order, axis=1)

@@ -69,7 +69,7 @@ from rhmlab import (
 from rhmlab.grammar import decode_codes
 from rhmlab.onestep import OneStepGradient
 from rhmlab.seeding import derive_seed
-from rhmlab.stats import RecursionCheck, TokenTupleCorrelation, joint_correlation
+from rhmlab.stats import RecursionCheck, TokenTupleCorrelation
 
 
 def enumeration_conditionals(rs: RuleSet, lik: np.ndarray):
@@ -298,6 +298,16 @@ def load_dataset_loadtxt_oracle(path) -> tuple[np.ndarray, dict]:
     return seqs, header
 
 
+def joint_correlation_oracle(a, b, n_a: int, n_b: int) -> np.ndarray:
+    """``joint_correlation`` as first written, one bincount over all pairs,
+    with the entries cast to int64 so no key wraps; valid input only."""
+    a = np.asarray(a).ravel().astype(np.int64)
+    b = np.asarray(b).ravel().astype(np.int64)
+    n = a.size
+    joint = np.bincount(a * n_b + b, minlength=n_a * n_b).reshape(n_a, n_b)
+    return (n * joint - np.outer(joint.sum(axis=1), joint.sum(axis=0))) / float(n) ** 2
+
+
 def one_step_gd_oracle(tuple_codes, next_tokens, vocab_size: int, eta: float) -> OneStepModel:
     """One gradient step as first written: the whole gradient per call, its
     rows scattered into the tuple columns with ``np.add.at``."""
@@ -318,7 +328,7 @@ def one_step_gd_oracle(tuple_codes, next_tokens, vocab_size: int, eta: float) ->
     grad_t = np.zeros((observed.size, vocab_size))
     np.add.at(grad_t, col, resid)
     delta = eta * grad_t.T / n
-    corr = joint_correlation(next_tokens, col, vocab_size, observed.size)
+    corr = joint_correlation_oracle(next_tokens, col, vocab_size, observed.size)
     return OneStepModel(
         tuple_codes=observed,
         init_log_marginal=w0_col,
@@ -658,6 +668,24 @@ def bp_posterior_sample_batch_oracle(
     return symbols
 
 
+def token_tuple_correlation_oracle(ds: Dataset, level: int) -> TokenTupleCorrelation:
+    """Empirical token-tuple correlation with every symbol cast to int64:
+    the observed tuple codes by ``np.unique``, each row's column by
+    ``np.searchsorted``, then :func:`joint_correlation_oracle`; valid input
+    only."""
+    p = ds.params
+    v, s = p.vocab_size, p.branching
+    block = ds.level_symbols(level - 2)[:, s : 2 * s].astype(np.int64)
+    codes = block[:, 0]
+    for i in range(1, s):
+        codes = codes * v + block[:, i]
+    observed = np.unique(codes)
+    col = np.searchsorted(observed, codes)
+    matrix = joint_correlation_oracle(ds.sequences[:, 0].astype(np.int64), col, v,
+                                      observed.size)
+    return TokenTupleCorrelation(level=level, codes=observed, matrix=matrix)
+
+
 def population_token_tuple_correlation_oracle(rs: RuleSet, level: int) -> TokenTupleCorrelation:
     """Exact population token-tuple correlation of a grammar instance.
 
@@ -671,7 +699,7 @@ def population_token_tuple_correlation_oracle(rs: RuleSet, level: int) -> TokenT
     block = ds.level_symbols(level - 2)[:, s : 2 * s]
     codes = encode_tuples(block, p.vocab_size)
     n_cols = p.vocab_size**p.branching
-    matrix = joint_correlation(ds.sequences[:, 0], codes, p.vocab_size, n_cols)
+    matrix = joint_correlation_oracle(ds.sequences[:, 0], codes, p.vocab_size, n_cols)
     return TokenTupleCorrelation(
         level=level, codes=np.arange(n_cols), matrix=matrix
     )
@@ -978,6 +1006,6 @@ def one_step_gradient_bincount_oracle(tuple_codes, next_tokens,
         init_log_marginal=w0_col,
         init_weights=w0,
         grad_t=grad_t,
-        empirical_corr=joint_correlation(next_tokens, col, vocab_size, observed.size),
+        empirical_corr=joint_correlation_oracle(next_tokens, col, vocab_size, observed.size),
         n=n,
     )

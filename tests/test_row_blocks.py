@@ -3,13 +3,16 @@
 Sampling, parsing, the distinct filter, the learner's truth counts and the
 one-step gradient must give the same bytes, dtypes and generator state as
 the oracles in ``oracles.py`` at row counts on either side of a block
-boundary, with the real block size and with blocks of a row or two. Each
-kernel's tracemalloc peak is bounded by a multiple of its int32 rows; every
-bound fails for the whole-array forms and sits at least 15% above the
-measured peak (CHANGES.md records both).
+boundary, with the real block size and with blocks of a row or two. The
+pair counts and code ranks every module shares must equal a ``Counter`` and
+``np.unique`` at entry counts around a block. Each kernel's tracemalloc
+peak is bounded by a multiple of its int32 rows; every bound fails for the
+whole-array forms and sits at least 15% above the measured peak
+(CHANGES.md records both).
 """
 
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -32,7 +35,8 @@ from rhmlab import (
     tuple_next_token_pairs,
 )
 from rhmlab import grammar
-from rhmlab.grammar import _row_keys
+from rhmlab.grammar import _code_ranks, _row_keys
+from rhmlab.stats import _joint_counts
 
 # Depth 6, s=2: 64-token rows, so a sampling block holds B rows.
 RS = generate_rules(GrammarParams(depth=6, branching=2, vocab_size=8, n_synonyms=3,
@@ -121,6 +125,50 @@ def test_row_keys_are_equal_exactly_for_equal_rows(vocab_size, width):
     assert _row_keys(rows[:1], vocab_size) == keys[0]
     twice = _row_keys(np.concatenate([rows, rows]), vocab_size)
     assert np.array_equal(twice[: width + 2], twice[width + 2 :])
+
+
+@pytest.fixture(params=["block", "tiny"])
+def entry_counts(request, monkeypatch):
+    """Entry counts 0, 1, B-1, B, B+1 and 3B+7 around the block size B of a
+    one-token row, the real one or 64."""
+    if request.param == "tiny":
+        monkeypatch.setattr(grammar, "_BLOCK_TOKENS", 64)
+    b = grammar._block_rows(1)
+    return (0, 1, b - 1, b, b + 1, 3 * b + 7)
+
+
+@pytest.mark.parametrize("dtype, n_a, n_b", [
+    (np.uint8, 16, 255),  # keys up to 15 * 255 + 254, past uint8
+    (np.int16, 200, 300),  # past int16
+    (np.uint16, 3, 65535),
+    (np.int64, 7, 5),
+])
+def test_joint_counts_equal_the_counter(entry_counts, dtype, n_a, n_b):
+    rng = np.random.default_rng(n_a)
+    for n in entry_counts:
+        a = rng.integers(0, n_a, size=n).astype(dtype)
+        b = rng.integers(0, n_b, size=n).astype(dtype)
+        want = np.zeros((n_a, n_b), dtype=np.int64)
+        for (x, y), count in Counter(zip(a.tolist(), b.tolist())).items():
+            want[x, y] = count
+        got = _joint_counts(a, b, n_a, n_b)
+        _identical(got, want)
+        # any equal-size shapes, as the learner passes (blocks, rows) grids
+        if n % 2 == 0:
+            _identical(_joint_counts(a.reshape(2, -1), b, n_a, n_b), want)
+
+
+@pytest.mark.parametrize("code_space", [1, 200, 256, 257, 70_000])
+def test_code_ranks_equal_unique_and_searchsorted(entry_counts, code_space):
+    rng = np.random.default_rng(code_space)
+    rank_type = np.min_scalar_type(code_space - 1)
+    for n in entry_counts:
+        codes = rng.integers(0, code_space, size=(n, 1)).astype(np.min_scalar_type(
+            code_space - 1))
+        observed, ranks = _code_ranks(codes, code_space)
+        want = np.unique(codes)
+        assert np.array_equal(observed, want) and observed.dtype == np.intp
+        _identical(ranks, np.searchsorted(want, codes).astype(rank_type))
 
 
 def test_learner_truth_matches_the_full_parse(counts):

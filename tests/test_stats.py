@@ -30,10 +30,12 @@ from rhmlab.grammar import draw_production_codes
 from oracles import (
     correlation_recursion_check_loop,
     ensemble_correlation_std_loop,
+    joint_correlation_oracle,
     pair_joint_dp,
     population_token_tuple_correlation_oracle,
     production_index,
     token_pair_counts_oracle,
+    token_tuple_correlation_oracle,
     transfer_matrix_correlation_loop,
 )
 
@@ -274,6 +276,78 @@ class TestTokenTupleCorrelation:
     def test_joint_correlation_input_checks(self):
         with pytest.raises(ValueError):
             joint_correlation(np.array([0]), np.array([0, 1]), 2, 2)
+
+
+NARROW = (np.uint8, np.int8, np.int16)
+
+
+def _cast(ds, dtype):
+    return Dataset(sequences=ds.sequences.astype(dtype), params=ds.params,
+                   latents=[x.astype(dtype) for x in ds.latents])
+
+
+class TestAnyIntegerDtype:
+    """Pair keys are formed in intp, so every integer dtype gives the int64
+    result, also where ``first token * observed tuples`` passes the
+    dtype's range."""
+
+    # v=16: the keys pass the uint8 and int8 ranges; v=128: the int16 range.
+    @pytest.mark.parametrize("params, n_rows, level", [
+        pytest.param(GrammarParams(3, 2, 16, 4, seed=2), 5000, 2, id="v16-level2"),
+        pytest.param(GrammarParams(3, 2, 16, 4, seed=2), 5000, 3, id="v16-level3"),
+        pytest.param(GrammarParams(2, 2, 128, 4, seed=3), 3000, 2, id="v128-level2"),
+    ])
+    @pytest.mark.parametrize("dtype", NARROW + (np.int64,))
+    def test_token_tuple_correlation_equals_the_int64_oracle(self, params, n_rows,
+                                                             level, dtype):
+        ds = sample_dataset(generate_rules(params), n_rows, np.random.default_rng(1))
+        want = token_tuple_correlation_oracle(ds, level)
+        got = token_tuple_correlation(_cast(ds, dtype), level)
+        assert got.codes.dtype == want.codes.dtype
+        assert np.array_equal(got.codes, want.codes)
+        assert got.matrix.tobytes() == want.matrix.tobytes()
+        if params.vocab_size == 128 or dtype != np.int16:
+            top = int(ds.sequences[:, 0].max()) * want.codes.size
+            assert dtype == np.int64 or top > np.iinfo(dtype).max
+
+    @pytest.mark.parametrize("dtype", NARROW + (np.int64,))
+    def test_joint_correlation_equals_the_int64_oracle(self, dtype):
+        rng = np.random.default_rng(4)
+        # n_b = 4000 puts 15 * n_b past every narrow range.
+        for n_a, n_b, n in ((16, 4000, 3000), (16, 4000, 2), (5, 7, 200)):
+            a = rng.integers(0, n_a, size=n)
+            b = rng.integers(0, min(n_b, np.iinfo(dtype).max + 1), size=n)
+            a[0] = n_a - 1
+            want = joint_correlation_oracle(a, b, n_a, n_b)
+            got = joint_correlation(a.astype(dtype), b.astype(dtype), n_a, n_b)
+            assert got.tobytes() == want.tobytes()
+        got = joint_correlation(np.array([15, 0], dtype=dtype),
+                                np.array([0, 1], dtype=dtype), 16, 4000)
+        assert got[15, 0] == got[0, 1] == 0.25 and got[15, 1] == got[0, 0] == -0.25
+
+    def test_entries_outside_the_tables_are_refused(self):
+        with pytest.raises(ValueError, match=r"^b must lie in \[0, 3\), found 3$"):
+            joint_correlation(np.array([0, 1]), np.array([0, 3]), 2, 3)
+        with pytest.raises(ValueError, match=r"^a must lie in \[0, 2\), found -1$"):
+            joint_correlation(np.array([-1, 1], dtype=np.int8), np.array([0, 2]), 2, 3)
+        with pytest.raises(ValueError, match="a must hold integer tokens"):
+            joint_correlation(np.array([0.0, 1.0]), np.array([0, 2]), 2, 3)
+
+    def test_mask_token_and_unparsed_symbols_are_refused(self, rs_deep):
+        ds = sample_dataset(rs_deep, 200, np.random.default_rng(8))
+        v = rs_deep.params.vocab_size
+        masked = ds.sequences.copy()
+        masked[7, 0] = v  # the mask token, in the first-token column
+        with pytest.raises(ValueError, match=rf"first tokens must lie in \[0, {v}\)"):
+            token_tuple_correlation(Dataset(masked, rs_deep.params, ds.latents), 2)
+        masked = ds.sequences.copy()
+        masked[7, rs_deep.params.branching] = v  # and in the level-2 tuple
+        with pytest.raises(ValueError, match="tuple symbols must lie"):
+            token_tuple_correlation(Dataset(masked, rs_deep.params, ds.latents), 2)
+        latents = [x.copy() for x in ds.latents]
+        latents[0][3, rs_deep.params.branching] = -1  # an unparsed level-1 symbol
+        with pytest.raises(ValueError, match=r"tuple symbols must lie .*found -1"):
+            token_tuple_correlation(Dataset(ds.sequences, rs_deep.params, latents), 3)
 
 
 @st.composite
