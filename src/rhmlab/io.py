@@ -30,6 +30,7 @@ round-trip.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 from pathlib import Path
@@ -140,36 +141,28 @@ def load_dataset(path) -> tuple[np.ndarray, dict]:
             _check_tokens(seqs, vocab, path)
             return seqs, header
         if fh.seekable():
-            # The whole file in one buffer, with room for a final line end.
             fh.seek(0)
-            data = bytearray(os.fstat(fh.fileno()).st_size + 1)
-            size = fh.readinto(memoryview(data)[:-1])
         else:  # a pipe, whose size is known only once it is read
-            data = bytearray(magic + fh.read() + b"\n")
-            size = len(data) - 1
-    if size == 0 or data[size - 1] != ord("\n"):
-        data[size] = ord("\n")
-        size += 1
-    body = data.index(b"\n", 0, size) + 1
-    try:
-        fields = bytes(data[: body - 1]).decode().split()
-    except UnicodeDecodeError:
-        raise ValueError(f"dataset file {path}: line 1 is not UTF-8 text") from None
-    if len(fields) != 4:
-        raise ValueError(
-            f"dataset file {path}: the header needs 4 fields "
-            f"(seq_len vocab_size n_rows grammar_hash), found {len(fields)}"
-        )
-    try:
-        d, vocab, n = (int(x) for x in fields[:3])
-    except ValueError:
-        raise ValueError(
-            f"dataset file {path}: header sizes {fields[:3]} are not integers"
-        ) from None
-    if d < 1 or vocab < 1 or n < 0:
-        raise ValueError(f"dataset file {path}: header sizes {fields[:3]} out of range")
-    seqs = _parse_rows(np.frombuffer(data, dtype=np.uint8, count=size), body, n, d,
-                       vocab, path)
+            fh = io.BytesIO(magic + fh.read())
+        line = fh.readline()
+        try:
+            fields = line.decode().split()
+        except UnicodeDecodeError:
+            raise ValueError(f"dataset file {path}: line 1 is not UTF-8 text") from None
+        if len(fields) != 4:
+            raise ValueError(
+                f"dataset file {path}: the header needs 4 fields "
+                f"(seq_len vocab_size n_rows grammar_hash), found {len(fields)}"
+            )
+        try:
+            d, vocab, n = (int(x) for x in fields[:3])
+        except ValueError:
+            raise ValueError(
+                f"dataset file {path}: header sizes {fields[:3]} are not integers"
+            ) from None
+        if d < 1 or vocab < 1 or n < 0:
+            raise ValueError(f"dataset file {path}: header sizes {fields[:3]} out of range")
+        seqs = _parse_rows(fh, n, d, vocab, path)
     header = dict(seq_len=d, vocab_size=vocab, n_rows=n, grammar_hash=fields[3])
     return seqs, header
 
@@ -178,32 +171,51 @@ _INT32_MAX = 2**31 - 1
 _SEPARATOR_BYTES = np.frombuffer(b" \t\n\r", dtype=np.uint8)
 
 
-def _parse_rows(buf, body: int, n: int, d: int, vocab: int, path) -> np.ndarray:
-    """The first ``n`` rows of ``d`` tokens in ``buf`` (uint8, ending in a
-    newline) from byte ``body`` on, parsed row block by row block. In a block
-    every byte is classified, the last digit of every token is found with one
+def _parse_rows(fh, n: int, d: int, vocab: int, path) -> np.ndarray:
+    """The first ``n`` rows of ``d`` tokens read from ``fh`` (a seekable binary
+    file at the first body byte), parsed row block by row block. The rows are
+    allocated first and are the only array of the file's size: a block's
+    lines are read as it needs them, in reads of the shortest text its rows
+    can take (a digit and a separator per token). In a block every byte is
+    classified, the last digit of every token is found with one
     ``flatnonzero``, and each value is built from the digits before it; row
     ``k`` of the block must hold tokens ``k*d`` to ``k*d + d - 1``."""
-    newlines = np.flatnonzero(buf[body:] == ord("\n"))[:n] + body
+    start = fh.tell()
+    size = fh.seek(0, os.SEEK_END) - start
+    fh.seek(start)
     # every token takes a byte, so no larger array is allocated than the body
     # could fill
-    if newlines.size < n or n * d > buf.size - body:
-        raise ValueError(
-            f"dataset file {path}: the header states {n} rows of {d} tokens, "
-            f"the body holds {newlines.size} lines of {buf.size - body} bytes"
-        )
+    if n * d > size:
+        raise ValueError(f"dataset file {path}: the header states {n} rows of {d} "
+                         f"tokens, the body holds {size} bytes")
     seqs = np.empty((n, d), dtype=np.int32)
+    # bytes read past the last block's rows, and the line ends among them
+    rest, ends = np.empty(0, dtype=np.uint8), 0
     for block in _row_blocks(n, d):
-        r0, r1 = block.start, block.stop
-        lo = body if r0 == 0 else newlines[r0 - 1] + 1
-        seg = buf[lo : newlines[r1 - 1] + 1]
-        line_end = newlines[r0:r1] - lo
+        r0, rows = block.start, block.stop - block.start
+        parts = [rest]
+        while ends < rows:
+            text = fh.read(2 * rows * d)
+            if not text:  # at the end, the last line may lack its line end
+                if not parts[-1].size or parts[-1][-1] == ord("\n"):
+                    break
+                text = b"\n"
+            parts.append(np.frombuffer(text, dtype=np.uint8))
+            ends += np.count_nonzero(parts[-1] == ord("\n"))
+        if ends < rows:
+            raise ValueError(
+                f"dataset file {path}: the header states {n} rows of {d} tokens, "
+                f"the body holds {r0 + ends} lines of {size} bytes"
+            )
+        buf = np.concatenate(parts)
+        line_end = np.flatnonzero(buf == ord("\n"))[:rows]
+        seg, rest = buf[: line_end[-1] + 1], buf[line_end[-1] + 1 :]
+        ends -= rows
 
         def fail(pos, what):
             line = r0 + 2 + int(np.searchsorted(line_end, pos))
             return ValueError(f"dataset file {path}: line {line}: {what}")
 
-        rows = r1 - r0
         dv = seg - np.uint8(ord("0"))  # digit values; other bytes wrap past 9
         digit = dv < 10
         returns = np.count_nonzero(seg == ord("\r"))

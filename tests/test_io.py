@@ -381,10 +381,32 @@ def test_error_line_counts_across_row_blocks_of_32_tokens(tmp_path, row):
         load_dataset(path)
 
 
+def test_rows_longer_than_a_read_and_line_ends_split_across_reads(tmp_path):
+    # A block's lines are read in pieces of two bytes per token of the block.
+    # Long blank runs make rows longer than a whole read at the ends of the
+    # first two blocks and the start of the third, and the last block of 7
+    # rows is read in 448-byte pieces, so CRLF pairs and tokens fall across
+    # reads; the last line has no line end.
+    n = 3 * BLOCK_32 + 7
+    seqs = np.random.default_rng(5).integers(0, 17, size=(n, 32))
+    long_rows = {BLOCK_32 - 1, 2 * BLOCK_32 - 1, 2 * BLOCK_32, n - 1}
+    lines = [f"32 16 {n} -"]
+    for i, row in enumerate(seqs):
+        sep = " " * 70_000 if i in long_rows else " \t"[i % 2]
+        lines.append(("\t" if i % 3 else "") + sep.join(
+            "0" * (i % 4) + str(t) for t in row))
+    path = tmp_path / "d.txt"
+    path.write_bytes("\r\n".join(lines).encode())
+    got, header = load_dataset(path)
+    assert got.dtype == np.int32 and np.array_equal(got, seqs)
+    assert header == dict(seq_len=32, vocab_size=16, n_rows=n, grammar_hash="-")
+
+
 def test_load_peak_memory_is_a_bounded_multiple_of_the_rows(tmp_path):
     # 2e4 depth-5 rows, 2.56 MB as int32 and about 1.5 MB of text. The peak
-    # holds the file buffer, the rows and one row block's temporaries:
-    # measured 2.14x the int32 rows, and 3.58x with blocks of 4,096 rows.
+    # holds the rows and one row block's text and temporaries: measured
+    # 1.63x the int32 rows, 2.14x when the whole file was one buffer, and
+    # 3.58x with blocks of 4,096 rows.
     rs = generate_rules(GrammarParams(depth=5, branching=2, vocab_size=16,
                                       n_synonyms=4, seed=1))
     ds = sample_dataset(rs, 20_000, np.random.default_rng(2), with_latents=False)
@@ -399,7 +421,7 @@ def test_load_peak_memory_is_a_bounded_multiple_of_the_rows(tmp_path):
     finally:
         tracemalloc.stop()
     assert np.array_equal(seqs, ds.sequences)
-    assert peak < 2.6 * seqs.nbytes
+    assert peak < 2.0 * seqs.nbytes
 
 
 def test_leading_zeros_and_int32_max_load(tmp_path):
