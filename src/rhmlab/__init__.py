@@ -22,6 +22,7 @@ from .grammar import (
     resample_below,
     sample_dataset,
     sample_distinct_dataset,
+    token_dtype,
     tree_distance,
 )
 from .kmeans import KMeansResult, kmeans_fit

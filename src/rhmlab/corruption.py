@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grammar import _check_token_range
+from .grammar import _check_token_range, token_dtype
 
 KINDS = ("uniform", "masking")
 
@@ -72,18 +72,26 @@ def corrupt(
     """Corrupt tokens i.i.d.; returns ``(noisy, hits)`` where ``hits`` marks the
     positions the kernel acted on (a uniform resample may keep the value).
 
+    ``rng`` draws the ``seqs.shape`` uniforms of the hits, then, under
+    uniform noise, the ``seqs.shape`` int32 replacement tokens, whatever the
+    rows' dtype; so every integer dtype gets the same noise. ``noisy`` has
+    the rows' dtype promoted with :func:`token_dtype`, which holds every
+    token, the mask included.
+
     Masking noise also takes masked input: the mask is absorbing, so a masked
     token stays masked and corrupting in two steps composes like one step.
     """
     seqs = np.asarray(seqs)
     _check_token_range("seqs", seqs, vocab_size + (spec.kind == "masking"))
+    dtype = np.promote_types(seqs.dtype, token_dtype(vocab_size))
     keep = cumulative_keep_prob(spec)
     hits = rng.random(seqs.shape) < (1.0 - keep)
     if spec.kind == "uniform":
-        resampled = rng.integers(0, vocab_size, size=seqs.shape, dtype=seqs.dtype)
-        noisy = np.where(hits, resampled, seqs)
+        noisy = rng.integers(0, vocab_size, size=seqs.shape,
+                             dtype=np.int32).astype(dtype, copy=False)
     else:
-        noisy = np.where(hits, np.asarray(vocab_size, dtype=seqs.dtype), seqs)
+        noisy = np.full(seqs.shape, vocab_size, dtype=dtype)
+    np.copyto(noisy, seqs, where=~hits)
     return noisy, hits
 
 

@@ -19,6 +19,8 @@ import numpy as np
 DEFAULT_ENUMERATION_CAP = 1_000_000
 # Tokens per row block of every row kernel: their temporaries stay block-sized.
 _BLOCK_TOKENS = 1 << 15
+# Largest code space per ranked code that _code_ranks serves by a lookup.
+_LOOKUP_PER_CODE = 8
 
 
 class EnumerationCapError(RuntimeError):
@@ -49,6 +51,13 @@ def _check_draw_count(n) -> None:
     """Refuse a draw count ``n`` that is not a nonnegative integer."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
         raise ValueError(f"n must be a nonnegative integer, not {n!r}")
+
+
+def token_dtype(vocab_size: int) -> np.dtype:
+    """The smallest unsigned dtype holding every token of a ``vocab_size``
+    alphabet with its mask token ``vocab_size``: uint8 up to v = 255,
+    uint16 from 256. Every row of tokens or sampled symbols is in it."""
+    return np.min_scalar_type(vocab_size)
 
 
 def _check_token_range(name: str, tokens: np.ndarray, bound: int | None) -> None:
@@ -383,12 +392,22 @@ def _gather(table: np.ndarray, index: np.ndarray) -> np.ndarray:
 
 
 def _code_ranks(codes: np.ndarray, code_space: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ascending distinct values of ``codes`` (all in ``[0, code_space)``)
-    and each entry's rank among them, in the narrowest unsigned dtype holding
-    ``code_space - 1``, through one ``code_space``-entry lookup of that dtype
-    (the only table sized by the code space)."""
-    lookup = np.zeros(code_space, dtype=np.min_scalar_type(code_space - 1))
+    """The ascending intp distinct values of ``codes`` (all in
+    ``[0, code_space)``) and each entry's rank among them, in the narrowest
+    unsigned dtype holding ``code_space - 1``. While ``code_space`` is at
+    most ``_LOOKUP_PER_CODE`` times the entry count, they come from one
+    ``code_space``-entry lookup of that dtype; past that, from ``np.unique``
+    and ``searchsorted``, so no table outgrows the data."""
+    rank_type = np.min_scalar_type(code_space - 1)
     flat = codes.ravel()
+    if code_space > _LOOKUP_PER_CODE * flat.size:
+        observed = np.unique(flat)
+        ranks = np.empty(codes.shape, dtype=rank_type)
+        flat_ranks = ranks.ravel()
+        for part in _row_blocks(flat.size, 1):
+            flat_ranks[part] = np.searchsorted(observed, flat[part])
+        return observed.astype(np.intp), ranks
+    lookup = np.zeros(code_space, dtype=rank_type)
     for part in _row_blocks(flat.size, 1):
         # numpy scatters through intp indices faster than through narrow ones
         lookup[flat[part].astype(np.intp)] = 1
@@ -400,25 +419,28 @@ def _code_ranks(codes: np.ndarray, code_space: int) -> tuple[np.ndarray, np.ndar
 def _expand_levels(
     rs: RuleSet, top: np.ndarray, choices: list[np.ndarray], with_latents: bool = True
 ) -> list[np.ndarray]:
-    """Expand ``(n, width)`` int32 symbols at level ``len(choices)`` down to
-    the leaves, row block by row block; ``choices[lvl - 1]`` holds the
-    level-``lvl`` rule indices, in any integer dtype. Returns ``levels[0]`` =
-    leaves .. ``levels[-1]`` = ``top``, or only ``[leaves]`` without
-    latents."""
+    """Expand ``(n, width)`` symbols at level ``len(choices)`` down to the
+    leaves, row block by row block; ``top`` and ``choices[lvl - 1]``, the
+    level-``lvl`` rule indices, may have any integer dtype. Returns
+    ``levels[0]`` = leaves .. ``levels[-1]`` = ``top``, or only ``[leaves]``
+    without latents, every level in :func:`token_dtype`."""
     p = rs.params
     m, s = p.n_synonyms, p.branching
+    dtype = token_dtype(p.vocab_size)
+    top = top.astype(dtype, copy=False)
     n, width = top.shape
     depth = len(choices)
-    # Each int32 production is one opaque 4*s-byte item of a (v, m)
-    # table, gathered at (parent, choice) with no index temporaries.
-    productions = [rs.rules_at(lvl).view(f"V{4 * s}").reshape(-1, m)
-                   for lvl in range(1, depth + 1)]
-    levels = [np.empty((n, width * s ** (depth - lvl)), dtype=np.int32)
+    # Each production, narrowed to the token dtype, is one opaque s-token
+    # item of a (v, m) table, gathered at (parent, choice) with no index
+    # temporaries.
+    productions = [rs.rules_at(lvl).astype(dtype).view(f"V{dtype.itemsize * s}")
+                   .reshape(-1, m) for lvl in range(1, depth + 1)]
+    levels = [np.empty((n, width * s ** (depth - lvl)), dtype=dtype)
               for lvl in range(depth if with_latents else 1)]
     for rows in _row_blocks(n, width * s**depth):
         cur = top[rows]
         for lvl in range(depth, 0, -1):
-            cur = productions[lvl - 1][cur, choices[lvl - 1][rows]].view(np.int32)
+            cur = productions[lvl - 1][cur, choices[lvl - 1][rows]].view(dtype)
             if with_latents or lvl == 1:
                 levels[lvl - 1][rows] = cur
     return levels + [top] if with_latents else levels
@@ -431,12 +453,13 @@ def sample_dataset(
     with_latents: bool = True,
 ) -> Dataset:
     """Draw ``n`` i.i.d. derivations: uniform root, uniform rule choices.
-    ``rng`` draws the ``(n,)`` roots, then one ``(n, width)`` int32
+    ``rng`` draws the ``(n,)`` int32 roots, then one ``(n, width)`` int32
     rule-index array per level, from 1 up to ``depth``.
 
-    Holds the result, the rule indices narrowed to the smallest unsigned
-    dtype and one level's int32 draw; without latents only the leaves are
-    kept, and the levels between are expanded row block by row block."""
+    Holds the result in :func:`token_dtype`, the rule indices narrowed to
+    the smallest unsigned dtype and one level's int32 draw; without latents
+    only the leaves are kept, and the levels between are expanded row block
+    by row block."""
     _check_draw_count(n)
     p = rs.params
     root = rng.integers(0, p.vocab_size, size=n, dtype=np.int32)
@@ -557,7 +580,7 @@ def enumerate_all(rs: RuleSet) -> Dataset:
     n = p.n_derivations
     m = p.n_synonyms
     idx = np.arange(n, dtype=np.int64)
-    root = (idx // m**p.n_internal_nodes).astype(np.int32)
+    root = (idx // m**p.n_internal_nodes).astype(token_dtype(p.vocab_size))
     rem = idx % m**p.n_internal_nodes
     # Mixed-radix digits: one base-m choice per internal node, root level first.
     choices = []
@@ -685,8 +708,8 @@ def resample_below(
     """Redraw, in every row, all rule choices from ``level`` downward, keeping
     every symbol at levels >= ``level`` fixed (the synonym-exchange
     transformation). Rows must parse fully; returns the new ``(n, seq_len)``
-    rows. ``rng`` draws one ``(n, width)`` choice array per level, from
-    ``level`` down to 1."""
+    rows in :func:`token_dtype`. ``rng`` draws one ``(n, width)`` choice
+    array per level, from ``level`` down to 1."""
     p = rs.params
     if not 1 <= level <= p.depth:
         raise ValueError(f"level must be in 1..{p.depth}")

@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grammar import Dataset, RuleSet, _row_blocks
+from .grammar import Dataset, RuleSet, _row_blocks, token_dtype
 
 DATASET_MAGIC = b"RHMD1"
 
@@ -109,6 +109,9 @@ def save_dataset(ds: Dataset, path, binary: bool = False) -> None:
 
 def load_dataset(path) -> tuple[np.ndarray, dict]:
     """Returns (rows, header dict with seq_len/vocab_size/n_rows/grammar_hash).
+    The rows are in :func:`token_dtype` of the largest token the file can
+    hold: ``vocab_size``, or the format's largest token if smaller (65535 in
+    a binary file, int32's maximum in a text file).
 
     Exactly ``n_rows`` rows are read; the text syntax is in the module
     docstring. A malformed file raises ``ValueError``: no header, a header
@@ -135,11 +138,10 @@ def load_dataset(path) -> tuple[np.ndarray, dict]:
             d, vocab, n = (int(x) for x in np.frombuffer(read(24, "header"), dtype="<u8"))
             tag_len = int.from_bytes(read(2, "header"), "little")
             grammar_hash = read(tag_len, "header").decode()
-            seqs = np.frombuffer(read(d * n * 2, "body"), dtype="<u2")
-            seqs = seqs.reshape(n, d).astype(np.int32)
+            body = np.frombuffer(read(d * n * 2, "body"), dtype="<u2").reshape(n, d)
+            _check_tokens(body, vocab, path)
             header = dict(seq_len=d, vocab_size=vocab, n_rows=n, grammar_hash=grammar_hash)
-            _check_tokens(seqs, vocab, path)
-            return seqs, header
+            return body.astype(token_dtype(min(vocab, 65535))), header
         if fh.seekable():
             fh.seek(0)
         else:  # a pipe, whose size is known only once it is read
@@ -188,7 +190,7 @@ def _parse_rows(fh, n: int, d: int, vocab: int, path) -> np.ndarray:
     if n * d > size:
         raise ValueError(f"dataset file {path}: the header states {n} rows of {d} "
                          f"tokens, the body holds {size} bytes")
-    seqs = np.empty((n, d), dtype=np.int32)
+    seqs = np.empty((n, d), dtype=token_dtype(min(vocab, _INT32_MAX)))
     # bytes read past the last block's rows, and the line ends among them
     rest, ends = np.empty(0, dtype=np.uint8), 0
     for block in _row_blocks(n, d):

@@ -15,7 +15,9 @@ distance can flip an argmin tie and with it a learner decision:
   the expansion ``|x|^2 - 2 x.c + |c|^2``. The init reduces ``(x - p)**2``
   with ``.sum`` over the last axis and Lloyd with one ``einsum`` over it;
   either reduction gives each pair the same bits whatever block the pair
-  sits in, so blocks of at most k rows or centres may be formed freely;
+  sits in, so the ``(points, rows or centres, coordinates)`` difference
+  blocks are sized freely: ``_BLOCK_ELEMENTS`` elements, and at least one
+  row or centre;
 * lockstep init: the greedy-spread init runs for all distinct first points
   at once, and a point's distance row is computed once however many
   restarts choose it; so is the first Lloyd distance column of each point
@@ -50,35 +52,52 @@ class KMeansResult:
     restarts_run: int  # distinct first points fitted
 
 
-def _sq_columns(points: np.ndarray, centers: np.ndarray, k: int) -> np.ndarray:
+# Most float64 elements of one difference block: one block per k = 16
+# centres at the sweep's largest shape, 128 points of 16 coordinates.
+_BLOCK_ELEMENTS = 1 << 15
+
+
+def _block_width(points: np.ndarray) -> int:
+    """Centres (or rows) per difference block against every point."""
+    return max(1, _BLOCK_ELEMENTS // points.size)
+
+
+def _sq_columns(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Squared distance from every point to each centre, one row per centre,
-    with at most k centres per ``(n, k, d)`` difference block."""
+    one ``(n, c, d)`` difference block of :func:`_block_width` centres at a
+    time."""
     out = np.empty((centers.shape[0], points.shape[0]))
-    for lo in range(0, centers.shape[0], k):
-        diff = points[:, None, :] - centers[None, lo : lo + k, :]
-        out[lo : lo + k] = np.einsum("nkd,nkd->nk", diff, diff).T
+    width = _block_width(points)
+    for lo in range(0, centers.shape[0], width):
+        diff = points[:, None, :] - centers[None, lo : lo + width, :]
+        out[lo : lo + width] = np.einsum("nkd,nkd->nk", diff, diff).T
+        del diff  # before the next block is formed
     return out
 
 
 def _spread_init(points: np.ndarray, firsts: np.ndarray, k: int) -> np.ndarray:
     """Greedy-spread init of every restart at once, as ``(R, k)`` point
     indices. Restarts mostly pick the same far points, so each point's
-    squared-distance row is computed once, at most k rows per block."""
+    squared-distance row is computed once, :func:`_block_width` rows per
+    block."""
     n = points.shape[0]
     idx = np.empty((firsts.size, k), dtype=np.int64)
     idx[:, 0] = firsts
     rows = np.empty((min(n, firsts.size * k), n))
     slot = np.full(n, -1)
     used = 0
+    width = _block_width(points)
     d2 = np.full((firsts.size, n), np.inf)
     for j in range(1, k):
         chosen = idx[:, j - 1]
         new = np.unique(chosen[slot[chosen] < 0])
         slot[new] = np.arange(used, used + new.size)
         used += new.size
-        for lo in range(0, new.size, k):
-            block = new[lo : lo + k]
-            rows[slot[block]] = ((points[None] - points[block][:, None]) ** 2).sum(axis=2)
+        for lo in range(0, new.size, width):
+            block = new[lo : lo + width]
+            diff = points[None] - points[block][:, None]
+            rows[slot[block]] = np.square(diff, out=diff).sum(axis=2)
+            del diff
         d2 = np.minimum(d2, rows[slot[chosen]])
         idx[:, j] = d2.argmax(axis=1)  # ties -> lowest index
     return idx
@@ -116,7 +135,7 @@ def kmeans_fit(
     centers = points[idx]
     # Each init centre is a point: one distance column per distinct point.
     init_points, slot = np.unique(idx, return_inverse=True)
-    cols = _sq_columns(points, points[init_points], k)
+    cols = _sq_columns(points, points[init_points])
     dist = cols[slot.reshape(idx.shape)].transpose(0, 2, 1).copy()  # (R, n, k)
     prev = np.full(n_run, np.inf)
     n_iter = np.zeros(n_run, dtype=np.int64)
@@ -130,6 +149,7 @@ def kmeans_fit(
         d2 = dist[live]
         labels = d2.argmin(axis=2)  # ties -> lowest cluster index
         own = np.take_along_axis(d2, labels[:, :, None], axis=2)[:, :, 0]
+        del d2
         offset = k * np.arange(a)[:, None]
         sizes = np.bincount((labels + offset).ravel(), minlength=a * k).reshape(a, k)
         # Re-seat empty clusters, lowest index first, on the worst-served point
@@ -143,17 +163,17 @@ def kmeans_fit(
             labels[row, pick] = c
             own[row, pick] = 0.0
         inertia = own.sum(axis=1)
-        sums = np.bincount(
+        new = np.bincount(
             ((labels + offset)[:, :, None] * dim + coord).ravel(),
             weights=weights[: a * n * dim],
             minlength=a * k * dim,
         ).reshape(a, k, dim)
-        new = sums / sizes[:, :, None]
+        new /= sizes[:, :, None]  # the centres, from their sums
         # Only a centre whose bits changed needs its distance column again.
         r, c = np.nonzero((new != centers[live]).any(axis=2))
         r = live[r]
         centers[live] = new
-        dist[r, :, c] = _sq_columns(points, centers[r, c], k)
+        dist[r, :, c] = _sq_columns(points, centers[r, c])
         n_iter[live] = it
         done = prev[live] - inertia <= rel_tol * np.maximum(inertia, 1e-300)
         prev[live] = inertia

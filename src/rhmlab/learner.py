@@ -43,6 +43,7 @@ from .grammar import (
     encode_tuples,
     generate_rules,
     sample_dataset,
+    token_dtype,
 )
 from .kmeans import kmeans_fit
 from .seeding import derive_seed
@@ -370,19 +371,21 @@ def generate_from_learned(
 
     A label's members are its codes in ascending order. Each level draws one
     member index per position, label by label in ascending order and, within
-    a label, in row-major position order.
+    a label, in row-major position order. Rows are in :func:`token_dtype`.
     """
     _check_draw_count(n)
     if model.top_tuples.size == 0:
         raise ValueError("model has no top-level tuples")
-    cur = model.top_tuples[rng.integers(0, model.top_tuples.shape[0], size=n)]
+    dtype = token_dtype(model.vocab_size)
+    cur = model.top_tuples.astype(dtype)[
+        rng.integers(0, model.top_tuples.shape[0], size=n)]
     s = model.branching
     for stage in range(len(model.levels), 0, -1):
         part = model.levels[stage - 1]
         # Every label's member tuples, grouped by label in ascending order.
         members = decode_codes(
             part.codes[np.argsort(part.labels, kind="stable")], model.vocab_size, s
-        )
+        ).astype(dtype)
         sizes = np.bincount(part.labels, minlength=model.vocab_size)
         starts = np.cumsum(sizes) - sizes
         labels = cur.ravel()

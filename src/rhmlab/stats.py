@@ -55,13 +55,18 @@ def _joint_counts(a: np.ndarray, b: np.ndarray, n_a: int, n_b: int) -> np.ndarra
     """The int64 ``(n_a, n_b)`` table of how often each pair ``(a[i], b[i])``
     occurs, for equal-size integer arrays already in ``[0, n_a)`` and
     ``[0, n_b)``. The keys ``a * n_b + b`` are formed in intp block by block
-    of ``_BLOCK_TOKENS`` entries, so any input dtype counts alike."""
+    of ``_BLOCK_TOKENS`` entries, so any input dtype counts alike; entries
+    that fit one block are counted by one bincount, which is the table."""
     a, b = a.ravel(), b.ravel()
-    counts = np.zeros(n_a * n_b, dtype=np.int64)
+    counts = np.zeros(n_a * n_b, dtype=np.int64) if a.size == 0 else None
     for part in _row_blocks(a.size, 1):
         keys = np.multiply(a[part], n_b, dtype=np.intp)
         np.add(keys, b[part], out=keys, dtype=np.intp, casting="unsafe")
-        counts += np.bincount(keys, minlength=n_a * n_b)
+        block = np.bincount(keys, minlength=n_a * n_b)
+        if counts is None:
+            counts = block
+        else:
+            counts += block
     return counts.reshape(n_a, n_b)
 
 

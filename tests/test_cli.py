@@ -785,10 +785,12 @@ class TestStatsStep:
             assert (b",nan," in theory) == (noise is not None)
 
     def test_peak_memory_is_a_bounded_multiple_of_the_rows(self, tmp_path, monkeypatch):
-        # 2e4 depth-5 rows: 2.56 MB of int32. The loader hands over a fresh
-        # copy of the rows, so the text reader's own buffers are left out.
-        # The pair counts and their uint16 token rows peak at 2.05x the rows;
-        # a full parse_batch, with every level's latents and choices, at 3.30x.
+        # 2e4 depth-5 rows: 0.64 MB of uint8, 2.56 MB as int32, the size the
+        # bound multiplies. The loader hands over a fresh copy of the rows, so
+        # the text reader's own buffers are left out. The pair counts and
+        # their uint16 token rows peak at 1.26x the int32 size (2.05x with
+        # int32 rows); a full parse_batch of int32 rows, with every level's
+        # latents and choices, at 3.30x.
         rs = generate_rules(GrammarParams(depth=5, branching=2, vocab_size=16,
                                           n_synonyms=4, seed=3))
         gpath, data = tmp_path / "grammar.json", tmp_path / "data.txt"
@@ -796,7 +798,7 @@ class TestStatsStep:
         save_dataset(sample_dataset(rs, 20_000, np.random.default_rng(4),
                                     with_latents=False), data)
         rows, header = load_dataset(data)
-        assert rows.dtype == np.int32 and rows.nbytes == 2_560_000
+        assert rows.dtype == np.uint8 and rows.nbytes == 640_000
         monkeypatch.setattr(cli, "load_dataset", lambda path: (rows.copy(), header))
         argv = ["stats", "--grammar", str(gpath), "--data", str(data), "--level", "5"]
         assert run(argv + ["--out", str(tmp_path / "warm")]) == 0
@@ -807,7 +809,7 @@ class TestStatsStep:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak < 2.4 * rows.nbytes
+        assert peak < 1.45 * rows.size * 4
 
 
 SCHEMA = json.loads((Path(rhmlab.__file__).parent / "config_schema.json").read_text())

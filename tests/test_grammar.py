@@ -25,6 +25,7 @@ from rhmlab import (
     resample_below,
     sample_dataset,
     sample_distinct_dataset,
+    token_dtype,
     tree_distance,
 )
 from rhmlab.grammar import DEFAULT_ENUMERATION_CAP
@@ -360,8 +361,9 @@ class TestZeroRows:
     def test_sample_dataset(self, rs_deep):
         rng, ref_rng = np.random.default_rng(0), np.random.default_rng(0)
         ds = sample_dataset(rs_deep, 0, rng)
-        assert ds.sequences.shape == (0, 8) and ds.sequences.dtype == np.int32
+        assert ds.sequences.shape == (0, 8) and ds.sequences.dtype == token_dtype(3)
         assert [a.shape for a in ds.latents] == [(0, 4), (0, 2), (0, 1)]
+        assert all(a.dtype == token_dtype(3) for a in ds.latents)
         # the same (empty) draws as the documented draw order
         sample_draws_oracle(rs_deep.params, 0, ref_rng)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -370,7 +372,7 @@ class TestZeroRows:
         for level in (1, 3):
             out = resample_below(rs_deep, np.zeros((0, 8), np.int32), level,
                                  np.random.default_rng(0))
-            assert out.shape == (0, 8) and out.dtype == np.int32
+            assert out.shape == (0, 8) and out.dtype == token_dtype(3)
 
     def test_accuracy_names_the_empty_input(self, rs_deep):
         with pytest.raises(ValueError, match="empty"):

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rhmlab import Dataset, GrammarParams, generate_rules, grammar, sample_dataset
+from rhmlab import (Dataset, GrammarParams, generate_rules, grammar, sample_dataset,
+                    token_dtype)
 from rhmlab.io import DATASET_MAGIC, load_dataset, save_dataset
 from oracles import (
     load_dataset_loadtxt_oracle,
@@ -69,7 +70,7 @@ class TestTextFormatOracle:
         save_dataset_text_oracle(ds.sequences, vocab_size, "f00d", path)
         seqs, header = load_dataset(path)
         want_seqs, want_header = load_dataset_text_oracle(path)
-        assert seqs.dtype == np.int32
+        assert seqs.dtype == token_dtype(vocab_size)
         assert seqs.shape == want_seqs.shape == (n_rows, width)
         assert np.array_equal(seqs, want_seqs)
         assert np.array_equal(seqs, ds.sequences)
@@ -124,7 +125,7 @@ class TestBinaryFormat:
                 + ds.sequences.astype("<u2").tobytes())
         assert path.read_bytes() == want
         seqs, header = load_dataset(path)
-        assert seqs.dtype == np.int32
+        assert seqs.dtype == token_dtype(120)
         assert np.array_equal(seqs, ds.sequences.reshape(n_rows, 8))
         assert header == dict(seq_len=8, vocab_size=120, n_rows=n_rows,
                               grammar_hash="f00d")
@@ -278,7 +279,8 @@ def test_reader_agrees_with_loadtxt(tmp_path_factory, text):
         assert str(got).startswith(f"dataset file {path}: ")
         return
     (seqs, header), (want_seqs, want_header) = got, want
-    assert seqs.dtype == np.int32
+    # tokens of a text file fit in int32 whatever vocab_size the header states
+    assert seqs.dtype == token_dtype(min(header["vocab_size"], 2**31 - 1))
     assert seqs.shape == want_seqs.shape
     assert np.array_equal(seqs, want_seqs)
     assert header == want_header
@@ -398,14 +400,15 @@ def test_rows_longer_than_a_read_and_line_ends_split_across_reads(tmp_path):
     path = tmp_path / "d.txt"
     path.write_bytes("\r\n".join(lines).encode())
     got, header = load_dataset(path)
-    assert got.dtype == np.int32 and np.array_equal(got, seqs)
+    assert got.dtype == token_dtype(16) and np.array_equal(got, seqs)
     assert header == dict(seq_len=32, vocab_size=16, n_rows=n, grammar_hash="-")
 
 
 def test_load_peak_memory_is_a_bounded_multiple_of_the_rows(tmp_path):
-    # 2e4 depth-5 rows, 2.56 MB as int32 and about 1.5 MB of text. The peak
-    # holds the rows and one row block's text and temporaries: measured
-    # 1.63x the int32 rows, 2.14x when the whole file was one buffer, and
+    # 2e4 depth-5 rows, 0.64 MB as uint8, 2.56 MB as int32 (the size the
+    # bound multiplies) and about 1.5 MB of text. The peak holds the rows and
+    # one row block's text and temporaries: measured 0.88x the int32 size,
+    # and with int32 rows 1.63x, 2.14x when the whole file was one buffer and
     # 3.58x with blocks of 4,096 rows.
     rs = generate_rules(GrammarParams(depth=5, branching=2, vocab_size=16,
                                       n_synonyms=4, seed=1))
@@ -420,8 +423,8 @@ def test_load_peak_memory_is_a_bounded_multiple_of_the_rows(tmp_path):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert np.array_equal(seqs, ds.sequences)
-    assert peak < 2.0 * seqs.nbytes
+    assert np.array_equal(seqs, ds.sequences) and seqs.dtype == np.uint8
+    assert peak < 1.05 * seqs.size * 4
 
 
 def test_leading_zeros_and_int32_max_load(tmp_path):

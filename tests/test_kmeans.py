@@ -11,6 +11,7 @@ from rhmlab import (
     GrammarParams,
     build_context_stats,
     generate_rules,
+    kmeans,
     kmeans_fit,
     sample_dataset,
 )
@@ -140,3 +141,40 @@ def test_no_restarts_is_rejected(n_restarts):
     points = np.random.default_rng(0).normal(size=(10, 2))
     with pytest.raises(ValueError, match="n_restarts"):
         kmeans_fit(points, 3, seed=0, n_restarts=n_restarts)
+
+
+def _full_tuple_vectors():
+    """The learner's stage-1 input on 10 depth-3 rows at v = 64, s = 3,
+    ``full_tuple``: 69 codes of 192 coordinates, clustered with k = 64."""
+    rs = generate_rules(GrammarParams(depth=3, branching=3, vocab_size=64,
+                                      n_synonyms=4, seed=1))
+    seqs = sample_dataset(rs, 10, np.random.default_rng(2), with_latents=False).sequences
+    return build_context_stats(seqs, seqs, 64, 3, "full_tuple").vectors, 64
+
+
+def _sweep_vectors():
+    """The sweep's largest clustering input: 128 codes of 16 coordinates."""
+    rs = generate_rules(GrammarParams(depth=2, branching=2, vocab_size=16,
+                                      n_synonyms=8, seed=8))
+    ds = sample_dataset(rs, 4000, np.random.default_rng(8), with_latents=False)
+    return build_context_stats(ds.sequences, ds.sequences, 16, 2).vectors, 16
+
+
+@pytest.mark.parametrize("inputs", [_sweep_vectors, _full_tuple_vectors])
+@pytest.mark.parametrize("budget", [1, 1000, 1 << 15, 1 << 40])
+def test_fit_is_byte_identical_whatever_the_block_budget(monkeypatch, inputs, budget):
+    # 1 element forms one row or centre per block, 1 << 40 every one at once
+    points, k = inputs()
+    want = kmeans_fit(points, k, seed=3)
+    monkeypatch.setattr(kmeans, "_BLOCK_ELEMENTS", budget)
+    got = kmeans_fit(points, k, seed=3)
+    assert got.labels.tobytes() == want.labels.tobytes()
+    assert got.centers.tobytes() == want.centers.tobytes()
+    assert (got.inertia, got.n_iter, got.restart, got.restarts_run) == (
+        want.inertia, want.n_iter, want.restart, want.restarts_run)
+
+
+def test_sweep_shape_forms_one_block_per_k_centres():
+    points, k = _sweep_vectors()
+    assert points.shape == (128, 16)
+    assert kmeans._block_width(points) == k

@@ -6,8 +6,8 @@ the oracles in ``oracles.py`` at row counts on either side of a block
 boundary, with the real block size and with blocks of a row or two. The
 pair counts and code ranks every module shares must equal a ``Counter`` and
 ``np.unique`` at entry counts around a block. Each kernel's tracemalloc
-peak is bounded by a multiple of its int32 rows; every bound fails for the
-whole-array forms and sits at least 15% above the measured peak
+peak is bounded by a multiple of its rows' int32 size; every bound fails for
+the whole-array forms and sits at least 15% above the measured peak
 (CHANGES.md records both).
 """
 
@@ -61,12 +61,18 @@ def _identical(got, want):
     assert got.tobytes() == want.tobytes()
 
 
+def _same_rows(got, want):
+    """The oracle's int32 rows, in the token dtype."""
+    assert got.dtype == grammar.token_dtype(RS.params.vocab_size)
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
 def _same_dataset(got, want):
-    _identical(got.sequences, want.sequences)
+    _same_rows(got.sequences, want.sequences)
     assert got.meta == want.meta
     assert (got.latents is None) == (want.latents is None)
     for a, b in zip(got.latents or [], want.latents or []):
-        _identical(a, b)
+        _same_rows(a, b)
 
 
 def _rows(n, seed):
@@ -171,6 +177,27 @@ def test_code_ranks_equal_unique_and_searchsorted(entry_counts, code_space):
         _identical(ranks, np.searchsorted(want, codes).astype(rank_type))
 
 
+@pytest.mark.parametrize("dtype", [np.uint32, np.int64])
+def test_code_ranks_are_byte_equal_on_both_sides_of_the_size_rule(
+        entry_counts, monkeypatch, dtype):
+    # A lookup while code_space <= _LOOKUP_PER_CODE * entries, np.unique and
+    # searchsorted past that: forced either way, and at the rule's edge.
+    rng = np.random.default_rng(9)
+    per_code = grammar._LOOKUP_PER_CODE
+    for n in entry_counts:
+        for code_space in {1, 300, 70_000, per_code * n, per_code * n + 1} - {0}:
+            codes = rng.integers(0, code_space, size=(n, 1)).astype(dtype)
+            got = []
+            for rule in (per_code, 0, 2**62):  # as set, never a lookup, always
+                monkeypatch.setattr(grammar, "_LOOKUP_PER_CODE", rule)
+                got.append(_code_ranks(codes, code_space))
+            monkeypatch.setattr(grammar, "_LOOKUP_PER_CODE", per_code)
+            for observed, ranks in got[1:]:
+                _identical(observed, got[0][0])
+                _identical(ranks, got[0][1])
+            assert got[0][1].dtype == np.min_scalar_type(code_space - 1)
+
+
 def test_learner_truth_matches_the_full_parse(counts):
     p = RS.params
     with pytest.raises(ValueError, match="empty input"):
@@ -208,14 +235,15 @@ def test_one_step_gradient_matches_the_bincount_gradient(counts):
         one_step_gradient(np.zeros(0, dtype=int), np.zeros(0, dtype=int), v)
 
 
-# Memory: 2e5 depth-4 rows of int32 tokens, 12.8 MB.
+# Memory: 2e5 depth-4 rows, 3.2 MB of uint8 tokens. Bounds multiply the
+# rows' int32 size, 12.8 MB.
 @pytest.fixture(scope="module")
 def big():
     rs = generate_rules(GrammarParams(depth=4, branching=2, vocab_size=16,
                                       n_synonyms=4, seed=3))
     seqs = sample_dataset(rs, 200_000, np.random.default_rng(4),
                           with_latents=False).sequences
-    assert seqs.dtype == np.int32 and seqs.nbytes == 12_800_000
+    assert seqs.dtype == np.uint8 and seqs.nbytes == 3_200_000
     return rs, seqs
 
 
@@ -231,11 +259,12 @@ def _peak(fn) -> int:
 
 
 @pytest.mark.parametrize("kernel, bound", [
-    # measured peaks, as multiples of the rows' bytes: 1.32, 2.09, 2.28 and
-    # 0.31; the whole-array forms measured 2.89, 5.13, 5.92 and 8.26
-    ("sample_dataset", 1.6),
+    # measured peaks, as multiples of the rows' int32 size: 0.69, 2.08, 1.53
+    # and 0.24 (1.32 and 2.28 for the samplers with int32 rows); the
+    # whole-array forms with int32 rows measured 2.89, 5.13, 5.92 and 8.26
+    ("sample_dataset", 0.8),
     ("parse_batch", 2.5),
-    ("sample_distinct_dataset", 2.75),
+    ("sample_distinct_dataset", 1.8),
     ("one_step_gradient", 0.5),
 ])
 def test_peak_memory_is_a_bounded_multiple_of_the_rows(big, kernel, bound):
@@ -250,4 +279,4 @@ def test_peak_memory_is_a_bounded_multiple_of_the_rows(big, kernel, bound):
             rs, n or n_rows, np.random.default_rng(5), with_latents=False),
         "one_step_gradient": lambda n: one_step_gradient(codes[:n], labels[:n], 16),
     }
-    assert _peak(calls[kernel]) < bound * seqs.nbytes
+    assert _peak(calls[kernel]) < bound * seqs.size * 4

@@ -1,6 +1,7 @@
 """The row kernels (sampling, enumeration, resampling, parsing, context
 counting and generation from a learned model) against per-row Python oracles:
-every value, dtype and random draw must be equal."""
+every value, dtype and random draw must be equal. The oracles build rows in
+int32; the kernels' rows hold the same values in ``token_dtype(vocab_size)``."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from rhmlab import (
     parse_batch,
     resample_below,
     sample_dataset,
+    token_dtype,
 )
 from rhmlab.learner import VARIANTS
 
@@ -31,6 +33,13 @@ TOKEN_DTYPES = (np.int8, np.uint8, np.int32, np.int64)
 
 def _assert_identical(got, want):
     assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def _assert_rows(got, want, vocab_size):
+    """The oracle's rows, in ``token_dtype(vocab_size)``."""
+    assert got.dtype == token_dtype(vocab_size)
     assert got.shape == want.shape
     assert np.array_equal(got, want)
 
@@ -73,9 +82,9 @@ def test_row_kernels_match_per_row_oracles(case):
     ds = sample_dataset(rs, n, np.random.default_rng(seed))
     root, ref_choices = sample_draws_oracle(p, n, np.random.default_rng(seed))
     ref_levels = expand_rows_oracle(rs, root[:, None], ref_choices)
-    _assert_identical(ds.sequences, ref_levels[0])
+    _assert_rows(ds.sequences, ref_levels[0], v)
     for got, want in zip(ds.latents, ref_levels[1:]):
-        _assert_identical(got, want)
+        _assert_rows(got, want, v)
 
     # enumerate_all: its rows are the expansion of its own roots through the
     # rule choices the per-row parse reads off them
@@ -84,7 +93,7 @@ def test_row_kernels_match_per_row_oracles(case):
         _, _, enum_choices = parse_rows_oracle(rs, enum.sequences)
         ref_levels = expand_rows_oracle(rs, enum.latents[-1], enum_choices)
         for got, want in zip([enum.sequences] + enum.latents, ref_levels):
-            _assert_identical(got, want)
+            _assert_rows(got, want, v)
 
     # parse_batch: grammatical rows with a share of tokens replaced by values
     # in [-2, v+1], in every token dtype, and a single 1-D row
@@ -109,7 +118,7 @@ def test_row_kernels_match_per_row_oracles(case):
             for lvl in range(level, 0, -1)
         ]
         want = expand_rows_oracle(rs, latents[level - 1], fresh[::-1])[0]
-        _assert_identical(got, want)
+        _assert_rows(got, want, v)
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     if p.depth < 2:
@@ -133,7 +142,7 @@ def test_row_kernels_match_per_row_oracles(case):
                 want[i, t * v + x] = count / codes[code]
             _assert_identical(stats.vectors, want)
 
-    # generate_from_learned: same strings, dtype and generator state as one
+    # generate_from_learned: same strings and generator state as one
     # masked draw per label, for a k-means model and a model of 1-3 rows
     if n:
         models = [
@@ -147,5 +156,5 @@ def test_row_kernels_match_per_row_oracles(case):
             rng_b = np.random.default_rng([seed, 3, i])
             got = generate_from_learned(model, n_gen, rng_a)
             want = generate_from_learned_oracle(model, n_gen, rng_b)
-            _assert_identical(got, want)
+            _assert_rows(got, want, v)
             assert rng_a.bit_generator.state == rng_b.bit_generator.state
