@@ -13,6 +13,15 @@ m**-depth otherwise) with the log normalizers accumulated into the evidence.
 One upward pass serves each evidence: a grammar's ``_bp`` slot, private to
 this module, keeps the gather index and the last pass, keyed by the evidence
 bytes, so marginals and draws of one noisy string share it, in either order.
+The gather index is slot-major, ``(s, v, m, width)``, so every per-slot read
+of the upward products and the downward contributions is one contiguous
+block. That keeps every bit of a node-major index: each slot product is
+still a C-order ``(v, m, width)`` array, so its sums reduce in the same
+order, and each scatter bin, one (node, slot, child value), still adds its
+terms in (parent value, production) order. The denoiser,
+:func:`denoise_expectation`, shares the marginals' core but forms the
+posterior of the leaves only; the upper levels get their zero-mass check and
+nothing more.
 """
 
 from __future__ import annotations
@@ -53,12 +62,14 @@ def _check_evidence(rs: RuleSet, lik: np.ndarray) -> np.ndarray:
 
 
 def _gather_index(rs: RuleSet) -> tuple[np.ndarray, ...]:
-    """Per level, the read-only intp ``(v, m, s, width)`` array whose
-    ``[a, k, i, n]`` entry is ``(n*s + i)*v + rules_at(level)[a, k, i]``: the
-    flat position, among the ``(width*s, v)`` values of the level below, of
-    child ``i`` of node ``n`` taking production ``k`` of value ``a``. The node
-    axis is last so that a gather through it keeps nodes innermost in memory
-    (see :func:`_upward_pass`). Built at the grammar's first BP call."""
+    """Per level, the read-only C-contiguous intp ``(s, v, m, width)`` array
+    whose ``[i, a, k, n]`` entry is ``(n*s + i)*v + rules_at(level)[a, k, i]``:
+    the flat position, among the ``(width*s, v)`` values of the level below,
+    of child ``i`` of node ``n`` taking production ``k`` of value ``a``. The
+    slot axis is first, so each slot of a gather through it is one
+    contiguous ``(v, m, width)`` block, and the node axis is last, so nodes
+    stay innermost in memory (see :func:`_upward_pass`). Built at the
+    grammar's first BP call."""
     if rs._bp is None:
         p = rs.params
         index = []
@@ -67,6 +78,7 @@ def _gather_index(rs: RuleSet) -> tuple[np.ndarray, ...]:
             child = (np.arange(width) * p.branching
                      + np.arange(p.branching)[:, None]) * p.vocab_size
             idx = child + rs.rules_at(lvl)[..., None].astype(np.intp)
+            idx = idx.transpose(2, 0, 1, 3).copy()
             idx.setflags(write=False)
             index.append(idx)
         rs._bp = (tuple(index), None, None)  # no upward pass yet
@@ -78,19 +90,21 @@ def _upward_pass(rs: RuleSet, lik: np.ndarray):
 
     Returns ``(upward, gathered, prods, log_z)``: ``upward[lvl]`` holds the
     normalized upward message of every level-``lvl`` node, shape
-    ``(width, v)``; ``gathered[lvl - 1][a, k, i, n]`` is the upward message of
+    ``(width, v)``; ``gathered[lvl - 1][i, a, k, n]`` is the upward message of
     child ``i`` of node ``n`` at value ``rules_at(lvl)[a, k, i]``, shape
-    ``(v, m, s, width)``, the gather through :func:`_gather_index`;
+    ``(s, v, m, width)``, the gather through :func:`_gather_index`;
     ``prods[lvl - 1]`` is its product over the children, shape
     ``(width, v, m)``; ``log_z`` is the accumulated log normalizer.
 
-    The products are taken slot by slot, left to right, on the gather as it
-    lies in memory, and the ``(v, m, width)`` result is transposed so that
-    the node axis is innermost in memory. numpy picks the summation order of
-    ``prod.sum(axis=2)``, ``up.sum(axis=1)`` and the marginal normalizers from
-    that layout, so the layout is part of the exact bits of every result: a
-    C-contiguous ``(width, v, m)`` product moves marginals and log evidence
-    by an ulp.
+    The products are taken slot by slot, left to right, each slot one
+    contiguous block of the gather, and the C-order ``(v, m, width)`` result
+    is transposed so that the node axis is innermost in memory. numpy picks
+    the summation order of ``prod.sum(axis=2)``, ``up.sum(axis=1)`` and the
+    marginal normalizers from that layout, so the layout is part of the
+    exact bits of every result: a C-contiguous ``(width, v, m)`` product
+    moves marginals and log evidence by an ulp. Where the slot axis sits in
+    the gather does not matter: each product is elementwise, and its memory
+    is the same ``(v, m, width)`` array whichever axis the slots take.
 
     The ``_bp`` slot keeps the last successful pass, keyed by the evidence
     bytes; its arrays are read-only, and a pass that raises is not kept.
@@ -112,9 +126,9 @@ def _upward_pass(rs: RuleSet, lik: np.ndarray):
     m = p.n_synonyms
     for lvl in range(1, p.depth + 1):
         g = upward[-1].take(index[lvl - 1])
-        prod = g[:, :, 0] * g[:, :, 1]
+        prod = g[0] * g[1]
         for i in range(2, p.branching):
-            prod *= g[:, :, i]
+            prod *= g[i]
         prod = prod.transpose(2, 0, 1)
         up = prod.sum(axis=2) / m
         z = up.sum(axis=1)
@@ -133,10 +147,13 @@ def _upward_pass(rs: RuleSet, lik: np.ndarray):
     return result
 
 
-def bp_marginals(rs: RuleSet, evidence: np.ndarray) -> BeliefState:
-    """Exact conditional marginals of every node given leaf likelihoods."""
+def _posterior(rs: RuleSet, lik: np.ndarray, every_level: bool):
+    """The core of :func:`bp_marginals` and :func:`denoise_expectation`:
+    ``(marginals, log_z)`` for checked evidence ``lik``. ``marginals`` holds
+    every level's posterior, leaves first, when ``every_level``, else the
+    leaves' alone; either way every level's posterior mass is checked, so
+    both callers raise on the same evidence, with the same message."""
     p = rs.params
-    lik = _check_evidence(rs, evidence)
     upward, gathered, _, log_z = _upward_pass(rs, lik)
     v, m, s = p.vocab_size, p.n_synonyms, p.branching
 
@@ -146,28 +163,29 @@ def bp_marginals(rs: RuleSet, evidence: np.ndarray) -> BeliefState:
     downward = [np.full((1, v), 1.0 / v)]  # root first
     for lvl in range(p.depth, 0, -1):
         index = _gather_index(rs)[lvl - 1]
-        g = gathered[lvl - 1]  # (v, m, s, width)
+        g = gathered[lvl - 1]  # (s, v, m, width)
         # Product over every child but i: the product of the slots before i,
         # taken left to right, times the product of the slots after i, taken
         # right to left. For s = 2 this is the sibling's message.
-        after = [g[:, :, s - 1]]
+        after = [g[s - 1]]
         for i in range(s - 2, 0, -1):
-            after.append(after[-1] * g[:, :, i])
+            after.append(after[-1] * g[i])
         after.reverse()  # after[i]: the slots after i, for i < s - 1
         parent = downward[-1].T[:, None, :]
         contrib = np.empty(g.shape)
-        np.multiply(parent, after[0], out=contrib[:, :, 0])
-        before = g[:, :, 0]
+        np.multiply(parent, after[0], out=contrib[0])
+        before = g[0]
         for i in range(1, s):
             others = before if i == s - 1 else before * after[i]
-            np.multiply(parent, others, out=contrib[:, :, i])
+            np.multiply(parent, others, out=contrib[i])
             if i < s - 1:
-                before = before * g[:, :, i]
+                before = before * g[i]
         contrib /= m
-        # Scatter each (parent value, production, slot, node) onto the value
+        # Scatter each (slot, parent value, production, node) onto the value
         # the rule table gives that child: O(v) per node, where a product
-        # with a one-hot rule table would cost O(v**2). Each bin sums its
-        # terms in (parent value, production) order.
+        # with a one-hot rule table would cost O(v**2). A bin is one (node,
+        # slot, child value), so it sums its terms in (parent value,
+        # production) order, whichever axis the slots take.
         msg = np.bincount(index.ravel(), contrib.ravel(), minlength=index.size // m)
         msg = msg.reshape(-1, v)
         z = msg.sum(axis=1)
@@ -181,7 +199,14 @@ def bp_marginals(rs: RuleSet, evidence: np.ndarray) -> BeliefState:
         z = post.sum(axis=1)
         if z.min() <= 0:
             raise ImpossibleEvidenceError("zero posterior mass")
-        marginals.append(post / z[:, None])
+        if every_level or lvl == 0:
+            marginals.append(post / z[:, None])
+    return marginals, log_z
+
+
+def bp_marginals(rs: RuleSet, evidence: np.ndarray) -> BeliefState:
+    """Exact conditional marginals of every node given leaf likelihoods."""
+    marginals, log_z = _posterior(rs, _check_evidence(rs, evidence), every_level=True)
     return BeliefState(marginals=marginals, log_evidence=log_z)
 
 
@@ -231,6 +256,8 @@ def denoise_expectation(
     rs: RuleSet, noisy: np.ndarray, spec: NoiseSpec
 ) -> np.ndarray:
     """Exact conditional expectation of each clean one-hot token given the
-    corrupted string: the per-leaf posterior marginals."""
+    corrupted string: the per-leaf posterior marginals, byte for byte
+    ``bp_marginals(rs, leaf_likelihoods(noisy, spec, v)).marginals[0]``, and
+    raising where that raises. Only the leaves' posterior is formed."""
     lik = leaf_likelihoods(np.asarray(noisy), spec, rs.params.vocab_size)
-    return bp_marginals(rs, lik).marginals[0]
+    return _posterior(rs, _check_evidence(rs, lik), every_level=False)[0][0]

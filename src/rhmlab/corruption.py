@@ -8,7 +8,9 @@ symbol is ``vocab_size`` itself, enlarging the effective alphabet by one.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -17,10 +19,18 @@ from .grammar import _check_token_range, token_dtype
 KINDS = ("uniform", "masking")
 
 
+def _real(name: str, value) -> float:
+    """``value`` as a float, refusing booleans and non-real values by name."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, not {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Corruption description: a kind plus either a cumulative corruption
-    probability ``beta_bar`` or a per-step ``schedule`` of beta values."""
+    probability ``beta_bar`` or a per-step ``schedule`` of beta values, each
+    stored as a float; a boolean or non-real level is refused."""
 
     kind: str
     beta_bar: float | None = None
@@ -31,10 +41,18 @@ class NoiseSpec:
             raise ValueError(f"kind must be one of {KINDS}")
         if (self.beta_bar is None) == (self.schedule is None):
             raise ValueError("give exactly one of beta_bar or schedule")
-        if self.beta_bar is not None and not 0.0 <= self.beta_bar <= 1.0:
-            raise ValueError("beta_bar must be in [0, 1]")
+        if self.beta_bar is not None:
+            object.__setattr__(self, "beta_bar", _real("beta_bar", self.beta_bar))
+            if not 0.0 <= self.beta_bar <= 1.0:
+                raise ValueError("beta_bar must be in [0, 1]")
         if self.schedule is not None:
-            object.__setattr__(self, "schedule", tuple(float(b) for b in self.schedule))
+            try:
+                entries = tuple(self.schedule)
+            except TypeError:
+                raise ValueError(f"schedule must be a sequence of real numbers, "
+                                 f"not {self.schedule!r}") from None
+            object.__setattr__(self, "schedule",
+                               tuple(_real("schedule entry", b) for b in entries))
             if len(self.schedule) == 0:
                 raise ValueError("schedule must be non-empty")
             if any(not 0.0 <= b <= 1.0 for b in self.schedule):
@@ -95,6 +113,37 @@ def corrupt(
     return noisy, hits
 
 
+# Alphabets up to this size get their likelihood rows from a cached table:
+# at most 256 * 255 floats (510 KB) a table and _TABLES_KEPT tables.
+_TABLE_MAX_VOCAB = 255
+_TABLES_KEPT = 16
+
+
+def _kernel_rows(seq: np.ndarray, kind: str, keep: float, vocab_size: int) -> np.ndarray:
+    """The likelihood row of every symbol of ``seq``, as
+    :func:`leaf_likelihoods` documents them."""
+    out = np.empty((seq.shape[0], vocab_size), dtype=np.float64)
+    if kind == "masking":
+        masked = seq == vocab_size
+        out[:] = masked[:, None]
+        rows = np.flatnonzero(~masked)
+        out[rows, seq[rows]] = 1.0
+    else:
+        out[:] = (1.0 - keep) / vocab_size
+        out[np.arange(seq.shape[0]), seq] += keep
+    return out
+
+
+@lru_cache(maxsize=_TABLES_KEPT)
+def _likelihood_table(kind: str, keep: float, vocab_size: int) -> np.ndarray:
+    """The read-only row of every observable symbol: ``(v+1, v)`` for
+    masking (the identity, then the mask's row of ones), ``(v, v)`` for
+    uniform noise, from the same float operations as :func:`_kernel_rows`."""
+    table = _kernel_rows(np.arange(vocab_size + (kind == "masking")), kind, keep, vocab_size)
+    table.setflags(write=False)
+    return table
+
+
 def leaf_likelihoods(
     seq: np.ndarray, spec: NoiseSpec, vocab_size: int
 ) -> np.ndarray:
@@ -104,19 +153,17 @@ def leaf_likelihoods(
     masking: masked positions are uninformative (all ones), the rest one-hot.
     uniform: the kernel row — weight ``keep + (1-keep)/v`` on the observed
     symbol and ``(1-keep)/v`` elsewhere.
+
+    Up to v = 255 the rows are one gather from a read-only table kept per
+    ``(kind, keep, v)``; larger alphabets, whose tables would grow as v**2,
+    get the same bytes built row by row. Either way the result is a fresh
+    array of the caller's.
     """
     seq = np.asarray(seq)
     if seq.ndim != 1:
         raise ValueError("leaf_likelihoods expects a single sequence")
     _check_token_range("seq", seq, vocab_size + (spec.kind == "masking"))
     keep = cumulative_keep_prob(spec)
-    out = np.empty((seq.shape[0], vocab_size), dtype=np.float64)
-    if spec.kind == "masking":
-        masked = seq == vocab_size
-        out[:] = masked[:, None]
-        rows = np.flatnonzero(~masked)
-        out[rows, seq[rows]] = 1.0
-    else:
-        out[:] = (1.0 - keep) / vocab_size
-        out[np.arange(seq.shape[0]), seq] += keep
-    return out
+    if vocab_size > _TABLE_MAX_VOCAB:
+        return _kernel_rows(seq, spec.kind, keep, vocab_size)
+    return _likelihood_table(spec.kind, keep, vocab_size).take(seq, axis=0)

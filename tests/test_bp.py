@@ -255,6 +255,67 @@ def test_bp_is_bit_identical_to_the_oracle(case):
     assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
+@st.composite
+def noisy_cases(draw):
+    """A grammar from :func:`oracle_cases`, a noise spec of either kind (a
+    ``beta_bar`` or a linear schedule), and a noisy row: a corrupted sample
+    of the grammar, or, now and then, any tokens, which the evidence may not
+    admit."""
+    rs, _, _, seed = draw(oracle_cases())
+    v = rs.params.vocab_size
+    kind = draw(st.sampled_from(["masking", "uniform"]))
+    if draw(st.booleans()):
+        spec = NoiseSpec.linear_schedule(kind, draw(st.integers(1, 6)))
+    else:
+        spec = NoiseSpec(kind=kind, beta_bar=draw(st.sampled_from([0.0, 0.5, 1.0])))
+    rng = np.random.default_rng(seed)
+    if draw(st.integers(0, 3)) == 0:
+        noisy = rng.integers(0, v + (kind == "masking"), size=rs.params.seq_len)
+    else:
+        x = sample_dataset(rs, 1, rng, with_latents=False).sequences[0]
+        noisy = corrupt(x, spec, v, rng)[0]
+    return rs, noisy, spec
+
+
+def _error(call):
+    """The call's result, or the type and message of what it raised."""
+    try:
+        return call()
+    except ValueError as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=noisy_cases())
+def test_denoiser_is_the_leaf_marginals_byte_for_byte(case):
+    rs, noisy, spec = case
+    v = rs.params.vocab_size
+    for row in (noisy, noisy[1:], np.append(noisy, 0)):  # then two wrong lengths
+        got = _error(lambda: denoise_expectation(rs, row, spec))
+        want = _error(lambda: bp_marginals(rs, leaf_likelihoods(row, spec, v)).marginals[0])
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+    assert "evidence must have shape" in got[1]
+
+
+@pytest.mark.parametrize("kind", ["masking", "uniform"])
+def test_denoiser_raises_where_the_marginals_raise(rs_small, kind):
+    spec = NoiseSpec(kind=kind, beta_bar=0.0)
+    strings = np.indices((4,) * rs_small.params.seq_len).reshape(rs_small.params.seq_len, -1).T
+    levels = parse_batch(rs_small, strings)[0]
+    impossible = strings[levels < rs_small.params.depth]
+    assert len(impossible)
+    for row in impossible[:20]:
+        with pytest.raises(ImpossibleEvidenceError) as want:
+            bp_marginals(rs_small, leaf_likelihoods(row, spec, 4))
+        with pytest.raises(ImpossibleEvidenceError) as got:
+            denoise_expectation(rs_small, row, spec)
+        assert str(got.value) == str(want.value)
+
+
 def _marginals_match_oracle(rs, lik):
     """bp_marginals equals the oracle byte for byte, or both raise
     ImpossibleEvidenceError; returns whether the evidence was possible."""
@@ -293,13 +354,14 @@ def test_bp_index_is_read_only_and_addresses_each_child(rs_deep):
     for level in range(1, p.depth + 1):
         index = _gather_index(rs_deep)[level - 1]
         width, s, v = p.level_width(level), p.branching, p.vocab_size
-        assert index.shape == (v, p.n_synonyms, s, width)
-        assert index.dtype == np.intp
+        assert index.shape == (s, v, p.n_synonyms, width)
+        assert index.dtype == np.intp and index.flags.c_contiguous
         node, slot = divmod(index // v, s)
         assert np.array_equal(node, np.broadcast_to(np.arange(width), index.shape))
-        assert np.array_equal(slot, np.broadcast_to(np.arange(s)[:, None], index.shape))
+        assert np.array_equal(slot, np.broadcast_to(
+            np.arange(s)[:, None, None, None], index.shape))
         assert np.array_equal(index % v, np.broadcast_to(
-            rs_deep.rules_at(level)[..., None], index.shape))
+            rs_deep.rules_at(level).transpose(2, 0, 1)[..., None], index.shape))
         with pytest.raises(ValueError, match="read-only"):
             index[0, 0, 0, 0] = 3
 

@@ -24,6 +24,23 @@ class TestNoiseSpec:
         with pytest.raises(ValueError):
             NoiseSpec(kind="masking", schedule=(0.5, -0.1))
 
+    @pytest.mark.parametrize("bad", [True, False, np.bool_(True), "0.5", 1j, [0.5]])
+    def test_refuses_boolean_and_non_real_levels_by_name(self, bad):
+        with pytest.raises(ValueError, match="beta_bar must be a real number"):
+            NoiseSpec(kind="uniform", beta_bar=bad)
+        with pytest.raises(ValueError, match="schedule entry must be a real number"):
+            NoiseSpec(kind="masking", schedule=(0.1, bad))
+        with pytest.raises(ValueError, match="schedule must be a sequence"):
+            NoiseSpec(kind="masking", schedule=0.5)
+
+    @pytest.mark.parametrize("level", [0, 1, np.int8(1), np.float32(0.5), np.float64(0.25)])
+    def test_stores_levels_as_floats(self, level):
+        spec = NoiseSpec(kind="uniform", beta_bar=level)
+        assert type(spec.beta_bar) is float and spec.beta_bar == float(level)
+        spec = NoiseSpec(kind="uniform", schedule=np.array([level, level]))
+        assert all(type(b) is float for b in spec.schedule)
+        assert spec.schedule == (float(level),) * 2
+
     def test_keep_prob_degenerate_schedules(self):
         assert cumulative_keep_prob(NoiseSpec(kind="uniform", schedule=(0.0,) * 5)) == 1.0
         assert cumulative_keep_prob(NoiseSpec(kind="masking", schedule=(1.0,))) == 0.0
@@ -159,6 +176,42 @@ class TestLeafLikelihoods:
                     got = leaf_likelihoods(seq, spec, v)
                     assert got.dtype == want.dtype and got.shape == want.shape
                     assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.int64])
+    def test_uniform_rows_equal_the_kernel_formula(self, dtype):
+        rng = np.random.default_rng(8)
+        specs = [NoiseSpec(kind="uniform", beta_bar=b) for b in (0.0, 0.3, 1.0)]
+        specs.append(NoiseSpec.linear_schedule("uniform", 4))
+        for spec in specs:
+            keep = cumulative_keep_prob(spec)
+            for v in (2, 5, 16):
+                for n in (0, 1, 40):
+                    seq = rng.integers(0, v, size=n).astype(dtype)
+                    want = np.full((n, v), (1.0 - keep) / v)
+                    want[np.arange(n), seq] = (1.0 - keep) / v + keep
+                    got = leaf_likelihoods(seq, spec, v)
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
+                    # A write into one result never reaches a later call.
+                    got[...] = 7.0
+                    assert leaf_likelihoods(seq, spec, v).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("v", [254, 255, 256, 300])
+    def test_rows_are_the_same_bytes_with_and_without_a_table(self, v):
+        # Up to v = 255 the rows come from a cached table, above it row by row.
+        rng = np.random.default_rng(9)
+        for spec in (NoiseSpec(kind="uniform", beta_bar=0.3),
+                     NoiseSpec(kind="masking", beta_bar=0.3)):
+            seq = rng.integers(0, v + (spec.kind == "masking"), size=30)
+            seq[:2] = (0, v - 1)
+            keep = cumulative_keep_prob(spec)
+            if spec.kind == "uniform":
+                want = np.full((30, v), (1.0 - keep) / v)
+                want[np.arange(30), seq] = (1.0 - keep) / v + keep
+            else:
+                want = np.vstack([np.eye(v), np.ones(v)])[seq]
+            got = leaf_likelihoods(seq, spec, v)
+            assert got.flags.writeable and got.tobytes() == want.tobytes()
 
     def test_rejects_out_of_range_symbol(self):
         with pytest.raises(ValueError):
