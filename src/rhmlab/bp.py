@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corruption import NoiseSpec, leaf_likelihoods
-from .grammar import RuleSet, _check_draw_count
+from .grammar import RuleSet, _check_draw_count, token_dtype
 
 
 class ImpossibleEvidenceError(ValueError):
@@ -226,9 +226,9 @@ def bp_posterior_sample_batch(
     """``n`` i.i.d. exact posterior draws of the visible string (one upward
     pass shared, then batched top-down ancestral sampling).
 
-    Returns the (n, seq_len) leaf strings. The grammar is unambiguous, so
-    :func:`~rhmlab.grammar.parse_batch` recovers each draw's latent symbols
-    and rule choices.
+    Returns the (n, seq_len) leaf strings, in :func:`~rhmlab.grammar.token_dtype`.
+    The grammar is unambiguous, so :func:`~rhmlab.grammar.parse_batch`
+    recovers each draw's latent symbols and rule choices.
     """
     _check_draw_count(n)
     p = rs.params
@@ -249,7 +249,7 @@ def bp_posterior_sample_batch(
             raise ImpossibleEvidenceError("conditioned node has no valid production")
         ks = _categorical(cdf, cdf.shape[1], rng).reshape(symbols.shape)
         symbols = rs.rules_at(lvl)[symbols, ks].reshape(n, width * p.branching)
-    return symbols
+    return symbols.astype(token_dtype(v))
 
 
 def denoise_expectation(

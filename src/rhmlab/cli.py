@@ -327,10 +327,9 @@ def _run_stats(args, cfg, out_dir, seed):
             for d, v, k in zip(rep.distances, rep.values, rep.n_pairs)
         ],
     )
-    # Parse one level at a time, keeping the root level's validity and the
-    # level-(level-2) symbols, the one level token_tuple_correlation reads.
-    # A row parses fully iff it is valid at the root: an unparseable tuple
-    # leaves -1 on every level above it.
+    # Parse one level at a time, keeping the level-(level-2) symbols that
+    # token_tuple_correlation reads and the root level's validity: an
+    # unparseable tuple leaves vocab_size on every level above it.
     cur, tuple_syms = seqs, None
     for lvl in range(1, p.depth + 1):
         cur, _, valid = _parse_level(rs, lvl, cur)

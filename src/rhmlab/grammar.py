@@ -54,9 +54,9 @@ def _check_draw_count(n) -> None:
 
 
 def token_dtype(vocab_size: int) -> np.dtype:
-    """The smallest unsigned dtype holding every token of a ``vocab_size``
-    alphabet with its mask token ``vocab_size``: uint8 up to v = 255,
-    uint16 from 256. Every row of tokens or sampled symbols is in it."""
+    """The dtype of every symbol rhmlab makes: the smallest unsigned one that
+    holds ``vocab_size``, the mask token and a parse's "no rule" marker
+    (uint8 up to v = 255, uint16 from 256)."""
     return np.min_scalar_type(vocab_size)
 
 
@@ -153,9 +153,9 @@ def encode_tuples(tuples: np.ndarray, vocab_size: int) -> np.ndarray:
 
 
 def decode_codes(codes: np.ndarray, vocab_size: int, branching: int) -> np.ndarray:
-    """Inverse of :func:`encode_tuples`; appends a trailing axis of length s."""
+    """Inverse of :func:`encode_tuples` in :func:`token_dtype`; appends an s-axis."""
     codes = np.asarray(codes, dtype=np.int64)
-    out = np.empty(codes.shape + (branching,), dtype=np.int32)
+    out = np.empty(codes.shape + (branching,), dtype=token_dtype(vocab_size))
     rem = codes
     for i in range(branching - 1, -1, -1):
         out[..., i] = rem % vocab_size
@@ -187,12 +187,12 @@ class RuleSet:
             # Freeze a copy, so the caller's own array stays writeable.
             table = np.array(table, dtype=np.int32, order="C")
             codes = encode_tuples(table.reshape(v * m, s), v + 1)
-            parent_of = np.full((v + 1) ** s, -1, dtype=np.int32)
+            parent_of = np.full((v + 1) ** s, v, dtype=token_dtype(v))
             choice_of = np.full((v + 1) ** s, -1, dtype=np.int32)
-            parent_of[codes] = np.repeat(np.arange(v, dtype=np.int32), m)
+            parent_of[codes] = np.repeat(np.arange(v), m)
             choice_of[codes] = np.tile(np.arange(m, dtype=np.int32), v)
             # A repeated tuple fills one slot for several productions.
-            if np.count_nonzero(parent_of >= 0) != v * m:
+            if np.count_nonzero(parent_of < v) != v * m:
                 raise ValueError("ambiguous rules: duplicate production tuple")
             for array in (table, parent_of, choice_of):
                 array.setflags(write=False)
@@ -212,10 +212,10 @@ class RuleSet:
         return self._tables[level - 1]
 
     def parse_tables(self, level: int) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only int32 ``(parent_of, choice_of)`` over base-``(v+1)`` tuple
+        """Read-only ``(parent_of, choice_of)`` over base-``(v+1)`` tuple
         codes, the digit ``v`` standing for any out-of-range symbol: the
-        parent symbol and rule index producing each tuple, -1 for tuples no
-        rule produces."""
+        parent symbol producing each tuple, in :func:`token_dtype` with ``v``
+        for tuples no rule produces, and its int32 rule index, -1 there."""
         self._check_level(level)
         return self._parse[level - 1]
 
@@ -608,9 +608,9 @@ def _parse_block(
                         dtype=np.uint64, casting="unsafe")
     codes = encode_tuples(digits, v + 1)
     parents = np.take(parent_of, codes)
-    # The minimum runs over the transposed copy: numpy reduces a short
+    # The maximum runs over the transposed copy: numpy reduces a short
     # trailing axis an order of magnitude slower.
-    valid = np.ascontiguousarray(parents.T).min(axis=0) >= 0
+    valid = np.ascontiguousarray(parents.T).max(axis=0) < v
     return parents, None if choice_of is None else np.take(choice_of, codes), valid
 
 
@@ -620,9 +620,9 @@ def _parse_level(
     """Parse the ``(n, width * s)`` level-``lvl - 1`` symbols ``cur`` (any
     integer dtype) one level up, row block by row block.
 
-    Returns the int32 ``(n, width)`` level-``lvl`` parents, -1 where no rule
-    produces the tuple; their int32 rule indices, or None without
-    ``with_choices``; and whether each row's parents are all valid.
+    Returns the :func:`token_dtype` ``(n, width)`` level-``lvl`` parents, v
+    where no rule produces the tuple; their int32 rule indices (-1 there), or
+    None without ``with_choices``; and whether each row's parents are valid.
     """
     v, s = rs.params.vocab_size, rs.params.branching
     parent_of, choice_of = rs.parse_tables(lvl)
@@ -631,8 +631,8 @@ def _parse_level(
     n, row_tokens = cur.shape
     if n <= _block_rows(row_tokens):  # the block's own arrays are the outputs
         return _parse_block(cur, parent_of, choice_of, v, s)
-    parents = np.empty((n, row_tokens // s), dtype=np.int32)
-    choices = None if choice_of is None else np.empty_like(parents)
+    parents = np.empty((n, row_tokens // s), dtype=parent_of.dtype)
+    choices = None if choice_of is None else np.empty(parents.shape, np.int32)
     valid = np.empty(n, dtype=bool)
     for rows in _row_blocks(n, row_tokens):
         parents[rows], block_choices, valid[rows] = _parse_block(
@@ -645,10 +645,10 @@ def _parse_level(
 def parse_batch(rs: RuleSet, seqs: np.ndarray):
     """Vectorized bottom-up parse of many rows (a 1-D row is one row).
 
-    Returns ``(max_levels, latents, choices)`` where ``max_levels[r]`` is the
+    Returns ``(max_levels, latents, choices)`` where the int64 ``max_levels[r]`` is the
     largest level through which every tuple of row ``r`` is grammatical
     (0 = some visible tuple already invalid, depth = fully grammatical).
-    Unparseable positions hold -1 (int32; ``max_levels`` is int64).
+    Unparseable positions hold ``vocab_size``, and -1 in the int32 choices.
     Integer tokens only; one outside ``[0, vocab_size)`` is ungrammatical.
     Each level is parsed by :func:`_parse_level`, in row blocks.
     """
@@ -667,7 +667,7 @@ def parse_batch(rs: RuleSet, seqs: np.ndarray):
         cur, level_choices, valid = _parse_level(rs, lvl, cur, with_choices=True)
         latents.append(cur)
         choices.append(level_choices)
-        # An invalid parent (-1) makes every tuple above it invalid, so a row
+        # An invalid parent (v) makes every tuple above it invalid, so a row
         # parses through this level iff all its parents here are valid.
         max_levels += valid
     return max_levels, latents, choices

@@ -115,10 +115,10 @@ def load_dataset(path) -> tuple[np.ndarray, dict]:
 
     Exactly ``n_rows`` rows are read; the text syntax is in the module
     docstring. A malformed file raises ``ValueError``: no header, a header
-    without four fields, fewer rows or other widths than the header states, a
-    byte that is not a digit, space, tab or line end, or a token outside
-    ``[0, vocab_size]`` (``vocab_size`` marks a masked token). Errors in the
-    text body name the file and the 1-based line.
+    without four fields or with a size out of range, fewer rows or other
+    widths than the header states, a byte that is not a digit, space, tab or
+    line end, or a token outside ``[0, vocab_size]`` (``vocab_size`` marks a
+    masked token). Errors in the text body name the file and the 1-based line.
     """
     path = Path(path)
     with open(path, "rb") as fh:
@@ -136,6 +136,7 @@ def load_dataset(path) -> tuple[np.ndarray, dict]:
                 return fh.read(n_bytes)
 
             d, vocab, n = (int(x) for x in np.frombuffer(read(24, "header"), dtype="<u8"))
+            _check_sizes(d, vocab, n, path)
             tag_len = int.from_bytes(read(2, "header"), "little")
             grammar_hash = read(tag_len, "header").decode()
             body = np.frombuffer(read(d * n * 2, "body"), dtype="<u2").reshape(n, d)
@@ -162,8 +163,7 @@ def load_dataset(path) -> tuple[np.ndarray, dict]:
             raise ValueError(
                 f"dataset file {path}: header sizes {fields[:3]} are not integers"
             ) from None
-        if d < 1 or vocab < 1 or n < 0:
-            raise ValueError(f"dataset file {path}: header sizes {fields[:3]} out of range")
+        _check_sizes(d, vocab, n, path)
         seqs = _parse_rows(fh, n, d, vocab, path)
     header = dict(seq_len=d, vocab_size=vocab, n_rows=n, grammar_hash=fields[3])
     return seqs, header
@@ -268,6 +268,11 @@ def _parse_rows(fh, n: int, d: int, vocab: int, path) -> np.ndarray:
                               f"({vocab} marks a masked token)")
         seqs[block] = values.reshape(rows, d)
     return seqs
+
+
+def _check_sizes(d: int, vocab: int, n: int, path) -> None:
+    if d < 1 or vocab < 1 or n < 0:
+        raise ValueError(f"dataset file {path}: header sizes {[d, vocab, n]} out of range")
 
 
 def _check_tokens(seqs: np.ndarray, vocab: int, path) -> None:

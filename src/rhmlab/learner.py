@@ -128,9 +128,9 @@ def build_context_stats(
         raise ValueError("context tokens must align with the label grid")
     _check_token_range("labels", labels, vocab_size)
     _check_token_range("context tokens", visible, vocab_size)
-    narrow = np.min_scalar_type(vocab_size - 1)
-    block_codes = _block_codes(_columns(labels, narrow), vocab_size, branching)
-    return _count_contexts(block_codes, _columns(visible, narrow), vocab_size,
+    dtype = token_dtype(vocab_size)
+    block_codes = _block_codes(_columns(labels, dtype), vocab_size, branching)
+    return _count_contexts(block_codes, _columns(visible, dtype), vocab_size,
                            branching, variant, level)[0]
 
 
@@ -211,14 +211,14 @@ def cluster_tuples(stats: ContextStats, seed: int = 0) -> Partition:
     if n_codes < k:
         return Partition(
             codes=stats.codes.copy(),
-            labels=np.arange(n_codes, dtype=np.int64),
+            labels=np.arange(n_codes, dtype=token_dtype(k)),
             partial=True,
             inertia=0.0,
         )
     fit = kmeans_fit(stats.vectors, k, seed=seed)
     return Partition(
         codes=stats.codes.copy(),
-        labels=fit.labels.astype(np.int64),
+        labels=fit.labels.astype(token_dtype(k)),
         partial=False,
         inertia=fit.inertia,
         n_iter=fit.n_iter,
@@ -250,9 +250,9 @@ def true_tuple_classes(rs: RuleSet, level: int, codes: np.ndarray) -> np.ndarray
     if codes.size and (codes.min() < 0 or codes.max() >= v**s):
         raise ValueError(f"tuple codes must lie in [0, {v**s})")
     parents = rs.parse_tables(level)[0][encode_tuples(decode_codes(codes, v, s), v + 1)]
-    if np.any(parents < 0):
+    if np.any(parents == v):
         raise ValueError("ungrammatical tuple has no synonym class")
-    return parents.astype(np.int64)
+    return parents
 
 
 @dataclass
@@ -284,9 +284,9 @@ def learn_grammar(
     clustering) and a per-stage recovery score is recorded: each observed
     code's ground-truth class is the majority true parent over its
     occurrences, compared by pair agreement. The true parents are parsed one
-    level at a time. Symbols, labels and the rows' context tokens are kept in
-    the smallest unsigned dtype that holds a symbol, block codes in the
-    smallest that holds one, one row per position.
+    level at a time. Symbols, every ``Partition.labels``, the top tuples and
+    the rows' context tokens are in :func:`token_dtype`, block codes in the
+    smallest unsigned dtype that holds one, one row per position.
     ``partition_fn(stage, observed_codes) -> labels`` overrides the clustering
     at every stage (used to inject oracle or adversarial partitions); its
     labels must lie in ``[0, vocab_size)``, the grammar's alphabet.
@@ -303,23 +303,23 @@ def learn_grammar(
     if seqs.shape[0] == 0:
         raise ValueError("cannot learn a grammar from an empty input (0 rows)")
     _check_token_range("tokens", seqs, vocab_size)
-    narrow = np.min_scalar_type(vocab_size - 1)  # holds any symbol
+    dtype = token_dtype(vocab_size)
     true_parents: list[np.ndarray] = []  # level-l parents at l - 1, by position
     recovery: list[float] | None = None
     if truth is not None:
-        # An unparseable tuple leaves -1 on every level above it, so the rows
-        # parse fully iff the root level is valid.
+        # An unparseable tuple leaves vocab_size on every level above it, so
+        # the rows parse fully iff the root level is valid.
         cur = seqs
         for lvl in range(1, depth + 1):
             cur, _, valid = _parse_level(truth, lvl, cur)
-            true_parents.append(_columns(cur, narrow))
+            true_parents.append(_columns(cur, dtype))
         del cur
         if not valid.all():
             raise ValueError("training rows must parse under the reference grammar")
         recovery = []
     # One narrow copy of the rows, by position: the stage-1 labels and every
     # stage's context tokens.
-    visible = _columns(seqs, narrow)
+    visible = _columns(seqs, dtype)
     labels = visible
     levels: list[Partition] = []
     for stage in range(1, depth):
@@ -337,9 +337,8 @@ def learn_grammar(
             if part_labels.min() < 0 or part_labels.max() >= vocab_size:
                 raise ValueError(f"partition_fn labels at stage {stage} must be "
                                  f"in [0, {vocab_size})")
-            part = Partition(
-                codes=observed, labels=part_labels, partial=False, inertia=math.nan
-            )
+            part = Partition(codes=observed, labels=part_labels.astype(dtype),
+                             partial=False, inertia=math.nan)
         else:
             part = cluster_tuples(stats, seed=derive_seed(seed, stage, "kmeans"))
         if recovery is not None:
@@ -349,7 +348,7 @@ def learn_grammar(
                                     vocab_size).argmax(axis=1)
             recovery.append(pair_agreement_score(part.labels, classes))
         levels.append(part)
-        labels = _gather(part.labels.astype(narrow), ranks)
+        labels = _gather(part.labels, ranks)
         del ranks
     # Distinct top-level rows in lexicographic order, via their big-endian codes.
     top_codes = np.flatnonzero(np.bincount(_block_codes(labels, vocab_size, branching)[0]))
@@ -358,7 +357,7 @@ def learn_grammar(
         branching=branching,
         vocab_size=vocab_size,
         levels=levels,
-        top_tuples=top_tuples.astype(np.int32),
+        top_tuples=top_tuples,
         recovery=recovery,
     )
 
@@ -376,16 +375,14 @@ def generate_from_learned(
     _check_draw_count(n)
     if model.top_tuples.size == 0:
         raise ValueError("model has no top-level tuples")
-    dtype = token_dtype(model.vocab_size)
-    cur = model.top_tuples.astype(dtype)[
-        rng.integers(0, model.top_tuples.shape[0], size=n)]
+    cur = model.top_tuples[rng.integers(0, model.top_tuples.shape[0], size=n)]
     s = model.branching
     for stage in range(len(model.levels), 0, -1):
         part = model.levels[stage - 1]
         # Every label's member tuples, grouped by label in ascending order.
         members = decode_codes(
             part.codes[np.argsort(part.labels, kind="stable")], model.vocab_size, s
-        ).astype(dtype)
+        )
         sizes = np.bincount(part.labels, minlength=model.vocab_size)
         starts = np.cumsum(sizes) - sizes
         labels = cur.ravel()

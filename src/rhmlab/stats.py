@@ -39,6 +39,7 @@ from .grammar import (
     _row_blocks,
     draw_production_codes,
     encode_tuples,
+    token_dtype,
     tree_distance,
 )
 from .seeding import derive_seed
@@ -189,12 +190,10 @@ class TokenCovarianceAccumulator:
         r = 2
         while r < d and v ** (r + 1) <= _GROUP_BINS:
             r += 1
-        # One contiguous row per token position, in the narrowest unsigned
-        # type holding a group code, so each group's codes read contiguous
-        # rows and are built in place.
-        code_type = np.min_scalar_type(v**r - 1)
-        cols = _columns(seqs, code_type)
-        codes = np.empty(seqs.shape[0], dtype=code_type)
+        # One contiguous row per position, in the token dtype, so each group
+        # reads contiguous rows, widened in place to the narrowest code type.
+        cols = _columns(seqs, token_dtype(v))
+        codes = np.empty(seqs.shape[0], dtype=np.min_scalar_type(v**r - 1))
         for members, reads in _pair_cover(d, r):
             np.copyto(codes, cols[members[0]])
             for m in members[1:]:

@@ -354,29 +354,31 @@ def _rule_dicts(rs: RuleSet) -> list[dict]:
 
 def parse_rows_oracle(rs: RuleSet, seqs: np.ndarray):
     """``parse_batch`` by a per-row, per-tuple dict lookup: the same
-    ``(max_levels, latents, choices)`` with -1 at unparseable positions."""
+    ``(max_levels, latents, choices)``. Latents are in the smallest unsigned
+    dtype holding ``vocab_size``, which marks an unparseable position;
+    choices are int32, -1 there."""
     p = rs.params
-    s = p.branching
+    v, s = p.vocab_size, p.branching
     rules = _rule_dicts(rs)
     seqs = np.asarray(seqs)
     if seqs.ndim == 1:
         seqs = seqs[None, :]
     n = seqs.shape[0]
     max_levels = np.zeros(n, dtype=np.int64)
-    latents = [np.full((n, p.level_width(l)), -1, dtype=np.int32)
+    latents = [np.full((n, p.level_width(l)), v, dtype=np.min_scalar_type(v))
                for l in range(1, p.depth + 1)]
-    choices = [a.copy() for a in latents]
+    choices = [np.full(a.shape, -1, dtype=np.int32) for a in latents]
     for r in range(n):
         cur = [int(x) for x in seqs[r]]
         ok = True
         for lvl in range(1, p.depth + 1):
             parents = []
             for j in range(0, len(cur), s):
-                parent, k = rules[lvl - 1].get(tuple(cur[j:j + s]), (-1, -1))
+                parent, k = rules[lvl - 1].get(tuple(cur[j:j + s]), (v, -1))
                 latents[lvl - 1][r, j // s] = parent
                 choices[lvl - 1][r, j // s] = k
                 parents.append(parent)
-            ok = ok and min(parents) >= 0
+            ok = ok and max(parents) < v
             if ok:
                 max_levels[r] = lvl
             cur = parents
@@ -926,7 +928,7 @@ def parse_batch_unblocked_oracle(rs: RuleSet, seqs: np.ndarray):
         parents = np.take(parent_of, codes)
         choices.append(np.take(choice_of, codes))
         latents.append(parents)
-        max_levels += np.ascontiguousarray(parents.T).min(axis=0) >= 0
+        max_levels += np.ascontiguousarray(parents.T).max(axis=0) < v
         cur = parents
     return max_levels, latents, choices
 
@@ -976,7 +978,8 @@ def learn_grammar_parse_truth_oracle(seqs, depth, branching, vocab_size,
     top_codes = np.flatnonzero(np.bincount(encode_tuples(labels, vocab_size)))
     top_tuples = decode_codes(top_codes, vocab_size, labels.shape[1])
     return ClusterModel(branching=branching, vocab_size=vocab_size, levels=levels,
-                        top_tuples=top_tuples.astype(np.int32), recovery=recovery)
+                        top_tuples=top_tuples.astype(np.min_scalar_type(vocab_size)),
+                        recovery=recovery)
 
 
 def one_step_gradient_bincount_oracle(tuple_codes, next_tokens,

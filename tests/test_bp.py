@@ -15,8 +15,9 @@ from rhmlab import (
     leaf_likelihoods,
     parse_batch,
     sample_dataset,
+    token_dtype,
 )
-from rhmlab.bp import _categorical, _gather_index, _upward_pass
+from rhmlab.bp import _categorical, _gather_index, _posterior, _upward_pass
 from oracles import (
     bp_marginals_oracle,
     bp_posterior_sample_batch_oracle,
@@ -250,8 +251,8 @@ def test_bp_is_bit_identical_to_the_oracle(case):
     draws_ref = _outcome(lambda: bp_posterior_sample_batch_oracle(rs, lik, n, rng_ref))
     assert (draws is None) == (draws_ref is None)
     if draws_ref is not None:
-        assert draws.dtype == draws_ref.dtype and draws.shape == draws_ref.shape
-        assert np.array_equal(draws, draws_ref)
+        assert draws.dtype == token_dtype(rs.params.vocab_size)
+        assert draws.shape == draws_ref.shape and np.array_equal(draws, draws_ref)
     assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
@@ -316,6 +317,34 @@ def test_denoiser_raises_where_the_marginals_raise(rs_small, kind):
         assert str(got.value) == str(want.value)
 
 
+# Positive evidence whose upward pass succeeds but whose later products
+# underflow to zero: leaf entries 10**e, or 0 where e is None. Each case
+# reaches one of the zero-mass checks past the upward pass.
+UNDERFLOW_CASES = {
+    "zero posterior mass": (GrammarParams(2, 2, 3, 2, seed=315), [
+        [None, 0, None], [-310, None, 0], [0, None, -320], [None, None, 0],
+    ]),
+    "zero downward message": (GrammarParams(3, 2, 4, 1, seed=990), [
+        [None, 0, None, None], [None, 0, None, None], [None, 0, None, -160],
+        [None, 0, None, 0], [None, 0, None, -310], [None, -150, None, -160],
+        [None, None, None, 0], [None, None, None, 0],
+    ]),
+}
+
+
+@pytest.mark.parametrize("message", list(UNDERFLOW_CASES))
+def test_underflowing_evidence_reaches_the_zero_mass_checks(message):
+    params, exponents = UNDERFLOW_CASES[message]
+    rs = generate_rules(params)
+    lik = np.array([[0.0 if e is None else 10.0**e for e in row] for row in exponents])
+    assert lik.max(axis=1).min() > 0  # every leaf has a possible value
+    for call in (lambda: bp_marginals(rs, lik),
+                 lambda: _posterior(rs, lik, every_level=False),
+                 lambda: bp_marginals_oracle(rs, lik)):
+        with pytest.raises(ImpossibleEvidenceError, match=f"^{message}$"):
+            call()
+
+
 def _marginals_match_oracle(rs, lik):
     """bp_marginals equals the oracle byte for byte, or both raise
     ImpossibleEvidenceError; returns whether the evidence was possible."""
@@ -337,7 +366,8 @@ def _draws_match_oracle(rs, lik, n, seed):
     want = _outcome(lambda: bp_posterior_sample_batch_oracle(rs, lik, n, rng_ref))
     assert (draws is None) == (want is None)
     if want is not None:
-        assert draws.dtype == want.dtype and np.array_equal(draws, want)
+        assert draws.dtype == token_dtype(rs.params.vocab_size)
+        assert np.array_equal(draws, want)
     assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 

@@ -356,7 +356,7 @@ class TestZeroRows:
             for lvl, (lat, ch) in enumerate(zip(latents, choices), start=1):
                 width = rs_deep.params.level_width(lvl)
                 assert lat.shape == ch.shape == (0, width)
-                assert lat.dtype == ch.dtype == np.int32
+                assert lat.dtype == token_dtype(3) and ch.dtype == np.int32
 
     def test_sample_dataset(self, rs_deep):
         rng, ref_rng = np.random.default_rng(0), np.random.default_rng(0)
@@ -502,7 +502,9 @@ def test_parse_tables_invert_every_production(case):
     v, m, s = p.vocab_size, p.n_synonyms, p.branching
     for level in range(1, p.depth + 1):
         parent_of, choice_of = rs.parse_tables(level)
-        want_parent = np.full((v + 1) ** s, -1, dtype=np.int32)
+        # v marks a tuple no rule produces in the parent table, -1 in the
+        # rule-index table
+        want_parent = np.full((v + 1) ** s, v, dtype=token_dtype(v))
         want_choice = np.full((v + 1) ** s, -1, dtype=np.int32)
         # each production's big-endian base-(v+1) code maps to (a, k)
         for a, productions in enumerate(rs.rules_at(level).tolist()):
@@ -511,12 +513,13 @@ def test_parse_tables_invert_every_production(case):
                 for child in children:
                     code = code * (v + 1) + child
                 want_parent[code], want_choice[code] = a, k
-        for got, want in ((parent_of, want_parent), (choice_of, want_choice)):
-            assert got.dtype == np.int32 and np.array_equal(got, want)
+        for got, want, none in ((parent_of, want_parent, v),
+                                (choice_of, want_choice, -1)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
             # every code with a digit v (an out-of-range symbol) parses nowhere
             grid = got.reshape((v + 1,) * s)
             for axis in range(s):
-                assert np.all(np.take(grid, v, axis=axis) == -1)
+                assert np.all(np.take(grid, v, axis=axis) == none)
             with pytest.raises(ValueError, match="read-only"):
                 got[0] = 0
     # a production repeated anywhere in a level is refused

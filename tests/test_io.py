@@ -201,6 +201,22 @@ class TestLoaderContract:
         with pytest.raises(ValueError):
             load_dataset(path)
 
+    # seq_len 0 with 2**40 rows would read as a (2**40, 0) array
+    @pytest.mark.parametrize("sizes", [(0, 8, 2), (4, 0, 2), (0, 8, 2**40)],
+                             ids=["seq_len-0", "vocab_size-0", "seq_len-0-many-rows"])
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_header_sizes_out_of_range_are_refused(self, tmp_path, sizes, binary):
+        path = tmp_path / "d"
+        if binary:
+            path.write_bytes(DATASET_MAGIC + np.array(sizes, dtype="<u8").tobytes()
+                             + (0).to_bytes(2, "little"))
+        else:
+            path.write_text("{} {} {} -\n".format(*sizes))
+        d, vocab, n = sizes
+        with pytest.raises(ValueError, match=rf"d: header sizes \[{d}, {vocab}, {n}\] "
+                                             r"out of range$"):
+            load_dataset(path)
+
     def test_masked_tokens_load(self, tmp_path):
         path = tmp_path / "d.txt"
         path.write_text("4 8 2 -\n0 1 8 3\n8 8 8 8\n")

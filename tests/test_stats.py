@@ -364,9 +364,9 @@ class TestAnyIntegerDtype:
         masked[7, rs_deep.params.branching] = v  # and in the level-2 tuple
         with pytest.raises(ValueError, match="tuple symbols must lie"):
             token_tuple_correlation(Dataset(masked, rs_deep.params, ds.latents), 2)
-        latents = [x.astype(np.int32) for x in ds.latents]  # as a parse returns them
-        latents[0][3, rs_deep.params.branching] = -1  # an unparsed level-1 symbol
-        with pytest.raises(ValueError, match=r"tuple symbols must lie .*found -1"):
+        latents = [x.copy() for x in ds.latents]
+        latents[0][3, rs_deep.params.branching] = v  # an unparsed level-1 symbol
+        with pytest.raises(ValueError, match=rf"tuple symbols must lie .*found {v}$"):
             token_tuple_correlation(Dataset(ds.sequences, rs_deep.params, latents), 3)
 
 

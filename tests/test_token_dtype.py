@@ -1,7 +1,8 @@
-"""The token dtype rule: every row of tokens or sampled symbols rhmlab makes is
-in ``token_dtype(vocab_size)``, the smallest unsigned dtype that holds the
-mask token ``vocab_size``: uint8 up to v = 255, uint16 from 256. Narrow rows
-change no value and no random draw."""
+"""The token dtype rule: every token and every parsed, learned or sampled
+symbol rhmlab makes is in ``token_dtype(vocab_size)``, the smallest unsigned
+dtype that holds the mask token ``vocab_size``, which also marks a tuple no
+rule produces: uint8 up to v = 255, uint16 from 256. Narrow rows change no
+value and no random draw."""
 
 import numpy as np
 import pytest
@@ -10,15 +11,20 @@ from rhmlab import (
     Dataset,
     GrammarParams,
     NoiseSpec,
+    bp_posterior_sample_batch,
     corrupt,
+    decode_codes,
+    encode_tuples,
     enumerate_all,
     generate_from_learned,
     generate_rules,
     learn_grammar,
+    parse_batch,
     resample_below,
     sample_dataset,
     sample_distinct_dataset,
     token_dtype,
+    true_tuple_classes,
 )
 from rhmlab.io import load_dataset, save_dataset
 
@@ -56,8 +62,29 @@ def test_every_producer_makes_rows_of_the_token_dtype(v, dtype):
     # 40 rows observe fewer than v codes, so every code is its own class
     model = learn_grammar(sampled.sequences, 2, 2, v, seed=4)
     assert model.levels[0].partial
+    injected = learn_grammar(sampled.sequences, 2, 2, v,
+                             partition_fn=lambda stage, codes: codes % v)
+    for learned in (model, injected):
+        assert learned.levels[0].labels.dtype == learned.top_tuples.dtype == dtype
     gen = generate_from_learned(model, 30, np.random.default_rng(5))
     assert gen.dtype == dtype and gen.shape == (30, 4)
+    # parsed symbols: the mask token spoils row 0's first tuple at level 1,
+    # and the marker v the tuple above it
+    rows = sampled.sequences.copy()
+    rows[0, 0] = v
+    max_levels, latents, _ = parse_batch(rs, rows)
+    assert max_levels[0] == 0 and (max_levels[1:] == 2).all()
+    for level, lat in enumerate(latents, 1):
+        assert lat.dtype == dtype and lat[0, 0] == v
+        assert np.array_equal(lat[1:], sampled.latents[level - 1][1:])
+        parent_of = rs.parse_tables(level)[0]
+        assert parent_of.dtype == dtype and parent_of.max() == v
+    codes = encode_tuples(rs.rules_at(1)[:, 0], v)
+    assert decode_codes(codes, v, 2).dtype == dtype
+    assert true_tuple_classes(rs, 1, codes).dtype == dtype
+    clean = np.eye(v)[sampled.sequences[0]]
+    draws = bp_posterior_sample_batch(rs, clean, 5, np.random.default_rng(7))
+    assert draws.dtype == dtype and (draws == sampled.sequences[0]).all()
     for kind in ("uniform", "masking"):
         noisy, _ = corrupt(sampled.sequences, NoiseSpec(kind, beta_bar=0.5), v,
                            np.random.default_rng(6))
