@@ -47,9 +47,14 @@ def _check_enumeration_cap(params: GrammarParams) -> None:
             f"{n} derivations exceed cap {DEFAULT_ENUMERATION_CAP}")
 
 
+def _is_integer(x) -> bool:
+    """Whether ``x`` is an ``int`` or a numpy integer, but not a bool."""
+    return not isinstance(x, bool) and isinstance(x, (int, np.integer))
+
+
 def _check_draw_count(n) -> None:
     """Refuse a draw count ``n`` that is not a nonnegative integer."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+    if not _is_integer(n) or n < 0:
         raise ValueError(f"n must be a nonnegative integer, not {n!r}")
 
 
@@ -90,6 +95,13 @@ class GrammarParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # Python ints throughout, so every power is exact and the rules hash.
+        for name in ("depth", "branching", "vocab_size", "n_synonyms", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                if not _is_integer(value):
+                    raise ValueError(f"{name} must be an integer, not {value!r}")
+                object.__setattr__(self, name, int(value))
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
         if self.branching < 2:
@@ -153,10 +165,12 @@ def encode_tuples(tuples: np.ndarray, vocab_size: int) -> np.ndarray:
 
 
 def decode_codes(codes: np.ndarray, vocab_size: int, branching: int) -> np.ndarray:
-    """Inverse of :func:`encode_tuples` in :func:`token_dtype`; appends an s-axis."""
-    codes = np.asarray(codes, dtype=np.int64)
+    """Inverse of :func:`encode_tuples` in :func:`token_dtype`; appends an s-axis.
+    The codes must lie in ``[0, vocab_size**branching)``."""
+    codes = np.asarray(codes)
+    _check_token_range("tuple codes", codes, vocab_size**branching)
     out = np.empty(codes.shape + (branching,), dtype=token_dtype(vocab_size))
-    rem = codes
+    rem = codes.astype(np.uint64)
     for i in range(branching - 1, -1, -1):
         out[..., i] = rem % vocab_size
         rem = rem // vocab_size

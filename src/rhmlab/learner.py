@@ -36,11 +36,11 @@ from .grammar import (
     _code_ranks,
     _columns,
     _gather,
+    _is_integer,
     _parse_level,
     _power_at_most,
     accuracy,
     decode_codes,
-    encode_tuples,
     generate_rules,
     sample_dataset,
     token_dtype,
@@ -246,10 +246,8 @@ def pair_agreement_score(labels: np.ndarray, reference: np.ndarray) -> float:
 def true_tuple_classes(rs: RuleSet, level: int, codes: np.ndarray) -> np.ndarray:
     """Ground-truth synonym class (parent symbol) of each grammatical tuple code."""
     v, s = rs.params.vocab_size, rs.params.branching
-    codes = np.asarray(codes)
-    if codes.size and (codes.min() < 0 or codes.max() >= v**s):
-        raise ValueError(f"tuple codes must lie in [0, {v**s})")
-    parents = rs.parse_tables(level)[0][encode_tuples(decode_codes(codes, v, s), v + 1)]
+    tuples = decode_codes(codes, v, s)
+    parents = _parse_level(rs, level, tuples.reshape(-1, s))[0].reshape(tuples.shape[:-1])
     if np.any(parents == v):
         raise ValueError("ungrammatical tuple has no synonym class")
     return parents
@@ -330,13 +328,12 @@ def learn_grammar(
                                        visible, vocab_size, branching, variant, stage)
         observed = stats.codes
         if partition_fn is not None:
-            part_labels = np.asarray(partition_fn(stage, observed), dtype=np.int64)
+            part_labels = np.asarray(partition_fn(stage, observed))
             if part_labels.shape != observed.shape:
                 raise ValueError("partition_fn must label every observed code")
             # The next stage, and the top tuples, encode these in base vocab_size.
-            if part_labels.min() < 0 or part_labels.max() >= vocab_size:
-                raise ValueError(f"partition_fn labels at stage {stage} must be "
-                                 f"in [0, {vocab_size})")
+            _check_token_range(f"partition_fn labels at stage {stage}", part_labels,
+                               vocab_size)
             part = Partition(codes=observed, labels=part_labels.astype(dtype),
                              partial=False, inertia=math.nan)
         else:
@@ -489,13 +486,23 @@ class SweepConfig:
         for name in ("cluster_threshold", "accuracy_threshold"):
             if not 0 <= getattr(self, name) <= 1:
                 raise ValueError(f"{name} must lie in [0, 1], not {getattr(self, name)}")
+        grids = {} if self.p_grid is None else self.p_grid
+        counts = [("trials", self.trials), ("n_eval", self.n_eval)]
+        counts += [("m", m) for m in self.m_list]
+        counts += [(f"p_grid[{m}] entry", p) for m, grid in grids.items() for p in grid]
+        for name, value in counts:
+            if not _is_integer(value):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
+        for m, grid in grids.items():
+            if m not in self.m_list:
+                raise ValueError(f"p_grid names m={m}, which is not in m_list")
+            if not grid or min(grid) < 1:
+                raise ValueError(f"p_grid[{m}] must be a non-empty grid of "
+                                 f"sample sizes >= 1, not {grid}")
 
     def grid_for(self, m: int) -> list[int]:
         if self.p_grid is not None and m in self.p_grid:
-            grid = sorted(set(int(p) for p in self.p_grid[m]))
-            if not grid:
-                raise ValueError(f"empty sample-size grid for m={m}")
-            return grid
+            return sorted(set(self.p_grid[m]))
         params = GrammarParams(
             depth=self.depth,
             branching=self.branching,

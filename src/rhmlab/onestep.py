@@ -79,14 +79,15 @@ def one_step_gradient(
     """Initial weights, softmax cross-entropy gradient and empirical
     correlation of a training set; ``.step(eta)`` takes the step.
 
-    Raises when a next token lies outside ``[0, vocab_size)``, or when some
-    label class never occurs (its log marginal is -inf, so the prescribed
-    initialization does not exist).
+    Raises when the tuple codes are not integers, when a next token lies
+    outside ``[0, vocab_size)``, or when some label class never occurs (its
+    log marginal is -inf, so the prescribed initialization does not exist).
     """
     tuple_codes = np.asarray(tuple_codes).ravel()
     next_tokens = np.asarray(next_tokens).ravel()
     if tuple_codes.shape != next_tokens.shape or tuple_codes.size == 0:
         raise ValueError("need equal-length non-empty code/label arrays")
+    _check_token_range("tuple codes", tuple_codes, None)
     _check_token_range("next tokens", next_tokens, vocab_size)
     n = tuple_codes.size
     label_counts = np.bincount(next_tokens, minlength=vocab_size)

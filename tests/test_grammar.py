@@ -64,6 +64,26 @@ class TestGenerateRules:
         with pytest.raises(ValueError):
             GrammarParams(**kwargs)
 
+    @pytest.mark.parametrize("name", ["depth", "branching", "vocab_size",
+                                      "n_synonyms", "seed"])
+    @pytest.mark.parametrize("bad", [True, 2.0, 1.5, "2"], ids=["bool", "whole-float",
+                                                             "float", "str"])
+    def test_rejects_non_integer_params_by_name(self, name, bad):
+        # these used to be accepted and to fail later, or not at all
+        kwargs = dict(depth=2, branching=2, vocab_size=16, n_synonyms=2, seed=1)
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            GrammarParams(**{**kwargs, name: bad})
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.int32, np.uint64])
+    def test_numpy_integer_params_are_python_ints(self, dtype):
+        kwargs = dict(depth=2, branching=2, vocab_size=16, n_synonyms=4, seed=7)
+        params = GrammarParams(**{k: dtype(x) for k, x in kwargs.items()})
+        assert params == GrammarParams(**kwargs)
+        assert all(type(getattr(params, k)) is int for k in kwargs)
+        # the rules hash used to fail on numpy integers
+        assert (generate_rules(params).content_hash()
+                == generate_rules(GrammarParams(**kwargs)).content_hash())
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -156,6 +176,24 @@ class TestGenerateRules:
         got = encode_tuples(tuples, 16)
         assert got.dtype == np.int64
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("codes, message", [
+        ([300], r"must lie in \[0, 256\), found 300"),  # decoded as [2, 12]
+        ([256], r"must lie in \[0, 256\), found 256"),
+        ([-1], r"must lie in \[0, 256\), found -1"),
+        ([3.7], "must hold integer tokens, not float64"),  # decoded as 3
+        ([True], "must hold integer tokens, not bool"),
+    ])
+    def test_decode_codes_refuses_codes_outside_the_code_space(self, codes, message):
+        assert decode_codes([255], 16, 2).tolist() == [[15, 15]]
+        with pytest.raises(ValueError, match=f"^tuple codes {message}"):
+            decode_codes(codes, 16, 2)
+
+    def test_decode_codes_of_any_integer_dtype(self):
+        # narrow codes of a wide base, and uint64 codes past the int64 range
+        assert decode_codes(np.array([255], np.uint8), 300, 2).tolist() == [[0, 255]]
+        top = np.array([2**64 - 1], np.uint64)
+        assert decode_codes(top, 2**32, 2).tolist() == [[2**32 - 1, 2**32 - 1]]
 
 
 class TestSampling:

@@ -229,12 +229,13 @@ class TestRecoveryScore:
         want = (16 * 6) / (64 * 63 / 2)
         assert _recovery(part, rs_medium, 1) == pytest.approx(want)
 
-    @pytest.mark.parametrize("code", [-1, 16])
+    @pytest.mark.parametrize("code", [-1, 16, 15.0, True])
     def test_codes_out_of_range_rejected(self, code):
-        # -1 used to wrap around to code 15, and 16 to raise IndexError
+        # -1 used to wrap around to code 15, and 16 to raise IndexError;
+        # 15.0 was decoded as 15, and True as 1
         rs = generate_rules(GrammarParams(2, 2, 4, 2, seed=2))
         assert true_tuple_classes(rs, 1, [15]).tolist() == [3]
-        with pytest.raises(ValueError, match="tuple codes"):
+        with pytest.raises(ValueError, match="tuple codes must"):
             true_tuple_classes(rs, 1, [code])
 
     def test_random_partition_near_chance_baseline(self, rs_medium):
@@ -524,11 +525,15 @@ class TestLearnGrammarCodeTables:
             assert model.levels[0].partial and model.levels[1].partial
 
     @pytest.mark.parametrize("bad_stage, offset, message", [
-        (1, 8, r"stage 1 must be in \[0, 8\)"),
-        (1, -100, r"stage 1 must be in \[0, 8\)"),
-        (2, 8, r"stage 2 must be in \[0, 8\)"),
-        (2, -100, r"stage 2 must be in \[0, 8\)"),
-    ], ids=["past-v-below-top", "negative-below-top", "past-v-at-top", "negative-at-top"])
+        (1, 8, r"stage 1 must lie in \[0, 8\)"),
+        (1, -100, r"stage 1 must lie in \[0, 8\)"),
+        (2, 8, r"stage 2 must lie in \[0, 8\)"),
+        (2, -100, r"stage 2 must lie in \[0, 8\)"),
+        # 0.7 used to be truncated away, so these labels learned the true classes
+        (1, 0.7, r"stage 1 must hold integer tokens, not float64"),
+        (2, 0.7, r"stage 2 must hold integer tokens, not float64"),
+    ], ids=["past-v-below-top", "negative-below-top", "past-v-at-top", "negative-at-top",
+            "float-below-top", "float-at-top"])
     def test_partition_labels_out_of_range_rejected(self, bad_stage, offset, message):
         rs = generate_rules(GrammarParams(depth=3, branching=2, vocab_size=8,
                                           n_synonyms=2, seed=4))
@@ -540,6 +545,15 @@ class TestLearnGrammarCodeTables:
 
         with pytest.raises(ValueError, match=message):
             learn_grammar(ds.sequences, 3, 2, 8, partition_fn=shifted)
+
+    def test_boolean_partition_labels_rejected(self):
+        # bools used to be cast to the labels 0 and 1
+        rs = generate_rules(GrammarParams(depth=3, branching=2, vocab_size=8,
+                                          n_synonyms=2, seed=4))
+        ds = sample_dataset(rs, 500, np.random.default_rng(5), with_latents=False)
+        with pytest.raises(ValueError, match="stage 1 must hold integer tokens, not bool"):
+            learn_grammar(ds.sequences, 3, 2, 8,
+                          partition_fn=lambda stage, codes: codes % 2 == 1)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -822,6 +836,16 @@ class TestSweep:
         ({"grid_span": float("nan")}, "grid_span"),
         ({"cluster_threshold": 1.5}, "cluster_threshold"),
         ({"accuracy_threshold": -0.1}, "accuracy_threshold"),
+        # each of these used to be truncated, ignored or to fail once cells ran
+        ({"m_list": (2,), "p_grid": {2: (1.5, 64)}}, r"p_grid\[2\] entry"),
+        ({"m_list": (2,), "p_grid": {2: (0, 64)}}, r"p_grid\[2\] must"),
+        ({"m_list": (2,), "p_grid": {2: (-5,)}}, r"p_grid\[2\] must"),
+        ({"m_list": (2,), "p_grid": {2: ()}}, r"p_grid\[2\] must"),
+        ({"m_list": (2,), "p_grid": {2: (True, 64)}}, r"p_grid\[2\] entry"),
+        ({"m_list": (2,), "p_grid": {9: (64,)}}, "p_grid names m=9"),
+        ({"trials": True}, "trials"), ({"trials": 2.5}, "trials"),
+        ({"n_eval": 1.5}, "n_eval"), ({"n_eval": True}, "n_eval"),
+        ({"m_list": (2.5,)}, "m must"), ({"m_list": (True, 2)}, "m must"),
     ])
     def test_sweep_config_refuses_bad_fields(self, change, named):
         # vocab_size 8, branching 2: m = 8 has rule density 1

@@ -61,6 +61,13 @@ class TestGradientIdentity:
         with pytest.raises(ValueError, match=rf"next tokens must lie in \[0, 2\), found {bad}"):
             one_step_gradient(np.zeros(4, dtype=int), labels, 2)
 
+    @pytest.mark.parametrize("codes", [np.zeros(4), np.zeros(4, dtype=bool)],
+                             ids=["float", "bool"])
+    def test_non_integer_tuple_codes_refused(self, codes):
+        # float codes used to come back as float tuple_codes
+        with pytest.raises(ValueError, match="^tuple codes must hold integer tokens"):
+            one_step_gradient(codes, np.array([0, 1, 0, 1]), 2)
+
     def test_eta_must_be_positive(self):
         with pytest.raises(ValueError):
             one_step_gd(np.zeros(4, dtype=int), np.array([0, 1, 0, 1]), 2, 0.0)
