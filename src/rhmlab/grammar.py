@@ -52,10 +52,11 @@ def _is_integer(x) -> bool:
     return not isinstance(x, bool) and isinstance(x, (int, np.integer))
 
 
-def _check_draw_count(n) -> None:
-    """Refuse a draw count ``n`` that is not a nonnegative integer."""
+def _check_draw_count(n, name: str = "n") -> None:
+    """Refuse a draw count (or seed) ``n`` that is not a nonnegative integer,
+    naming it ``name``."""
     if not _is_integer(n) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, not {n!r}")
+        raise ValueError(f"{name} must be a nonnegative integer, not {n!r}")
 
 
 def token_dtype(vocab_size: int) -> np.dtype:
@@ -312,8 +313,19 @@ def draw_production_codes(params: GrammarParams) -> np.ndarray:
     ``params.seed``.
     """
     v, m, s = params.vocab_size, params.n_synonyms, params.branching
-    rng = np.random.default_rng(params.seed)
-    return np.stack([rng.permutation(v**s)[: v * m] for _ in range(params.depth)])
+    out = np.empty((params.depth, v * m), dtype=np.int64)
+    _fill_production_codes(out, v**s, params.seed)
+    return out
+
+
+def _fill_production_codes(out: np.ndarray, n_tuples: int, seed: int) -> None:
+    """The one rule draw: fill each row of the ``(depth, v*m)`` int64 ``out``
+    with ``rng.permutation(n_tuples)[: v*m]`` for ``rng = default_rng(seed)``,
+    in row order. Checks nothing; callers pass a checked shape."""
+    rng = np.random.default_rng(seed)
+    width = out.shape[1]
+    for row in range(len(out)):
+        out[row] = rng.permutation(n_tuples)[:width]
 
 
 def generate_rules(params: GrammarParams) -> RuleSet:

@@ -487,12 +487,14 @@ class SweepConfig:
             if not 0 <= getattr(self, name) <= 1:
                 raise ValueError(f"{name} must lie in [0, 1], not {getattr(self, name)}")
         grids = {} if self.p_grid is None else self.p_grid
-        counts = [("trials", self.trials), ("n_eval", self.n_eval)]
+        counts = [("trials", self.trials), ("n_eval", self.n_eval), ("seed", self.seed)]
         counts += [("m", m) for m in self.m_list]
         counts += [(f"p_grid[{m}] entry", p) for m, grid in grids.items() for p in grid]
         for name, value in counts:
             if not _is_integer(value):
                 raise ValueError(f"{name} must be an integer, not {value!r}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must fit in 64 bits, not {self.seed}")
         for m, grid in grids.items():
             if m not in self.m_list:
                 raise ValueError(f"p_grid names m={m}, which is not in m_list")

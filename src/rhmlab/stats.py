@@ -25,7 +25,7 @@ normalization under which the independence floor equals 1/(v*sqrt(N)).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,8 +36,9 @@ from .grammar import (
     _check_token_range,
     _code_ranks,
     _columns,
+    _fill_production_codes,
+    _is_integer,
     _row_blocks,
-    draw_production_codes,
     encode_tuples,
     token_dtype,
     tree_distance,
@@ -417,19 +418,24 @@ ENSEMBLE_BLOCK = 64  # grammar draws evaluated per stacked pass
 def _ensemble_blocks(params: GrammarParams, n_grammars: int, seed: int, tag: str):
     """The production codes of an ensemble's ``n_grammars`` grammars of shape
     ``params``, drawn from seeds ``derive_seed(seed, g, tag)`` exactly as
-    :func:`generate_rules` draws them, stacked ``ENSEMBLE_BLOCK`` draws at a
-    time in draw order."""
+    :func:`generate_rules` draws them, ``ENSEMBLE_BLOCK`` draws at a time in
+    draw order. Each draw is written straight into its block."""
+    v, m, s = params.vocab_size, params.n_synonyms, params.branching
     for start in range(0, n_grammars, ENSEMBLE_BLOCK):
-        yield np.stack([
-            draw_production_codes(replace(params, seed=derive_seed(seed, g, tag)))
-            for g in range(start, min(start + ENSEMBLE_BLOCK, n_grammars))
-        ])
+        block = np.empty((min(ENSEMBLE_BLOCK, n_grammars - start), params.depth, v * m),
+                         dtype=np.int64)
+        for g, out in enumerate(block, start):
+            _fill_production_codes(out, v**s, derive_seed(seed, g, tag))
+        yield block
 
 
 def _ensemble_params(depth: int, branching: int, vocab_size: int, n_synonyms: int,
                      level: int, n_grammars: int) -> GrammarParams:
     """The shape of an ensemble's grammars, checked with ``level`` and
     ``n_grammars`` before anything is drawn."""
+    for name, value in (("level", level), ("n_grammars", n_grammars)):
+        if not _is_integer(value):
+            raise ValueError(f"{name} must be an integer, not {value!r}")
     if level < 2:
         raise ValueError(f"level must be >= 2, not {level}")
     if n_grammars < 30:

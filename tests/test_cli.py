@@ -51,6 +51,22 @@ class TestDeriveSeed:
         with pytest.raises(ValueError):
             derive_seed(0, 2**64, "x")
 
+    def test_numpy_integers_hash_as_ints(self):
+        want = derive_seed(5, 3, "x")
+        assert derive_seed(np.int64(5), np.uint8(3), "x") == want
+        assert derive_seed(np.uint64(5), 3, "x") == want
+        assert type(derive_seed(np.int64(5), 3, "x")) is int
+
+    @pytest.mark.parametrize("args, named", [
+        ((True, 3, "x"), "master seed"), ((5.0, 3, "x"), "master seed"),
+        (("5", 3, "x"), "master seed"),
+        ((5, False, "x"), "index"), ((5, 3.0, "x"), "index"),
+        ((5, 3, b"x"), "tag must be a str"), ((5, 3, 7), "tag must be a str"),
+    ])
+    def test_bad_arguments_are_refused_by_name(self, args, named):
+        with pytest.raises(ValueError, match=named):
+            derive_seed(*args)
+
 
 def _write(path: Path, obj) -> str:
     path.write_text(json.dumps(obj))

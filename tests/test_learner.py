@@ -853,6 +853,22 @@ class TestSweep:
         with pytest.raises(ValueError, match=named):
             SweepConfig(**{**kwargs, **change})
 
+    @pytest.mark.parametrize("seed, message", [
+        (True, "seed must be an integer"), (3.0, "seed must be an integer"),
+        ("3", "seed must be an integer"), (-1, "seed must fit in 64 bits"),
+        (2**64, "seed must fit in 64 bits"),
+    ])
+    def test_sweep_config_refuses_bad_seeds(self, seed, message):
+        with pytest.raises(ValueError, match=message):
+            SweepConfig(depth=2, m_list=(2,), trials=1, p_grid={2: (16,)}, seed=seed)
+
+    def test_numpy_integer_seed_sweeps_as_the_int_seed(self):
+        kwargs = dict(depth=2, vocab_size=8, m_list=(2,), trials=1,
+                      p_grid={2: (16,)}, n_eval=32)
+        a = measure_sample_complexity(SweepConfig(**kwargs, seed=np.int64(3)))
+        b = measure_sample_complexity(SweepConfig(**kwargs, seed=3))
+        assert a.records == b.records
+
     def test_tiny_sweep_structure(self):
         cfg = SweepConfig(depth=2, vocab_size=8, m_list=(2,), trials=2,
                           p_grid={2: (64, 256, 1024)}, n_eval=256, seed=31)

@@ -13,6 +13,7 @@ from rhmlab import (
     TokenCovarianceAccumulator,
     build_context_stats,
     correlation_recursion_check,
+    derive_seed,
     enumerate_all,
     ensemble_correlation_std,
     generate_rules,
@@ -491,16 +492,51 @@ class TestRecursion:
         ({"level": 1}, "level must be >= 2, not 1"),
         ({"n_grammars": 29}, "n_grammars=29"),
         ({"n_synonyms": 9}, "n_synonyms must be <="),
+        ({"level": 2.0}, "level must be an integer, not 2.0"),
+        ({"level": True}, "level must be an integer, not True"),
+        ({"n_grammars": 40.0}, "n_grammars must be an integer, not 40.0"),
+        ({"n_grammars": True}, "n_grammars must be an integer, not True"),
     ])
     def test_bad_arguments_raise_before_any_draw(self, monkeypatch, check, kwargs,
                                                  message):
-        def no_draw(params):
+        def no_draw(out, n_tuples, seed):
             raise AssertionError("drew a grammar")
 
-        monkeypatch.setattr(stats, "draw_production_codes", no_draw)
+        monkeypatch.setattr(stats, "_fill_production_codes", no_draw)
         args = {"vocab_size": 8, "branching": 2, "n_synonyms": 2} | kwargs
         with pytest.raises(ValueError, match=message):
             check(**args)
+
+    @pytest.mark.parametrize("shape", [(8, 2, 2, 3), (16, 2, 4, 2)])
+    def test_ensemble_blocks_follow_the_draw_rule(self, shape):
+        # The rule written out: per grammar, one generator from its derived
+        # seed and one permutation of the v**s tuple codes per level.
+        v, s, m, depth = shape
+        params = GrammarParams(depth, s, v, m)
+        n_grammars = stats.ENSEMBLE_BLOCK + 1
+        blocks = list(stats._ensemble_blocks(params, n_grammars, 7, "rule"))
+        assert [len(b) for b in blocks] == [stats.ENSEMBLE_BLOCK, 1]
+        for g, codes in enumerate(np.concatenate(blocks)):
+            seed = derive_seed(7, g, "rule")
+            rng = np.random.default_rng(seed)
+            want = np.stack([rng.permutation(v**s)[: v * m] for _ in range(depth)])
+            assert codes.dtype == np.int64
+            np.testing.assert_array_equal(codes, want)
+            np.testing.assert_array_equal(
+                codes, draw_production_codes(GrammarParams(depth, s, v, m, seed=seed)))
+
+    @pytest.mark.parametrize("check", [correlation_recursion_check,
+                                       ensemble_correlation_std])
+    def test_numpy_integer_seed_is_the_int_seed(self, check):
+        got = check(8, 2, 2, n_grammars=30, seed=np.int64(3))
+        assert got == check(8, 2, 2, n_grammars=30, seed=3)
+
+    @pytest.mark.parametrize("check", [correlation_recursion_check,
+                                       ensemble_correlation_std])
+    @pytest.mark.parametrize("seed", [True, 3.0, "3"])
+    def test_bad_seed_is_refused_by_name(self, check, seed):
+        with pytest.raises(ValueError, match="master seed must be a nonnegative integer"):
+            check(8, 2, 2, n_grammars=30, seed=seed)
 
     def test_ensemble_std_matches_prediction(self):
         params = GrammarParams(depth=2, branching=2, vocab_size=16, n_synonyms=4)
