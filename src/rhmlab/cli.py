@@ -4,14 +4,13 @@ Every experiment is a pure function of (config, master seed): outputs are
 byte-identical across re-runs, trial seeds are derived statelessly, and each
 run writes a manifest recording the config hash, artifact versions, per-trial
 seeds, and a SHA-256 of every output file. Every config is checked against
-``config_schema.json`` next to this module before any work starts; invalid
+``config_schema.json`` (:mod:`rhmlab.config`) before any work starts; invalid
 configs exit 2 with one machine-readable JSON error line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import json
 import os
@@ -23,6 +22,7 @@ import numpy as np
 
 from . import __version__
 from .bp import bp_marginals
+from .config import _canonical_json, _config_schema, _schema_errors
 from .corruption import NoiseSpec, corrupt, cumulative_keep_prob, leaf_likelihoods
 from .grammar import (
     Dataset,
@@ -53,90 +53,6 @@ from .stats import (
 
 class ConfigError(ValueError):
     pass
-
-
-def _canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-# JSON type name -> the Python types ``json.loads`` gives for it. ``bool`` is
-# its own type, so true and false are neither integers nor numbers.
-_JSON_TYPES = {"object": (dict,), "array": (list,), "string": (str,),
-               "boolean": (bool,), "integer": (int,), "number": (int, float)}
-# The JSON Schema keywords the validator implements; the schema may use no other.
-_SCHEMA_KEYWORDS = frozenset({
-    "type", "enum", "minimum", "maximum", "exclusiveMinimum", "items",
-    "minItems", "uniqueItems", "properties", "required",
-    "additionalProperties", "oneOf", "description", "$comment",
-})
-
-
-def _check_schema(schema: dict, where: str = "#") -> None:
-    """Raise ``ValueError`` if ``schema`` uses a keyword or type name the
-    validator does not implement."""
-    unknown = sorted(set(schema) - _SCHEMA_KEYWORDS)
-    if unknown or schema.get("type") not in (None, *_JSON_TYPES):
-        raise ValueError(f"config schema at {where} uses unsupported "
-                         f"{unknown or schema['type']}")
-    subschemas = {f"properties/{k}": v for k, v in schema.get("properties", {}).items()}
-    subschemas.update((f"oneOf/{i}", v) for i, v in enumerate(schema.get("oneOf", ())))
-    subschemas.update((k, schema[k]) for k in ("items", "additionalProperties")
-                      if isinstance(schema.get(k), dict))
-    for key, sub in subschemas.items():
-        _check_schema(sub, f"{where}/{key}")
-
-
-@functools.cache
-def _config_schema() -> dict:
-    """``config_schema.json``, checked to use only supported keywords."""
-    schema = json.loads(Path(__file__).with_name("config_schema.json").read_text())
-    _check_schema(schema)
-    return schema
-
-
-def _schema_errors(value, schema: dict, path: str = ""):
-    """Yield one message per way ``value`` breaks ``schema``; each names the
-    key path (``sweep.m_list[1]``) of the offending value."""
-    at = f"config key '{path}'" if path else "the config"
-    kind = schema.get("type")
-    if kind is not None and type(value) not in _JSON_TYPES[kind]:
-        yield f"{at} must be of type {kind}, not {json.dumps(value)}"
-        return
-    if "enum" in schema and _canonical_json(value) not in map(_canonical_json, schema["enum"]):
-        yield f"{at} is {json.dumps(value)}; it must be one of {json.dumps(schema['enum'])}"
-    if type(value) in (int, float):
-        if "minimum" in schema and value < schema["minimum"]:
-            yield f"{at} is {value}, below its minimum {schema['minimum']}"
-        if "maximum" in schema and value > schema["maximum"]:
-            yield f"{at} is {value}, above its maximum {schema['maximum']}"
-        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
-            yield f"{at} is {value}; it must be above {schema['exclusiveMinimum']}"
-    elif type(value) is list:
-        if len(value) < schema.get("minItems", 0):
-            yield f"{at} has {len(value)} items; it needs at least {schema['minItems']}"
-        if schema.get("uniqueItems") and len(set(map(_canonical_json, value))) < len(value):
-            yield f"{at} repeats an item; its items must be unique"
-        for i, item in enumerate(value):
-            yield from _schema_errors(item, schema.get("items", {}), f"{path}[{i}]")
-    elif type(value) is dict:
-        prefix = f"{path}." if path else ""
-        properties = schema.get("properties", {})
-        for key, item in value.items():
-            sub = properties.get(key, schema.get("additionalProperties", {}))
-            if sub is False:
-                yield (f"config key '{prefix}{key}' is unknown; {at} takes "
-                       f"{', '.join(sorted(properties))}")
-            else:
-                yield from _schema_errors(item, sub, prefix + key)
-        for key in schema.get("required", ()):
-            if key not in value:
-                yield f"config key '{prefix}{key}' is required"
-    if "oneOf" in schema:
-        failed = [next(_schema_errors(value, alt, path), None) for alt in schema["oneOf"]]
-        n_fit = failed.count(None)
-        if n_fit != 1:
-            detail = "; ".join(failed) if n_fit == 0 else schema.get("description", "")
-            yield f"{at} fits {n_fit} of its forms but must fit exactly one: {detail}"
 
 
 def _reject_constant(name: str):

@@ -8,60 +8,45 @@ symbol is ``vocab_size`` itself, enlarging the effective alphabet by one.
 
 from __future__ import annotations
 
-import numbers
+import contextlib
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .grammar import _check_token_range, token_dtype
-
-KINDS = ("uniform", "masking")
-
-
-def _real(name: str, value) -> float:
-    """``value`` as a float, refusing booleans and non-real values by name."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, not {value!r}")
-    return float(value)
+from .config import _check_fields
+from .grammar import _check_draw_count, _check_token_range, token_dtype
 
 
 @dataclass(frozen=True)
 class NoiseSpec:
     """Corruption description: a kind plus either a cumulative corruption
     probability ``beta_bar`` or a per-step ``schedule`` of beta values, each
-    stored as a float; a boolean or non-real level is refused."""
+    stored as a float. The fields are checked against the ``noise`` section
+    of ``config_schema.json``; the schedule may be any iterable."""
 
     kind: str
     beta_bar: float | None = None
     schedule: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}")
-        if (self.beta_bar is None) == (self.schedule is None):
-            raise ValueError("give exactly one of beta_bar or schedule")
-        if self.beta_bar is not None:
-            object.__setattr__(self, "beta_bar", _real("beta_bar", self.beta_bar))
-            if not 0.0 <= self.beta_bar <= 1.0:
-                raise ValueError("beta_bar must be in [0, 1]")
         if self.schedule is not None:
-            try:
-                entries = tuple(self.schedule)
-            except TypeError:
-                raise ValueError(f"schedule must be a sequence of real numbers, "
-                                 f"not {self.schedule!r}") from None
-            object.__setattr__(self, "schedule",
-                               tuple(_real("schedule entry", b) for b in entries))
-            if len(self.schedule) == 0:
-                raise ValueError("schedule must be non-empty")
-            if any(not 0.0 <= b <= 1.0 for b in self.schedule):
-                raise ValueError("every beta_t must be in [0, 1]")
+            # A non-iterable schedule is left for the schema to refuse by name.
+            with contextlib.suppress(TypeError):
+                object.__setattr__(self, "schedule", tuple(self.schedule))
+        _check_fields(self, "noise")
+        if self.beta_bar is not None:
+            object.__setattr__(self, "beta_bar", float(self.beta_bar))
+        if self.schedule is not None:
+            object.__setattr__(self, "schedule", tuple(map(float, self.schedule)))
 
     @classmethod
     def linear_schedule(cls, kind: str, n_steps: int) -> "NoiseSpec":
         """beta_t = 1/(T-t+1), the discrete ramp whose cumulative keep
         probability decays linearly: after t steps it equals (T-t)/T."""
+        _check_draw_count(n_steps, "n_steps")
+        if n_steps < 1:
+            raise ValueError("n_steps must be >= 1")
         betas = tuple(1.0 / (n_steps - t + 1) for t in range(1, n_steps + 1))
         return cls(kind=kind, schedule=betas)
 

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import _check_fields
+
 DEFAULT_ENUMERATION_CAP = 1_000_000
 # Tokens per row block of every row kernel: their temporaries stay block-sized.
 _BLOCK_TOKENS = 1 << 15
@@ -87,6 +89,9 @@ class GrammarParams:
     vocab_size: symbols per level.
     n_synonyms: productions per symbol.
     seed: seed freezing the random rule draw.
+
+    The fields are checked against ``config_schema.json``'s ``grammar``
+    section and stored as Python ints.
     """
 
     depth: int
@@ -97,20 +102,8 @@ class GrammarParams:
 
     def __post_init__(self) -> None:
         # Python ints throughout, so every power is exact and the rules hash.
-        for name in ("depth", "branching", "vocab_size", "n_synonyms", "seed"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                if not _is_integer(value):
-                    raise ValueError(f"{name} must be an integer, not {value!r}")
-                object.__setattr__(self, name, int(value))
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
-        if self.branching < 2:
-            raise ValueError("branching must be >= 2")
-        if self.vocab_size < 2:
-            raise ValueError("vocab_size must be >= 2")
-        if self.n_synonyms < 1:
-            raise ValueError("n_synonyms must be >= 1")
+        for name, value in _check_fields(self, "grammar").items():
+            object.__setattr__(self, name, value)
         # Positions are int64 throughout; a huge depth fails here at once
         # instead of hanging in the per-level loops.
         if not _power_at_most(self.branching, self.depth, np.iinfo(np.int64).max):
@@ -122,8 +115,6 @@ class GrammarParams:
                 "n_synonyms must be <= vocab_size**(branching-1) "
                 "for unambiguous rules"
             )
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 bits")
 
     @property
     def seq_len(self) -> int:

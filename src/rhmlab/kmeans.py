@@ -41,6 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grammar import _check_draw_count
+
 
 @dataclass
 class KMeansResult:
@@ -121,6 +123,8 @@ def kmeans_fit(
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] == 0:
         raise ValueError("points must be a non-empty 2-D array")
+    _check_draw_count(k, "k")
+    _check_draw_count(n_restarts, "n_restarts")
     if not 1 <= k <= points.shape[0]:
         raise ValueError("need 1 <= k <= number of points")
     if n_restarts < 1:

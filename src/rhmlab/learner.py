@@ -26,6 +26,7 @@ from typing import Callable
 
 import numpy as np
 
+from .config import _check_fields
 from .grammar import (
     EnumerationCapError,
     GrammarParams,
@@ -36,7 +37,6 @@ from .grammar import (
     _code_ranks,
     _columns,
     _gather,
-    _is_integer,
     _parse_level,
     _power_at_most,
     accuracy,
@@ -229,18 +229,27 @@ def cluster_tuples(stats: ContextStats, seed: int = 0) -> Partition:
 
 def pair_agreement_score(labels: np.ndarray, reference: np.ndarray) -> float:
     """Fraction of item pairs joined/separated consistently with ``reference``
-    (1.0 iff the partitions coincide up to relabeling)."""
+    (1.0 iff the partitions coincide up to relabeling); both hold nonnegative
+    integers. Counted exactly from the contingency table: of the n(n-1)
+    ordered pairs, n(n-1) - Σ a(a-1) - Σ b(b-1) + 2 Σ c(c-1) agree, over its
+    row sums a, column sums b and cells c."""
     labels = np.asarray(labels)
     reference = np.asarray(reference)
     if labels.shape != reference.shape:
         raise ValueError("partitions must label the same items")
+    for name, x in (("labels", labels), ("reference", reference)):
+        _check_token_range(name, x, None)
+        if x.size and x.min() < 0:
+            raise ValueError(f"{name} must be nonnegative, found {x.min()}")
     n = labels.size
     if n < 2:
         return 1.0
-    same_a = labels[:, None] == labels[None, :]
-    same_b = reference[:, None] == reference[None, :]
-    agree = int((same_a == same_b).sum()) - n
-    return agree / (n * (n - 1))
+    # Labels from n up are renumbered densely, so every count below is O(n).
+    a, b = (x.ravel().astype(np.int64) if x.max() < n
+            else np.unique(x, return_inverse=True)[1].ravel() for x in (labels, reference))
+    cells = np.unique(a * n + b, return_counts=True)[1]
+    sa, sb, sc = (int(c @ (c - 1)) for c in (np.bincount(a), np.bincount(b), cells))
+    return (n * (n - 1) - sa - sb + 2 * sc) / (n * (n - 1))
 
 
 def true_tuple_classes(rs: RuleSet, level: int, codes: np.ndarray) -> np.ndarray:
@@ -451,7 +460,8 @@ def population_context_collision(rs: RuleSet, variant: str = "single_token") -> 
 
 @dataclass
 class SweepConfig:
-    """Grid definition for sample-complexity measurements."""
+    """Grid definition for sample-complexity measurements; the fields are
+    checked against the ``sweep`` section of ``config_schema.json``."""
 
     depth: int
     branching: int = 2
@@ -468,39 +478,17 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         # Check every invariant once, before any cell or worker starts.
+        _check_fields(self, "sweep")
         GrammarParams(depth=self.depth, branching=self.branching,
                       vocab_size=self.vocab_size, n_synonyms=1)
-        if self.trials < 1 or self.n_eval < 1:
-            raise ValueError(f"trials and n_eval must be >= 1, not "
-                             f"{self.trials} and {self.n_eval}")
-        if not self.m_list or len(set(self.m_list)) != len(self.m_list):
-            raise ValueError(f"m_list must be non-empty with no repeated m, "
-                             f"not {self.m_list}")
         for m in self.m_list:
             # f = m / v**(s-1) >= 1 has no finite threshold.
-            if m < 1 or _power_at_most(self.vocab_size, self.branching - 1, m):
+            if _power_at_most(self.vocab_size, self.branching - 1, m):
                 raise ValueError(f"m={m} must be >= 1 with rule density "
                                  "m / vocab_size**(branching-1) below 1")
-        if not self.grid_span >= 1:  # NaN too
-            raise ValueError(f"grid_span must be >= 1, not {self.grid_span}")
-        for name in ("cluster_threshold", "accuracy_threshold"):
-            if not 0 <= getattr(self, name) <= 1:
-                raise ValueError(f"{name} must lie in [0, 1], not {getattr(self, name)}")
-        grids = {} if self.p_grid is None else self.p_grid
-        counts = [("trials", self.trials), ("n_eval", self.n_eval), ("seed", self.seed)]
-        counts += [("m", m) for m in self.m_list]
-        counts += [(f"p_grid[{m}] entry", p) for m, grid in grids.items() for p in grid]
-        for name, value in counts:
-            if not _is_integer(value):
-                raise ValueError(f"{name} must be an integer, not {value!r}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must fit in 64 bits, not {self.seed}")
-        for m, grid in grids.items():
+        for m in self.p_grid or ():
             if m not in self.m_list:
                 raise ValueError(f"p_grid names m={m}, which is not in m_list")
-            if not grid or min(grid) < 1:
-                raise ValueError(f"p_grid[{m}] must be a non-empty grid of "
-                                 f"sample sizes >= 1, not {grid}")
 
     def grid_for(self, m: int) -> list[int]:
         if self.p_grid is not None and m in self.p_grid:

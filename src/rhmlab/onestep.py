@@ -17,6 +17,7 @@ shared gradient.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,9 +60,10 @@ class OneStepGradient:
     n: int  # training pairs
 
     def step(self, eta: float) -> OneStepModel:
-        """The model after one full-batch step at learning rate ``eta``."""
-        if eta <= 0:
-            raise ValueError("eta must be positive")
+        """The model after one full-batch step at learning rate ``eta``, a
+        positive finite real number (not a bool)."""
+        if isinstance(eta, bool) or not isinstance(eta, numbers.Real) or not 0 < eta < np.inf:
+            raise ValueError(f"eta must be a positive finite real number, not {eta!r}")
         delta = eta * self.grad_t.T / self.n
         return OneStepModel(
             tuple_codes=self.tuple_codes,

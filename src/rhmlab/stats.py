@@ -33,6 +33,7 @@ from .grammar import (
     Dataset,
     GrammarParams,
     RuleSet,
+    _check_draw_count,
     _check_token_range,
     _code_ranks,
     _columns,
@@ -370,6 +371,7 @@ def theory_prediction(
     """Evaluate the predicted correlation magnitude, sampling noise, and sample
     complexity; raises when every tuple is grammatical (f = 1), where the
     complexity diverges."""
+    _check_draw_count(level, "level")
     if level < 2:
         raise ValueError("token-tuple geometry starts at level 2")
     v, m = params.vocab_size, params.n_synonyms
@@ -382,6 +384,7 @@ def theory_prediction(
     complexity = v * float(m) ** (level + 1) / (1.0 - f)
     noise = None
     if n_samples is not None:
+        _check_draw_count(n_samples, "n_samples")
         if n_samples <= 0:
             raise ValueError("n_samples must be positive")
         noise = float((v**2 * m * n_samples) ** -0.5)

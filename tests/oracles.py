@@ -27,9 +27,10 @@ stage loop is checked bit for bit against its earlier form, which copies the
 input to int64, encodes each stage's blocks twice and looks every code up in
 the observed-code list through a dense position table. The one-step model is
 checked bit for bit against its earlier form, which scatters the gradient
-rows with ``np.add.at``. The context-collision check is checked against
-its earlier form, which enumerates every derivation and counts their
-contexts with ``build_context_stats``. The row-blocked kernels (sampling,
+rows with ``np.add.at``. The pair agreement score is checked against a
+loop over every ordered pair of items. The context-collision check is
+checked against its earlier form, which enumerates every derivation and
+counts their contexts with ``build_context_stats``. The row-blocked kernels (sampling,
 parsing, the distinct filter, the learner's truth counts and the one-step
 gradient) are checked byte for byte against their earlier whole-array forms,
 which hold every temporary at full size, filter duplicates through a set of
@@ -1012,3 +1013,15 @@ def one_step_gradient_bincount_oracle(tuple_codes, next_tokens,
         empirical_corr=joint_correlation_oracle(next_tokens, col, vocab_size, observed.size),
         n=n,
     )
+
+
+def pair_agreement_loop(labels, reference) -> float:
+    """The fraction of ordered item pairs that both partitions join or both
+    separate, one pair at a time; 1.0 below two items."""
+    labels, reference = list(labels), list(reference)
+    n = len(labels)
+    if n < 2:
+        return 1.0
+    agree = sum((labels[i] == labels[j]) == (reference[i] == reference[j])
+                for i in range(n) for j in range(n) if i != j)
+    return agree / (n * (n - 1))

@@ -5,6 +5,7 @@ import functools
 import inspect
 import io
 import json
+import re
 import tempfile
 import time
 import tracemalloc
@@ -610,6 +611,28 @@ class TestErrorsAndDeterminism:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "OverflowError"
 
+    @pytest.mark.parametrize("experiment, text, message", [
+        # JSON 1e400 parses to inf: the onestep run used to write the row
+        # inf,nan,nan and the sweep to fail with OverflowError
+        ("onestep", '{"grammar": {"depth": 2, "branching": 2, "vocab_size": 8, '
+                    '"n_synonyms": 2}, "n_samples": 100, "eta": [1e400, 1.0]}',
+         r"config key 'eta\[0\]' is inf; it must be finite"),
+        ("onestep", '{"grammar": {"depth": 2, "branching": 2, "vocab_size": 8, '
+                    '"n_synonyms": 2}, "n_samples": 100, "eta": 1e400}',
+         "config key 'eta' is inf; it must be finite"),
+        ("sweep", '{"sweep": {"depth": 2, "vocab_size": 8, "m_list": [2], '
+                  '"grid_span": 1e400}}',
+         "^config key 'sweep.grid_span' is inf; it must be finite$"),
+    ])
+    def test_overflowing_number_exits_two_naming_the_key(self, tmp_path, capsys,
+                                                          experiment, text, message):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(text)
+        assert run([experiment, "--config", str(cfg), "--out", str(tmp_path / "o"),
+                    "--threads", "1"]) == 2
+        assert re.search(message, _config_error(capsys))
+        assert not (tmp_path / "o" / "onestep.csv").exists()
+
     def test_sweep_with_rule_density_one_exits_two_before_any_cell(
             self, tmp_path, capsys):
         # m = 8 = vocab_size**(branching-1): f = 1 has no finite threshold
@@ -985,22 +1008,26 @@ class TestConfigSchema:
         from rhmlab import corruption, learner
 
         props = SCHEMA["properties"]
-        fields = {f.name for f in dataclasses.fields(GrammarParams)}
-        assert set(props["grammar"]["properties"]) <= fields
-        fields = {f.name for f in dataclasses.fields(learner.SweepConfig)}
-        assert set(props["sweep"]["properties"]) <= fields
+        # Each record checks its fields against its section, so the two agree.
+        for section, record in (("grammar", GrammarParams), ("sweep", learner.SweepConfig),
+                                ("noise", corruption.NoiseSpec)):
+            fields = {f.name for f in dataclasses.fields(record)}
+            assert set(props[section]["properties"]) == fields, section
+        # The linear-schedule object is the CLI's; NoiseSpec stores its betas.
+        forms = props["noise"]["properties"]["schedule"]["oneOf"]
+        assert [form["type"] for form in forms] == ["array", "object"]
+        assert forms[1]["properties"]["type"]["enum"] == ["linear"]
         # The CLI passes the rows, the grammar shape, seed and truth itself.
         params = inspect.signature(learner.learn_grammar).parameters
         free = {name for name, p in params.items()
                 if p.default is not inspect.Parameter.empty} - {"seed", "truth"}
         assert set(props["learn"]["properties"]) - {"n_eval"} <= free
-        assert props["noise"]["properties"]["kind"]["enum"] == list(corruption.KINDS)
         for section in ("learn", "sweep"):
             variants = props[section]["properties"]["variant"]["enum"]
             assert variants == list(learner.VARIANTS)
 
     def test_unsupported_schema_keyword_raises(self):
-        from rhmlab.cli import _check_schema, _config_schema
+        from rhmlab.config import _check_schema, _config_schema
 
         assert _config_schema() == SCHEMA
         with pytest.raises(ValueError, match="pattern"):

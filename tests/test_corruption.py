@@ -26,11 +26,14 @@ class TestNoiseSpec:
 
     @pytest.mark.parametrize("bad", [True, False, np.bool_(True), "0.5", 1j, [0.5]])
     def test_refuses_boolean_and_non_real_levels_by_name(self, bad):
-        with pytest.raises(ValueError, match="beta_bar must be a real number"):
+        with pytest.raises(ValueError,
+                           match="^NoiseSpec field 'beta_bar' must be of type number, not "):
             NoiseSpec(kind="uniform", beta_bar=bad)
-        with pytest.raises(ValueError, match="schedule entry must be a real number"):
+        with pytest.raises(ValueError,
+                           match=r"NoiseSpec field 'schedule\[1\]' must be of type number, not "):
             NoiseSpec(kind="masking", schedule=(0.1, bad))
-        with pytest.raises(ValueError, match="schedule must be a sequence"):
+        with pytest.raises(ValueError,
+                           match="NoiseSpec field 'schedule' must be of type array, not 0.5"):
             NoiseSpec(kind="masking", schedule=0.5)
 
     @pytest.mark.parametrize("level", [0, 1, np.int8(1), np.float32(0.5), np.float64(0.25)])
@@ -40,6 +43,16 @@ class TestNoiseSpec:
         spec = NoiseSpec(kind="uniform", schedule=np.array([level, level]))
         assert all(type(b) is float for b in spec.schedule)
         assert spec.schedule == (float(level),) * 2
+
+    @pytest.mark.parametrize("n_steps, message", [
+        # 2.5 used to raise TypeError, and 0 to name the schedule alone
+        (2.5, "^n_steps must be a nonnegative integer"),
+        (True, "^n_steps must be a nonnegative integer"),
+        (0, "^n_steps must be >= 1"),
+    ])
+    def test_linear_schedule_refuses_bad_step_counts_by_name(self, n_steps, message):
+        with pytest.raises(ValueError, match=message):
+            NoiseSpec.linear_schedule("masking", n_steps)
 
     def test_keep_prob_degenerate_schedules(self):
         assert cumulative_keep_prob(NoiseSpec(kind="uniform", schedule=(0.0,) * 5)) == 1.0

@@ -71,7 +71,8 @@ class TestGenerateRules:
     def test_rejects_non_integer_params_by_name(self, name, bad):
         # these used to be accepted and to fail later, or not at all
         kwargs = dict(depth=2, branching=2, vocab_size=16, n_synonyms=2, seed=1)
-        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        with pytest.raises(ValueError,
+                           match=f"^GrammarParams field '{name}' must be of type integer, not "):
             GrammarParams(**{**kwargs, name: bad})
 
     @pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.int32, np.uint64])

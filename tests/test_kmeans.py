@@ -143,6 +143,17 @@ def test_no_restarts_is_rejected(n_restarts):
         kmeans_fit(points, 3, seed=0, n_restarts=n_restarts)
 
 
+@pytest.mark.parametrize("kwargs, named", [
+    # both used to raise TypeError
+    (dict(k=True), "k"), (dict(k=2.0), "k"),
+    (dict(n_restarts=2.5), "n_restarts"), (dict(n_restarts=True), "n_restarts"),
+])
+def test_non_integer_counts_refused_by_name(kwargs, named):
+    points = np.random.default_rng(0).normal(size=(10, 2))
+    with pytest.raises(ValueError, match=f"^{named} must be a nonnegative integer"):
+        kmeans_fit(points, **{"k": 3, "seed": 0, **kwargs})
+
+
 def _full_tuple_vectors():
     """The learner's stage-1 input on 10 depth-3 rows at v = 64, s = 3,
     ``full_tuple``: 69 codes of 192 coordinates, clustered with k = 64."""

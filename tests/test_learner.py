@@ -12,6 +12,7 @@ from oracles import (
     context_counts_oracle,
     generate_from_learned_oracle,
     learn_grammar_oracle,
+    pair_agreement_loop,
     population_context_collision_oracle,
     production_index,
 )
@@ -250,6 +251,27 @@ class TestRecoveryScore:
             for _ in range(200)
         ]
         assert np.mean(scores) == pytest.approx(baseline, abs=0.01)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 64])
+    def test_matches_the_pair_loop(self, n):
+        rng = np.random.default_rng(n)
+        for k_a, k_b in [(1, 1), (2, 5), (n + 1, 3), (4, 4)]:
+            labels = rng.integers(0, k_a, size=n)
+            reference = rng.integers(0, k_b, size=n) * 1000  # sparse labels
+            assert pair_agreement_score(labels, reference) == pair_agreement_loop(labels, reference)
+            assert pair_agreement_score(labels, labels) == 1.0
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.zeros(3), "^labels must hold integer tokens"),
+        (np.zeros(3, dtype=bool), "^labels must hold integer tokens"),
+        (np.array([0, -1, 0]), "^labels must be nonnegative, found -1"),
+    ])
+    def test_refuses_non_integer_or_negative_labels_by_name(self, bad, message):
+        # float labels used to be compared as they were
+        with pytest.raises(ValueError, match=message):
+            pair_agreement_score(bad, np.zeros(3, dtype=int))
+        with pytest.raises(ValueError, match=message.replace("labels", "reference")):
+            pair_agreement_score(np.zeros(3, dtype=int), bad)
 
 
 class TestLearnGrammar:
@@ -831,21 +853,27 @@ class TestSweep:
     @pytest.mark.parametrize("change, named", [
         ({"trials": 0}, "trials"), ({"n_eval": 0}, "n_eval"),
         ({"m_list": ()}, "m_list"), ({"m_list": (2, 2)}, "m_list"),
-        ({"m_list": (0, 2)}, "m=0"), ({"m_list": (2, 8)}, "m=8"),
+        ({"m_list": (0, 2)}, r"field 'm_list\[0\]' is 0, below its minimum 1"),
+        ({"m_list": (2, 8)}, "m=8"),
         ({"m_list": (9,)}, "m=9"), ({"grid_span": 0.5}, "grid_span"),
         ({"grid_span": float("nan")}, "grid_span"),
         ({"cluster_threshold": 1.5}, "cluster_threshold"),
         ({"accuracy_threshold": -0.1}, "accuracy_threshold"),
         # each of these used to be truncated, ignored or to fail once cells ran
-        ({"m_list": (2,), "p_grid": {2: (1.5, 64)}}, r"p_grid\[2\] entry"),
-        ({"m_list": (2,), "p_grid": {2: (0, 64)}}, r"p_grid\[2\] must"),
-        ({"m_list": (2,), "p_grid": {2: (-5,)}}, r"p_grid\[2\] must"),
-        ({"m_list": (2,), "p_grid": {2: ()}}, r"p_grid\[2\] must"),
-        ({"m_list": (2,), "p_grid": {2: (True, 64)}}, r"p_grid\[2\] entry"),
+        ({"m_list": (2,), "p_grid": {2: (1.5, 64)}},
+         r"field 'p_grid\.2\[0\]' must be of type integer, not 1\.5"),
+        ({"m_list": (2,), "p_grid": {2: (0, 64)}},
+         r"field 'p_grid\.2\[0\]' is 0, below its minimum 1"),
+        ({"m_list": (2,), "p_grid": {2: (-5,)}},
+         r"field 'p_grid\.2\[0\]' is -5, below its minimum 1"),
+        ({"m_list": (2,), "p_grid": {2: ()}}, r"field 'p_grid\.2' has 0 items"),
+        ({"m_list": (2,), "p_grid": {2: (True, 64)}},
+         r"field 'p_grid\.2\[0\]' must be of type integer, not true"),
         ({"m_list": (2,), "p_grid": {9: (64,)}}, "p_grid names m=9"),
         ({"trials": True}, "trials"), ({"trials": 2.5}, "trials"),
         ({"n_eval": 1.5}, "n_eval"), ({"n_eval": True}, "n_eval"),
-        ({"m_list": (2.5,)}, "m must"), ({"m_list": (True, 2)}, "m must"),
+        ({"m_list": (2.5,)}, r"field 'm_list\[0\]' must be of type integer, not 2\.5"),
+        ({"m_list": (True, 2)}, r"field 'm_list\[0\]' must be of type integer, not true"),
     ])
     def test_sweep_config_refuses_bad_fields(self, change, named):
         # vocab_size 8, branching 2: m = 8 has rule density 1
@@ -854,9 +882,11 @@ class TestSweep:
             SweepConfig(**{**kwargs, **change})
 
     @pytest.mark.parametrize("seed, message", [
-        (True, "seed must be an integer"), (3.0, "seed must be an integer"),
-        ("3", "seed must be an integer"), (-1, "seed must fit in 64 bits"),
-        (2**64, "seed must fit in 64 bits"),
+        (True, "^SweepConfig field 'seed' must be of type integer"),
+        (3.0, "^SweepConfig field 'seed' must be of type integer"),
+        ("3", "^SweepConfig field 'seed' must be of type integer"),
+        (-1, "^SweepConfig field 'seed' is -1, below its minimum 0"),
+        (2**64, "^SweepConfig field 'seed' is 18446744073709551616, above its maximum"),
     ])
     def test_sweep_config_refuses_bad_seeds(self, seed, message):
         with pytest.raises(ValueError, match=message):

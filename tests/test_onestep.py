@@ -72,6 +72,21 @@ class TestGradientIdentity:
         with pytest.raises(ValueError):
             one_step_gd(np.zeros(4, dtype=int), np.array([0, 1, 0, 1]), 2, 0.0)
 
+    @pytest.mark.parametrize("eta", [True, np.bool_(True), "1", 1j, np.nan, np.inf,
+                                     -np.inf, 0, -1.0, None])
+    def test_eta_refused_by_name(self, eta):
+        # NaN and inf used to give NaN weights, True to run as 1.0, and "1"
+        # to raise TypeError
+        grad = one_step_gradient(np.zeros(4, dtype=int), np.array([0, 1, 0, 1]), 2)
+        with pytest.raises(ValueError, match="^eta must be a positive finite real number"):
+            grad.step(eta)
+
+    @pytest.mark.parametrize("eta", [np.float32(0.5), np.int64(2), 3])
+    def test_numpy_and_integer_eta_are_stored_as_floats(self, eta):
+        grad = one_step_gradient(np.zeros(4, dtype=int), np.array([0, 1, 0, 1]), 2)
+        model = grad.step(eta)
+        assert type(model.eta) is float and model.eta == float(eta)
+
 
 def _assert_same_model(got, want):
     for field in ("tuple_codes", "init_log_marginal", "weights", "delta",

@@ -448,6 +448,24 @@ class TestTheoryPrediction:
         with pytest.raises(ValueError):
             theory_prediction(params, 1)
 
+    @pytest.mark.parametrize("kwargs, named", [
+        # True used to run as n = 1, 2.5 to be used as it was, and 2.0 to be
+        # accepted as a level
+        (dict(level=2, n_samples=True), "n_samples"),
+        (dict(level=2, n_samples=2.5), "n_samples"),
+        (dict(level=2.0), "level"),
+        (dict(level=np.float64(2)), "level"),
+    ])
+    def test_integer_arguments_refused_by_name(self, kwargs, named):
+        params = GrammarParams(depth=2, branching=2, vocab_size=4, n_synonyms=2)
+        with pytest.raises(ValueError, match=f"^{named} must be a nonnegative integer"):
+            theory_prediction(params, **kwargs)
+
+    def test_numpy_integer_arguments_are_accepted(self):
+        params = GrammarParams(depth=2, branching=2, vocab_size=4, n_synonyms=2)
+        assert (theory_prediction(params, np.int64(2), n_samples=np.uint16(64))
+                == theory_prediction(params, 2, n_samples=64))
+
 
 class TestRecursion:
     def test_prefactor_reference_value(self):
