@@ -448,16 +448,19 @@ def _expand_levels(
     n, width = top.shape
     depth = len(choices)
     # Each production, narrowed to the token dtype, is one opaque s-token
-    # item of a (v, m) table, gathered at (parent, choice) with no index
-    # temporaries.
+    # item of a flat v*m table, gathered by one take at parent*m + choice:
+    # numpy's 2-D fancy index gathers several times slower.
     productions = [rs.rules_at(lvl).astype(dtype).view(f"V{dtype.itemsize * s}")
-                   .reshape(-1, m) for lvl in range(1, depth + 1)]
+                   .ravel() for lvl in range(1, depth + 1)]
     levels = [np.empty((n, width * s ** (depth - lvl)), dtype=dtype)
               for lvl in range(depth if with_latents else 1)]
     for rows in _row_blocks(n, width * s**depth):
         cur = top[rows]
         for lvl in range(depth, 0, -1):
-            cur = productions[lvl - 1][cur, choices[lvl - 1][rows]].view(dtype)
+            index = np.multiply(cur, m, dtype=np.intp)
+            np.add(index, choices[lvl - 1][rows], out=index, dtype=np.intp,
+                   casting="unsafe")
+            cur = productions[lvl - 1].take(index).view(dtype)
             if with_latents or lvl == 1:
                 levels[lvl - 1][rows] = cur
     return levels + [top] if with_latents else levels
@@ -659,16 +662,9 @@ def _parse_level(
     return parents, choices, valid
 
 
-def parse_batch(rs: RuleSet, seqs: np.ndarray):
-    """Vectorized bottom-up parse of many rows (a 1-D row is one row).
-
-    Returns ``(max_levels, latents, choices)`` where the int64 ``max_levels[r]`` is the
-    largest level through which every tuple of row ``r`` is grammatical
-    (0 = some visible tuple already invalid, depth = fully grammatical).
-    Unparseable positions hold ``vocab_size``, and -1 in the int32 choices.
-    Integer tokens only; one outside ``[0, vocab_size)`` is ungrammatical.
-    Each level is parsed by :func:`_parse_level`, in row blocks.
-    """
+def _parse_rows(rs: RuleSet, seqs: np.ndarray, with_choices: bool):
+    """The level loop of :func:`parse_batch`; without ``with_choices`` every
+    level's rule indices are None and none are gathered."""
     p = rs.params
     seqs = np.asarray(seqs)
     if seqs.ndim == 1:
@@ -681,13 +677,26 @@ def parse_batch(rs: RuleSet, seqs: np.ndarray):
     cur = seqs
     latents, choices = [], []
     for lvl in range(1, p.depth + 1):
-        cur, level_choices, valid = _parse_level(rs, lvl, cur, with_choices=True)
+        cur, level_choices, valid = _parse_level(rs, lvl, cur, with_choices)
         latents.append(cur)
         choices.append(level_choices)
         # An invalid parent (v) makes every tuple above it invalid, so a row
         # parses through this level iff all its parents here are valid.
         max_levels += valid
     return max_levels, latents, choices
+
+
+def parse_batch(rs: RuleSet, seqs: np.ndarray):
+    """Vectorized bottom-up parse of many rows (a 1-D row is one row).
+
+    Returns ``(max_levels, latents, choices)`` where the int64 ``max_levels[r]`` is the
+    largest level through which every tuple of row ``r`` is grammatical
+    (0 = some visible tuple already invalid, depth = fully grammatical).
+    Unparseable positions hold ``vocab_size``, and -1 in the int32 choices.
+    Integer tokens only; one outside ``[0, vocab_size)`` is ungrammatical.
+    Each level is parsed by :func:`_parse_level`, in row blocks.
+    """
+    return _parse_rows(rs, seqs, with_choices=True)
 
 
 def accuracy(rs: RuleSet, data) -> tuple[float, ...]:
@@ -697,7 +706,7 @@ def accuracy(rs: RuleSet, data) -> tuple[float, ...]:
     seqs = data.sequences if isinstance(data, Dataset) else np.asarray(data)
     if seqs.size == 0:
         raise ValueError("accuracy of an empty input (0 rows) is undefined")
-    max_levels, _, _ = parse_batch(rs, seqs)
+    max_levels, _, _ = _parse_rows(rs, seqs, with_choices=False)
     return tuple(
         float(np.mean(max_levels >= lvl)) for lvl in range(1, rs.params.depth + 1)
     )
@@ -730,7 +739,7 @@ def resample_below(
     p = rs.params
     if not 1 <= level <= p.depth:
         raise ValueError(f"level must be in 1..{p.depth}")
-    max_levels, latents, _ = parse_batch(rs, seqs)
+    max_levels, latents, _ = _parse_rows(rs, seqs, with_choices=False)
     if not np.all(max_levels == p.depth):
         raise ValueError("rows must parse fully under the grammar")
     n = max_levels.shape[0]

@@ -13,9 +13,12 @@ Covers three families of quantities:
   v^(s-1) (v-1) / (m (v^s - 1)).
 
 Exact population correlations come from one transfer-matrix core over a
-stack of grammars. A single grammar is a stack of one; the ensemble averages
-over grammar draws evaluate ``ENSEMBLE_BLOCK`` draws per stacked pass and
-keep the bits of one draw at a time.
+stack of grammars and one builder of their dense correlation matrices. A
+single grammar is a stack of one; the ensemble averages over grammar draws
+evaluate ``ENSEMBLE_BLOCK`` draws per core pass, build the dense matrices a
+chunk of at most ``_DENSE_BYTES`` (and at least one draw) at a time, so
+memory stays bounded whatever v and s are, and keep the bits of one draw at
+a time.
 
 Correlation magnitudes are reported as the root-mean-square matrix entry
 (Frobenius norm / number-of-rows of the v x v block), which is the
@@ -117,8 +120,12 @@ def _pair_cover(d: int, r: int) -> tuple[tuple[tuple[int, ...], tuple], ...]:
     positions with more than ``c`` unread pairs to the members, so a group
     of ``r`` costs ``O(r**2)`` mask operations and the cover ``O(d**2)``.
     """
-    others = {(n, a, b): tuple(x for x in range(n) if x not in (a, b))
-              for n in range(2, r + 1) for a in range(n) for b in range(a + 1, n)}
+    # Per group size, each member pair (a, b) with the other members' axes;
+    # and per position i, the row-major index of pair (i, j) less j.
+    member_pairs = [[(a, b, tuple(x for x in range(n) if x not in (a, b)))
+                     for a in range(n) for b in range(a + 1, n)]
+                    for n in range(r + 1)]
+    offset = [i * (2 * d - i - 1) // 2 - i - 1 for i in range(d)]
     unread = [((1 << d) - 1) ^ (1 << i) for i in range(d)]
     cover = []
     for i in range(d):
@@ -127,8 +134,11 @@ def _pair_cover(d: int, r: int) -> tuple[tuple[tuple[int, ...], tuple], ...]:
             free = ~(1 << i)  # positions not yet members
             at_least = [unread[i]]
             while len(members) < r:
-                best = next((m & free for m in reversed(at_least) if m & free), 0)
-                if not best:
+                for mask in reversed(at_least):
+                    best = mask & free
+                    if best:
+                        break
+                else:
                     break
                 k = (best & -best).bit_length() - 1
                 members.append(k)
@@ -139,16 +149,13 @@ def _pair_cover(d: int, r: int) -> tuple[tuple[tuple[int, ...], tuple], ...]:
                     at_least[c] |= at_least[c - 1] & row
                 at_least[0] |= row
             members.sort()
-            n = len(members)
             reads = []
-            for a, ia in enumerate(members):
-                for b in range(a + 1, n):
-                    jb = members[b]
-                    if unread[ia] >> jb & 1:
-                        unread[ia] ^= 1 << jb
-                        unread[jb] ^= 1 << ia
-                        reads.append((others[n, a, b],
-                                      ia * (2 * d - ia - 1) // 2 + jb - ia - 1))
+            for a, b, rest in member_pairs[len(members)]:
+                ia, jb = members[a], members[b]
+                if unread[ia] >> jb & 1:
+                    unread[ia] ^= 1 << jb
+                    unread[jb] ^= 1 << ia
+                    reads.append((rest, offset[ia] + jb))
             cover.append((tuple(members), tuple(reads)))
     return tuple(cover)
 
@@ -283,12 +290,12 @@ def token_tuple_correlation(ds: Dataset, level: int) -> TokenTupleCorrelation:
     return TokenTupleCorrelation(level=level, codes=observed, matrix=matrix)
 
 
-def _stacked_tuple_correlation(
+def _stacked_core(
     codes: np.ndarray, vocab_size: int, n_synonyms: int, branching: int, level: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact population token-tuple correlations of ``G`` grammars at once, by
-    transfer matrices along the tree; nothing is enumerated, so any depth
-    works.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The transfer-matrix pass behind the exact population token-tuple
+    correlations of ``G`` grammars at once; nothing is enumerated, so any
+    depth works.
 
     ``codes`` is ``(G, depth, v*m)``: grammar ``g``'s production codes per
     level, as :func:`draw_production_codes` returns them. With
@@ -299,14 +306,15 @@ def _stacked_tuple_correlation(
     (summed over (parent, production) pairs, because siblings are coupled
     through the shared production); ``c0`` reaches leaf 0 through
     ``A_{level-1} ... A_1``, and ``c1`` emits each of its productions, the
-    tuple, with probability ``1/m``. The result is that joint minus the
-    outer product of its marginals.
+    tuple, with probability ``1/m``.
 
     Every weighted count is one bincount over the whole stack, keyed by
     grammar first, so each grammar's bins add the same terms in the same
-    order as a stack of one. Returns the ``(G, v, v**s)`` matrices, whose columns of
-    ungrammatical tuples are exactly zero, and the ``(G, v*m)`` grammatical
-    tuple codes of each, ascending.
+    order as a stack of one. Returns the ``(G, v, v)`` joint of leaf 0 and
+    ``c1``, and per grammar the ``(G, v*m)`` order of the productions that
+    sorts their tuple codes and those codes, ascending: the grammatical
+    tuple codes. :func:`_dense_matrices` turns any slice of the three into
+    correlation matrices.
     """
     n, depth = codes.shape[:2]
     v, m, s = vocab_size, n_synonyms, branching
@@ -328,12 +336,35 @@ def _stacked_tuple_correlation(
         joint = left.transpose(0, 2, 1) @ joint
     order = np.argsort(codes[:, level - 2], axis=1)
     cols = np.take_along_axis(codes[:, level - 2], order, axis=1)
-    matrix = np.zeros((n, v, v**s))
+    return joint, order, cols
+
+
+def _dense_matrices(
+    joint: np.ndarray, order: np.ndarray, cols: np.ndarray, branching: int
+) -> np.ndarray:
+    """The ``(g, v, v**s)`` token-tuple correlation matrices of a slice of
+    :func:`_stacked_core`'s stack: the joint of leaf 0 and each grammatical
+    tuple, minus the outer product of its marginals. Columns of
+    ungrammatical tuples are exactly zero. Every sum runs within one grammar,
+    so a grammar's matrix has the same bits in any slice."""
+    g, v = joint.shape[:2]
+    m = order.shape[1] // v
+    matrix = np.zeros((g, v, v**branching))
     np.put_along_axis(matrix, cols[:, None, :],
                       np.take_along_axis(joint, order[:, None, :] // m, axis=2) / m,
                       axis=2)
     matrix -= matrix.sum(axis=2)[:, :, None] * matrix.sum(axis=1)[:, None, :]
-    return matrix, cols
+    return matrix
+
+
+def _stacked_tuple_correlation(
+    codes: np.ndarray, vocab_size: int, n_synonyms: int, branching: int, level: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(G, v, v**s)`` exact population token-tuple correlation matrices
+    of the ``G`` grammars of ``codes`` (see :func:`_stacked_core`), and the
+    ``(G, v*m)`` grammatical tuple codes of each, ascending."""
+    joint, order, cols = _stacked_core(codes, vocab_size, n_synonyms, branching, level)
+    return _dense_matrices(joint, order, cols, branching), cols
 
 
 def population_token_tuple_correlation(rs: RuleSet, level: int) -> TokenTupleCorrelation:
@@ -452,6 +483,29 @@ def _sums_of_squares(matrices: np.ndarray) -> list[float]:
     return (matrices.reshape(len(matrices), -1) ** 2).sum(axis=1).tolist()
 
 
+# Most bytes of float64 matrices one chunk of :func:`_dense_chunks` may hold;
+# a chunk holds at least one grammar. 128 KiB is glibc malloc's default mmap
+# threshold: chunks of this size were reused from the heap, where 256 KiB
+# chunks were mapped and paged in afresh (520 page faults per 500-draw
+# recursion check at v=8, and 10% slower).
+_DENSE_BYTES = 1 << 17
+
+
+def _dense_chunks(
+    codes: np.ndarray, vocab_size: int, n_synonyms: int, branching: int, level: int
+):
+    """:func:`_stacked_tuple_correlation` of the stack ``codes``, yielded in
+    draw order as consecutive chunks of ``(matrices, cols)``: one core pass
+    over the whole stack, then as many grammars' dense matrices at a time as
+    fit in ``_DENSE_BYTES``, so memory does not grow with ``v**(s+1)`` times
+    the stack."""
+    joint, order, cols = _stacked_core(codes, vocab_size, n_synonyms, branching, level)
+    step = max(1, _DENSE_BYTES // (8 * vocab_size ** (branching + 1)))
+    for start in range(0, len(codes), step):
+        part = slice(start, start + step)
+        yield _dense_matrices(joint[part], order[part], cols[part], branching), cols[part]
+
+
 def correlation_recursion_check(
     vocab_size: int,
     branching: int,
@@ -466,22 +520,23 @@ def correlation_recursion_check(
     instance with its bottom level dropped for the denominator, so numerator
     and denominator share the upper rules exactly as in the analytic recursion.
     Per-draw entry sums vanish identically, so pooled second moments are
-    variances. The draws run through :func:`_stacked_tuple_correlation` in
-    blocks of ``ENSEMBLE_BLOCK``, and each draw's sum of squares is added in
-    draw order, so the result does not depend on the block size.
+    variances. The draws run through :func:`_dense_chunks` in blocks of
+    ``ENSEMBLE_BLOCK``, and each draw's sum of squares is added in draw
+    order, so the result depends on neither the block nor the chunk size.
     """
     params = _ensemble_params(level + 1, branching, vocab_size, n_synonyms,
                               level, n_grammars)
     sq_high = 0.0
     sq_low = 0.0
     for codes in _ensemble_blocks(params, n_grammars, seed, "recursion-grammar"):
-        hi, _ = _stacked_tuple_correlation(codes, vocab_size, n_synonyms,
-                                           branching, level + 1)
-        lo, _ = _stacked_tuple_correlation(codes[:, 1:], vocab_size, n_synonyms,
-                                           branching, level)
-        for high, low in zip(_sums_of_squares(hi), _sums_of_squares(lo)):
-            sq_high += high
-            sq_low += low
+        for hi, _ in _dense_chunks(codes, vocab_size, n_synonyms, branching,
+                                   level + 1):
+            for high in _sums_of_squares(hi):
+                sq_high += high
+        for lo, _ in _dense_chunks(codes[:, 1:], vocab_size, n_synonyms,
+                                   branching, level):
+            for low in _sums_of_squares(lo):
+                sq_low += low
     n_entries = n_grammars * vocab_size * vocab_size**branching
     mean_high = sq_high / n_entries
     mean_low = sq_low / n_entries
@@ -516,10 +571,11 @@ def ensemble_correlation_std(
                               level, n_grammars)
     total = 0.0
     for codes in _ensemble_blocks(params, n_grammars, seed, "ensemble-grammar"):
-        mat, cols = _stacked_tuple_correlation(codes, vocab_size, n_synonyms,
-                                               branching, level)
-        # Column-major, as numpy lays out the column selection mat[:, valid].
-        valid = np.take_along_axis(mat, cols[:, None, :], axis=2).transpose(0, 2, 1)
-        for sq in _sums_of_squares(valid):
-            total += sq
+        for mat, cols in _dense_chunks(codes, vocab_size, n_synonyms, branching,
+                                       level):
+            # Column-major, as numpy lays out the column selection mat[:, valid].
+            valid = np.take_along_axis(mat, cols[:, None, :],
+                                       axis=2).transpose(0, 2, 1)
+            for sq in _sums_of_squares(valid):
+                total += sq
     return float(np.sqrt(total / (n_grammars * vocab_size * vocab_size * n_synonyms)))

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    _expand_levels_unblocked_oracle,
     learn_grammar_parse_truth_oracle,
     one_step_gradient_bincount_oracle,
     parse_batch_unblocked_oracle,
@@ -87,6 +88,26 @@ def test_sampler_matches_the_unblocked_sampler(counts, with_latents):
         want = sample_dataset_unblocked_oracle(RS, n, rng_b, with_latents=with_latents)
         _same_dataset(got, want)
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+@pytest.mark.parametrize("choice_dtype", [np.uint8, np.int32, np.uint64])
+@pytest.mark.parametrize("with_latents", [True, False])
+def test_expansion_matches_the_two_dimensional_gather(counts, choice_dtype,
+                                                      with_latents):
+    # From level 4 down, so the top is a row of several symbols.
+    p = RS.params
+    for n in counts:
+        rng = np.random.default_rng([n, 4])
+        top = rng.integers(0, p.vocab_size, size=(n, p.level_width(4)), dtype=np.int32)
+        choices = [rng.integers(0, p.n_synonyms, size=(n, p.level_width(lvl)))
+                   .astype(choice_dtype) for lvl in range(1, 5)]
+        got = grammar._expand_levels(RS, top, choices, with_latents)
+        want = _expand_levels_unblocked_oracle(RS, top, choices)
+        if not with_latents:
+            want = want[:1]
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            _same_rows(a, b)
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.uint64, np.int64])

@@ -488,11 +488,21 @@ class TestRecursion:
         with pytest.raises(ValueError):
             correlation_recursion_check(8, 2, 2, n_grammars=10)
 
+    @pytest.fixture(params=["one byte", "default", "a whole block"])
+    def dense_bytes(self, request, monkeypatch):
+        """The dense chunks' byte budget: one grammar per chunk, the real
+        budget, or every block's matrices in one chunk."""
+        if request.param == "one byte":
+            monkeypatch.setattr(stats, "_DENSE_BYTES", 1)
+        elif request.param == "a whole block":
+            monkeypatch.setattr(stats, "_DENSE_BYTES", 1 << 40)
+
     @pytest.mark.parametrize("n_grammars", [30, stats.ENSEMBLE_BLOCK,
                                             stats.ENSEMBLE_BLOCK + 1])
     @pytest.mark.parametrize("shape", [(8, 2, 2, 2), (16, 2, 4, 2), (4, 3, 3, 2),
                                        (5, 2, 3, 3)])
-    def test_ensembles_match_the_per_grammar_loops(self, shape, n_grammars):
+    def test_ensembles_match_the_per_grammar_loops(self, shape, n_grammars,
+                                                   dense_bytes):
         # At seeds 11 and 16, summing each (4, 3, 3, 2) matrix in the other
         # memory order changes the last bit of both results.
         v, s, m, level = shape
@@ -503,6 +513,21 @@ class TestRecursion:
         got = ensemble_correlation_std(v, s, m, level=level,
                                        n_grammars=n_grammars, seed=16)
         assert got == ensemble_correlation_std_loop(v, s, m, level, n_grammars, 16)
+
+    @pytest.mark.parametrize("check", [correlation_recursion_check,
+                                       ensemble_correlation_std])
+    @pytest.mark.parametrize("v, m, bound_mib", [(32, 4, 8), (64, 8, 16)])
+    def test_ensemble_memory_does_not_grow_with_the_stack(self, check, v, m,
+                                                          bound_mib):
+        # Dense matrices of a whole 64-draw stack peaked at 35-50 MiB at v=32
+        # and 264-393 MiB at v=64; a chunk of them keeps to the budget.
+        tracemalloc.start()
+        try:
+            check(v, 2, m, level=2, n_grammars=stats.ENSEMBLE_BLOCK, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mib * 2**20
 
     @pytest.mark.parametrize("check", [correlation_recursion_check,
                                        ensemble_correlation_std])
