@@ -29,7 +29,6 @@ from .grammar import (
     GrammarParams,
     RuleSet,
     _parse_level,
-    accuracy,
     generate_rules,
     sample_dataset,
     sample_distinct_dataset,
@@ -37,8 +36,7 @@ from .grammar import (
 from .io import load_dataset, load_grammar, save_dataset, save_grammar, write_csv
 from .learner import (
     SweepConfig,
-    generate_from_learned,
-    learn_grammar,
+    _learning_step,
     measure_sample_complexity,
     true_tuple_classes,
 )
@@ -286,12 +284,12 @@ def _training_rows(args, cfg: dict, rs: RuleSet, seed: int) -> np.ndarray:
 
 def _run_learn(args, cfg, out_dir, seed):
     rs = _require_grammar(args, cfg, seed)
-    p = rs.params
-    options = dict(cfg.get("learn", {}))
-    n_eval = options.pop("n_eval", 1024)
+    options = cfg.get("learn", {})
+    n_eval = options.get("n_eval", 1024)
     seqs = _training_rows(args, cfg, rs, seed)
-    model = learn_grammar(seqs, p.depth, p.branching, p.vocab_size,
-                          seed=derive_seed(seed, 0, "learn"), truth=rs, **options)
+    model, acc = _learning_step(rs, seqs, options.get("variant", "single_token"),
+                                derive_seed(seed, 0, "learn"),
+                                derive_seed(seed, 0, "learn-eval"), n_eval)
     # Every observed code is clustered, so n_fallback is always 0; the column
     # stays so that the file format does not change.
     write_csv(
@@ -302,14 +300,7 @@ def _run_learn(args, cfg, out_dir, seed):
             for stage, part in enumerate(model.levels, 1)
         ],
     )
-    gen = generate_from_learned(
-        model, n_eval, np.random.default_rng(derive_seed(seed, 0, "learn-eval"))
-    )
-    write_csv(
-        out_dir / "accuracy.csv",
-        ["level", "accuracy"],
-        list(enumerate(accuracy(rs, gen), 1)),
-    )
+    write_csv(out_dir / "accuracy.csv", ["level", "accuracy"], list(enumerate(acc, 1)))
     # What the learner decided at each stage: the winning k-means restart,
     # its Lloyd iterations and inertia, and how many distinct restarts ran.
     keys = ("restart", "n_iter", "inertia", "restarts_run", "partial")

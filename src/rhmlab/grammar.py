@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import _check_fields
+from .config import _check_fields, _config_schema, _schema_errors
 
 DEFAULT_ENUMERATION_CAP = 1_000_000
 # Tokens per row block of every row kernel: their temporaries stay block-sized.
@@ -247,13 +247,11 @@ class RuleSet:
         if obj.get("format") != "rhm-grammar-v1":
             raise ValueError("not a grammar document")
         p = obj.get("params")
-        if not isinstance(p, dict):
-            raise ValueError("grammar field 'params' must be an object")
-        keys = ("depth", "branching", "vocab_size", "n_synonyms", "seed")
-        for key in keys:
-            if type(p.get(key)) is not int:  # JSON integers only, not booleans
-                raise ValueError(f"grammar field 'params.{key}' must be an integer")
-        params = GrammarParams(**{key: p[key] for key in keys})
+        section = _config_schema()["properties"]["grammar"]
+        section = section | {"required": [*section["required"], "seed"]}
+        for error in _schema_errors(p, section, "params", _noun="grammar field"):
+            raise ValueError(error)
+        params = GrammarParams(**p)
         rules = obj.get("rules")
         if not isinstance(rules, list):
             raise ValueError("grammar field 'rules' must be a list")
@@ -293,26 +291,15 @@ class RuleSet:
         )
 
 
-def draw_production_codes(params: GrammarParams) -> np.ndarray:
-    """The rule draw behind :func:`generate_rules`: per level, a uniform
-    sample of m*v distinct tuples out of v**s, split into consecutive blocks
-    of m per symbol.
-
-    Returns a ``(depth, v*m)`` int64 array whose row ``lvl - 1`` holds the
-    level-``lvl`` production codes (see :func:`encode_tuples`), entry
-    ``a*m + k`` being symbol ``a``'s k-th production. Deterministic given
-    ``params.seed``.
-    """
-    v, m, s = params.vocab_size, params.n_synonyms, params.branching
-    out = np.empty((params.depth, v * m), dtype=np.int64)
-    _fill_production_codes(out, v**s, params.seed)
-    return out
-
-
 def _fill_production_codes(out: np.ndarray, n_tuples: int, seed: int) -> None:
-    """The one rule draw: fill each row of the ``(depth, v*m)`` int64 ``out``
-    with ``rng.permutation(n_tuples)[: v*m]`` for ``rng = default_rng(seed)``,
-    in row order. Checks nothing; callers pass a checked shape."""
+    """The one rule draw: per level, a uniform sample of m*v distinct tuples
+    out of ``n_tuples = v**s``, split into consecutive blocks of m per symbol.
+
+    Fills each row of the ``(depth, v*m)`` int64 ``out`` with
+    ``rng.permutation(n_tuples)[: v*m]`` for ``rng = default_rng(seed)``, in
+    row order: row ``lvl - 1`` holds the level-``lvl`` production codes (see
+    :func:`encode_tuples`), entry ``a*m + k`` being symbol ``a``'s k-th
+    production. Checks nothing; callers pass a checked shape."""
     rng = np.random.default_rng(seed)
     width = out.shape[1]
     for row in range(len(out)):
@@ -320,9 +307,12 @@ def _fill_production_codes(out: np.ndarray, n_tuples: int, seed: int) -> None:
 
 
 def generate_rules(params: GrammarParams) -> RuleSet:
-    """Draw a grammar instance from :func:`draw_production_codes`."""
+    """Draw a grammar instance by :func:`_fill_production_codes`,
+    deterministically given ``params.seed``."""
     v, m, s = params.vocab_size, params.n_synonyms, params.branching
-    tables = decode_codes(draw_production_codes(params), v, s)
+    codes = np.empty((params.depth, v * m), dtype=np.int64)
+    _fill_production_codes(codes, v**s, params.seed)
+    tables = decode_codes(codes, v, s)
     return RuleSet(params, list(tables.reshape(params.depth, v, m, s)))
 
 

@@ -57,6 +57,9 @@ class KMeansResult:
 # Most float64 elements of one difference block: one block per k = 16
 # centres at the sweep's largest shape, 128 points of 16 coordinates.
 _BLOCK_ELEMENTS = 1 << 15
+# A restart stops once an iteration lowers its inertia by at most this
+# fraction of the new inertia.
+_REL_TOL = 1e-8
 
 
 def _block_width(points: np.ndarray) -> int:
@@ -111,7 +114,6 @@ def kmeans_fit(
     seed: int,
     n_restarts: int = 16,
     max_iter: int = 200,
-    rel_tol: float = 1e-8,
 ) -> KMeansResult:
     """Best-of-``n_restarts`` Lloyd iterations; lowest inertia wins, ties going
     to the earliest restart.
@@ -179,7 +181,7 @@ def kmeans_fit(
         centers[live] = new
         dist[r, :, c] = _sq_columns(points, centers[r, c])
         n_iter[live] = it
-        done = prev[live] - inertia <= rel_tol * np.maximum(inertia, 1e-300)
+        done = prev[live] - inertia <= _REL_TOL * np.maximum(inertia, 1e-300)
         prev[live] = inertia
         live = live[~done]
 

@@ -47,7 +47,7 @@ from .grammar import (
 )
 from .kmeans import kmeans_fit
 from .seeding import derive_seed
-from .stats import _joint_counts, theory_prediction
+from .stats import _joint_counts, _slot_matrices, theory_prediction
 
 VARIANTS = ("single_token", "full_tuple")
 # Ratio of consecutive points of a sweep's geometric sample-size grid.
@@ -405,13 +405,6 @@ def generate_from_learned(
     return cur
 
 
-def _slot_matrix(table: np.ndarray, slot: int) -> np.ndarray:
-    """``[a, b]``: the probability that a uniform production of symbol ``a``
-    in the ``(v, m, s)`` rule ``table`` holds ``b`` in ``slot``."""
-    v, m = table.shape[:2]
-    return _joint_counts(np.repeat(np.arange(v), m), table[:, :, slot], v, v) / m
-
-
 def population_context_collision(rs: RuleSet, variant: str = "single_token") -> bool:
     """Whether any two non-synonymous tuples share an exact population context
     vector at some stage (which would make them unclusterable in principle).
@@ -436,11 +429,12 @@ def population_context_collision(rs: RuleSet, variant: str = "single_token") -> 
     p = rs.params
     _check_enumeration_cap(p)
     v, m, s = p.vocab_size, p.n_synonyms, p.branching
-    # context[k - 1][a]: the context tokens' distributions below a level-k a.
+    # context[k - 1][a]: the context tokens' distributions below a level-k a;
+    # at level 1, the slot matrices of the n_ctx context slots side by side.
     n_ctx = s if variant == "full_tuple" else 1
-    context = [np.hstack([_slot_matrix(rs.rules_at(1), t) for t in range(n_ctx)])]
+    context = [np.hstack(_slot_matrices(rs.rules_at(1)[:, :, :n_ctx].transpose(2, 0, 1)))]
     for lvl in range(2, p.depth):
-        context.append(_slot_matrix(rs.rules_at(lvl), 0) @ context[-1])
+        context.append(_slot_matrices(rs.rules_at(lvl)[None, :, :, 0])[0] @ context[-1])
     sibling = [1] + list(range(s - 1))
     w = np.full(v, 1.0 / v)  # the root
     for stage in range(p.depth - 1, 0, -1):
@@ -560,6 +554,19 @@ def fit_loglog_slope(xs, ys) -> tuple[float, float | None]:
     return slope, se
 
 
+def _learning_step(rs: RuleSet, rows: np.ndarray, variant: str, seed: int, eval_seed: int,
+                   n_eval: int) -> tuple[ClusterModel, tuple[float, ...]]:
+    """Learn a grammar from ``rows`` of the true grammar ``rs`` (recovery
+    scored against it), draw ``n_eval`` strings from the learned grammar
+    with ``default_rng(eval_seed)``, and return the model with the strings'
+    per-level accuracy under ``rs``."""
+    p = rs.params
+    model = learn_grammar(rows, p.depth, p.branching, p.vocab_size,
+                          variant=variant, seed=seed, truth=rs)
+    gen = generate_from_learned(model, n_eval, np.random.default_rng(eval_seed))
+    return model, accuracy(rs, gen)
+
+
 def _draw_sweep_grammar(
     cfg: SweepConfig, m: int, trial: int
 ) -> tuple[RuleSet, int, int, bool]:
@@ -603,27 +610,17 @@ def _sweep_cell(args: tuple) -> list[TrialRecord]:
             derive_seed(cfg.seed, trial, f"data m={m} P={p}")
         )
         ds = sample_dataset(rs, p, rng, with_latents=False)
-        model = learn_grammar(
-            ds.sequences,
-            cfg.depth,
-            cfg.branching,
-            cfg.vocab_size,
-            variant=cfg.variant,
-            seed=derive_seed(cfg.seed, trial, f"learn m={m} P={p}"),
-            truth=rs,
-        )
-        gen = generate_from_learned(
-            model,
-            cfg.n_eval,
-            np.random.default_rng(derive_seed(cfg.seed, trial, f"eval m={m} P={p}")),
-        )
+        model, acc = _learning_step(rs, ds.sequences, cfg.variant,
+                                    derive_seed(cfg.seed, trial, f"learn m={m} P={p}"),
+                                    derive_seed(cfg.seed, trial, f"eval m={m} P={p}"),
+                                    cfg.n_eval)
         out.append(
             TrialRecord(
                 m=m,
                 n_samples=p,
                 trial=trial,
                 recovery=tuple(model.recovery),
-                accuracy=accuracy(rs, gen),
+                accuracy=acc,
                 grammar_seed=gseed,
                 collisions_resampled=n_redraw,
                 collision_checked=checked,

@@ -13,12 +13,14 @@ Covers three families of quantities:
   v^(s-1) (v-1) / (m (v^s - 1)).
 
 Exact population correlations come from one transfer-matrix core over a
-stack of grammars and one builder of their dense correlation matrices. A
-single grammar is a stack of one; the ensemble averages over grammar draws
-evaluate ``ENSEMBLE_BLOCK`` draws per core pass, build the dense matrices a
-chunk of at most ``_DENSE_BYTES`` (and at least one draw) at a time, so
-memory stays bounded whatever v and s are, and keep the bits of one draw at
-a time.
+stack of grammars (:func:`_stacked_core`), one builder of its slot transfer
+matrices (:func:`_slot_matrices`, which the learner's collision check
+shares) and one builder of their dense correlation matrices
+(:func:`_dense_matrices`). A single grammar is a stack of one; the ensemble
+averages over grammar draws evaluate ``ENSEMBLE_BLOCK`` draws per core pass,
+build the dense matrices a chunk of at most ``_DENSE_BYTES`` (and at least
+one draw) at a time, so memory stays bounded whatever v and s are, and keep
+the bits of one draw at a time.
 
 Correlation magnitudes are reported as the root-mean-square matrix entry
 (Frobenius norm / number-of-rows of the v x v block), which is the
@@ -290,6 +292,17 @@ def token_tuple_correlation(ds: Dataset, level: int) -> TokenTupleCorrelation:
     return TokenTupleCorrelation(level=level, codes=observed, matrix=matrix)
 
 
+def _slot_matrices(children: np.ndarray) -> np.ndarray:
+    """The ``(G, v, v)`` slot transfer matrices of a stack of ``(G, v, m)``
+    children in one slot, ``A[g, a, b] = #{k : children[g, a, k] = b} / m``:
+    the probability that a uniform production of symbol ``a`` holds ``b``
+    there. Integer counts, then one division by ``m``, so a table has the
+    same bits in any stack."""
+    n, v, m = children.shape
+    return _joint_counts(np.repeat(np.arange(n * v), m), children,
+                         n * v, v).reshape(n, v, v) / m
+
+
 def _stacked_core(
     codes: np.ndarray, vocab_size: int, n_synonyms: int, branching: int, level: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -298,10 +311,10 @@ def _stacked_core(
     depth works.
 
     ``codes`` is ``(G, depth, v*m)``: grammar ``g``'s production codes per
-    level, as :func:`draw_production_codes` returns them. With
-    ``A_l[a, b] = #{k : rules_at(l)[a, k, 0] = b} / m`` the left-slot
-    matrices: the marginal ``pi`` of node 0 at ``level`` is the uniform root
-    pushed down the leftmost spine; its children 0 and 1 have the joint
+    level, as :func:`~rhmlab.grammar._fill_production_codes` draws them.
+    With ``A_l`` the left-slot matrices (:func:`_slot_matrices`): the
+    marginal ``pi`` of node 0 at ``level`` is the uniform root pushed down
+    the leftmost spine; its children 0 and 1 have the joint
     ``Q[c0, c1] = sum_{a,k} pi[a] / m [rules_at(level)[a, k, 0:2] = (c0, c1)]``
     (summed over (parent, production) pairs, because siblings are coupled
     through the shared production); ``c0`` reaches leaf 0 through
@@ -320,7 +333,6 @@ def _stacked_core(
     v, m, s = vocab_size, n_synonyms, branching
     first = codes // v ** (s - 1)  # left child of every production
     grammar = np.repeat(np.arange(n), v * m)  # g of every production
-    rows = np.repeat(np.arange(n * v), m)  # g*v + parent of every production
     pi = np.full((n, v), 1.0 / v)
     for lvl in range(depth, level, -1):
         pi = np.bincount(grammar * v + first[:, lvl - 1].ravel(),
@@ -332,7 +344,7 @@ def _stacked_core(
                         weights=np.repeat(pi / m, m, axis=1).ravel(),
                         minlength=n * v * v).reshape(n, v, v)
     for lvl in range(level - 1, 0, -1):  # rows: leftmost node at level lvl-1
-        left = _joint_counts(rows, first[:, lvl - 1], n * v, v).reshape(n, v, v) / m
+        left = _slot_matrices(first[:, lvl - 1].reshape(n, v, m))
         joint = left.transpose(0, 2, 1) @ joint
     order = np.argsort(codes[:, level - 2], axis=1)
     cols = np.take_along_axis(codes[:, level - 2], order, axis=1)
@@ -357,19 +369,9 @@ def _dense_matrices(
     return matrix
 
 
-def _stacked_tuple_correlation(
-    codes: np.ndarray, vocab_size: int, n_synonyms: int, branching: int, level: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(G, v, v**s)`` exact population token-tuple correlation matrices
-    of the ``G`` grammars of ``codes`` (see :func:`_stacked_core`), and the
-    ``(G, v*m)`` grammatical tuple codes of each, ascending."""
-    joint, order, cols = _stacked_core(codes, vocab_size, n_synonyms, branching, level)
-    return _dense_matrices(joint, order, cols, branching), cols
-
-
 def population_token_tuple_correlation(rs: RuleSet, level: int) -> TokenTupleCorrelation:
     """Exact population token-tuple correlation of a grammar instance
-    (:func:`_stacked_tuple_correlation` on a stack of one).
+    (:func:`_stacked_core` and :func:`_dense_matrices` on a stack of one).
 
     Columns span all vocab_size**branching tuple codes; columns of
     ungrammatical tuples are exactly zero.
@@ -380,8 +382,8 @@ def population_token_tuple_correlation(rs: RuleSet, level: int) -> TokenTupleCor
     v, m, s = p.vocab_size, p.n_synonyms, p.branching
     codes = np.stack([encode_tuples(rs.rules_at(lvl).reshape(v * m, s), v)
                       for lvl in range(1, p.depth + 1)])
-    matrix, _ = _stacked_tuple_correlation(codes[None], v, m, s, level)
-    return TokenTupleCorrelation(level=level, codes=np.arange(v**s), matrix=matrix[0])
+    matrix = _dense_matrices(*_stacked_core(codes[None], v, m, s, level), s)[0]
+    return TokenTupleCorrelation(level=level, codes=np.arange(v**s), matrix=matrix)
 
 
 @dataclass
@@ -494,8 +496,9 @@ _DENSE_BYTES = 1 << 17
 def _dense_chunks(
     codes: np.ndarray, vocab_size: int, n_synonyms: int, branching: int, level: int
 ):
-    """:func:`_stacked_tuple_correlation` of the stack ``codes``, yielded in
-    draw order as consecutive chunks of ``(matrices, cols)``: one core pass
+    """The ``(g, v, v**s)`` correlation matrices of :func:`_dense_matrices`
+    and the ``(g, v*m)`` grammatical tuple codes of each grammar of the stack
+    ``codes``, yielded in draw order as consecutive chunks: one core pass
     over the whole stack, then as many grammars' dense matrices at a time as
     fit in ``_DENSE_BYTES``, so memory does not grow with ``v**(s+1)`` times
     the stack."""

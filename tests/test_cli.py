@@ -263,6 +263,29 @@ class TestSubcommands:
                 "restarts_run": part.restarts_run, "partial": part.partial,
             }
 
+    @pytest.mark.parametrize("variant", ["single_token", "full_tuple"])
+    def test_learn_runs_the_configured_variant(self, tmp_path, variant):
+        rs = generate_rules(GrammarParams(depth=3, branching=2, vocab_size=8,
+                                          n_synonyms=2, seed=3))
+        gpath = tmp_path / "g3.json"
+        save_grammar(rs, gpath)
+        cfg = _write(tmp_path / "c.json",
+                     {"n_samples": 2000, "learn": {"variant": variant, "n_eval": 128}})
+        out = tmp_path / "out"
+        assert run(["learn", "--config", cfg, "--grammar", str(gpath),
+                    "--out", str(out), "--seed", "4"]) == 0
+        rows = sample_dataset(rs, 2000, np.random.default_rng(derive_seed(4, 0, "learn-data")),
+                              with_latents=False).sequences
+        model = rhmlab.learn_grammar(rows, 3, 2, 8, variant=variant,
+                                     seed=derive_seed(4, 0, "learn"), truth=rs)
+        gen = rhmlab.generate_from_learned(
+            model, 128, np.random.default_rng(derive_seed(4, 0, "learn-eval")))
+        stages = json.loads((out / "manifest.json").read_text())["seeds"]["stages"]
+        assert [stages[f"stage={k}"]["inertia"] for k in (1, 2)] == \
+            [part.inertia for part in model.levels]
+        acc = (out / "accuracy.csv").read_text().splitlines()[1:]
+        assert [float(line.split(",")[1]) for line in acc] == list(rhmlab.accuracy(rs, gen))
+
     def test_onestep(self, tmp_path):
         # grammar seed 2 puts every symbol in the next-token support, so the
         # log-marginal initialization exists
@@ -667,12 +690,15 @@ class TestErrorsAndDeterminism:
         (["params", "depth"], 2.0, "'params.depth'"),
         (["params", "n_synonyms"], 2.0, "'params.n_synonyms'"),
         (["params", "seed"], None, "'params.seed'"),
+        (["params", "seed"], ..., "'params.seed' is required"),  # ... deletes the key
         (["params", "n_synonyms"], True, "'params.n_synonyms'"),
+        (["params", "bogus"], 1, "'params.bogus' is unknown"),
         (["rules", 0, 0, 0, 0], 0.5, "'rules' level 1"),
         (["rules", 1, 0, 1], [3], "'rules' level 2"),  # a ragged table
         (None, None, "nests too deep"),  # 1e5 nested brackets, not the document
     ], ids=["no-params", "no-rules", "array", "depth-string", "depth-float",
-            "synonyms-float", "seed-null", "synonyms-bool", "rule-float", "ragged", "deep"])
+            "synonyms-float", "seed-null", "no-seed", "synonyms-bool", "unknown-param",
+            "rule-float", "ragged", "deep"])
     def test_malformed_grammar_file_exits_two_with_json_line(
         self, tmp_path, grammar_file, capsys, path, value, named
     ):
@@ -687,7 +713,10 @@ class TestErrorsAndDeterminism:
             node = doc
             for key in parents:
                 node = node[key]
-            node[last] = value
+            if value is ...:
+                del node[last]
+            else:
+                node[last] = value
         gpath = tmp_path / "g.json"
         gpath.write_text("[" * 100_000 + "]" * 100_000 if path is None else json.dumps(doc))
         cfg = _write(tmp_path / "c.json", {"n_samples": 5})

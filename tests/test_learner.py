@@ -42,7 +42,7 @@ from rhmlab import (
     true_tuple_classes,
     SweepConfig,
 )
-from rhmlab.learner import _block_codes
+from rhmlab.learner import _block_codes, _learning_step
 
 
 def _recovery(part, rs, level):
@@ -471,6 +471,20 @@ class TestLearnGrammar:
         assert np.array_equal(a.top_tuples, b.top_tuples)
         for la, lb in zip(a.levels, b.levels):
             assert np.array_equal(la.labels, lb.labels)
+
+    @pytest.mark.parametrize("variant", ["single_token", "full_tuple"])
+    @pytest.mark.parametrize("n_rows", [3, 600])
+    def test_learning_step_is_the_explicit_chain(self, rs_deep, variant, n_rows):
+        # learn -> generate -> score, as the sweep and `rhmlab learn` ran it
+        rows = sample_dataset(rs_deep, n_rows, np.random.default_rng(5),
+                              with_latents=False).sequences
+        model, acc = _learning_step(rs_deep, rows, variant, 17, 23, 300)
+        want = learn_grammar(rows, 3, 2, 3, variant=variant, seed=17, truth=rs_deep)
+        gen = generate_from_learned(want, 300, np.random.default_rng(23))
+        _assert_same_model(model, want)
+        want_acc = accuracy(rs_deep, gen)
+        assert type(acc) is tuple
+        assert np.array(acc).tobytes() == np.array(want_acc).tobytes()
 
 
 def _reference_learn(seqs, depth, branching, vocab_size, seed, truth,

@@ -1,3 +1,4 @@
+import itertools
 import time
 import tracemalloc
 
@@ -28,7 +29,7 @@ from rhmlab import (
     true_tuple_classes,
 )
 from rhmlab import stats
-from rhmlab.grammar import draw_production_codes
+from rhmlab.grammar import encode_tuples
 from oracles import (
     correlation_recursion_check_loop,
     ensemble_correlation_std_loop,
@@ -401,13 +402,21 @@ def test_population_correlation_matches_enumeration(rs):
             population_token_tuple_correlation(rs, level)
 
 
+def _production_codes(rs):
+    """The ``(depth, v*m)`` production codes of ``rs``'s rule tables."""
+    p = rs.params
+    return np.stack([encode_tuples(rs.rules_at(lvl).reshape(-1, p.branching),
+                                   p.vocab_size) for lvl in range(1, p.depth + 1)])
+
+
 @pytest.mark.parametrize("v, m", [(2, 1), (2, 4), (3, 2), (4, 5), (5, 25)])
 def test_stacked_core_matches_the_per_grammar_loop(v, m):
     # s=3, depth 4: every level, every grammar of a stack, byte for byte
     params = [GrammarParams(4, 3, v, m, seed=seed) for seed in range(7)]
-    codes = np.stack([draw_production_codes(p) for p in params])
+    codes = np.stack([_production_codes(generate_rules(p)) for p in params])
     for level in range(2, 5):
-        stacked, cols = stats._stacked_tuple_correlation(codes, v, m, 3, level)
+        joint, order, cols = stats._stacked_core(codes, v, m, 3, level)
+        stacked = stats._dense_matrices(joint, order, cols, 3)
         for g, p in enumerate(params):
             rs = generate_rules(p)
             want = transfer_matrix_correlation_loop(rs, level)
@@ -416,6 +425,32 @@ def test_stacked_core_matches_the_per_grammar_loop(v, m):
                 == want.tobytes()
             valid = np.flatnonzero(production_index(rs, level - 1) >= 0)
             assert np.array_equal(cols[g], valid)
+
+
+def _slot_matrix_by_definition(table, slot):
+    """``A[a, b] = #{k : table[a, k, slot] = b} / m``, one count at a time."""
+    v, m = table.shape[:2]
+    counts = np.zeros((v, v))
+    for a in range(v):
+        for k in range(m):
+            counts[a, table[a, k, slot]] += 1
+    return counts / m
+
+
+@pytest.mark.parametrize("v, m", [(2, 1), (3, 2), (4, 5), (5, 25)])
+def test_slot_matrices_match_the_definition(v, m):
+    # s=3: every slot of every level of a stack of grammars, bit for bit
+    grammars = [generate_rules(GrammarParams(3, 3, v, m, seed=seed)) for seed in range(5)]
+    for lvl, slot in itertools.product(range(1, 4), range(3)):
+        tables = [rs.rules_at(lvl) for rs in grammars]
+        got = stats._slot_matrices(np.stack([t[:, :, slot] for t in tables]))
+        assert got.shape == (len(grammars), v, v) and got.dtype == np.float64
+        for g, table in enumerate(tables):
+            want = _slot_matrix_by_definition(table, slot)
+            assert got[g].tobytes() == want.tobytes()
+            # a stack of one holds the same bits
+            assert stats._slot_matrices(table[None, :, :, slot])[0].tobytes() \
+                == want.tobytes()
 
 
 class TestTheoryPrediction:
@@ -566,7 +601,8 @@ class TestRecursion:
             assert codes.dtype == np.int64
             np.testing.assert_array_equal(codes, want)
             np.testing.assert_array_equal(
-                codes, draw_production_codes(GrammarParams(depth, s, v, m, seed=seed)))
+                codes, _production_codes(generate_rules(GrammarParams(depth, s, v, m,
+                                                                      seed=seed))))
 
     @pytest.mark.parametrize("check", [correlation_recursion_check,
                                        ensemble_correlation_std])
