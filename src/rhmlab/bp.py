@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corruption import NoiseSpec, leaf_likelihoods
-from .grammar import RuleSet, _check_draw_count, token_dtype
+from .grammar import RuleSet, _check_draw_count
 
 
 class ImpossibleEvidenceError(ValueError):
@@ -249,7 +249,7 @@ def bp_posterior_sample_batch(
             raise ImpossibleEvidenceError("conditioned node has no valid production")
         ks = _categorical(cdf, cdf.shape[1], rng).reshape(symbols.shape)
         symbols = rs.rules_at(lvl)[symbols, ks].reshape(n, width * p.branching)
-    return symbols.astype(token_dtype(v))
+    return symbols
 
 
 def denoise_expectation(

@@ -28,7 +28,7 @@ from .grammar import (
     Dataset,
     GrammarParams,
     RuleSet,
-    _parse_level,
+    _parse_levels,
     generate_rules,
     sample_dataset,
     sample_distinct_dataset,
@@ -241,14 +241,10 @@ def _run_stats(args, cfg, out_dir, seed):
             for d, v, k in zip(rep.distances, rep.values, rep.n_pairs)
         ],
     )
-    # Parse one level at a time, keeping the level-(level-2) symbols that
-    # token_tuple_correlation reads and the root level's validity: an
-    # unparseable tuple leaves vocab_size on every level above it.
-    cur, tuple_syms = seqs, None
-    for lvl in range(1, p.depth + 1):
-        cur, _, valid = _parse_level(rs, lvl, cur)
+    tuple_syms = None
+    for lvl, (parents, _, valid) in enumerate(_parse_levels(rs, seqs), 1):
         if lvl == level - 2:
-            tuple_syms = cur
+            tuple_syms = parents
     # The manifest counts the rows that do not parse fully: any one of them
     # leaves C_empirical NaN.
     ungrammatical = int(np.count_nonzero(~valid))

@@ -172,11 +172,11 @@ def decode_codes(codes: np.ndarray, vocab_size: int, branching: int) -> np.ndarr
 class RuleSet:
     """Frozen rule tables of one grammar instance, with two views.
 
-    ``rules_at(level)`` is a ``(vocab_size, n_synonyms, branching)`` array whose
-    ``[symbol, k]`` row is the k-th production of ``symbol`` (a tuple of
-    level-(level-1) symbols); levels run 1..depth. ``parse_tables(level)`` is
-    the inverse map, a function because tuples are globally distinct within a
-    level.
+    ``rules_at(level)`` is a ``(vocab_size, n_synonyms, branching)`` array in
+    :func:`token_dtype` whose ``[symbol, k]`` row is the k-th production of
+    ``symbol`` (a tuple of level-(level-1) symbols); levels run 1..depth.
+    ``parse_tables(level)`` is the inverse map, a function because tuples are
+    globally distinct within a level.
     """
 
     def __init__(self, params: GrammarParams, tables: list[np.ndarray]):
@@ -191,7 +191,7 @@ class RuleSet:
             if table.shape != (v, m, s):
                 raise ValueError(f"rule table must have shape {(v, m, s)}")
             # Freeze a copy, so the caller's own array stays writeable.
-            table = np.array(table, dtype=np.int32, order="C")
+            table = np.array(table, dtype=token_dtype(v), order="C")
             codes = encode_tuples(table.reshape(v * m, s), v + 1)
             parent_of = np.full((v + 1) ** s, v, dtype=token_dtype(v))
             choice_of = np.full((v + 1) ** s, -1, dtype=np.int32)
@@ -267,12 +267,12 @@ class RuleSet:
                 items = [y for x in items for y in x]
             if not all(type(x) is int for x in items):
                 raise ValueError(f"grammar field 'rules' level {lvl} must hold integers")
-            # Checked here, before the int32 cast: 2**40 would overflow it.
+            # Checked here, before any cast: 2**40 would overflow it.
             bad = next((x for x in items if not 0 <= x < params.vocab_size), None)
             if bad is not None:
                 raise ValueError(f"grammar field 'rules' level {lvl} must hold "
                                  f"integers in [0, {params.vocab_size}), found {bad}")
-        return cls(params, [np.asarray(t, dtype=np.int32) for t in rules])
+        return cls(params, [np.asarray(t) for t in rules])
 
     def content_hash(self) -> str:
         """SHA-256 of the canonical JSON document, computed once: the rule
@@ -437,11 +437,11 @@ def _expand_levels(
     top = top.astype(dtype, copy=False)
     n, width = top.shape
     depth = len(choices)
-    # Each production, narrowed to the token dtype, is one opaque s-token
-    # item of a flat v*m table, gathered by one take at parent*m + choice:
-    # numpy's 2-D fancy index gathers several times slower.
-    productions = [rs.rules_at(lvl).astype(dtype).view(f"V{dtype.itemsize * s}")
-                   .ravel() for lvl in range(1, depth + 1)]
+    # Each production is one opaque s-token item of a flat v*m table,
+    # gathered by one take at parent*m + choice: numpy's 2-D fancy index
+    # gathers several times slower.
+    productions = [rs.rules_at(lvl).view(f"V{dtype.itemsize * s}").ravel()
+                   for lvl in range(1, depth + 1)]
     levels = [np.empty((n, width * s ** (depth - lvl)), dtype=dtype)
               for lvl in range(depth if with_latents else 1)]
     for rows in _row_blocks(n, width * s**depth):
@@ -652,9 +652,12 @@ def _parse_level(
     return parents, choices, valid
 
 
-def _parse_rows(rs: RuleSet, seqs: np.ndarray, with_choices: bool):
-    """The level loop of :func:`parse_batch`; without ``with_choices`` every
-    level's rule indices are None and none are gathered."""
+def _parse_levels(rs: RuleSet, seqs: np.ndarray, with_choices: bool = False):
+    """Parse rows (a 1-D row is one row) one level at a time, yielding
+    :func:`_parse_level`'s ``(parents, choices, valid)`` for levels 1 to
+    ``depth``. An invalid parent (``vocab_size``) makes every tuple above it
+    invalid, so a row valid at a level is valid below it too, and it parses
+    fully iff it is valid at the root level."""
     p = rs.params
     seqs = np.asarray(seqs)
     if seqs.ndim == 1:
@@ -662,18 +665,11 @@ def _parse_rows(rs: RuleSet, seqs: np.ndarray, with_choices: bool):
     if seqs.shape[1] != p.seq_len:
         raise ValueError(f"seqs must have length {p.seq_len}")
     _check_token_range("seqs", seqs, None)
-    n = seqs.shape[0]
-    max_levels = np.zeros(n, dtype=np.int64)
     cur = seqs
-    latents, choices = [], []
     for lvl in range(1, p.depth + 1):
-        cur, level_choices, valid = _parse_level(rs, lvl, cur, with_choices)
-        latents.append(cur)
-        choices.append(level_choices)
-        # An invalid parent (v) makes every tuple above it invalid, so a row
-        # parses through this level iff all its parents here are valid.
-        max_levels += valid
-    return max_levels, latents, choices
+        parsed = _parse_level(rs, lvl, cur, with_choices)
+        cur = parsed[0]
+        yield parsed
 
 
 def parse_batch(rs: RuleSet, seqs: np.ndarray):
@@ -684,9 +680,13 @@ def parse_batch(rs: RuleSet, seqs: np.ndarray):
     (0 = some visible tuple already invalid, depth = fully grammatical).
     Unparseable positions hold ``vocab_size``, and -1 in the int32 choices.
     Integer tokens only; one outside ``[0, vocab_size)`` is ungrammatical.
-    Each level is parsed by :func:`_parse_level`, in row blocks.
+    Each level is parsed by :func:`_parse_levels`, in row blocks.
     """
-    return _parse_rows(rs, seqs, with_choices=True)
+    latents, choices, valid = zip(*_parse_levels(rs, seqs, with_choices=True))
+    max_levels = valid[0].astype(np.int64)
+    for level_valid in valid[1:]:
+        max_levels += level_valid
+    return max_levels, list(latents), list(choices)
 
 
 def accuracy(rs: RuleSet, data) -> tuple[float, ...]:
@@ -696,10 +696,7 @@ def accuracy(rs: RuleSet, data) -> tuple[float, ...]:
     seqs = data.sequences if isinstance(data, Dataset) else np.asarray(data)
     if seqs.size == 0:
         raise ValueError("accuracy of an empty input (0 rows) is undefined")
-    max_levels, _, _ = _parse_rows(rs, seqs, with_choices=False)
-    return tuple(
-        float(np.mean(max_levels >= lvl)) for lvl in range(1, rs.params.depth + 1)
-    )
+    return tuple(float(np.mean(valid)) for _, _, valid in _parse_levels(rs, seqs))
 
 
 def tree_distance(i: int, j: int, branching: int, depth: int) -> tuple[int, int]:
@@ -729,12 +726,14 @@ def resample_below(
     p = rs.params
     if not 1 <= level <= p.depth:
         raise ValueError(f"level must be in 1..{p.depth}")
-    max_levels, latents, _ = _parse_rows(rs, seqs, with_choices=False)
-    if not np.all(max_levels == p.depth):
+    for lvl, (parents, _, valid) in enumerate(_parse_levels(rs, seqs), 1):
+        if lvl == level:
+            top = parents
+    if not valid.all():
         raise ValueError("rows must parse fully under the grammar")
-    n = max_levels.shape[0]
+    n = top.shape[0]
     fresh = [
         rng.integers(0, p.n_synonyms, size=(n, p.level_width(lvl)), dtype=np.int32)
         for lvl in range(level, 0, -1)
     ]
-    return _expand_levels(rs, latents[level - 1], fresh[::-1], with_latents=False)[0]
+    return _expand_levels(rs, top, fresh[::-1], with_latents=False)[0]

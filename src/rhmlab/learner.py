@@ -38,7 +38,9 @@ from .grammar import (
     _columns,
     _gather,
     _parse_level,
+    _parse_levels,
     _power_at_most,
+    _row_blocks,
     accuracy,
     decode_codes,
     generate_rules,
@@ -314,13 +316,8 @@ def learn_grammar(
     true_parents: list[np.ndarray] = []  # level-l parents at l - 1, by position
     recovery: list[float] | None = None
     if truth is not None:
-        # An unparseable tuple leaves vocab_size on every level above it, so
-        # the rows parse fully iff the root level is valid.
-        cur = seqs
-        for lvl in range(1, depth + 1):
-            cur, _, valid = _parse_level(truth, lvl, cur)
-            true_parents.append(_columns(cur, dtype))
-        del cur
+        for parents, _, valid in _parse_levels(truth, seqs):
+            true_parents.append(_columns(parents, dtype))
         if not valid.all():
             raise ValueError("training rows must parse under the reference grammar")
         recovery = []
@@ -438,7 +435,8 @@ def population_context_collision(rs: RuleSet, variant: str = "single_token") -> 
     sibling = [1] + list(range(s - 1))
     w = np.full(v, 1.0 / v)  # the root
     for stage in range(p.depth - 1, 0, -1):
-        children = rs.rules_at(stage + 1).reshape(v * m, s)
+        # In intp: children * v would wrap in a uint8 table from v = 17 on.
+        children = rs.rules_at(stage + 1).reshape(v * m, s).astype(np.intp)
         # joint[a, b]: expected level-stage nodes holding a beside sibling b
         joint = np.bincount((children * v + children[:, sibling]).ravel(),
                             weights=np.repeat(w / m, m * s),
@@ -446,9 +444,11 @@ def population_context_collision(rs: RuleSet, variant: str = "single_token") -> 
         w = joint.sum(axis=1)
         seen = np.flatnonzero(w > 0)
         vecs = joint[seen] @ context[stage - 1] / w[seen, None]
-        gap = np.abs(vecs[:, None, :] - vecs[None, :, :]).max(axis=2)
-        if np.any(gap[np.triu_indices(seen.size, 1)] <= 1e-12):
-            return True
+        # Row block by row block: all pairs at once need seen**2 vectors.
+        for rows in _row_blocks(seen.size, vecs.size):
+            gap = np.abs(vecs[rows, None, :] - vecs[None, :, :]).max(axis=2)
+            if np.triu(gap <= 1e-12, rows.start + 1).any():
+                return True
     return False
 
 

@@ -816,10 +816,10 @@ def population_context_collision_oracle(rs: RuleSet, variant: str = "single_toke
         )
         classes = true_tuple_classes(rs, stage, stats.codes)
         vecs = stats.vectors
-        gap = np.abs(vecs[:, None, :] - vecs[None, :, :]).max(axis=2)
-        distinct_class = classes[:, None] != classes[None, :]
-        if np.any(distinct_class & (gap <= 1e-12)):
-            return True
+        for vec, cls in zip(vecs, classes):  # one code against all others
+            gap = np.abs(vecs - vec).max(axis=1)
+            if np.any((classes != cls) & (gap <= 1e-12)):
+                return True
     return False
 
 
@@ -839,10 +839,11 @@ def _expand_levels_unblocked_oracle(rs: RuleSet, top: np.ndarray, choices: list)
     levels = [top]
     for lvl in range(len(choices), 0, -1):
         parents = levels[-1]
-        # Each int32 production is one opaque 4*s-byte item of a (v, m)
-        # table, gathered at (parent, choice) with no index temporaries.
-        productions = rs.rules_at(lvl).view(f"V{4 * s}").reshape(-1, m)
-        children = productions[parents, choices[lvl - 1]].view(np.int32)
+        # Each production is one opaque s-token item of a (v, m) table,
+        # gathered at (parent, choice) with no index temporaries.
+        table = rs.rules_at(lvl)
+        productions = table.view(f"V{table.itemsize * s}").reshape(-1, m)
+        children = productions[parents, choices[lvl - 1]].view(table.dtype)
         levels.append(children.reshape(n, parents.shape[1] * s))
     levels.reverse()
     return levels

@@ -811,6 +811,23 @@ class TestCollisionCheck:
         assert len(answers) == 232
         assert 0 < sum(answers) < len(answers)  # collisions and clean grammars
 
+    @pytest.mark.parametrize("v, m_list, n_seeds", [(32, (1, 2, 3), 6), (300, (2,), 2)],
+                             ids=["v32-uint8", "v300-uint16"])
+    def test_matches_enumeration_oracle_past_the_table_dtype(self, v, m_list, n_seeds):
+        # The joint's key a * v + b reaches v**2 - 1, past a uint8 table from
+        # v = 17 and past a uint16 one from v = 257: formed in the table's
+        # dtype it wraps, and these answers move.
+        answers = []
+        for m, k in itertools.product(m_list, range(n_seeds)):
+            seed = derive_seed(0, v, f"wide key m={m} {k}")
+            rs = generate_rules(GrammarParams(2, 2, v, m, seed=seed))
+            assert rs.rules_at(2).dtype == token_dtype(v)
+            for variant in ("single_token", "full_tuple"):
+                want = population_context_collision_oracle(rs, variant)
+                assert population_context_collision(rs, variant) == want, (m, k, variant)
+                answers.append(want)
+        assert 0 < sum(answers) < len(answers)
+
     def test_enumerates_nothing(self, rs_medium, monkeypatch):
         from rhmlab import grammar, learner
 

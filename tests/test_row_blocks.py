@@ -27,6 +27,7 @@ from oracles import (
 )
 from rhmlab import (
     GrammarParams,
+    accuracy,
     generate_rules,
     learn_grammar,
     one_step_gradient,
@@ -301,3 +302,15 @@ def test_peak_memory_is_a_bounded_multiple_of_the_rows(big, kernel, bound):
         "one_step_gradient": lambda n: one_step_gradient(codes[:n], labels[:n], 16),
     }
     assert _peak(calls[kernel]) < bound * seqs.size * 4
+
+
+def test_accuracy_holds_only_the_levels_it_reads():
+    # 1e5 depth-5 rows, 3.2 MB of uint8 tokens: the parse keeps two levels'
+    # parents at a time and no max_levels. Measured 2.93 MiB; keeping every
+    # level's parents, as a full parse does, measured 4.36 MiB.
+    rs = generate_rules(GrammarParams(depth=5, branching=2, vocab_size=16,
+                                      n_synonyms=4, seed=3))
+    seqs = sample_dataset(rs, 100_000, np.random.default_rng(4),
+                          with_latents=False).sequences
+    assert seqs.dtype == np.uint8
+    assert _peak(lambda n: accuracy(rs, seqs[:n])) < 3.6 * 2**20

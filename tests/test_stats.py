@@ -1,6 +1,10 @@
 import itertools
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -563,6 +567,35 @@ class TestRecursion:
         finally:
             tracemalloc.stop()
         assert peak < bound_mib * 2**20
+
+    def test_dense_chunks_do_not_fault_in_fresh_pages(self):
+        # Minor page faults per call, read in a fresh interpreter: in this
+        # process earlier tests have raised glibc malloc's dynamic mmap
+        # threshold, which hides them at any chunk budget. At a 256 KiB budget
+        # each chunk was paged in afresh: 532-600 (recursion) and 1,184-1,216
+        # (ensemble) in 160 interpreters whose environments differed in size.
+        # At 128 KiB, 148 of them made none and the rest at most 80 and 286,
+        # as the heap's layout decides whether malloc trims its top. Each
+        # bound sits at about half the 256 KiB count.
+        pytest.importorskip("resource", reason="getrusage counts the page faults")
+        code = """
+import resource
+from rhmlab import stats
+for check, v, m, n_grammars in ((stats.correlation_recursion_check, 8, 2, 500),
+                                (stats.ensemble_correlation_std, 16, 4, 200)):
+    for _ in range(2):
+        check(v, 2, m, n_grammars=n_grammars)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(10):
+        check(v, 2, m, n_grammars=n_grammars)
+    print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
+"""
+        path = [str(Path(stats.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, path))}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        faults = [float(x) for x in out.split()]
+        assert len(faults) == 2 and faults[0] < 250 and faults[1] < 500, faults
 
     @pytest.mark.parametrize("check", [correlation_recursion_check,
                                        ensemble_correlation_std])

@@ -1,8 +1,8 @@
-"""The token dtype rule: every token and every parsed, learned or sampled
-symbol rhmlab makes is in ``token_dtype(vocab_size)``, the smallest unsigned
-dtype that holds the mask token ``vocab_size``, which also marks a tuple no
-rule produces: uint8 up to v = 255, uint16 from 256. Narrow rows change no
-value and no random draw."""
+"""The token dtype rule: every token, every parsed, learned or sampled symbol
+and every rule table rhmlab makes is in ``token_dtype(vocab_size)``, the
+smallest unsigned dtype that holds the mask token ``vocab_size``, which also
+marks a tuple no rule produces: uint8 up to v = 255, uint16 from 256. Narrow
+rows change no value and no random draw."""
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from rhmlab import (
     Dataset,
     GrammarParams,
     NoiseSpec,
+    RuleSet,
     bp_posterior_sample_batch,
     corrupt,
     decode_codes,
@@ -26,7 +27,7 @@ from rhmlab import (
     token_dtype,
     true_tuple_classes,
 )
-from rhmlab.io import load_dataset, save_dataset
+from rhmlab.io import load_dataset, load_grammar, save_dataset, save_grammar
 
 EDGE = [(255, np.uint8), (256, np.uint16)]
 
@@ -46,8 +47,18 @@ def _grammar(v):
 
 
 @pytest.mark.parametrize("v, dtype", EDGE)
-def test_every_producer_makes_rows_of_the_token_dtype(v, dtype):
+def test_every_producer_makes_rows_of_the_token_dtype(tmp_path, v, dtype):
     rs = _grammar(v)
+    # the rule tables, drawn, built from the caller's int64 tables and loaded:
+    # frozen copies, while the caller's own arrays stay writeable
+    tables = [np.array(rs.rules_at(level), dtype=np.int64) for level in (1, 2)]
+    save_grammar(rs, tmp_path / "grammar.json")
+    for grammar in (rs, RuleSet(rs.params, tables), load_grammar(tmp_path / "grammar.json")):
+        assert grammar == rs
+        for level in (1, 2):
+            table = grammar.rules_at(level)
+            assert table.dtype == dtype and not table.flags.writeable
+    assert all(table.flags.writeable for table in tables)
     sampled = sample_dataset(rs, 40, np.random.default_rng(1))
     distinct = sample_distinct_dataset(rs, 40, np.random.default_rng(2))
     enum = enumerate_all(rs)
