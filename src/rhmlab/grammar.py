@@ -487,15 +487,16 @@ def sample_dataset(
 
 def _row_keys(rows: np.ndarray, vocab_size: int) -> np.ndarray:
     """One sort key per row of tokens in ``[0, vocab_size)``: the row cut
-    into runs of tokens whose base-``vocab_size`` codes fit in 64 bits (the
-    int64 codes wrap past 2**63), the codes side by side as one opaque item.
-    Keys are equal iff rows are."""
+    into runs of tokens whose base-``vocab_size`` codes fit in 64 bits, the
+    codes side by side as one opaque item of big-endian uint64 words. Keys
+    are equal iff rows are, and their bytewise order is the numeric order of
+    their words, first word first."""
     n, d = rows.shape
     per_word = 1
     while vocab_size ** (per_word + 1) <= 2**64 and per_word < d:
         per_word += 1
     n_words = -(-d // per_word)
-    words = np.empty((n, n_words), dtype=np.int64)
+    words = np.empty((n, n_words), dtype=">u8")
     for block in _row_blocks(n, d):
         for w in range(n_words):
             words[block, w] = encode_tuples(
@@ -505,9 +506,22 @@ def _row_keys(rows: np.ndarray, vocab_size: int) -> np.ndarray:
 
 def _new_rows(keys: np.ndarray, seen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending indices of the rows whose key is neither in the sorted
-    ``seen`` nor on an earlier row, and ``seen`` with their keys inserted."""
-    order = np.argsort(keys, kind="stable")
+    ``seen`` nor on an earlier row, and ``seen`` with their keys inserted.
+
+    The keys are sorted by their first word (see :func:`_row_keys`), and
+    runs of equal first words by every word."""
+    n_words = keys.itemsize // 8
+    order = np.argsort(keys.view(">u8")[::n_words].astype(np.uint64), kind="stable")
     ordered = keys[order]
+    head = ordered.view(">u8")[::n_words]
+    tied = np.flatnonzero(head[1:] == head[:-1])
+    del head  # a view: it would keep these keys alive once ordered is cut
+    if tied.size:
+        at = np.union1d(tied, tied + 1)
+        rows = order[at]
+        words = keys[rows].view(">u8").reshape(-1, n_words)
+        order[at] = rows[np.lexsort(words.T[::-1])]
+        ordered[at] = keys[order[at]]
     first = np.ones(keys.size, dtype=bool)  # first of each run of equal keys
     first[1:] = ordered[1:] != ordered[:-1]
     order, ordered = order[first], ordered[first]
@@ -515,9 +529,11 @@ def _new_rows(keys: np.ndarray, seen: np.ndarray) -> tuple[np.ndarray, np.ndarra
     new = np.ones(at.size, dtype=bool)
     inside = np.flatnonzero(at < seen.size)
     new[inside] = seen[at[inside]] != ordered[inside]
-    if new.any():
-        seen = np.insert(seen, at[new], ordered[new])
-    return np.sort(order[new]), seen
+    # only the new keys' entries are held through the insertion
+    order, at, ordered = order[new], at[new], ordered[new]
+    if order.size:
+        seen = np.insert(seen, at, ordered)
+    return np.sort(order), seen
 
 
 def _compact_rows(array: np.ndarray, rows: np.ndarray) -> None:

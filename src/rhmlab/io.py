@@ -91,7 +91,8 @@ def save_dataset(ds: Dataset, path, binary: bool = False) -> None:
         # separator are one zero-padded cell of a byte table: cell t holds
         # token t with a space, cell top + 1 + t token t with a newline (the
         # last column). One take over the table viewed as one void item per
-        # cell gathers a row block's cells, and the padding is dropped.
+        # cell gathers a row block's cells, and bytes.translate deletes the
+        # padding (digits and separators are never zero bytes).
         top = int(seqs.max())
         width = len(str(top)) + 1
         table = np.zeros((2, top + 1, width), dtype=np.uint8)
@@ -103,8 +104,7 @@ def save_dataset(ds: Dataset, path, binary: bool = False) -> None:
         offset = np.where(np.arange(d) == d - 1, top + 1, 0)
         for rows in _row_blocks(n, d):
             index = np.add(seqs[rows], offset, dtype=np.intp)
-            text = cells.take(index).view(np.uint8)
-            fh.write(text[text != 0].tobytes())
+            fh.write(cells.take(index).tobytes().translate(None, b"\0"))
 
 
 def load_dataset(path) -> tuple[np.ndarray, dict]:
@@ -180,8 +180,9 @@ def _parse_rows(fh, n: int, d: int, vocab: int, path) -> np.ndarray:
     lines are read as it needs them, in reads of the shortest text its rows
     can take (a digit and a separator per token). In a block every byte is
     classified, the last digit of every token is found with one
-    ``flatnonzero``, and each value is built from the digits before it; row
-    ``k`` of the block must hold tokens ``k*d`` to ``k*d + d - 1``."""
+    ``flatnonzero``, and each value is built from the digits before it, two
+    digits per step; row ``k`` of the block must hold tokens ``k*d`` to
+    ``k*d + d - 1``."""
     start = fh.tell()
     size = fh.seek(0, os.SEEK_END) - start
     fh.seek(start)
@@ -242,23 +243,32 @@ def _parse_rows(fh, n: int, d: int, vocab: int, path) -> np.ndarray:
             raise fail(line_end[row], f"the row holds {per_line[row]} tokens, "
                                       f"the header states {d}")
 
-        # Digits are added from the last one backwards; a seg[-1] read (a
-        # token at the block's first byte) meets the final newline.
-        values = dv.take(last).astype(np.int64)
+        # Digits are added from the last one backwards, two per step: pair[i]
+        # is the digit at i plus ten times a digit at i - 1 (at most 99), and
+        # a token goes on past the pair ending at i where goes_on[i], the
+        # bytes at i - 1 and i - 2 being digits. No byte before the block's
+        # first one is a digit (a token there follows the previous line end).
+        pair = dv  # in place: the digit values are not read again
+        pair[1:] += dv[:-1] * digit[:-1] * np.uint8(10)
+        goes_on = np.zeros_like(digit)
+        np.logical_and(digit[1:-1], digit[:-2], out=goes_on[2:])
+        values = pair.take(last).astype(np.int64)
         pos, tok, scale = last, None, 1
         while True:
-            pos = pos - 1
-            more = np.flatnonzero(digit.take(pos))
+            more = np.flatnonzero(goes_on.take(pos))
             if more.size == 0:
                 break
-            pos = pos.take(more)
+            pos = pos.take(more) - 2
             tok = more if tok is None else tok.take(more)
-            scale *= 10
-            digits = dv.take(pos)
-            if scale <= 10**9:
-                values[tok] += digits.astype(np.int64) * scale
-            elif digits.any():  # a nonzero 11th digit from the end
-                raise fail(pos[np.argmax(digits)], f"a token exceeds {_INT32_MAX}")
+            scale *= 100
+            pairs = pair.take(pos)
+            if scale <= 10**8:
+                values[tok] += pairs.astype(np.int64) * scale
+            elif pairs.any():  # a nonzero 11th or 12th digit from the end
+                # the line of the largest 11th digit, else of the largest 12th
+                ones = pairs % 10
+                at, digits = (pos, ones) if ones.any() else (pos - 1, pairs // 10)
+                raise fail(at[np.argmax(digits)], f"a token exceeds {_INT32_MAX}")
         top = int(values.max())
         if top > min(vocab, _INT32_MAX):
             where = last[np.argmax(values)]

@@ -104,18 +104,19 @@ def one_step_gradient(
     w0_col = np.log(label_counts / n)
     w0 = np.tile(w0_col[:, None], (1, observed.size))
 
-    # Generic softmax cross-entropy gradient, row block by row block; every
-    # sample reads one column. np.add.at over flat (column, label) keys adds
-    # each bin's residuals in sample order, starting from 0.0, as one flat
-    # bincount over all samples does.
+    # Softmax cross-entropy gradient, row block by row block. Every column of
+    # w0 is w0_col, so every sample's softmax is one row, formed once by the
+    # same ops on a (1, vocab_size) array. np.add.at over flat (column,
+    # label) keys adds each bin's residuals in sample order, starting from
+    # 0.0, as one flat bincount over all samples does.
+    logits = w0_col[None, :].copy()
+    logits -= logits.max(axis=1, keepdims=True)
+    probs = np.exp(logits)
+    probs /= probs.sum(axis=1, keepdims=True)
     grad_t = np.zeros(observed.size * vocab_size)
     for rows in _row_blocks(n, vocab_size):
-        logits = w0[:, col[rows]].T  # (block, vocab_size)
-        logits -= logits.max(axis=1, keepdims=True)
-        probs = np.exp(logits)
-        probs /= probs.sum(axis=1, keepdims=True)
-        resid = -probs
-        resid[np.arange(logits.shape[0]), next_tokens[rows]] += 1.0
+        resid = np.repeat(-probs, rows.stop - rows.start, axis=0)
+        resid[np.arange(resid.shape[0]), next_tokens[rows]] += 1.0
         keys = col[rows, None] * vocab_size + np.arange(vocab_size)
         np.add.at(grad_t, keys.ravel(), resid.ravel())
     grad_t = grad_t.reshape(observed.size, vocab_size)

@@ -361,6 +361,11 @@ LINE_ERRORS = {
     "past-int32-within-vocab": (f"2 {2**33} 2 -\n0 1\n1 2147483648\n", 3,
                                 "token 2147483648 exceeds 2147483647"),
     "eleven-digits": ("2 8 1 -\n1 12345678901\n", 2, "a token exceeds"),
+    "twelve-digits": ("2 8 1 -\n1 100000000000\n", 2, "a token exceeds"),
+    # an 11th digit is met before a 12th, whatever line holds it
+    "eleventh-before-twelfth-digit": ("1 8 2 -\n200000000000\n10000000000\n", 3,
+                                      "a token exceeds"),
+    "ten-nines": ("2 8 1 -\n1 9999999999\n", 2, "token 9999999999 exceeds 2147483647"),
 }
 
 
@@ -423,8 +428,9 @@ def test_rows_longer_than_a_read_and_line_ends_split_across_reads(tmp_path):
 def test_load_peak_memory_is_a_bounded_multiple_of_the_rows(tmp_path):
     # 2e4 depth-5 rows, 0.64 MB as uint8, 2.56 MB as int32 (the size the
     # bound multiplies) and about 1.5 MB of text. The peak holds the rows and
-    # one row block's text and temporaries: measured 0.88x the int32 size,
-    # and with int32 rows 1.63x, 2.14x when the whole file was one buffer and
+    # one row block's text and temporaries: measured 0.92x the int32 size
+    # (0.88x with values read one digit per step, without the block's mask
+    # of tokens going on past a digit pair), and with int32 rows 1.63x, 2.14x when the whole file was one buffer and
     # 3.58x with blocks of 4,096 rows.
     rs = generate_rules(GrammarParams(depth=5, branching=2, vocab_size=16,
                                       n_synonyms=4, seed=1))
@@ -448,3 +454,24 @@ def test_leading_zeros_and_int32_max_load(tmp_path):
     path.write_text(f"3 {2**31 - 1} 1 -\n007 000000000002147483647 0\n")
     seqs, _ = load_dataset(path)
     assert seqs.tolist() == [[7, 2**31 - 1, 0]]
+
+
+def test_zero_padded_tokens_of_odd_and_even_length_load(tmp_path):
+    path = tmp_path / "d.txt"
+    path.write_text("4 16 2 -\n0000000000015 000000000016 0000000000 00000000000\n"
+                    "1 01 001 0001\n")
+    seqs, _ = load_dataset(path)
+    assert seqs.tolist() == [[15, 16, 0, 0], [1, 1, 1, 1]]
+
+
+@pytest.mark.parametrize("first", ["7", "42", "123"])
+def test_tokens_at_the_first_byte_of_the_body_and_of_a_row_block(tmp_path, first):
+    # Rows 0 and BLOCK_8 open the body and the second row block; each starts
+    # with a 1-, 2- or 3-digit token at its line's first byte.
+    n = BLOCK_8 + 2
+    seqs = np.random.default_rng(len(first)).integers(0, 1000, size=(n, 8))
+    seqs[0, 0] = seqs[BLOCK_8, 0] = int(first)
+    path = tmp_path / "d.txt"
+    path.write_text("\n".join([f"8 999 {n} -"] + [" ".join(map(str, row)) for row in seqs]))
+    got, _ = load_dataset(path)
+    assert np.array_equal(got, seqs)

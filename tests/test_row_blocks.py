@@ -27,6 +27,7 @@ from oracles import (
 )
 from rhmlab import (
     GrammarParams,
+    RuleSet,
     accuracy,
     generate_rules,
     learn_grammar,
@@ -37,7 +38,7 @@ from rhmlab import (
     tuple_next_token_pairs,
 )
 from rhmlab import grammar
-from rhmlab.grammar import _code_ranks, _row_keys
+from rhmlab.grammar import _code_ranks, _new_rows, _row_keys
 from rhmlab.stats import _joint_counts
 
 # Depth 6, s=2: 64-token rows, so a sampling block holds B rows.
@@ -138,11 +139,62 @@ def test_distinct_filter_matches_the_set_filter(counts, with_latents):
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
+def _tied_rows(tails: np.ndarray) -> np.ndarray:
+    """v=16, d=32 rows of one shared first 16 tokens (a row key's first
+    word) followed by ``tails``."""
+    head = np.full((tails.shape[0], 16), 5)
+    return np.hstack([head, tails]).astype(np.uint8)
+
+
+def test_new_rows_sorts_rows_whose_first_key_words_tie():
+    rng = np.random.default_rng(11)
+    tails = rng.integers(0, 16, size=(12, 16))
+    # two batches with duplicates within each and across them, their second
+    # key words out of order
+    batches = [_tied_rows(tails[rng.integers(0, 8, size=30)]),
+               _tied_rows(tails[rng.integers(4, 12, size=30)])]
+    second = _row_keys(batches[0], 16).view(">u8")[1::2]
+    assert (second[1:] < second[:-1]).any()
+    seen, kept = _row_keys(batches[0][:0], 16), set()
+    for rows in batches:
+        fresh, seen = _new_rows(_row_keys(rows, 16), seen)
+        want = []
+        for i, row in enumerate(rows):
+            if row.tobytes() not in kept:
+                kept.add(row.tobytes())
+                want.append(i)
+        assert fresh.tolist() == want
+        got = [key.tobytes() for key in seen]
+        assert got == sorted(set(got)) and len(got) == len(kept)
+
+
+@pytest.mark.parametrize("with_latents", [True, False])
+def test_distinct_filter_matches_the_set_filter_when_first_key_words_tie(with_latents):
+    # One production per symbol, so the root fixes the string: root r makes
+    # (r % 4, r), and every lower symbol x makes (x, x + 1 mod 16). Roots
+    # that agree mod 4 share the left subtree, the rows' first 16 tokens,
+    # and differ after them. Batches of 64 draws of the 16 strings repeat
+    # strings within a batch, and at this seed the first batch misses one,
+    # so the second repeats strings of the first.
+    lower = np.stack([np.arange(16), (np.arange(16) + 1) % 16], axis=1)[:, None, :]
+    root = np.stack([np.arange(16) % 4, np.arange(16)], axis=1)[:, None, :]
+    rs = RuleSet(GrammarParams(depth=5, branching=2, vocab_size=16, n_synonyms=1),
+                 [lower] * 4 + [root])
+    first = sample_dataset(rs, 64, np.random.default_rng(1), with_latents=False)
+    assert np.unique(first.sequences, axis=0).shape[0] < 16
+    for n in (1, 10, 16):
+        rng_a, rng_b = np.random.default_rng(1), np.random.default_rng(1)
+        got = sample_distinct_dataset(rs, n, rng_a, with_latents=with_latents)
+        want = sample_distinct_dataset_set_oracle(rs, n, rng_b, with_latents=with_latents)
+        _same_dataset(got, want)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
 @pytest.mark.parametrize("vocab_size, width", [(16, 16), (16, 33), (2, 64), (2, 65),
                                                (3, 41), (255, 9)])
 def test_row_keys_are_equal_exactly_for_equal_rows(vocab_size, width):
     # Rows that differ in one token only, in every position, including the
-    # top digit of a code that fills all 64 bits (the int64 sign bit).
+    # top digit of a code that fills all 64 bits (the word's top bit).
     base = np.full(width, vocab_size - 1, dtype=np.int32)
     rows = np.repeat(base[None, :], width + 2, axis=0)
     rows[np.arange(width), np.arange(width)] = vocab_size - 2
@@ -238,23 +290,31 @@ def test_learner_truth_matches_the_full_parse(counts):
 
 
 def test_one_step_gradient_matches_the_bincount_gradient(counts):
-    # One-step blocks hold rows of v softmax scores; one row needs v = 1,
-    # since every label class must occur.
-    v = 4
-    rows = grammar._BLOCK_TOKENS // v
+    # One-step blocks hold rows of v softmax scores; n rows need v <= n,
+    # since every label class must occur. The oracle forms every sample's
+    # softmax row, the kernel one shared row, so the gradients agree bit for
+    # bit only if that row does: at v = 4, 16 and 39, with skewed label
+    # marginals, up to three row blocks.
     rng = np.random.default_rng(9)
-    for n in (1, rows - 1, rows, rows + 1, 2 * rows + 3):
-        vocab = 1 if n == 1 else v
-        codes = rng.integers(0, 40, size=n)
-        labels = rng.permutation(np.arange(n) % vocab)
-        got = one_step_gradient(codes, labels, vocab)
-        want = one_step_gradient_bincount_oracle(codes, labels, vocab)
-        assert got.n == want.n == n
-        for field in ("tuple_codes", "init_log_marginal", "init_weights", "grad_t",
-                      "empirical_corr"):
-            _identical(getattr(got, field), getattr(want, field))
+    for v in (4, 16, 39):
+        rows = grammar._block_rows(v)
+        for n in (1, rows - 1, rows, rows + 1, 2 * rows + 3):
+            if n == 0:
+                continue
+            vocab = min(v, n)
+            skew = 1.0 / np.arange(1, vocab + 1) ** 2
+            codes = rng.integers(0, 40, size=n)
+            # every class once, the rest drawn from the skewed marginal
+            labels = rng.permutation(np.concatenate([
+                np.arange(vocab), rng.choice(vocab, size=n - vocab, p=skew / skew.sum())]))
+            got = one_step_gradient(codes, labels, vocab)
+            want = one_step_gradient_bincount_oracle(codes, labels, vocab)
+            assert got.n == want.n == n
+            for field in ("tuple_codes", "init_log_marginal", "init_weights", "grad_t",
+                          "empirical_corr"):
+                _identical(getattr(got, field), getattr(want, field))
     with pytest.raises(ValueError, match="non-empty"):
-        one_step_gradient(np.zeros(0, dtype=int), np.zeros(0, dtype=int), v)
+        one_step_gradient(np.zeros(0, dtype=int), np.zeros(0, dtype=int), 4)
 
 
 # Memory: 2e5 depth-4 rows, 3.2 MB of uint8 tokens. Bounds multiply the
@@ -281,8 +341,9 @@ def _peak(fn) -> int:
 
 
 @pytest.mark.parametrize("kernel, bound", [
-    # measured peaks, as multiples of the rows' int32 size: 0.69, 2.08, 1.53
-    # and 0.24 (1.32 and 2.28 for the samplers with int32 rows); the
+    # measured peaks, as multiples of the rows' int32 size: 0.69, 2.08, 1.28
+    # and 0.20 (1.32 and 2.28 for the samplers with int32 rows, before the
+    # distinct filter held only new keys through its insertion); the
     # whole-array forms with int32 rows measured 2.89, 5.13, 5.92 and 8.26
     ("sample_dataset", 0.8),
     ("parse_batch", 2.5),
@@ -302,6 +363,20 @@ def test_peak_memory_is_a_bounded_multiple_of_the_rows(big, kernel, bound):
         "one_step_gradient": lambda n: one_step_gradient(codes[:n], labels[:n], 16),
     }
     assert _peak(calls[kernel]) < bound * seqs.size * 4
+
+
+def test_distinct_filter_keeps_no_copy_of_the_first_key_words():
+    # 1e5 depth-5 rows (v=16, m=4), 3.2 MB of uint8 tokens. Sorting the
+    # keys by their first words copies those words (0.8 MB) only for the
+    # argsort, and the insertion into the seen keys holds only the new keys'
+    # entries: measured 10.97 MiB; 11.73 MiB when the copy lived on through
+    # the gather of the sorted keys, 12.50 MiB when a view of the sorted
+    # keys outlived them, and 13.26 MiB with every sorted key held through
+    # the insertion.
+    rs = generate_rules(GrammarParams(depth=5, branching=2, vocab_size=16,
+                                      n_synonyms=4, seed=3))
+    assert _peak(lambda n: sample_distinct_dataset(
+        rs, n or 100_000, np.random.default_rng(6), with_latents=False)) <= 11.3 * 2**20
 
 
 def test_accuracy_holds_only_the_levels_it_reads():
