@@ -172,8 +172,7 @@ def _run_sample(args, cfg, out_dir, seed):
     rng = np.random.default_rng(derive_seed(seed, 0, "sample"))
     sampler = sample_distinct_dataset if distinct else sample_dataset
     ds = sampler(rs, n, rng, with_latents=False)
-    binary = cfg.get("binary", False)
-    save_dataset(ds, out_dir / ("dataset.bin" if binary else "dataset.txt"), binary=binary)
+    save_dataset(ds, out_dir / "dataset.txt")
     return rs.content_hash(), {"distinct": distinct}
 
 

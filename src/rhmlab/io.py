@@ -1,4 +1,4 @@
-"""On-disk formats: grammar JSON, dataset text/binary files, CSV helpers.
+"""On-disk formats: grammar JSON, dataset text files, CSV helpers.
 
 A dataset text file is a header line ``seq_len vocab_size n_rows
 grammar_hash`` (whitespace-separated; the hash ``-`` means no recorded
@@ -16,13 +16,7 @@ first ``n_rows`` rows are read, and in them:
 
 Lines past ``n_rows`` are not read. The writer emits the canonical form,
 byte for byte what ``np.savetxt(fmt="%d")`` writes: single spaces, LF ends.
-
-The binary layout is little-endian: the magic bytes ``RHMD1``; ``seq_len``,
-``vocab_size`` and ``n_rows`` as three uint64; the grammar hash's byte length
-as uint16 and its UTF-8 bytes; then the ``n_rows * seq_len`` tokens as uint16,
-row by row. So a binary file holds ``vocab_size`` at most 65535. A file that
-ends inside its header or body is refused; bytes past the body are not read,
-as text lines past ``n_rows`` are not.
+It refuses a grammar hash that is empty or holds whitespace (not one field).
 
 Floats in CSV output are rendered with 17 significant digits so values
 round-trip.
@@ -38,8 +32,6 @@ from pathlib import Path
 import numpy as np
 
 from .grammar import Dataset, RuleSet, _row_blocks, token_dtype
-
-DATASET_MAGIC = b"RHMD1"
 
 
 def save_grammar(rs: RuleSet, path) -> None:
@@ -59,30 +51,20 @@ def load_grammar(path) -> RuleSet:
     return rs
 
 
-def save_dataset(ds: Dataset, path, binary: bool = False) -> None:
+def save_dataset(ds: Dataset, path) -> None:
     """Write rows (and the provenance header); latents are not stored — they
     are recoverable by parsing under the grammar."""
     path = Path(path)
     grammar_hash = ds.meta.get("grammar_hash", "-")
+    if not isinstance(grammar_hash, str) or grammar_hash.split() != [grammar_hash]:
+        raise ValueError(f"dataset file {path}: grammar hash {grammar_hash!r} must be "
+                         "a non-empty string without whitespace")
     seqs = ds.sequences
     n, d = seqs.shape
     vocab = ds.params.vocab_size
-    _check_tokens(seqs, vocab, path)
-    if binary:
-        if vocab > 65535:
-            raise ValueError(
-                f"dataset file {path}: binary tokens are uint16, so vocab_size "
-                f"(the mask token) must be at most 65535, not {vocab}"
-            )
-        with open(path, "wb") as fh:
-            fh.write(DATASET_MAGIC)
-            header = np.array([d, vocab, n], dtype="<u8")
-            fh.write(header.tobytes())
-            tag = grammar_hash.encode()
-            fh.write(len(tag).to_bytes(2, "little"))
-            fh.write(tag)
-            fh.write(seqs.astype("<u2").tobytes())
-        return
+    if seqs.size and (seqs.min() < 0 or seqs.max() > vocab):
+        raise ValueError(f"dataset file {path}: tokens must lie in [0, {vocab}] "
+                         f"({vocab} marks a masked token)")
     with open(path, "wb") as fh:
         fh.write(f"{d} {vocab} {n} {grammar_hash}\n".encode())
         if n == 0:
@@ -110,8 +92,7 @@ def save_dataset(ds: Dataset, path, binary: bool = False) -> None:
 def load_dataset(path) -> tuple[np.ndarray, dict]:
     """Returns (rows, header dict with seq_len/vocab_size/n_rows/grammar_hash).
     The rows are in :func:`token_dtype` of the largest token the file can
-    hold: ``vocab_size``, or the format's largest token if smaller (65535 in
-    a binary file, int32's maximum in a text file).
+    hold: ``vocab_size``, or int32's maximum if smaller.
 
     Exactly ``n_rows`` rows are read; the text syntax is in the module
     docstring. A malformed file raises ``ValueError``: no header, a header
@@ -122,31 +103,8 @@ def load_dataset(path) -> tuple[np.ndarray, dict]:
     """
     path = Path(path)
     with open(path, "rb") as fh:
-        magic = fh.read(len(DATASET_MAGIC))
-        if magic == DATASET_MAGIC:
-            size = os.fstat(fh.fileno()).st_size
-
-            def read(n_bytes: int, part: str) -> bytes:
-                # Sizes come from the file, so check them before reading.
-                end = fh.tell() + n_bytes
-                if end > size:
-                    raise ValueError(
-                        f"dataset file {path} ends inside its binary {part}: "
-                        f"the file holds {size} bytes, the {part} ends at byte {end}")
-                return fh.read(n_bytes)
-
-            d, vocab, n = (int(x) for x in np.frombuffer(read(24, "header"), dtype="<u8"))
-            _check_sizes(d, vocab, n, path)
-            tag_len = int.from_bytes(read(2, "header"), "little")
-            grammar_hash = read(tag_len, "header").decode()
-            body = np.frombuffer(read(d * n * 2, "body"), dtype="<u2").reshape(n, d)
-            _check_tokens(body, vocab, path)
-            header = dict(seq_len=d, vocab_size=vocab, n_rows=n, grammar_hash=grammar_hash)
-            return body.astype(token_dtype(min(vocab, 65535))), header
-        if fh.seekable():
-            fh.seek(0)
-        else:  # a pipe, whose size is known only once it is read
-            fh = io.BytesIO(magic + fh.read())
+        if not fh.seekable():  # a pipe, whose size is known only once it is read
+            fh = io.BytesIO(fh.read())
         line = fh.readline()
         try:
             fields = line.decode().split()
@@ -163,7 +121,8 @@ def load_dataset(path) -> tuple[np.ndarray, dict]:
             raise ValueError(
                 f"dataset file {path}: header sizes {fields[:3]} are not integers"
             ) from None
-        _check_sizes(d, vocab, n, path)
+        if d < 1 or vocab < 1 or n < 0:
+            raise ValueError(f"dataset file {path}: header sizes {[d, vocab, n]} out of range")
         seqs = _parse_rows(fh, n, d, vocab, path)
     header = dict(seq_len=d, vocab_size=vocab, n_rows=n, grammar_hash=fields[3])
     return seqs, header
@@ -174,7 +133,7 @@ _SEPARATOR_BYTES = np.frombuffer(b" \t\n\r", dtype=np.uint8)
 
 
 def _parse_rows(fh, n: int, d: int, vocab: int, path) -> np.ndarray:
-    """The first ``n`` rows of ``d`` tokens read from ``fh`` (a seekable binary
+    """The first ``n`` rows of ``d`` tokens read from ``fh`` (a seekable byte
     file at the first body byte), parsed row block by row block. The rows are
     allocated first and are the only array of the file's size: a block's
     lines are read as it needs them, in reads of the shortest text its rows
@@ -278,19 +237,6 @@ def _parse_rows(fh, n: int, d: int, vocab: int, path) -> np.ndarray:
                               f"({vocab} marks a masked token)")
         seqs[block] = values.reshape(rows, d)
     return seqs
-
-
-def _check_sizes(d: int, vocab: int, n: int, path) -> None:
-    if d < 1 or vocab < 1 or n < 0:
-        raise ValueError(f"dataset file {path}: header sizes {[d, vocab, n]} out of range")
-
-
-def _check_tokens(seqs: np.ndarray, vocab: int, path) -> None:
-    if seqs.size and (seqs.min() < 0 or seqs.max() > vocab):
-        raise ValueError(
-            f"dataset file {path}: tokens must lie in [0, {vocab}] "
-            f"({vocab} marks a masked token)"
-        )
 
 
 def format_float(x: float) -> str:

@@ -128,19 +128,6 @@ class TestSubcommands:
         # 30 <= 64 strings / 2, so auto mode deduplicates
         assert np.unique(seqs, axis=0).shape[0] == 30
 
-    def test_sample_binary(self, tmp_path, grammar_file):
-        _, gpath = grammar_file
-        cfg = _write(tmp_path / "c.json", {"n_samples": 10, "binary": True,
-                                           "distinct": False})
-        out = tmp_path / "out"
-        assert run(["sample", "--config", cfg, "--grammar", str(gpath),
-                    "--out", str(out), "--seed", "2"]) == 0
-        # the file is named by its layout
-        assert (out / "dataset.bin").read_bytes()[:5] == b"RHMD1"
-        assert not (out / "dataset.txt").exists()
-        seqs, _ = load_dataset(out / "dataset.bin")
-        assert seqs.shape == (10, 4)
-
     def test_corrupt(self, tmp_path, grammar_file, data_file):
         _, gpath = grammar_file
         cfg = _write(tmp_path / "c.json",
@@ -404,7 +391,8 @@ BAD_VALUES = [
     # values the hand parsing used to accept or silently reinterpret
     ("sweep", {"sweep": {"depth": 2, "vocab_size": 8, "m_list": [2],
                          "trials": 0}}, "sweep.trials"),
-    ("sample", {"n_samples": 5, "binary": "false"}, "binary"),
+    # the removed binary dataset layout's key is an unknown key like any other
+    ("sample", {"n_samples": 5, "binary": True}, "binary"),
     ("sample", {"n_samples": 5, "distinct": "no"}, "distinct"),
     ("corrupt", {"noise": {"kind": "masking", "beta_bar": 0.4,
                            "schedule": [0.1]}}, "noise"),
@@ -469,6 +457,29 @@ class TestErrorsAndDeterminism:
             argv += ["--out", str(tmp_path / "o")]
         assert run(argv) == 2
         assert f"'{key}'" in _config_error(capsys)
+
+    # A file in the removed RHMD1 binary layout, written byte by byte: the
+    # magic, seq_len, vocab_size and n_rows as <u8, the hash's byte length as
+    # <u2 and its bytes, then the tokens as <u2.
+    @pytest.mark.parametrize("seq_len, vocab, n_rows", [(4, 8, 3), (32, 300, 5)])
+    def test_rhmd1_file_exits_two_with_json_line(self, tmp_path, grammar_file,
+                                                 capsys, seq_len, vocab, n_rows):
+        rs, gpath = grammar_file
+        tag = rs.content_hash().encode()
+        rows = np.random.default_rng(vocab).integers(0, vocab, size=(n_rows, seq_len))
+        data = tmp_path / "d.bin"
+        data.write_bytes(b"RHMD1" + np.array([seq_len, vocab, n_rows], dtype="<u8").tobytes()
+                         + len(tag).to_bytes(2, "little") + tag
+                         + rows.astype("<u2").tobytes())
+        cfg = _write(tmp_path / "c.json", {"level": 2})
+        assert run(["stats", "--config", cfg, "--grammar", str(gpath),
+                    "--data", str(data), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and "Traceback" not in err
+        parsed = json.loads(lines[0])
+        assert parsed["error"] == "ValueError"
+        assert parsed["message"].startswith(f"dataset file {data}: ")
 
     def test_non_finite_number_exits_two_with_json_line(self, tmp_path, capsys):
         path = tmp_path / "c.json"
@@ -888,7 +899,7 @@ SCHEMA = json.loads((Path(rhmlab.__file__).parent / "config_schema.json").read_t
 VALID_CONFIGS = [
     ("gen-grammar", {"seed": 5, "grammar": {"depth": 2, "branching": 2, "vocab_size": 8,
                                             "n_synonyms": 2, "seed": 3}}),
-    ("sample", {"seed": 1, "n_samples": 30, "distinct": "auto", "binary": False}),
+    ("sample", {"seed": 1, "n_samples": 30, "distinct": "auto"}),
     ("corrupt", {"seed": 1, "noise": {"kind": "masking", "beta_bar": 0.4}}),
     ("corrupt", {"seed": 1, "noise": {"kind": "uniform",
                                       "schedule": {"type": "linear", "n_steps": 3}}}),

@@ -496,13 +496,10 @@ class TestSerialization:
         with pytest.raises(ValueError):
             load_grammar(path)
 
-    @pytest.mark.parametrize("binary", [False, True])
-    def test_dataset_roundtrip(self, rs_small, tmp_path, binary):
+    def test_dataset_roundtrip(self, rs_small, tmp_path):
         ds = sample_dataset(rs_small, 20, np.random.default_rng(18), with_latents=False)
-        path = tmp_path / ("d.bin" if binary else "d.txt")
-        save_dataset(ds, path, binary=binary)
-        if binary:
-            assert path.read_bytes()[:5] == b"RHMD1"
+        path = tmp_path / "d.txt"
+        save_dataset(ds, path)
         seqs, header = load_dataset(path)
         assert np.array_equal(seqs, ds.sequences)
         assert header["seq_len"] == 4

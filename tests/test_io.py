@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from rhmlab import (Dataset, GrammarParams, generate_rules, grammar, sample_dataset,
                     token_dtype)
-from rhmlab.io import DATASET_MAGIC, load_dataset, save_dataset
+from rhmlab.io import load_dataset, save_dataset
 from oracles import (
     load_dataset_loadtxt_oracle,
     load_dataset_text_oracle,
@@ -104,76 +104,27 @@ class TestRecord:
         with pytest.raises(TypeError, match="params must be a GrammarParams"):
             Dataset(sequences=rows, params=None)
 
-    @pytest.mark.parametrize("binary", [False, True])
-    def test_float_rows_are_refused_before_any_file(self, tmp_path, binary):
-        path = tmp_path / "d.bin"
+    def test_float_rows_are_refused_before_any_file(self, tmp_path):
+        path = tmp_path / "d.txt"
         with pytest.raises(ValueError, match="sequences must hold integer tokens"):
             save_dataset(Dataset(sequences=[[0.5, 1.7], [2.9, 0.0]],
-                                 params=GrammarParams(1, 2, 3, 1)), path, binary=binary)
+                                 params=GrammarParams(1, 2, 3, 1)), path)
         assert not path.exists()
 
-
-class TestBinaryFormat:
-    @pytest.mark.parametrize("n_rows", [0, 1, 300])
-    def test_layout_and_round_trip(self, tmp_path, n_rows):
-        ds = _dataset(120, n_rows, np.int64, True)
-        path = tmp_path / "d.bin"
-        save_dataset(ds, path, binary=True)
-        want = (DATASET_MAGIC
-                + np.array([8, 120, n_rows], dtype="<u8").tobytes()
-                + (4).to_bytes(2, "little") + b"f00d"
-                + ds.sequences.astype("<u2").tobytes())
-        assert path.read_bytes() == want
-        seqs, header = load_dataset(path)
-        assert seqs.dtype == token_dtype(120)
-        assert np.array_equal(seqs, ds.sequences.reshape(n_rows, 8))
-        assert header == dict(seq_len=8, vocab_size=120, n_rows=n_rows,
-                              grammar_hash="f00d")
-
-    # 5 magic + 24 size + 2 hash-length + 4 hash bytes, then a 32-byte body:
-    # a cut inside each field, and the byte each read needs
-    @pytest.mark.parametrize("cut, part, end", [
-        (20, "header", 29), (30, "header", 31), (33, "header", 35),
-        (35, "body", 67), (66, "body", 67),
-    ])
-    def test_file_ending_inside_header_or_body_is_refused(self, tmp_path, cut,
-                                                          part, end):
-        path = tmp_path / "d.bin"
-        save_dataset(_dataset(8, 2, np.int64, False), path, binary=True)
-        assert len(path.read_bytes()) == 67
-        path.write_bytes(path.read_bytes()[:cut])
-        with pytest.raises(ValueError, match=rf"d\.bin ends inside its binary {part}: "
-                                             rf"the file holds {cut} bytes, the {part} "
-                                             rf"ends at byte {end}$"):
-            load_dataset(path)
-
-    def test_bytes_past_the_body_are_not_read(self, tmp_path):
+    # The header holds the hash as its fourth whitespace-separated field, so
+    # an empty hash or one with whitespace would write a file that fails to
+    # load.
+    @pytest.mark.parametrize("grammar_hash", ["", "a b", "x\ny", "a\tb"],
+                             ids=["empty", "space", "newline", "tab"])
+    def test_hash_the_header_cannot_hold_is_refused_before_any_file(
+            self, tmp_path, grammar_hash):
         ds = _dataset(8, 2, np.int64, False)
-        path = tmp_path / "d.bin"
-        save_dataset(ds, path, binary=True)
-        path.write_bytes(path.read_bytes() + b"trailing")
-        seqs, header = load_dataset(path)
-        assert np.array_equal(seqs, ds.sequences) and header["n_rows"] == 2
-
-    @pytest.mark.parametrize("masked", [False, True])
-    def test_vocab_past_uint16_is_refused(self, tmp_path, masked):
-        # The limit is on the grammar's vocabulary, whatever the rows hold:
-        # small tokens only, or the mask token 70000 itself.
-        rows = [[70000, 1], [3, 69999]] if masked else [[0, 1], [3, 2]]
-        ds = Dataset(sequences=np.array(rows), params=GrammarParams(1, 2, 70000, 1))
-        path = tmp_path / "d.bin"
-        with pytest.raises(ValueError, match=r"d\.bin.*at most 65535"):
-            save_dataset(ds, path, binary=True)
+        ds.meta["grammar_hash"] = grammar_hash
+        path = tmp_path / "d.txt"
+        with pytest.raises(ValueError, match=rf"d\.txt: grammar hash {re.escape(repr(grammar_hash))} "
+                                             "must be a non-empty string without whitespace"):
+            save_dataset(ds, path)
         assert not path.exists()
-
-    def test_vocab_at_the_uint16_limit_round_trips(self, tmp_path):
-        # 65535 is the mask token of a 65535-symbol vocabulary.
-        ds = Dataset(sequences=np.array([[65535, 0], [65534, 7]]),
-                     params=GrammarParams(1, 2, 65535, 1))
-        save_dataset(ds, tmp_path / "d.bin", binary=True)
-        seqs, header = load_dataset(tmp_path / "d.bin")
-        assert header["vocab_size"] == 65535
-        assert np.array_equal(seqs, ds.sequences)
 
 
 MALFORMED = {
@@ -204,14 +155,9 @@ class TestLoaderContract:
     # seq_len 0 with 2**40 rows would read as a (2**40, 0) array
     @pytest.mark.parametrize("sizes", [(0, 8, 2), (4, 0, 2), (0, 8, 2**40)],
                              ids=["seq_len-0", "vocab_size-0", "seq_len-0-many-rows"])
-    @pytest.mark.parametrize("binary", [False, True])
-    def test_header_sizes_out_of_range_are_refused(self, tmp_path, sizes, binary):
+    def test_header_sizes_out_of_range_are_refused(self, tmp_path, sizes):
         path = tmp_path / "d"
-        if binary:
-            path.write_bytes(DATASET_MAGIC + np.array(sizes, dtype="<u8").tobytes()
-                             + (0).to_bytes(2, "little"))
-        else:
-            path.write_text("{} {} {} -\n".format(*sizes))
+        path.write_text("{} {} {} -\n".format(*sizes))
         d, vocab, n = sizes
         with pytest.raises(ValueError, match=rf"d: header sizes \[{d}, {vocab}, {n}\] "
                                              r"out of range$"):
