@@ -128,6 +128,18 @@ class TestSubcommands:
         # 30 <= 64 strings / 2, so auto mode deduplicates
         assert np.unique(seqs, axis=0).shape[0] == 30
 
+    def test_sample_writes_one_text_dataset(self, tmp_path, grammar_file):
+        rs, gpath = grammar_file
+        cfg = _write(tmp_path / "c.json", {"n_samples": 10, "distinct": False})
+        out = tmp_path / "out"
+        assert run(["sample", "--config", cfg, "--grammar", str(gpath),
+                    "--out", str(out), "--seed", "2"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["dataset.txt", "manifest.json"]
+        path = out / "dataset.txt"
+        assert path.read_bytes().startswith(f"4 8 10 {rs.content_hash()}\n".encode())
+        seqs, _ = load_dataset(path)
+        assert seqs.shape == (10, 4)
+
     def test_corrupt(self, tmp_path, grammar_file, data_file):
         _, gpath = grammar_file
         cfg = _write(tmp_path / "c.json",

@@ -96,6 +96,66 @@ class TestTextFormatOracle:
         assert not (tmp_path / "d.txt").exists()
 
 
+class TestTextLayout:
+    @pytest.mark.parametrize("n_rows", [0, 1, 300])
+    def test_layout_and_round_trip(self, tmp_path, n_rows):
+        ds = _dataset(120, n_rows, np.int64, True)
+        path = tmp_path / "d.txt"
+        save_dataset(ds, path)
+        want = f"8 120 {n_rows} f00d\n" + "".join(
+            " ".join(str(t) for t in row) + "\n" for row in ds.sequences.tolist())
+        assert path.read_bytes() == want.encode()
+        seqs, header = load_dataset(path)
+        assert seqs.dtype == token_dtype(120)
+        assert np.array_equal(seqs, ds.sequences.reshape(n_rows, 8))
+        assert header == dict(seq_len=8, vocab_size=120, n_rows=n_rows,
+                              grammar_hash="f00d")
+
+    # An 11-byte header line "8 8 2 f00d" and two 16-byte rows of eight
+    # one-digit tokens: a cut in the header, in the body before its first
+    # row ends, after it, and inside the second row's tokens.
+    @pytest.mark.parametrize("cut, message", [
+        (0, "the header needs 4 fields (seq_len vocab_size n_rows grammar_hash), "
+            "found 0"),
+        (5, "the header needs 4 fields (seq_len vocab_size n_rows grammar_hash), "
+            "found 3"),
+        (11, "the header states 2 rows of 8 tokens, the body holds 0 bytes"),
+        (20, "the header states 2 rows of 8 tokens, the body holds 9 bytes"),
+        (27, "the header states 2 rows of 8 tokens, the body holds 1 lines of 16 bytes"),
+        (40, "line 3: the row holds 7 tokens, the header states 8"),
+    ])
+    def test_file_ending_inside_header_or_body_is_refused(self, tmp_path, cut,
+                                                          message):
+        path = tmp_path / "d.txt"
+        save_dataset(_dataset(8, 2, np.int64, False), path)
+        assert len(path.read_bytes()) == 43
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(ValueError, match=re.escape(f"dataset file {path}: {message}")
+                           + "$"):
+            load_dataset(path)
+
+    def test_bytes_past_the_body_are_not_read(self, tmp_path):
+        # bytes the row syntax refuses, after the header's n_rows lines
+        ds = _dataset(8, 2, np.int64, False)
+        path = tmp_path / "d.txt"
+        save_dataset(ds, path)
+        path.write_bytes(path.read_bytes() + b"trailing\x00")
+        seqs, header = load_dataset(path)
+        assert np.array_equal(seqs, ds.sequences) and header["n_rows"] == 2
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_vocab_past_uint16_round_trips(self, tmp_path, masked):
+        # The file's dtype follows the grammar's vocabulary, whatever the rows
+        # hold: small tokens only, or the mask token 70000 itself.
+        rows = [[70000, 1], [3, 69999]] if masked else [[0, 1], [3, 2]]
+        ds = Dataset(sequences=np.array(rows), params=GrammarParams(1, 2, 70000, 1))
+        path = tmp_path / "d.txt"
+        save_dataset(ds, path)
+        seqs, header = load_dataset(path)
+        assert header["vocab_size"] == 70000
+        assert seqs.dtype == np.uint32 and np.array_equal(seqs, ds.sequences)
+
+
 class TestRecord:
     def test_params_are_required(self):
         rows = np.zeros((2, 4), dtype=np.int64)
