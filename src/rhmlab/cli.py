@@ -178,13 +178,7 @@ def _run_sample(args, cfg, out_dir, seed):
 
 def _run_corrupt(args, cfg, out_dir, seed):
     rs = _require_grammar(args, cfg, seed)
-    noise = _required(cfg, "noise")
-    schedule = noise.get("schedule")
-    if isinstance(schedule, dict):
-        spec = NoiseSpec.linear_schedule(noise["kind"], schedule["n_steps"])
-    else:
-        spec = NoiseSpec(kind=noise["kind"], beta_bar=noise.get("beta_bar"),
-                         schedule=schedule)
+    spec = NoiseSpec(**_required(cfg, "noise"))
     seqs = _require_data(args, rs, allow_masked=spec.kind == "masking")
     rng = np.random.default_rng(derive_seed(seed, 0, "corrupt"))
     noisy, hits = corrupt(seqs, spec, rs.params.vocab_size, rng)
@@ -312,12 +306,11 @@ def _run_onestep(args, cfg, out_dir, seed):
     rs = _require_grammar(args, cfg, seed)
     p = rs.params
     seqs = _training_rows(args, cfg, rs, seed)
-    etas = cfg.get("eta", [0.1, 1.0, 10.0])
     codes, labels = tuple_next_token_pairs(seqs, p.branching, p.vocab_size)
     grad = one_step_gradient(codes, labels, p.vocab_size)
     classes = true_tuple_classes(rs, 1, grad.tuple_codes)
     rows = []
-    for eta in etas if isinstance(etas, list) else [etas]:
+    for eta in cfg.get("eta", [0.1, 1.0, 10.0]):
         model = grad.step(eta)
         dev = float(np.abs(model.delta - model.eta * model.empirical_corr).max())
         rows.append((model.eta, dev, synonym_column_cosine(model, classes)))
@@ -437,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None, help="JSON config file")
         sp.add_argument("--seed", type=int, default=None, help="64-bit master seed")
-        sp.add_argument("--out", default=".", help="output directory")
+        sp.add_argument("--out", default=None, help="output directory (default: key 'out')")
         sp.add_argument(
             "--threads",
             type=int,
@@ -469,7 +462,7 @@ def run(argv: list[str] | None = None) -> int:
             args.threads = _default_threads()
         if args.threads < 1:
             raise ConfigError(f"--threads must be at least 1, not {args.threads}")
-        out_dir = Path(args.out if args.out != "." else cfg.get("out", "."))
+        out_dir = Path(args.out if args.out is not None else cfg.get("out", "."))
         out_dir.mkdir(parents=True, exist_ok=True)
         grammar_hash, seeds = _RUNNERS[args.experiment][0](args, cfg, out_dir, seed)
         _write_manifest(out_dir, cfg, seed, seeds, grammar_hash, t0)

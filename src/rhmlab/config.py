@@ -35,7 +35,7 @@ _JSON_TYPES = {"object": (dict,), "array": (list,), "string": (str,),
 _SCHEMA_KEYWORDS = frozenset({
     "type", "enum", "minimum", "maximum", "exclusiveMinimum", "items",
     "minItems", "uniqueItems", "properties", "required",
-    "additionalProperties", "oneOf", "description", "$comment",
+    "additionalProperties", "description", "$comment",
 })
 
 
@@ -47,7 +47,6 @@ def _check_schema(schema: dict, where: str = "#") -> None:
         raise ValueError(f"config schema at {where} uses unsupported "
                          f"{unknown or schema['type']}")
     subschemas = {f"properties/{k}": v for k, v in schema.get("properties", {}).items()}
-    subschemas.update((f"oneOf/{i}", v) for i, v in enumerate(schema.get("oneOf", ())))
     subschemas.update((k, schema[k]) for k in ("items", "additionalProperties")
                       if isinstance(schema.get(k), dict))
     for key, sub in subschemas.items():
@@ -104,13 +103,6 @@ def _schema_errors(value, schema: dict, path: str = "", _root: str = "the config
         for key in schema.get("required", ()):
             if key not in value:
                 yield f"{_noun} '{prefix}{key}' is required"
-    if "oneOf" in schema:
-        failed = [next(_schema_errors(value, alt, path, _root, _noun), None)
-                  for alt in schema["oneOf"]]
-        n_fit = failed.count(None)
-        if n_fit != 1:
-            detail = "; ".join(failed) if n_fit == 0 else schema.get("description", "")
-            yield f"{at} fits {n_fit} of its forms but must fit exactly one: {detail}"
 
 
 def _json_value(value):

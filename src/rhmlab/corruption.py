@@ -1,54 +1,34 @@
 """Forward corruption of token strings: uniform resampling or masking.
 
-Both kernels are parameterized by a cumulative corruption probability; a
-per-step schedule composes into the same one-shot kernel because the uniform
-and masking transition-matrix families are closed under products. The mask
-symbol is ``vocab_size`` itself, enlarging the effective alphabet by one.
+Both kernels take one cumulative corruption probability ``beta_bar``: the
+uniform and masking transition-matrix families are closed under products, so
+noise in steps ``beta_t`` is one step of ``beta_bar = 1 - prod(1 - beta_t)``.
+The mask symbol is ``vocab_size`` itself, enlarging the alphabet by one.
 """
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .config import _check_fields
-from .grammar import _check_draw_count, _check_token_range, token_dtype
+from .grammar import _check_token_range, token_dtype
 
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Corruption description: a kind plus either a cumulative corruption
-    probability ``beta_bar`` or a per-step ``schedule`` of beta values, each
-    stored as a float. The fields are checked against the ``noise`` section
-    of ``config_schema.json``; the schedule may be any iterable."""
+    """Corruption description: a kind plus the cumulative corruption
+    probability ``beta_bar``, stored as a float. Both are required, and
+    checked against the ``noise`` section of ``config_schema.json``."""
 
     kind: str
     beta_bar: float | None = None
-    schedule: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.schedule is not None:
-            # A non-iterable schedule is left for the schema to refuse by name.
-            with contextlib.suppress(TypeError):
-                object.__setattr__(self, "schedule", tuple(self.schedule))
         _check_fields(self, "noise")
-        if self.beta_bar is not None:
-            object.__setattr__(self, "beta_bar", float(self.beta_bar))
-        if self.schedule is not None:
-            object.__setattr__(self, "schedule", tuple(map(float, self.schedule)))
-
-    @classmethod
-    def linear_schedule(cls, kind: str, n_steps: int) -> "NoiseSpec":
-        """beta_t = 1/(T-t+1), the discrete ramp whose cumulative keep
-        probability decays linearly: after t steps it equals (T-t)/T."""
-        _check_draw_count(n_steps, "n_steps")
-        if n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
-        betas = tuple(1.0 / (n_steps - t + 1) for t in range(1, n_steps + 1))
-        return cls(kind=kind, schedule=betas)
+        object.__setattr__(self, "beta_bar", float(self.beta_bar))
 
 
 def cumulative_keep_prob(spec: NoiseSpec) -> float:
@@ -58,12 +38,7 @@ def cumulative_keep_prob(spec: NoiseSpec) -> float:
     probability ``1 - keep`` (possibly back to the original value), keep
     otherwise.
     """
-    if spec.beta_bar is not None:
-        return 1.0 - spec.beta_bar
-    keep = 1.0
-    for beta in spec.schedule:
-        keep *= 1.0 - beta
-    return keep
+    return 1.0 - spec.beta_bar
 
 
 def corrupt(

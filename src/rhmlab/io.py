@@ -65,8 +65,13 @@ def save_dataset(ds: Dataset, path) -> None:
     if seqs.size and (seqs.min() < 0 or seqs.max() > vocab):
         raise ValueError(f"dataset file {path}: tokens must lie in [0, {vocab}] "
                          f"({vocab} marks a masked token)")
+    try:
+        header = f"{d} {vocab} {n} {grammar_hash}\n".encode()
+    except UnicodeEncodeError:
+        raise ValueError(f"dataset file {path}: grammar hash {grammar_hash!r} "
+                         "is not encodable as UTF-8") from None
     with open(path, "wb") as fh:
-        fh.write(f"{d} {vocab} {n} {grammar_hash}\n".encode())
+        fh.write(header)
         if n == 0:
             return
         # Row text as np.savetxt(fmt="%d") writes it. Each token's digits and

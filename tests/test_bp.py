@@ -258,17 +258,13 @@ def test_bp_is_bit_identical_to_the_oracle(case):
 
 @st.composite
 def noisy_cases(draw):
-    """A grammar from :func:`oracle_cases`, a noise spec of either kind (a
-    ``beta_bar`` or a linear schedule), and a noisy row: a corrupted sample
-    of the grammar, or, now and then, any tokens, which the evidence may not
-    admit."""
+    """A grammar from :func:`oracle_cases`, a noise spec of either kind, and
+    a noisy row: a corrupted sample of the grammar, or, now and then, any
+    tokens, which the evidence may not admit."""
     rs, _, _, seed = draw(oracle_cases())
     v = rs.params.vocab_size
     kind = draw(st.sampled_from(["masking", "uniform"]))
-    if draw(st.booleans()):
-        spec = NoiseSpec.linear_schedule(kind, draw(st.integers(1, 6)))
-    else:
-        spec = NoiseSpec(kind=kind, beta_bar=draw(st.sampled_from([0.0, 0.5, 1.0])))
+    spec = NoiseSpec(kind=kind, beta_bar=draw(st.sampled_from([0.0, 0.5, 1.0])))
     rng = np.random.default_rng(seed)
     if draw(st.integers(0, 3)) == 0:
         noisy = rng.integers(0, v + (kind == "masking"), size=rs.params.seq_len)

@@ -116,6 +116,15 @@ class TestSubcommands:
         assert manifest["grammar_hash"] == rs.content_hash()
         assert "grammar.json" in manifest["outputs"]
 
+    @pytest.mark.parametrize("flag", [["--out", "."], []], ids=["dot", "absent"])
+    def test_out_flag_overrides_the_config_key(self, tmp_path, monkeypatch, flag):
+        # --out . used to fall back to the config's directory
+        cfg = _write(tmp_path / "c.json", {"out": "cfgdir", **GRAMMAR_CFG})
+        monkeypatch.chdir(tmp_path)
+        assert run(["gen-grammar", "--config", cfg, *flag]) == 0
+        assert (tmp_path / ("." if flag else "cfgdir") / "grammar.json").exists()
+        assert (tmp_path / "cfgdir").exists() == (not flag)
+
     def test_sample_auto_distinct(self, tmp_path, grammar_file):
         rs, gpath = grammar_file
         cfg = _write(tmp_path / "c.json", {"n_samples": 30})
@@ -418,9 +427,10 @@ BAD_VALUES = [
     ("sweep", {"sweep": {"depth": 2, "v": 8, "m_list": [2]}}, "sweep.v"),
     ("sweep", {"sweep": {"depth": 2, "vocab_size": 8, "m_list": [2],
                          "threshold": 0.9}}, "sweep.threshold"),
+    # the removed linear-schedule object is an unknown key, whatever it holds
     ("corrupt", {"noise": {"kind": "masking",
                            "schedule": {"type": "linear", "T": 4}}},
-     "noise.schedule.T"),
+     "noise.schedule"),
     # booleans and integral floats are not integers; ranges the code needs
     ("sample", {"n_samples": True}, "n_samples"),
     ("sample", {"n_samples": 5, "distinct": 1}, "distinct"),
@@ -431,7 +441,7 @@ BAD_VALUES = [
     ("onestep", {"n_samples": 50, "eta": 0}, "eta"),
     ("onestep", {"n_samples": 50, "eta": []}, "eta"),
     ("corrupt", {"noise": {"kind": "masking",
-                           "schedule": {"type": "linear"}}}, "noise.schedule.n_steps"),
+                           "schedule": {"type": "linear"}}}, "noise.schedule"),
     ("sweep", {"sweep": {"depth": 2, "vocab_size": 8, "m_list": [2],
                          "grid_span": 0}}, "sweep.grid_span"),
     ("sweep", {"sweep": {"depth": 2, "vocab_size": 8, "m_list": [2],
@@ -469,6 +479,27 @@ class TestErrorsAndDeterminism:
             argv += ["--out", str(tmp_path / "o")]
         assert run(argv) == 2
         assert f"'{key}'" in _config_error(capsys)
+
+    # A noise spec is a kind and beta_bar; a schedule beta_1..beta_T is
+    # beta_bar = 1 - prod(1 - beta_t), and the linear object was beta_bar 1.
+    @pytest.mark.parametrize("experiment, cfg, message", [
+        ("corrupt", {"noise": {"kind": "uniform", "schedule": [0.1, 0.2]}},
+         "config key 'noise.schedule' is unknown; config key 'noise' takes beta_bar, kind"),
+        ("corrupt", {"noise": {"kind": "masking", "schedule": {"type": "linear", "n_steps": 3}}},
+         "config key 'noise.schedule' is unknown; config key 'noise' takes beta_bar, kind"),
+        ("corrupt", {"noise": {"kind": "masking"}}, "config key 'noise.beta_bar' is required"),
+        ("onestep", {"n_samples": 50, "eta": 1.0},
+         "config key 'eta' must be of type array, not 1.0"),
+    ], ids=["schedule-list", "schedule-linear", "no-beta-bar", "scalar-eta"])
+    def test_removed_forms_exit_two_naming_the_key(self, tmp_path, grammar_file, data_file,
+                                                   capsys, experiment, cfg, message):
+        _, gpath = grammar_file
+        argv = [experiment, "--config", _write(tmp_path / "c.json", cfg),
+                "--grammar", str(gpath), "--data", str(data_file),
+                "--out", str(tmp_path / "o")]
+        assert run(argv) == 2
+        assert _config_error(capsys) == message
+        assert not (tmp_path / "o").exists()
 
     # A file in the removed RHMD1 binary layout, written byte by byte: the
     # magic, seq_len, vocab_size and n_rows as <u8, the hash's byte length as
@@ -663,9 +694,6 @@ class TestErrorsAndDeterminism:
         ("onestep", '{"grammar": {"depth": 2, "branching": 2, "vocab_size": 8, '
                     '"n_synonyms": 2}, "n_samples": 100, "eta": [1e400, 1.0]}',
          r"config key 'eta\[0\]' is inf; it must be finite"),
-        ("onestep", '{"grammar": {"depth": 2, "branching": 2, "vocab_size": 8, '
-                    '"n_synonyms": 2}, "n_samples": 100, "eta": 1e400}',
-         "config key 'eta' is inf; it must be finite"),
         ("sweep", '{"sweep": {"depth": 2, "vocab_size": 8, "m_list": [2], '
                   '"grid_span": 1e400}}',
          "^config key 'sweep.grid_span' is inf; it must be finite$"),
@@ -913,9 +941,10 @@ VALID_CONFIGS = [
                                             "n_synonyms": 2, "seed": 3}}),
     ("sample", {"seed": 1, "n_samples": 30, "distinct": "auto"}),
     ("corrupt", {"seed": 1, "noise": {"kind": "masking", "beta_bar": 0.4}}),
-    ("corrupt", {"seed": 1, "noise": {"kind": "uniform",
-                                      "schedule": {"type": "linear", "n_steps": 3}}}),
-    ("corrupt", {"seed": 1, "noise": {"kind": "uniform", "schedule": [0.1, 0.2]}}),
+    # what the removed schedule forms meant: the linear object was beta_bar 1,
+    # and [0.1, 0.2] is 1 - 0.9 * 0.8
+    ("corrupt", {"seed": 1, "noise": {"kind": "uniform", "beta_bar": 1}}),
+    ("corrupt", {"seed": 1, "noise": {"kind": "uniform", "beta_bar": 0.28}}),
     ("bp", {"seed": 1, "sequence": "? ? ? ?"}),
     ("stats", {"seed": 1, "level": 2}),
     ("learn", {"seed": 1, "n_samples": 300,
@@ -962,18 +991,13 @@ def _get(cfg, path):
 
 
 def _schema_at(cfg, path):
-    """The schema of the value at ``path``, the ``oneOf`` form its type picks."""
+    """The schema of the value at ``path``."""
     schema, value = SCHEMA, cfg
-    for key in (*path, None):
-        if "oneOf" in schema and "type" not in schema:
-            schema = next(alt for alt in schema["oneOf"]
-                          if alt["type"] == {dict: "object", list: "array"}.get(
-                              type(value), "number"))
-        if key is None:
-            return schema
+    for key in path:
         schema = (schema["items"] if isinstance(value, list)
                   else schema.get("properties", {}).get(key, schema.get("additionalProperties")))
         value = value[key]
+    return schema
 
 
 @st.composite
@@ -986,9 +1010,7 @@ def invalid_configs(draw):
     dicts = [p for p in paths if isinstance(_get(cfg, p), dict)]
     dropped = [(k,) for k in NEEDED.get(experiment, ())]
     for p in dicts:
-        schema = _schema_at(cfg, p)
-        alts = [alt.get("required", []) for alt in schema.get("oneOf", ())]
-        dropped += [p + (k,) for k in (*schema.get("required", ()), *sum(alts, []))
+        dropped += [p + (k,) for k in _schema_at(cfg, p).get("required", ())
                     if k in _get(cfg, p)]
     ranged = [p for p in paths if p and type(_get(cfg, p)) in (int, float)
               and {"minimum", "maximum", "exclusiveMinimum"} & set(_schema_at(cfg, p))]
@@ -1065,10 +1087,6 @@ class TestConfigSchema:
                                 ("noise", corruption.NoiseSpec)):
             fields = {f.name for f in dataclasses.fields(record)}
             assert set(props[section]["properties"]) == fields, section
-        # The linear-schedule object is the CLI's; NoiseSpec stores its betas.
-        forms = props["noise"]["properties"]["schedule"]["oneOf"]
-        assert [form["type"] for form in forms] == ["array", "object"]
-        assert forms[1]["properties"]["type"]["enum"] == ["linear"]
         # The CLI passes the rows, the grammar shape, seed and truth itself.
         params = inspect.signature(learner.learn_grammar).parameters
         free = {name for name, p in params.items()
@@ -1078,6 +1096,17 @@ class TestConfigSchema:
             variants = props[section]["properties"]["variant"]["enum"]
             assert variants == list(learner.VARIANTS)
 
+    def test_validator_implements_exactly_the_keywords_the_schema_uses(self):
+        from rhmlab.config import _SCHEMA_KEYWORDS
+
+        def keywords(schema):
+            subs = [*schema.get("properties", {}).values(),
+                    *(schema[k] for k in ("items", "additionalProperties")
+                      if isinstance(schema.get(k), dict))]
+            return set(schema).union(*map(keywords, subs))
+
+        assert keywords(SCHEMA) == _SCHEMA_KEYWORDS
+
     def test_unsupported_schema_keyword_raises(self):
         from rhmlab.config import _check_schema, _config_schema
 
@@ -1086,6 +1115,9 @@ class TestConfigSchema:
             _check_schema({"type": "object",
                            "properties": {"a": {"type": "string", "pattern": "x"}}})
         with pytest.raises(ValueError, match="format"):
-            _check_schema({"oneOf": [{"type": "array", "items": {"format": "date"}}]})
+            _check_schema({"type": "array", "items": {"format": "date"}})
+        # oneOf is refused by name, like any keyword the validator lacks
+        with pytest.raises(ValueError, match=r"#/properties/a uses unsupported \['oneOf'\]"):
+            _check_schema({"type": "object", "properties": {"a": {"oneOf": [{}]}}})
         with pytest.raises(ValueError, match="null"):
             _check_schema({"type": "null"})

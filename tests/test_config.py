@@ -23,7 +23,7 @@ VALID_RECORDS = [
           variant="full_tuple", cluster_threshold=0.9, accuracy_threshold=0.5,
           p_grid={2: [64, 128]}, grid_span=4.0, n_eval=32, seed=1)),
     (NoiseSpec, "noise", dict(kind="uniform", beta_bar=0.25)),
-    (NoiseSpec, "noise", dict(kind="masking", schedule=[0.1, 0.5])),
+    (NoiseSpec, "noise", dict(kind="masking", beta_bar=1)),
 ]
 
 
@@ -128,7 +128,7 @@ class TestRecordsCheckTheSchema:
                 "NoiseSpec field 'kind' is <object>; it must be one of")):
             NoiseSpec(kind=type("Obj", (), {"__repr__": lambda self: "<object>"})(),
                       beta_bar=0.5)
-        with pytest.raises(ValueError, match="^NoiseSpec fits 0 of its forms"):
+        with pytest.raises(ValueError, match="^NoiseSpec field 'beta_bar' is required$"):
             NoiseSpec(kind="uniform")
 
     def test_numpy_and_fraction_values_are_stored_as_given(self):
@@ -141,8 +141,9 @@ class TestRecordsCheckTheSchema:
         assert type(cfg.cluster_threshold) is np.float32
         assert type(cfg.accuracy_threshold) is Fraction
         assert cfg.grid_for(2) == [64, 128] and cfg.grid_for(3) == [256]
-        spec = NoiseSpec(kind="masking", schedule=(Fraction(1, 4), np.float16(0.5)))
-        assert spec.schedule == (0.25, 0.5) and all(type(b) is float for b in spec.schedule)
+        for level, want in ((Fraction(1, 4), 0.25), (np.float16(0.5), 0.5)):
+            spec = NoiseSpec(kind="masking", beta_bar=level)
+            assert type(spec.beta_bar) is float and spec.beta_bar == want
 
     def test_ndarray_m_list_is_accepted(self):
         # an ndarray m_list used to fail on its truth value

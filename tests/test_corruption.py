@@ -12,62 +12,36 @@ from oracles import enumeration_conditionals
 
 
 class TestNoiseSpec:
-    def test_needs_exactly_one_parameterization(self):
-        with pytest.raises(ValueError):
+    def test_needs_a_kind_and_a_level_in_range(self):
+        with pytest.raises(ValueError, match="^NoiseSpec field 'beta_bar' is required$"):
             NoiseSpec(kind="uniform")
-        with pytest.raises(ValueError):
-            NoiseSpec(kind="uniform", beta_bar=0.2, schedule=(0.1,))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^NoiseSpec field 'kind' is \"gaussian\""):
             NoiseSpec(kind="gaussian", beta_bar=0.2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match="^NoiseSpec field 'beta_bar' is 1.5, above its maximum 1$"):
             NoiseSpec(kind="masking", beta_bar=1.5)
-        with pytest.raises(ValueError):
-            NoiseSpec(kind="masking", schedule=(0.5, -0.1))
+        with pytest.raises(ValueError,
+                           match="^NoiseSpec field 'beta_bar' is -0.1, below its minimum 0$"):
+            NoiseSpec(kind="masking", beta_bar=-0.1)
+        with pytest.raises(TypeError):
+            NoiseSpec(kind="masking", schedule=(0.5,))
 
     @pytest.mark.parametrize("bad", [True, False, np.bool_(True), "0.5", 1j, [0.5]])
     def test_refuses_boolean_and_non_real_levels_by_name(self, bad):
         with pytest.raises(ValueError,
                            match="^NoiseSpec field 'beta_bar' must be of type number, not "):
             NoiseSpec(kind="uniform", beta_bar=bad)
-        with pytest.raises(ValueError,
-                           match=r"NoiseSpec field 'schedule\[1\]' must be of type number, not "):
-            NoiseSpec(kind="masking", schedule=(0.1, bad))
-        with pytest.raises(ValueError,
-                           match="NoiseSpec field 'schedule' must be of type array, not 0.5"):
-            NoiseSpec(kind="masking", schedule=0.5)
 
     @pytest.mark.parametrize("level", [0, 1, np.int8(1), np.float32(0.5), np.float64(0.25)])
     def test_stores_levels_as_floats(self, level):
         spec = NoiseSpec(kind="uniform", beta_bar=level)
         assert type(spec.beta_bar) is float and spec.beta_bar == float(level)
-        spec = NoiseSpec(kind="uniform", schedule=np.array([level, level]))
-        assert all(type(b) is float for b in spec.schedule)
-        assert spec.schedule == (float(level),) * 2
+        keep = cumulative_keep_prob(spec)
+        assert type(keep) is float and keep == 1.0 - float(level)
 
-    @pytest.mark.parametrize("n_steps, message", [
-        # 2.5 used to raise TypeError, and 0 to name the schedule alone
-        (2.5, "^n_steps must be a nonnegative integer"),
-        (True, "^n_steps must be a nonnegative integer"),
-        (0, "^n_steps must be >= 1"),
-    ])
-    def test_linear_schedule_refuses_bad_step_counts_by_name(self, n_steps, message):
-        with pytest.raises(ValueError, match=message):
-            NoiseSpec.linear_schedule("masking", n_steps)
-
-    def test_keep_prob_degenerate_schedules(self):
-        assert cumulative_keep_prob(NoiseSpec(kind="uniform", schedule=(0.0,) * 5)) == 1.0
-        assert cumulative_keep_prob(NoiseSpec(kind="masking", schedule=(1.0,))) == 0.0
-
-    def test_linear_schedule_keep_prob_is_linear(self):
-        spec = NoiseSpec.linear_schedule("masking", 1000)
-        for t in (1, 137, 500, 999, 1000):
-            keep = cumulative_keep_prob(NoiseSpec("masking", schedule=spec.schedule[:t]))
-            assert keep == pytest.approx((1000 - t) / 1000, abs=1e-12)
-
-    def test_linear_schedule_monte_carlo(self):
-        # corruption frequency under the truncated schedule matches 1 - keep
-        full = NoiseSpec.linear_schedule("masking", 1000)
-        spec = NoiseSpec("masking", schedule=full.schedule[:350])
+    def test_masking_monte_carlo(self):
+        # corruption frequency under masking matches 1 - keep
+        spec = NoiseSpec("masking", beta_bar=0.35)
         keep = cumulative_keep_prob(spec)
         rng = np.random.default_rng(0)
         x = rng.integers(0, 4, size=(400, 100))
@@ -193,9 +167,7 @@ class TestLeafLikelihoods:
     @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.int64])
     def test_uniform_rows_equal_the_kernel_formula(self, dtype):
         rng = np.random.default_rng(8)
-        specs = [NoiseSpec(kind="uniform", beta_bar=b) for b in (0.0, 0.3, 1.0)]
-        specs.append(NoiseSpec.linear_schedule("uniform", 4))
-        for spec in specs:
+        for spec in [NoiseSpec(kind="uniform", beta_bar=b) for b in (0.0, 0.3, 1.0)]:
             keep = cumulative_keep_prob(spec)
             for v in (2, 5, 16):
                 for n in (0, 1, 40):

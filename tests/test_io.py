@@ -186,6 +186,17 @@ class TestRecord:
             save_dataset(ds, path)
         assert not path.exists()
 
+    def test_hash_utf8_cannot_encode_is_refused_before_any_file(self, tmp_path):
+        # a lone surrogate used to raise UnicodeEncodeError after the file
+        # was opened, leaving it empty
+        ds = _dataset(8, 2, np.int64, False)
+        ds.meta["grammar_hash"] = "ab\ud800"
+        path = tmp_path / "d.txt"
+        with pytest.raises(ValueError, match=r"d\.txt: grammar hash 'ab\\ud800' "
+                                             "is not encodable as UTF-8"):
+            save_dataset(ds, path)
+        assert not path.exists()
+
 
 MALFORMED = {
     "empty": "",
